@@ -25,7 +25,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .tropical import format_rational, parse_rational
+from .tropical import parse_rational
 
 Label = int  # +i row leaf, -i column leaf
 Split = frozenset  # frozenset of labels: one side of an internal edge
@@ -796,7 +796,7 @@ class SymbicTree:
                 {
                     "u": u,
                     "v": v,
-                    "len": None if length is None else format_rational(length),
+                    "len": None if length is None else str(length),
                 }
                 for u, v, length in self.edges()
             ],
@@ -850,7 +850,7 @@ class SymbicTree:
                 leaf = u if u in label_of else v
                 attrs.append("color=" + ("blue" if label_of[leaf] > 0 else "red"))
             else:
-                attrs.append(f'label="{format_rational(length)}"')
+                attrs.append(f'label="{length}"')
                 if u in trunk and v in trunk:
                     attrs.append("style=bold")
                     attrs.append("penwidth=2")

@@ -1,18 +1,29 @@
 """Exact min-plus linear algebra: tropical determinants, minors and rank tests.
 
-Everything runs over ``fractions.Fraction``.  The "minimum attained twice"
-predicates that define tropical rank are not robust under floating point,
-so no float ever enters these computations.
+Entries are ``fractions.Fraction``, and the public determinant and minor
+functions work over them.  The two rank scans, :func:`trop_rank` and
+:func:`sym_trop_rank`, run on the matrix scaled once to an exact integer
+grid (see :func:`_integer_grid`).  The "minimum attained twice" predicates
+that define tropical rank are not robust under floating point, so no float
+ever enters these computations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 # 9! = 362880 permutations per minor; enough for desk-scale matrices.
 MAX_MINOR_SIZE = 9
+
+# Outside input may spell a rational with at most this many decimal digits
+# in its numerator and in its denominator (exponent notation included), so
+# that a short string such as "1e1000000" cannot expand into a huge integer.
+MAX_NUMERAL_DIGITS = 1000
+_NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS
 
 Monomial = tuple[tuple[int, int], ...]
 Permutation = tuple[int, ...]
@@ -27,21 +38,46 @@ class MinorSizeError(TropicalError):
 
 
 def parse_rational(cell: object) -> Fraction:
-    """Accept Fraction, int, or a string like ``3`` / ``-5/7``."""
+    """Accept Fraction, int, or a string like ``3`` / ``-5/7``.
+
+    ``bool`` is refused although it is an ``int``: JSON ``true`` is no
+    rational.  An int or string whose numerator or denominator has more
+    than :data:`MAX_NUMERAL_DIGITS` digits is refused, a string before
+    ``Fraction`` expands its exponent.  A Fraction passes unchecked, since
+    only the library builds those.
+    """
     if isinstance(cell, Fraction):
         return cell
+    if isinstance(cell, bool):
+        raise TropicalError(f"cannot parse rational from bool {cell!r}")
     if isinstance(cell, int):
-        return Fraction(cell)
-    if isinstance(cell, str):
+        q = Fraction(cell)
+    elif isinstance(cell, str):
+        text = cell.strip()
+        if _numeral_too_long(text):
+            raise TropicalError(f"numeral {text[:20]!r}... exceeds {MAX_NUMERAL_DIGITS} digits")
         try:
-            return Fraction(cell.strip())
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise TropicalError(f"cannot parse rational {cell!r}") from exc
-    raise TropicalError(f"cannot parse rational from {type(cell).__name__}")
+    else:
+        raise TropicalError(f"cannot parse rational from {type(cell).__name__}")
+    if abs(q.numerator) >= _NUMERAL_LIMIT or q.denominator >= _NUMERAL_LIMIT:
+        raise TropicalError(f"rational exceeds {MAX_NUMERAL_DIGITS} digits")
+    return q
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+def _numeral_too_long(text: str) -> bool:
+    """A cheap guard run before ``Fraction`` expands a numeral string: the
+    string is longer than "-p/q" with p and q at the digit bound, or its
+    decimal exponent exceeds the bound."""
+    if len(text) > 2 * MAX_NUMERAL_DIGITS + 2:
+        return True
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        return bool(e) and abs(int(exponent)) > MAX_NUMERAL_DIGITS
+    except ValueError:
+        return False  # not exponent notation; Fraction decides
 
 
 class TropMatrix:
@@ -53,8 +89,10 @@ class TropMatrix:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[object]]):
-        grid = tuple(tuple(parse_rational(x) for x in row) for row in rows)
+    def __init__(self, rows: Iterable[Sequence[object]]):
+        if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
+            raise TropicalError(f"matrix entries must be a list, not {type(rows).__name__}")
+        grid = tuple(tuple(parse_rational(x) for x in _row(row)) for row in rows)
         if not grid or any(len(row) != len(grid) for row in grid):
             raise TropicalError("matrix must be square and nonempty")
         self.n = len(grid)
@@ -108,13 +146,13 @@ class TropMatrix:
         return hash(self.rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"TropMatrix[{body}]"
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "entries": [[format_rational(x) for x in row] for row in self.rows],
+            "entries": [[str(x) for x in row] for row in self.rows],
         }
 
     @classmethod
@@ -127,6 +165,12 @@ class TropMatrix:
         if "n" in data and data["n"] != mat.n:
             raise TropicalError("declared n does not match entry grid")
         return mat
+
+
+def _row(row: object) -> Sequence[object]:
+    if not isinstance(row, (list, tuple)):
+        raise TropicalError(f"matrix row must be a list, not {type(row).__name__}")
+    return row
 
 
 def rank_one_matrix(x: Sequence[object]) -> TropMatrix:
@@ -207,11 +251,13 @@ def monomial_of_permutation(minor: Minor, perm: Permutation) -> Monomial:
     permutation of a symmetric minor: a sorted multiset of unordered pairs."""
     if sorted(perm) != list(range(minor.size)):
         raise TropicalError("not a permutation of the minor size")
-    pairs = []
-    for i, p in enumerate(perm):
-        r, c = minor.rows[i], minor.cols[p]
-        pairs.append((min(r, c), max(r, c)))
-    return tuple(sorted(pairs))
+    return _monomial(minor.rows, minor.cols, perm)
+
+
+def _monomial(rows: Sequence[int], cols: Sequence[int], perm: Permutation) -> Monomial:
+    return tuple(
+        sorted((r, c) if r <= c else (c, r) for r, c in zip(rows, map(cols.__getitem__, perm)))
+    )
 
 
 def argmin_monomials(m: TropMatrix, minor: Minor) -> frozenset[Monomial]:
@@ -236,8 +282,9 @@ def trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate."""
     if m.n > MAX_MINOR_SIZE:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
+    grid = _integer_grid(m)
     for r in range(1, m.n):
-        if all(minor_degenerate(m, mi) for mi in all_minors(m.n, r + 1)):
+        if _all_minors_degenerate(grid, r + 1, symmetric=False):
             return r
     return m.n
 
@@ -249,10 +296,55 @@ def sym_trop_rank(m: TropMatrix) -> int:
     m.require_symmetric()
     if m.n > MAX_MINOR_SIZE:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
+    grid = _integer_grid(m)
     for r in range(1, m.n):
-        if all(sym_minor_degenerate(m, mi) for mi in all_minors(m.n, r + 1)):
+        if _all_minors_degenerate(grid, r + 1, symmetric=True):
             return r
     return m.n
+
+
+def _integer_grid(m: TropMatrix) -> list[list[int]]:
+    """The entries of ``m`` times the lcm L of their denominators, as ints.
+
+    Every permutation sum of a minor is scaled by the same L > 0, so each
+    minor keeps its argmin permutation set, and with it its ordinary and
+    symmetric degeneracy: the rank scans may run on this grid exactly.
+    """
+    scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+
+
+def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bool:
+    """Whether every k x k minor of the integer grid is degenerate
+    (``symmetric``: as a polynomial in the x_{ij}, i <= j); stops at the
+    first minor that is not.
+
+    The symmetric scan visits a minor (R, C) only when C >= R.  On a
+    symmetric grid the transpose minor (C, R) has the same entry sums, its
+    argmin permutations are the inverses, and a permutation and its inverse
+    pick the same unordered pairs {r, c}: the same monomial set.
+
+    The permutations are listed once per call: k! tuples, about 50 MB at
+    the 9 x 9 cap.  A fresh generator per minor would save that memory but
+    is 15-20 % slower at k = 2..4, where the scans spend their time.
+    """
+    perms = list(itertools.permutations(range(k)))
+    combos = list(itertools.combinations(range(len(grid)), k))
+    pickers = [itemgetter(*cols) for cols in combos]
+    for first, rows in enumerate(combos):
+        sub = [grid[r] for r in rows]
+        start = first if symmetric else 0
+        for cols, pick in zip(combos[start:], pickers[start:]):
+            block = [pick(row) for row in sub]
+            totals = [sum(map(getitem, block, p)) for p in perms]
+            best = min(totals)
+            if totals.count(best) < 2:
+                return False
+            if symmetric:
+                argmin = [p for p, total in zip(perms, totals) if total == best]
+                if len({_monomial(rows, cols, p) for p in argmin}) < 2:
+                    return False
+    return True
 
 
 def hilbert_distance(x: Sequence[object], y: Sequence[object]) -> Fraction:

@@ -84,6 +84,16 @@ def test_bad_input_gives_structured_error(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     assert payload["error"]["kind"] == "bad-input"
+    for body in (
+        {"entries": 5},
+        {"entries": [5, 6]},
+        {"entries": [[True, 0], [0, 1]]},
+        {"entries": [["1e1000000", "0"], ["0", "1"]]},
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        assert main(["rank", "--matrix", str(path)]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_size_cap_is_reported(capsys):

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symbic.correspond import matrix_from_tree
+from symbic.counting import random_regular_tree
 from symbic.tropical import (
+    MAX_NUMERAL_DIGITS,
     Minor,
     MinorSizeError,
     TropMatrix,
@@ -53,6 +56,30 @@ def test_parse_rational_forms():
         parse_rational("a/b")
     with pytest.raises(TropicalError):
         parse_rational("1/0")
+    assert parse_rational("1e3") == 1000
+    assert parse_rational("-25e-2") == Fraction(-1, 4)
+    for bad in (True, False, None, 1.5):
+        with pytest.raises(TropicalError):
+            parse_rational(bad)
+
+
+def test_parse_rational_bounds_numeral_size():
+    limit = MAX_NUMERAL_DIGITS
+    assert parse_rational("9" * limit) == 10**limit - 1
+    assert parse_rational(f"1/{'9' * limit}").denominator == 10**limit - 1
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    for bad in (
+        "1" * (limit + 1),
+        f"1/{'1' * (limit + 1)}",
+        f"1e{limit}",
+        f"1e-{limit}",
+        "1e1000000",
+        "1e-1000000",
+        10**limit,
+        -(10**limit),
+    ):
+        with pytest.raises(TropicalError):
+            parse_rational(bad)
 
 
 def test_matrix_must_be_square():
@@ -213,3 +240,79 @@ def test_matrix_json_round_trip():
     assert again == m
     with pytest.raises(TropicalError):
         TropMatrix.from_json_dict({"n": 3, "entries": [["0"]]})
+    for entries in (5, None, "12", [5, 6], ["12", "34"], [[0, 1], 2], {"a": [0]}):
+        with pytest.raises(TropicalError):
+            TropMatrix.from_json_dict({"entries": entries})
+    for rows in (5, "12", [5, 6], ["12", "34"], [[True, 0], [0, 1]]):
+        with pytest.raises(TropicalError):
+            TropMatrix(rows)
+
+
+# -- the integer-grid rank scans against the literal definition -------------
+
+
+def oracle_rank(m, symmetric):
+    """Rank by definition: every minor through ``trop_det`` over Fraction,
+    transpose minors included."""
+    for r in range(1, m.n):
+        minors = all_minors(m.n, r + 1)
+        if symmetric:
+            degenerate = all(
+                len({monomial_of_permutation(mi, p) for p in trop_det(m, mi)[1]}) >= 2
+                for mi in minors
+            )
+        else:
+            degenerate = all(len(trop_det(m, mi)[1]) >= 2 for mi in minors)
+        if degenerate:
+            return r
+    return m.n
+
+
+mixed_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+# many ties, so many degenerate minors
+small_integers = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Matrices with n = 2..5 of four kinds: asymmetric, symmetric, tree
+    matrices shifted by a rational lineality term, and either of the last
+    two with a planted principal 3x3 block of symmetric rank 3."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(["asymmetric", "symmetric", "tree"]))
+    cells = draw(st.sampled_from([mixed_rationals, small_integers]))
+    if kind == "asymmetric":
+        return TropMatrix([[draw(cells) for _ in range(n)] for _ in range(n)])
+    if kind == "symmetric":
+        entries = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entries[i][j] = entries[j][i] = draw(cells)
+        m = TropMatrix(entries)
+    else:
+        tree = random_regular_tree(n, draw(st.randoms(use_true_random=False)))
+        shift = [draw(mixed_rationals) for _ in range(n)]
+        m = matrix_from_tree(tree).add(rank_one_matrix(shift))
+    if n >= 3 and draw(st.booleans()):
+        block = draw(st.lists(st.sampled_from(range(n)), min_size=3, max_size=3, unique=True))
+        top = max(x for row in m.rows for x in row) + 1 + abs(draw(mixed_rationals))
+        entries = [list(row) for row in m.rows]
+        for i in block:
+            for j in block:
+                entries[i][j] = Fraction(0) if i == j else top
+        m = TropMatrix(entries)
+    return m
+
+
+@given(rank_matrices())
+# rank 3, though every 3x3 minor (R, C) with C >= R is degenerate: a scan
+# that skipped transpose minors of an asymmetric matrix would return 2
+@example(TropMatrix([[2, 1, 1, 1], [1, 0, 0, 0], [2, 2, 1, 1], [0, 4, 0, 0]]))
+@settings(max_examples=200, deadline=None)
+def test_rank_scans_match_the_definition(m):
+    assert trop_rank(m) == oracle_rank(m, symmetric=False)
+    if m.is_symmetric():
+        assert sym_trop_rank(m) == oracle_rank(m, symmetric=True)
+    else:
+        with pytest.raises(TropicalError):
+            sym_trop_rank(m)
