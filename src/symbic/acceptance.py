@@ -260,20 +260,22 @@ def criterion_fan(seed: int = 0) -> CriterionResult:
 
 def criterion_matroid() -> CriterionResult:
     t0 = time.time()
-    for n in range(1, 6):
-        for tree in enumerate_regular(n):
+    catalogs = {n: enumerate_regular(n) for n in range(1, 6)}
+    for n, catalog in catalogs.items():
+        for tree in catalog:
             if cayley_matrix(tree).rank() != 2 * n - 1:
                 return CriterionResult(7, "matroid", False, f"rank != {2*n-1} at n={n}")
     for n in (3, 4):
-        if union_bases(n, "all") != union_bases(n, "caterpillar_branches"):
+        everything = union_bases(n, "all", catalogs[n])
+        if everything != union_bases(n, "caterpillar_branches", catalogs[n]):
             return CriterionResult(
                 7, "matroid", False, f"caterpillar-branch union differs at n={n}"
             )
     for n in (2, 3, 4):
-        bad = basis_transition_check(n)
+        bad = basis_transition_check(n, catalogs[n])
         if bad is not None:
             return CriterionResult(7, "matroid", False, f"transition fails at n={n}: {bad}")
-    reports = {n: conjecture_scan(n) for n in (3, 4)}
+    reports = {n: conjecture_scan(n, catalogs[n]) for n in (3, 4)}
     summary = "; ".join(
         f"n={n}: equal={r.equal} ({r.union_all_count} bases)" for n, r in reports.items()
     )

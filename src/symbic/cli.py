@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symmetric tropical rank-2 matrices and symmetric bicolored trees",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (outputs never depend on it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank", help="tropical and symmetric tropical rank")
@@ -313,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     try:
         return args.func(args)
     except CommandError as exc:

@@ -74,79 +74,94 @@ def cayley_matrix(tree: SymbicTree, base: Optional[int] = None) -> CayleyMatrix:
     return CayleyMatrix(n, len(node_orbits), pairs, tuple(rows))
 
 
+def _reduce(
+    vec: Sequence[int], echelon: Iterable[tuple[int, tuple[int, ...]]]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Reduce an int vector against an echelon of (pivot, primitive row)
+    pairs by cross-multiplying, b[p]*v - v[p]*b, which zeroes v[p] with
+    integer arithmetic only (fraction-free elimination, Bareiss 1968).
+    Returns the new (pivot, primitive row) pair, or None when the vector
+    lies in the echelon's span.  No modulus is taken: exact for any ints."""
+    for p, b in echelon:
+        vp = vec[p]
+        if vp:
+            bp = b[p]
+            vec = [bp * x - vp * y for x, y in zip(vec, b)]
+    g = math.gcd(*vec)
+    if not g:
+        return None
+    row = tuple(x // g for x in vec)
+    return next(i for i, x in enumerate(row) if x), row
+
+
 def exact_rank(rows: Iterable[Sequence[object]]) -> int:
-    """Fraction-free (Bareiss) rank of a matrix with rational entries."""
-    work = []
+    """Rank of a matrix with rational entries: each row is cleared of
+    denominators and pushed through the integer reducer."""
+    echelon: list[tuple[int, tuple[int, ...]]] = []
     for row in rows:
         scaled = [Fraction(x) for x in row]
-        lcm = 1
-        for x in scaled:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        work.append([int(x * lcm) for x in scaled])
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    prev = 1
-    row_at = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row_at, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        p = work[row_at][col]
-        for r in range(row_at + 1, len(work)):
-            for c in range(col + 1, cols):
-                work[r][c] = (p * work[r][c] - work[r][col] * work[row_at][c]) // prev
-            work[r][col] = 0
-        prev = p
-        row_at += 1
-        rank += 1
-        if row_at == len(work):
-            break
-    return rank
+        lcm = math.lcm(*(x.denominator for x in scaled))
+        step = _reduce([x.numerator * (lcm // x.denominator) for x in scaled], echelon)
+        if step is not None:
+            echelon.append(step)
+    return len(echelon)
 
+
+def _bases(cm: CayleyMatrix) -> frozenset:
+    """All full-rank column subsets of a Cayley matrix: depth-first search
+    over the columns in order, one reducer step per candidate column."""
+    pairs = cm.columns
+    vectors = list(zip(*cm.rows))
+    target = len(cm.rows)
+    results: list[frozenset] = []
+
+    def extend(start: int, chosen: list[GroundPair], echelon: list) -> None:
+        if len(chosen) == target:
+            results.append(frozenset(chosen))
+            return
+        for idx in range(start, len(pairs) - (target - len(chosen)) + 1):
+            step = _reduce(vectors[idx], echelon)
+            if step is not None:
+                extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
+
+    extend(0, [], [])
+    return frozenset(results)
 
 
 def matroid_bases(tree: SymbicTree, base: Optional[int] = None) -> frozenset:
     """All (2n-1)-subsets of matrix coordinates independent in the cone's
-    span: exhaustive enumeration with incremental elimination."""
+    span."""
     if tree.n > BASES_CAP:
         raise SizeCapError(f"n={tree.n} exceeds basis enumeration cap {BASES_CAP}")
-    cm = cayley_matrix(tree, base)
-    pairs = cm.columns
-    vectors = {p: [Fraction(x) for x in cm.column(p)] for p in pairs}
-    target = 2 * tree.n - 1
-    results: list[frozenset] = []
+    return _bases(cayley_matrix(tree, base))
 
-    def reduce(vec: list[Fraction], echelon: list[tuple[int, list[Fraction]]]):
-        vec = list(vec)
-        for pivot, basis_vec in echelon:
-            if vec[pivot]:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, basis_vec)]
-        for idx, value in enumerate(vec):
-            if value:
-                return idx, [a / value for a in vec]
-        return None
 
-    def extend(start: int, chosen: list[GroundPair], echelon) -> None:
-        if len(chosen) == target:
-            results.append(frozenset(chosen))
-            return
-        remaining_needed = target - len(chosen)
-        for idx in range(start, len(pairs) - remaining_needed + 1):
-            step = reduce(vectors[pairs[idx]], echelon)
-            if step is None:
-                continue
-            extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
+_FILTERS = {
+    "all": lambda t: True,
+    "caterpillar_branches": lambda t: t.has_caterpillar_branches(),
+    "full_caterpillar": lambda t: t.is_caterpillar(),
+}
 
-    extend(0, [], [])
-    return frozenset(results)
+
+def _catalog_bases(
+    n: int, catalog: Optional[TreeCatalog], keep=_FILTERS["all"]
+) -> dict[frozenset, frozenset]:
+    """One sweep over the catalog: tree key -> bases, for the trees ``keep``
+    accepts.  Equal Cayley matrices have equal matroids, so bases are
+    computed once per distinct matrix; the memo lives only for this sweep."""
+    if n > BASES_CAP:
+        raise SizeCapError(f"n={n} exceeds basis enumeration cap {BASES_CAP}")
+    if catalog is None:
+        catalog = enumerate_regular(n)
+    memo: dict[tuple, frozenset] = {}
+    out: dict[frozenset, frozenset] = {}
+    for key, tree in catalog.items():
+        if keep(tree):
+            cm = cayley_matrix(tree)
+            if cm.rows not in memo:
+                memo[cm.rows] = _bases(cm)
+            out[key] = memo[cm.rows]
+    return out
 
 
 def union_bases(
@@ -154,23 +169,9 @@ def union_bases(
 ) -> frozenset:
     """Union of the basis collections over the catalog, optionally
     restricted to trees with caterpillar branches or full caterpillars."""
-    predicates = {
-        "all": lambda t: True,
-        "caterpillar_branches": lambda t: t.has_caterpillar_branches(),
-        "full_caterpillar": lambda t: t.is_caterpillar(),
-    }
-    if which not in predicates:
+    if which not in _FILTERS:
         raise ValueError("which must be all, caterpillar_branches, or full_caterpillar")
-    if n > BASES_CAP:
-        raise SizeCapError(f"n={n} exceeds basis enumeration cap {BASES_CAP}")
-    if catalog is None:
-        catalog = enumerate_regular(n)
-    keep = predicates[which]
-    out: set = set()
-    for tree in catalog:
-        if keep(tree):
-            out |= matroid_bases(tree)
-    return frozenset(out)
+    return frozenset().union(*_catalog_bases(n, catalog, _FILTERS[which]).values())
 
 
 class TransitionCounterExample(NamedTuple):
@@ -184,9 +185,7 @@ def basis_transition_table(n: int, catalog: Optional[TreeCatalog] = None):
     faces of the complex; n=2 uses the empty face shared by every cell."""
     if n > TRANSITION_CAP:
         raise SizeCapError(f"n={n} exceeds transition check cap {TRANSITION_CAP}")
-    if catalog is None:
-        catalog = enumerate_regular(n)
-    bases = {key: matroid_bases(tree) for key, tree in catalog.items()}
+    bases = _catalog_bases(n, catalog)
     faces: dict[frozenset, list[frozenset]] = {}
     if n == 2:
         faces[frozenset()] = list(bases)
@@ -234,11 +233,12 @@ def conjecture_scan(n: int, catalog: Optional[TreeCatalog] = None) -> Conjecture
     Reports data; asserts nothing (the equality is an open question)."""
     if catalog is None:
         catalog = enumerate_regular(n)
-    union_all = union_bases(n, "all", catalog)
-    union_cat = union_bases(n, "full_caterpillar", catalog)
-    missing = tuple(
-        sorted(tuple(sorted(b)) for b in union_all - union_cat)
+    bases = _catalog_bases(n, catalog)
+    union_all = frozenset().union(*bases.values())
+    union_cat = frozenset().union(
+        *(bases[key] for key, tree in catalog.items() if tree.is_caterpillar())
     )
+    missing = tuple(sorted(tuple(sorted(b)) for b in union_all - union_cat))
     return ConjectureReport(
         n=n,
         equal=union_all == union_cat,

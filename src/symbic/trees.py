@@ -66,6 +66,8 @@ def format_label(label: Label) -> str:
 
 
 def parse_label(text: str) -> Label:
+    if not isinstance(text, str):
+        raise MalformedTreeError(f"bad leaf label {text!r}")
     text = text.strip()
     neg = text.endswith("p") or text.endswith("'")
     body = text[:-1] if neg else text
@@ -76,6 +78,13 @@ def parse_label(text: str) -> Label:
     if idx < 1:
         raise MalformedTreeError(f"bad leaf label {text!r}")
     return -idx if neg else idx
+
+
+def _vertex_id(value: object) -> int:
+    """A vertex id read from JSON: an integer, and not ``true``/``false``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedTreeError(f"vertex id {value!r} is not an integer")
+    return value
 
 
 def swap_split(side: frozenset) -> frozenset:
@@ -813,16 +822,23 @@ class SymbicTree:
             leaves = data["leaves"]
         except (TypeError, KeyError) as exc:
             raise MalformedTreeError("tree JSON needs 'edges' and 'leaves'") from exc
+        vertices = data.get("vertices", [])
+        if not isinstance(edges, list) or not isinstance(vertices, list):
+            raise MalformedTreeError("tree JSON 'edges' and 'vertices' must be lists")
+        if not isinstance(leaves, dict):
+            raise MalformedTreeError("tree JSON 'leaves' must map labels to vertex ids")
         adj: dict[int, dict[int, Optional[Fraction]]] = {}
-        for v in data.get("vertices", []):
-            adj[int(v)] = {}
+        for v in vertices:
+            adj[_vertex_id(v)] = {}
         for e in edges:
-            u, v = int(e["u"]), int(e["v"])
+            if not isinstance(e, dict) or "u" not in e or "v" not in e:
+                raise MalformedTreeError("every tree edge needs 'u' and 'v'")
+            u, v = _vertex_id(e["u"]), _vertex_id(e["v"])
             raw = e.get("len")
             length = None if raw is None else parse_rational(raw)
             adj.setdefault(u, {})[v] = length
             adj.setdefault(v, {})[u] = length
-        leaf_vertex = {parse_label(key): int(v) for key, v in leaves.items()}
+        leaf_vertex = {parse_label(key): _vertex_id(v) for key, v in leaves.items()}
         indices = sorted({abs(l) for l in leaf_vertex})
         n = len(indices)
         if indices != list(range(1, n + 1)) or len(leaf_vertex) != 2 * n:

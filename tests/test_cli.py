@@ -94,6 +94,27 @@ def test_bad_input_gives_structured_error(tmp_path, capsys):
         path.write_text(json.dumps(body))
         assert main(["rank", "--matrix", str(path)]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
+    good = {"edges": [{"u": 0, "v": 1, "len": None}, {"u": 0, "v": 2, "len": None}],
+            "leaves": {"1": 1, "1p": 2}}
+    for body in (
+        {**good, "edges": [{"v": 1}]},
+        {**good, "edges": [[0, 1]]},
+        {**good, "edges": {"u": 0, "v": 1}},
+        {**good, "leaves": [1, 2]},
+        {**good, "leaves": {"1": "x", "1p": 2}},
+        {**good, "leaves": {"1": None, "1p": 2}},
+        {**good, "leaves": {"one": 1, "1p": 2}},
+        {**good, "edges": [{"u": 0.5, "v": 1}, {"u": 0, "v": 2}]},
+        {**good, "edges": [{"u": True, "v": 1}, {"u": 0, "v": 2}]},
+        {**good, "vertices": 3},
+        [good],
+    ):
+        path = tmp_path / "bad_tree.json"
+        path.write_text(json.dumps(body))
+        assert main(["matrix-from-tree", "--tree", str(path)]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+    path.write_text(json.dumps(good))
+    assert main(["matrix-from-tree", "--tree", str(path)]) == 0
 
 
 def test_size_cap_is_reported(capsys):
@@ -105,9 +126,3 @@ def test_size_cap_is_reported(capsys):
 def test_unknown_flags_rejected():
     with pytest.raises(SystemExit):
         main(["count", "--n", "3", "--frobnicate"])
-
-
-def test_jobs_flag_validated():
-    with pytest.raises(SystemExit):
-        main(["--jobs", "0", "count", "--n", "2"])
-    assert main(["--jobs", "4", "count", "--n", "2"]) == 0

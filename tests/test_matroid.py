@@ -1,12 +1,17 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symbic.acceptance import four_pair_double_cherry_tree
 from symbic.correspond import matrix_from_tree
-from symbic.counting import SizeCapError, enumerate_regular
+from symbic.counting import SizeCapError, enumerate_regular, random_regular_tree
 from symbic.matroid import (
+    _reduce,
     basis_transition_table,
     basis_transition_check,
     cayley_matrix,
@@ -21,6 +26,57 @@ from symbic.matroid import (
 from symbic.trees import InvalidMoveError, star_tree, tree_of_single_pair
 
 
+def oracle_bases(tree, base=None):
+    """The basis search as first written: Fraction elimination, every
+    candidate reduced against the whole echelon and normalized at its pivot."""
+    cm = cayley_matrix(tree, base)
+    pairs = cm.columns
+    vectors = {p: [Fraction(x) for x in cm.column(p)] for p in pairs}
+    target = 2 * tree.n - 1
+    results = []
+
+    def reduce(vec, echelon):
+        vec = list(vec)
+        for pivot, basis_vec in echelon:
+            if vec[pivot]:
+                factor = vec[pivot]
+                vec = [a - factor * b for a, b in zip(vec, basis_vec)]
+        for idx, value in enumerate(vec):
+            if value:
+                return idx, [a / value for a in vec]
+        return None
+
+    def extend(start, chosen, echelon):
+        if len(chosen) == target:
+            results.append(frozenset(chosen))
+            return
+        remaining_needed = target - len(chosen)
+        for idx in range(start, len(pairs) - remaining_needed + 1):
+            step = reduce(vectors[pairs[idx]], echelon)
+            if step is None:
+                continue
+            extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
+
+    extend(0, [], [])
+    return frozenset(results)
+
+
+def oracle_rank(rows):
+    """Textbook Gaussian elimination over Fraction."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def test_ground_set():
     assert ground_set(2) == ((1, 1), (1, 2), (2, 2))
     assert len(ground_set(5)) == 15
@@ -32,6 +88,54 @@ def test_exact_rank():
     assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([]) == 0
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with zero rows and rows that are rational
+    combinations of earlier rows mixed in."""
+    cols = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * cols)
+        elif kind == "dependent" and rows:
+            coefficients = [draw(small_rationals) for _ in rows]
+            rows.append([sum(c * row[k] for c, row in zip(coefficients, rows)) for k in range(cols)])
+        else:
+            rows.append([draw(small_rationals) for _ in range(cols)])
+    return rows
+
+
+@given(rational_matrices())
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [0, 0]])
+@settings(max_examples=200, deadline=None)
+def test_exact_rank_matches_fraction_gauss(rows):
+    assert exact_rank(rows) == oracle_rank(rows)
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_reducer_keeps_a_primitive_echelon(vectors):
+    """Each new row is primitive, zero at every earlier pivot, has its pivot
+    as first nonzero entry, and the echelon spans what was pushed in."""
+    echelon = []
+    for vec in vectors:
+        step = _reduce(vec, echelon)
+        if step is None:
+            assert oracle_rank([b for _, b in echelon] + [vec]) == len(echelon)
+            continue
+        pivot, row = step
+        assert math.gcd(*row) == 1
+        assert all(x == 0 for x in row[:pivot]) and row[pivot]
+        assert all(row[p] == 0 for p, _ in echelon)
+        echelon.append(step)
+    pushed = [b for _, b in echelon]
+    assert oracle_rank(pushed) == len(echelon) == oracle_rank(pushed + vectors)
 
 
 def test_cayley_of_single_pair_tree():
@@ -117,6 +221,29 @@ def test_bases_independent_of_base_point():
             if len(trunk) < 2:
                 continue
             assert matroid_bases(tree, trunk[0]) == matroid_bases(tree, trunk[-1])
+
+
+@given(st.integers(2, 4), st.integers(0, 2**32))
+@example(5, 2024)
+@settings(max_examples=60, deadline=None)
+def test_bases_match_fraction_oracle(n, seed):
+    tree = random_regular_tree(n, random.Random(seed))
+    assert matroid_bases(tree) == oracle_bases(tree)
+
+
+def test_union_sizes_pinned():
+    for n, size in ((2, 1), (3, 6), (4, 104)):
+        catalog = enumerate_regular(n)
+        assert len(union_bases(n, "all", catalog)) == size
+        assert len(union_bases(n, "full_caterpillar", catalog)) == size
+
+
+@pytest.mark.long
+def test_union_bases_n5_caterpillar_branches():
+    catalog = enumerate_regular(5)
+    everything = union_bases(5, "all", catalog)
+    assert len(everything) == 3655
+    assert everything == union_bases(5, "caterpillar_branches", catalog)
 
 
 def test_union_bases_filters():
