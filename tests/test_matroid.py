@@ -231,13 +231,6 @@ def test_bases_match_fraction_oracle(n, seed):
     assert matroid_bases(tree) == oracle_bases(tree)
 
 
-def test_union_sizes_pinned():
-    for n, size in ((2, 1), (3, 6), (4, 104)):
-        catalog = enumerate_regular(n)
-        assert len(union_bases(n, "all", catalog)) == size
-        assert len(union_bases(n, "full_caterpillar", catalog)) == size
-
-
 @pytest.mark.long
 def test_union_bases_n5_caterpillar_branches():
     catalog = enumerate_regular(5)
@@ -248,10 +241,13 @@ def test_union_bases_n5_caterpillar_branches():
 
 def test_union_bases_filters():
     assert union_bases(2, "all") == union_bases(2, "full_caterpillar")
-    for n in (3, 4):
-        everything = union_bases(n, "all")
-        branches_only = union_bases(n, "caterpillar_branches")
-        assert everything == branches_only
+    # sizes as computed by the Fraction elimination the integer kernel replaced
+    for n, size in ((2, 1), (3, 6), (4, 104)):
+        catalog = enumerate_regular(n)
+        everything = union_bases(n, "all", catalog)
+        assert len(everything) == size
+        assert everything == union_bases(n, "caterpillar_branches", catalog)
+        assert len(union_bases(n, "full_caterpillar", catalog)) == size
     with pytest.raises(ValueError):
         union_bases(3, "bogus")
     with pytest.raises(SizeCapError):
