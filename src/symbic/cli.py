@@ -18,6 +18,7 @@ from .correspond import matrix_from_tree, tree_from_matrix
 from .counting import count_regular, enumerate_regular, orbit_sort_key
 from .fan import coarse_cell_count, refinement_check, subdivision_witness
 from .matroid import (
+    BASES_CAP,
     basis_transition_check,
     conjecture_scan,
     render_conjecture_report,
@@ -174,9 +175,11 @@ def cmd_shelling(args) -> int:
 def cmd_matroid(args) -> int:
     which = {"all": "all", "catbranch": "caterpillar_branches",
              "caterpillar": "full_caterpillar"}[args.filter]
-    bases = union_bases(args.n, which)
+    # past the cap union_bases reports the size error before any enumeration
+    catalog = enumerate_regular(args.n) if args.n <= BASES_CAP else None
+    bases = union_bases(args.n, which, catalog)
     print(f"n={args.n} filter={args.filter}: {len(bases)} bases")
-    transition = basis_transition_check(args.n) if args.verify else None
+    transition = basis_transition_check(args.n, catalog) if args.verify else None
     if args.verify:
         print("basis transitions:", "Ok" if transition is None else f"FAIL {transition}")
     _write(

@@ -169,10 +169,13 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
     """Exact sequential insertion of labeled points into a metric tree.
 
     Returns (adjacency of internal vertices with Fraction lengths,
-    position vertex of every label).  Labels may share positions.
+    position vertex of every label).  Labels may share positions.  Every
+    walk starts at vertex 0, the position of the first label, so the tree
+    keeps parent pointers toward it.
     """
     labels = list(metric.labels)
     adj: dict[int, dict[int, Fraction]] = {0: {}}
+    up: dict[int, int] = {}
     pos: dict[int, int] = {labels[0]: 0}
     placed = [labels[0]]
     counter = 0
@@ -196,16 +199,17 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         stub = metric.distance(x0, z) - gamma
         if gamma < 0 or stub < 0:
             raise ReconstructionError("metric is not a tree metric")
-        # walk from pos(x0) toward pos(ystar) for distance gamma
-        a = pos[x0]
-        target = pos[ystar]
+        # walk from pos(x0) = 0 toward pos(ystar) for distance gamma
+        steps = [pos[ystar]]
+        while steps[-1] != 0:
+            steps.append(up[steps[-1]])
+        steps.pop()
         walked = Fraction(0)
-        attach = a
+        attach = 0
         while walked < gamma:
-            # step to the neighbor toward target
-            nxt = _step_toward(adj, attach, target)
-            if nxt is None:
+            if not steps:
                 raise ReconstructionError("metric is not a tree metric")
+            nxt = steps.pop()
             length = adj[attach][nxt]
             if walked + length <= gamma:
                 walked += length
@@ -219,6 +223,7 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
                 adj[mid] = {attach: first, nxt: second}
                 adj[attach][mid] = first
                 adj[nxt][mid] = second
+                up[mid], up[nxt] = attach, mid
                 attach = mid
                 walked = gamma
         if stub == 0:
@@ -227,30 +232,10 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
             w = fresh()
             adj[w] = {attach: stub}
             adj[attach][w] = stub
+            up[w] = attach
             pos[z] = w
         placed.append(z)
     return adj, pos
-
-
-def _step_toward(adj: dict, source: int, target: int) -> Optional[int]:
-    if source == target:
-        return None
-    parent = {source: None}
-    queue = [source]
-    while queue:
-        nxt_queue = []
-        for a in queue:
-            for b in adj[a]:
-                if b not in parent:
-                    parent[b] = a
-                    nxt_queue.append(b)
-        queue = nxt_queue
-    if target not in parent:
-        return None
-    step = target
-    while parent[step] != source:
-        step = parent[step]
-    return step
 
 
 def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:

@@ -332,13 +332,19 @@ def _assemble_tree(
         return root
 
     trunk_vertices = [vertex() for _ in blocks]
+    sigma = {t: t for t in trunk_vertices}
     for t1, t2 in zip(trunk_vertices, trunk_vertices[1:]):
         edge(t1, t2, rand_length())
     for t, structure in zip(trunk_vertices, structures):
+        start = counter[0] + 1
         for mirrored in (False, True):
             root = grow(structure, mirrored)
             edge(t, root, None if isinstance(structure, int) else edge_length(structure))
-    return SymbicTree(n, adj, leaf_vertex)
+        # both copies grow in the same order: their vertex ids pair up
+        half = (counter[0] + 1 - start) // 2
+        for v in range(start, start + half):
+            sigma[v], sigma[v + half] = v + half, v
+    return SymbicTree(n, adj, leaf_vertex, involution_hint=sigma)
 
 
 def enumerate_regular(n: int) -> TreeCatalog:

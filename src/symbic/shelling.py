@@ -82,7 +82,8 @@ def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
     top = reduced.n
     adj, leaf_vertex = reduced._graph_copy()
     leaf_vertex[top], leaf_vertex[-top] = leaf_vertex[-top], leaf_vertex[top]
-    swapped = SymbicTree(reduced.n, adj, leaf_vertex)
+    # swapping the labels of one pair of leaf vertices keeps the involution
+    swapped = SymbicTree(reduced.n, adj, leaf_vertex, involution_hint=reduced.involution())
     if swapped.validate() is not None:
         raise MalformedTreeError("twig reduction did not yield a symbic tree")
     return swapped

@@ -21,7 +21,6 @@ Normal form maintained by the builder:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -97,6 +96,49 @@ class Branch(NamedTuple):
     labels: frozenset
 
 
+def _mask_labels(mask: int) -> frozenset:
+    return frozenset(
+        b // 2 + 1 if b % 2 == 0 else -(b // 2 + 1)
+        for b in range(mask.bit_length())
+        if mask >> b & 1
+    )
+
+
+class _TreeIndex(NamedTuple):
+    """One depth-first walk of a tree from an arbitrary root.  Vertices are
+    numbered in preorder, so the subtree of position i is the run i..last[i].
+    Per position: the parent's position (-1 at the root), the internal path
+    length from the root, and the mask of the leaf labels in the subtree
+    (bits 0, 1, 2, 3, ... for labels 1, 1', 2, 2', ...)."""
+
+    slot: dict  # vertex -> preorder position
+    order: tuple  # preorder position -> vertex
+    parent: tuple
+    last: tuple
+    dist: tuple
+    mask: tuple
+
+    def meet(self, i: int, j: int) -> int:
+        """Position of the lowest common ancestor of positions i and j."""
+        last, parent = self.last, self.parent
+        while not i <= j <= last[i]:
+            i = parent[i]
+        return i
+
+
+def _preorder(adj: dict, root: int) -> dict[int, Optional[int]]:
+    """Parent pointers (None at the root) of a depth-first walk over root's
+    component, in preorder: every subtree is a contiguous run."""
+    parent: dict[int, Optional[int]] = {}
+    stack: list[tuple[int, Optional[int]]] = [(root, None)]
+    while stack:
+        a, p = stack.pop()
+        if a not in parent:
+            parent[a] = p
+            stack.extend((b, a) for b in adj[a] if b not in parent)
+    return parent
+
+
 class SymbicTree:
     """Immutable-by-convention symbic tree candidate.
 
@@ -167,103 +209,94 @@ class SymbicTree:
 
     # -- metric ------------------------------------------------------------
 
+    def _index(self) -> _TreeIndex:
+        """The rooted walk behind every distance, path and side query; built
+        on first use, after normalization has finished changing ``adj``."""
+        index = self._cache.get("index")
+        if index is None:
+            adj = self.adj
+            walk = _preorder(adj, next(iter(adj)))
+            order = tuple(walk)
+            slot = {v: i for i, v in enumerate(order)}
+            parent = tuple(-1 if p is None else slot[p] for p in walk.values())
+            dist = [Fraction(0)] * len(order)
+            for i in range(1, len(order)):
+                length = adj[order[parent[i]]][order[i]]
+                dist[i] = dist[parent[i]] if length is None else dist[parent[i]] + length
+            mask = [0] * len(order)
+            for label, lv in self.leaf_vertex.items():
+                mask[slot[lv]] = 1 << (2 * label - 2 if label > 0 else -2 * label - 1)
+            last = list(range(len(order)))
+            for i in range(len(order) - 1, 0, -1):
+                mask[parent[i]] |= mask[i]
+                last[parent[i]] = max(last[parent[i]], last[i])
+            index = _TreeIndex(slot, order, parent, tuple(last), tuple(dist), tuple(mask))
+            self._cache["index"] = index
+        return index
+
     def distance(self, u: int, v: int) -> Fraction:
         """Internal path length between two vertices (leaf edges count 0)."""
-        if u == v:
-            return Fraction(0)
-        dist = {u: Fraction(0)}
-        queue = deque([u])
-        while queue:
-            a = queue.popleft()
-            if a == v:
-                return dist[a]
-            for b, length in self.adj[a].items():
-                if b not in dist:
-                    dist[b] = dist[a] + (length or Fraction(0))
-                    queue.append(b)
-        raise MalformedTreeError("disconnected tree")
+        index = self._index()
+        i, j = index.slot[u], index.slot[v]
+        return index.dist[i] + index.dist[j] - 2 * index.dist[index.meet(i, j)]
 
     def path(self, u: int, v: int) -> list[int]:
-        parent = {u: u}
-        queue = deque([u])
-        while queue and v not in parent:
-            a = queue.popleft()
-            for b in self.adj[a]:
-                if b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        if v not in parent:
-            raise MalformedTreeError("disconnected tree")
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return out
+        index = self._index()
+        i, j = index.slot[u], index.slot[v]
+        m = index.meet(i, j)
+        up, down = [], []
+        while i != m:
+            up.append(index.order[i])
+            i = index.parent[i]
+        while j != m:
+            down.append(index.order[j])
+            j = index.parent[j]
+        return up + [index.order[m]] + down[::-1]
 
     def divergence_vertex(self, base: int, u: int, v: int) -> int:
-        """Last common vertex of the paths base->u and base->v."""
-        pu, pv = self.path(base, u), self.path(base, v)
-        meet = base
-        for a, b in zip(pu, pv):
-            if a != b:
-                break
-            meet = a
-        return meet
+        """Last common vertex of the paths base->u and base->v: the median of
+        the three, which is the deepest of their pairwise meeting points."""
+        index = self._index()
+        b, i, j = index.slot[base], index.slot[u], index.slot[v]
+        return index.order[max(index.meet(b, i), index.meet(b, j), index.meet(i, j))]
 
     # -- splits and keys ----------------------------------------------------
 
+    def _side_mask(self, u: int, v: int) -> int:
+        """Label mask of the component of v when the edge (u, v) is removed."""
+        if v not in self.adj[u]:
+            raise MalformedTreeError(f"({u}, {v}) is not an edge")
+        index = self._index()
+        i, j = index.slot[u], index.slot[v]
+        return index.mask[j] if index.parent[j] == i else index.mask[0] ^ index.mask[i]
+
     def side_labels(self, u: int, v: int) -> frozenset:
         """Labels in the component of v when the edge (u, v) is removed."""
-        seen = {u, v}
-        queue = deque([v])
-        found = set()
-        label_of = self.label_of_vertex()
-        while queue:
-            a = queue.popleft()
-            if a in label_of:
-                found.add(label_of[a])
-            for b in self.adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return frozenset(found)
+        return _mask_labels(self._side_mask(u, v))
 
     def edge_descriptor(self, u: int, v: int) -> Split:
         """Canonical identity of an edge across isomorphic copies: the labels
         on the side not containing the canonical trunk endpoint.  Unlike the
         split, this distinguishes the two color-swapped halves of a
         midpoint-subdivided edge (they yield different attachments)."""
-        v0 = self.canonical_endpoint()
-        comp = self._component_vertices(u, v)
-        if v0 in comp:
-            comp = self._component_vertices(v, u)
-        label_of = self.label_of_vertex()
-        return frozenset(label_of[w] for w in comp if w in label_of)
-
-    def _component_vertices(self, u: int, v: int) -> set[int]:
-        """Vertices in the component of v when the edge (u, v) is removed."""
-        seen = {u, v}
-        queue = deque([v])
-        while queue:
-            a = queue.popleft()
-            for b in self.adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        seen.discard(u)
-        return seen
+        index = self._index()
+        i, j = index.slot[u], index.slot[v]
+        below = j if index.parent[j] == i else i
+        side = index.mask[below]
+        if below <= index.slot[self.canonical_endpoint()] <= index.last[below]:
+            side ^= index.mask[0]
+        return _mask_labels(side)
 
     def splits(self) -> dict[frozenset, Split]:
-        """Map internal edge {u, v} -> its split side not containing +1."""
-        if "splits" not in self._cache:
-            out = {}
-            for u, v, _ in self.internal_edges():
-                side = self.side_labels(u, v)
-                if 1 in side:
-                    side = self.side_labels(v, u)
-                out[frozenset((u, v))] = side
-            self._cache["splits"] = out
-        return self._cache["splits"]
+        """Map internal edge {u, v} -> its split side not containing +1.
+        Read off the tree index on every call rather than stored."""
+        out = {}
+        for u, v, _ in self.internal_edges():
+            side = self._side_mask(u, v)
+            if side & 1:  # the bit of label 1
+                side ^= self._index().mask[0]
+            out[frozenset((u, v))] = _mask_labels(side)
+        return out
 
     def split_set(self) -> frozenset:
         return frozenset(self.splits().values())
@@ -271,28 +304,25 @@ class SymbicTree:
     def split_orbits(self) -> frozenset:
         """Splits grouped into orbits of the involution; one element per
         internal edge up to symmetry."""
-        if "orbits" in self._cache:
-            return self._cache["orbits"]
+        if "orbits" not in self._cache:
+            self._cache["orbits"] = frozenset(self._edge_orbits().values())
+        return self._cache["orbits"]
+
+    def _edge_orbits(self) -> dict[frozenset, Orbit]:
+        """Map internal edge {u, v} -> the orbit of its split."""
         sigma = self.involution()
         by_edge = self.splits()
-        orbits = set()
-        for edge, split in by_edge.items():
-            u, v = tuple(edge)
-            mirror = frozenset((sigma[u], sigma[v]))
-            orbits.add(frozenset((split, by_edge[mirror])))
-        result = frozenset(orbits)
-        self._cache["orbits"] = result
-        return result
+        return {
+            edge: frozenset((split, by_edge[frozenset(sigma[w] for w in edge)]))
+            for edge, split in by_edge.items()
+        }
 
     def canonical_key(self) -> frozenset:
         """Equal keys iff equal combinatorial type; blind to lengths/ids."""
         return self.split_orbits()
 
     def orbit_of_edge(self, u: int, v: int) -> Orbit:
-        sigma = self.involution()
-        split = self.splits()[frozenset((u, v))]
-        mirror = self.splits()[frozenset((sigma[u], sigma[v]))]
-        return frozenset((split, mirror))
+        return self._edge_orbits()[frozenset((u, v))]
 
     def edges_of_orbit(self, orbit: Orbit) -> list[frozenset]:
         return [e for e, s in self.splits().items() if s in orbit]
@@ -322,11 +352,18 @@ class SymbicTree:
         return {v for v in self.internal_vertices() if sigma[v] == v}
 
     def validate(self) -> Optional[Violation]:
-        """Check the four symbic axioms; returns the first violation found."""
+        """Check the four symbic axioms; returns the first violation found.
+        The verdict is cached: trees are immutable by convention."""
+        if "violation" not in self._cache:
+            self._cache["violation"] = self._first_violation()
+        return self._cache["violation"]
+
+    def _first_violation(self) -> Optional[Violation]:
+        rows = (4**self.n - 1) // 3  # the bits of 1, 2, ..., n
         for u, v, _ in self.internal_edges():
-            for side in (self.side_labels(u, v), self.side_labels(v, u)):
-                if all(l > 0 for l in side) or all(l < 0 for l in side):
-                    return Violation(1, "split with one color on a side", side)
+            for side in (self._side_mask(u, v), self._side_mask(v, u)):
+                if not side & rows or not side & (rows << 1):
+                    return Violation(1, "split with one color on a side", _mask_labels(side))
         for u, v, length in self.internal_edges():
             if length <= 0:
                 return Violation(2, "nonpositive internal edge length", (u, v))
@@ -339,17 +376,9 @@ class SymbicTree:
         if any(d > 2 for d in fixed_deg.values()):
             worst = max(fixed_deg, key=lambda v: fixed_deg[v])
             return Violation(4, "fixed set is not a path", worst)
-        start = next(iter(fixed))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b in self.adj[a]:
-                if b in fixed and b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        if seen != fixed:
-            return Violation(4, "fixed set is disconnected", fixed - seen)
+        # a vertex subset of a tree is connected iff it spans |subset| - 1 edges
+        if sum(fixed_deg.values()) // 2 != len(fixed) - 1:
+            return Violation(4, "fixed set is disconnected", fixed)
         return None
 
     def require_valid(self) -> "SymbicTree":
@@ -373,15 +402,8 @@ class SymbicTree:
             if len(ends) != 2:
                 raise MalformedTreeError("fixed set is not a path")
             start = self._trunk_anchor(ends, fixed)
-            path = [start]
-            prev = None
-            while True:
-                nxt = [w for w in self.adj[path[-1]] if w in fixed and w != prev]
-                if not nxt:
-                    break
-                prev = path[-1]
-                path.append(nxt[0])
-            path = tuple(path)
+            (end,) = set(ends) - {start}
+            path = tuple(self.path(start, end))
         self._cache["trunk"] = path
         return path
 
@@ -389,14 +411,10 @@ class SymbicTree:
         """Smallest row index carried by the branches at a trunk vertex."""
         if fixed is None:
             fixed = self.fixed_vertices()
-        best = self.n + 1
-        for w in self.adj[v]:
-            if w in fixed:
-                continue
-            rows = [l for l in self.side_labels(v, w) if l > 0]
-            if rows:
-                best = min(best, min(rows))
-        return best
+        rows = [
+            l for w in self.adj[v] if w not in fixed for l in self.side_labels(v, w) if l > 0
+        ]
+        return min(rows, default=self.n + 1)
 
     def _trunk_anchor(self, ends: list[int], fixed: set[int]) -> int:
         # the anchor endpoint is the one whose branches carry the *larger*
@@ -427,16 +445,11 @@ class SymbicTree:
         return result
 
     def branch_vertices(self, branch: Branch) -> set[int]:
-        seen = {branch.trunk_vertex, branch.root}
-        queue = deque([branch.root])
-        while queue:
-            a = queue.popleft()
-            for b in self.adj[a]:
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        seen.discard(branch.trunk_vertex)
-        return seen
+        index = self._index()
+        t, r = index.slot[branch.trunk_vertex], index.slot[branch.root]
+        if index.parent[r] == t:
+            return set(index.order[r : index.last[r] + 1])
+        return set(index.order[:t] + index.order[index.last[t] + 1 :])
 
     def cherries(self) -> frozenset:
         """Pairs (i, j) such that row leaf i and column leaf j' share an
@@ -530,7 +543,7 @@ class SymbicTree:
             idx = index_map[abs(label)]
             new_leaves[idx if label > 0 else -idx] = lv
         adj, _ = self._graph_copy()
-        return SymbicTree(len(new_leaves) // 2, adj, new_leaves)
+        return SymbicTree(len(new_leaves) // 2, adj, new_leaves, self._cache.get("sigma"))
 
     def delete_leaves(self, labels: Iterable[Label]) -> "SymbicTree":
         """Drop leaf labels (both colors of each index) and renumber the
@@ -550,7 +563,7 @@ class SymbicTree:
             (index_map[abs(l)] if l > 0 else -index_map[abs(l)]): v
             for l, v in leaf_vertex.items()
         }
-        return SymbicTree(len(remaining), adj, leaf_vertex)
+        return SymbicTree(len(remaining), adj, leaf_vertex, self._cache.get("sigma"))
 
     def delete_top_pair(self) -> tuple["SymbicTree", tuple]:
         """Delete leaves n and n', returning the smaller tree and the place
@@ -568,12 +581,9 @@ class SymbicTree:
             if len(others) == 1:
                 u = others[0]
                 trunk = set(self.trunk())
-                sides = [
-                    self.side_labels(u, w)
-                    for w in self.adj[u]
-                    if w not in trunk
-                ]
-                endpoint_branch_labels = frozenset().union(*sides) if sides else frozenset()
+                endpoint_branch_labels = frozenset().union(
+                    *(self.side_labels(u, w) for w in self.adj[u] if w not in trunk)
+                )
                 place = ("endpoint",)
             elif len(others) == 2:
                 u1, u2 = others
@@ -726,7 +736,8 @@ class SymbicTree:
             adj[u].pop(v, None)
             del adj[v]
             merged[v] = u
-        return SymbicTree(self.n, adj, leaf_vertex)
+        sigma = self.involution()  # the orbit is closed under it, so are the merges
+        return SymbicTree(self.n, adj, leaf_vertex, {w: find(sigma[w]) for w in adj})
 
     def expansions(self, orbit: Orbit) -> dict[Orbit, "SymbicTree"]:
         """All regular symbic trees reachable by contracting ``orbit`` and
@@ -783,8 +794,7 @@ class SymbicTree:
         construction since both halves belong to the same orbit)."""
         adj, leaf_vertex = self._graph_copy()
         sigma = self.involution()
-        for edge in self.splits():
-            orbit = self.orbit_of_edge(*tuple(edge))
+        for edge, orbit in self._edge_orbits().items():
             if orbit not in lengths:
                 raise InvalidMoveError("missing length for an orbit")
             value = parse_rational(lengths[orbit])
@@ -904,16 +914,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
     if edge_count != len(adj) - 1:
         raise MalformedTreeError("not a tree (wrong edge count)")
-    start = next(iter(adj))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    if seen != set(adj):
+    if len(_preorder(adj, next(iter(adj)))) != len(adj):
         raise MalformedTreeError("not a tree (disconnected)")
 
     changed = True
@@ -1015,22 +1016,13 @@ def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
     internals = tree.internal_vertices()
     labels = tree.labels()
     leafset = tree.leaf_vertices()
-    pos = {}
-    for l in labels:
-        lv = tree.leaf_vertex[l]
-        (att,) = tree.adj[lv]
-        pos[l] = att
+    pos = {l: tree.pos(l) for l in labels}
     dist: dict[int, dict[int, Fraction]] = {}
     for v in internals:
-        d = {v: Fraction(0)}
-        queue = deque([v])
-        while queue:
-            a = queue.popleft()
-            for b, length in tree.adj[a].items():
-                if b in leafset or b in d:
-                    continue
-                d[b] = d[a] + length
-                queue.append(b)
+        d = {}
+        for b, a in _preorder(tree.adj, v).items():
+            if b not in leafset:
+                d[b] = Fraction(0) if a is None else d[a] + tree.adj[a][b]
         dist[v] = d
     index: dict[tuple, int] = {}
     for v in internals:
@@ -1088,8 +1080,10 @@ def _expand_vertex(
             adj[w][g] = length
         adj[origin][g] = Fraction(1)
         adj[g][origin] = Fraction(1)
+    # the new vertices of a mirrored pair of moves swap; a lone one is fixed
+    new = range(counter - len(moves) + 1, counter + 1)
     try:
-        return SymbicTree(tree.n, adj, leaf_vertex)
+        return SymbicTree(tree.n, adj, leaf_vertex, {**sigma, **dict(zip(new, reversed(new)))})
     except MalformedTreeError:
         return None
 

@@ -1,8 +1,19 @@
+import contextlib
+import hashlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import symbic.cli
+import symbic.matroid
 from symbic.cli import main
+from symbic.counting import random_regular_tree
 
 
 def write_matrix(path, entries):
@@ -126,3 +137,128 @@ def test_size_cap_is_reported(capsys):
 def test_unknown_flags_rejected():
     with pytest.raises(SystemExit):
         main(["count", "--n", "3", "--frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["enumerate", "--n", "4"],
+         "03ed10e236a6f55fb403404bbc8133ab2ea6354e17e92a1d1e6379f7da4398d7"),
+        (["shelling", "--n", "4", "--verify"],
+         "1068d6c0ea11009848e0346d4ba862f92c58f56df639f5494ca75d95da62e5b8"),
+        (["matroid", "--n", "3", "--filter", "all", "--verify"],
+         "aaccac5604780635e2150a3a79962a61c35c13c7c86b26ef005f5a9bc88d6c9b"),
+    ],
+)
+def test_outputs_are_pinned(tmp_path, argv, digest):
+    """The files carry vertex ids, canonical keys and orders; their bytes
+    must not move when the tree internals change."""
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_matroid_verify_enumerates_once(monkeypatch, capsys):
+    calls = []
+    original = symbic.cli.enumerate_regular
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(symbic.cli, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.matroid, "enumerate_regular", counted)
+    assert main(["matroid", "--n", "3", "--verify"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == "n=3 filter=all: 6 bases\nbasis transitions: Ok\n"
+
+
+# -- fuzzing the loaders --------------------------------------------------------
+
+KEYS = st.sampled_from(["n", "u", "v", "len", "edges", "leaves", "vertices", "entries", "1", "1p"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(["0", "1", "-2", "1/2", "1/0", "3p", "2'", "1e3", "1e1000000", "x", ""])
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def tree_documents(draw):
+    """Valid tree JSON with a few random edits, or any JSON value at all."""
+    if draw(st.booleans()):
+        return draw(JSON)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    doc = random_regular_tree(draw(st.integers(1, 4)), rng).to_json_dict()
+    edges, leaves = doc["edges"], doc["leaves"]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "move", "field", "leaf"]))
+        if edit == "drop" and edges:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif edit == "add":
+            edges.append({"u": draw(st.integers(-1, 30)), "v": draw(st.integers(-1, 30)),
+                          "len": draw(SCALARS)})
+        elif edit == "move" and any(e["len"] is not None for e in edges):
+            # rewiring an internal edge can leave a cycle beside a detached part
+            edge = draw(st.sampled_from([e for e in edges if e["len"] is not None]))
+            edge[draw(st.sampled_from(["u", "v"]))] = draw(st.sampled_from(doc["vertices"]))
+        elif edit == "field" and edges:
+            edge = edges[draw(st.integers(0, len(edges) - 1))]
+            edge[draw(st.sampled_from(["u", "v", "len"]))] = draw(SCALARS)
+        elif edit == "leaf":
+            leaves[draw(st.sampled_from(sorted(leaves) + ["9", "0", "1q"]))] = draw(
+                st.integers(-1, 30) | SCALARS
+            )
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(KEYS)] = draw(JSON)
+    return doc
+
+
+def cells(max_size=4):
+    return st.lists(st.lists(SCALARS, max_size=max_size), max_size=max_size)
+
+
+@st.composite
+def symmetric_grids(draw):
+    k = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-2, 3)) for i in range(k) for j in range(i, k)}
+    return [[upper[min(i, j), max(i, j)] for j in range(k)] for i in range(k)]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert code == 1
+        assert "error" in json.loads(err.getvalue())
+    return code
+
+
+@given(
+    tree_documents(),
+    JSON | st.fixed_dictionaries({"entries": cells() | symmetric_grids()}),
+    cells() | symmetric_grids(),
+)
+@settings(max_examples=200, deadline=None)
+def test_loaders_never_raise(tree_doc, matrix_doc, csv_rows):
+    """Malformed tree, matrix and CSV files give exit 1 with a JSON error on
+    stderr, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp, "tree.json")
+        tree.write_text(json.dumps(tree_doc))
+        run_cli(["matrix-from-tree", "--tree", str(tree)])
+        matrix = Path(tmp, "m.json")
+        matrix.write_text(json.dumps(matrix_doc))
+        table = Path(tmp, "m.csv")
+        table.write_text("\n".join(",".join(map(str, row)) for row in csv_rows))
+        for path in (matrix, table):
+            for command in ("rank", "tree-from-matrix"):
+                run_cli([command, "--matrix", str(path)])

@@ -1,10 +1,15 @@
 import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbic import trees
 from symbic.counting import enumerate_regular, random_regular_tree
+from symbic.shelling import reduce_by_twig
 from symbic.trees import (
     InvalidMoveError,
     MalformedTreeError,
@@ -352,6 +357,14 @@ def test_malformed_inputs_raise():
     with pytest.raises(MalformedTreeError):
         build(2, [(0, 1, 1), (10, 0, None), (11, 0, None)], {1: 10, -1: 11})
     with pytest.raises(MalformedTreeError):
+        # right edge count, but a cycle 0-1-2 beside the detached cherry at 3
+        build(
+            2,
+            [(0, 1, 1), (1, 2, 1), (2, 0, 1), (1, 5, None), (0, 6, None),
+             (3, 7, None), (3, 8, None)],
+            {1: 5, -1: 6, 2: 7, -2: 8},
+        )
+    with pytest.raises(MalformedTreeError):
         # negative length
         build(
             1,
@@ -368,3 +381,135 @@ def test_relabel():
     assert swapped.canonical_key() == two.canonical_key()
     one = one_vertex_trunk_pair_tree()
     assert one.relabel({1: 2, 2: 1}).canonical_key() == one.canonical_key()
+
+
+# -- breadth-first oracle for the tree index ------------------------------------
+
+
+def bfs_parents(tree, start, blocked=()):
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for b in tree.adj[a]:
+            if b not in parent and b not in blocked:
+                parent[b] = a
+                queue.append(b)
+    return parent
+
+
+def bfs_path(tree, u, v):
+    parent = bfs_parents(tree, u)
+    out = [v]
+    while out[-1] != u:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def bfs_distance(tree, u, v):
+    path = bfs_path(tree, u, v)
+    return sum((tree.adj[a][b] or Fraction(0) for a, b in zip(path, path[1:])), Fraction(0))
+
+
+def bfs_component(tree, u, v):
+    """Vertices in the component of v when the edge (u, v) is removed."""
+    return set(bfs_parents(tree, v, blocked={u}))
+
+
+def bfs_side_labels(tree, u, v):
+    label_of = tree.label_of_vertex()
+    return frozenset(label_of[w] for w in bfs_component(tree, u, v) if w in label_of)
+
+
+def bfs_edge_descriptor(tree, u, v):
+    if tree.canonical_endpoint() in bfs_component(tree, u, v):
+        return bfs_side_labels(tree, v, u)
+    return bfs_side_labels(tree, u, v)
+
+
+def bfs_divergence_vertex(tree, base, u, v):
+    meet = base
+    for a, b in zip(bfs_path(tree, base, u), bfs_path(tree, base, v)):
+        if a != b:
+            break
+        meet = a
+    return meet
+
+
+def check_index_against_bfs(tree, rng):
+    vertices = tree.vertices()
+    for u in vertices:
+        for v in vertices:
+            assert tree.path(u, v) == bfs_path(tree, u, v)
+            assert tree.distance(u, v) == bfs_distance(tree, u, v)
+    for _ in range(40):
+        base, u, v = (rng.choice(vertices) for _ in range(3))
+        assert tree.divergence_vertex(base, u, v) == bfs_divergence_vertex(tree, base, u, v)
+    symbic = tree.validate() is None
+    for u, v, _ in tree.edges():
+        for a, b in ((u, v), (v, u)):
+            assert tree.side_labels(a, b) == bfs_side_labels(tree, a, b)
+            if symbic:
+                assert tree.edge_descriptor(a, b) == bfs_edge_descriptor(tree, a, b)
+    if symbic:
+        for br in tree.branches():
+            expected = bfs_component(tree, br.trunk_vertex, br.root)
+            assert tree.branch_vertices(br) == expected
+
+
+@given(st.integers(2, 7), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_tree_index_matches_breadth_first_walks(n, seed, face):
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    if face:
+        orbits = sorted(tree.split_orbits(), key=lambda o: sorted(map(sorted, o)))
+        tree = tree.contract_orbit(rng.choice(orbits))
+    check_index_against_bfs(tree, rng)
+
+
+def test_tree_index_serves_trees_that_fail_validation():
+    one_color = build(
+        2,
+        [(0, 1, 1), (10, 0, None), (11, 0, None), (12, 1, None), (13, 1, None)],
+        {1: 10, 2: 11, -1: 12, -2: 13},
+    )
+    asymmetric = build(
+        3,
+        [
+            (0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 2),
+            (10, 1, None), (11, 3, None), (12, 3, None),
+            (13, 2, None), (14, 4, None), (15, 4, None),
+        ],
+        {3: 10, 1: 11, -2: 12, -3: 13, -1: 14, 2: 15},
+    )
+    for tree, condition in ((identity_matrix_tree(), 4), (one_color, 1), (asymmetric, 3)):
+        assert tree.validate().condition == condition
+        check_index_against_bfs(tree, random.Random(condition))
+
+
+def test_hinted_involutions_match_the_search(monkeypatch):
+    """Every constructor that hands down the involution hands down the one
+    the distance search finds, and the search is never needed."""
+    search = trees._find_involution
+    made = []
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "_find_involution", None)
+        for tree in enumerate_regular(4):
+            made += [
+                tree,
+                tree.relabel({1: 3, 2: 1, 3: 4, 4: 2}),
+                tree.delete_leaves({4, -4}),
+                tree.with_orbit_lengths({o: 2 for o in tree.split_orbits()}),
+            ]
+            twig = tree.brittle_twig()
+            if twig is not None:
+                made.append(reduce_by_twig(tree, twig))
+            for orbit in tree.split_orbits():
+                made.append(tree.contract_orbit(orbit))
+                made += tree.expansions(orbit).values()
+    for tree in made:
+        assert tree.involution() == search(tree)
+    # a wrong hint falls back to the search
+    adj, leaves = made[0]._graph_copy()
+    assert SymbicTree(4, adj, leaves, {v: v for v in adj}).involution() == made[0].involution()
