@@ -457,10 +457,17 @@ def face_catalog(n: int) -> dict[frozenset, SymbicTree]:
 
 
 def enumerate_faces(n: int) -> dict[int, set[frozenset]]:
-    """Map dimension (number of surviving orbits) -> set of face keys."""
+    """Map dimension (number of surviving orbits) -> set of face keys: the
+    keys of :func:`face_catalog`, read off the cells without building the
+    contracted trees."""
+    if n > FACE_CAP:
+        raise SizeCapError(f"n={n} exceeds face enumeration cap {FACE_CAP}")
     by_dim: dict[int, set[frozenset]] = {}
-    for key in face_catalog(n):
-        by_dim.setdefault(len(key), set()).add(key)
+    for tree in enumerate_regular(n):
+        orbits = tree.split_orbits()
+        for r in range(1, len(orbits) + 1):
+            faces = map(frozenset, itertools.combinations(orbits, r))
+            by_dim.setdefault(r, set()).update(faces)
     return by_dim
 
 

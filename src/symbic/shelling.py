@@ -9,14 +9,12 @@ by twig sequence and twig-reduced recursion.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .counting import TreeCatalog, enumerate_regular, orbit_sort_key
 from .trees import MalformedTreeError, SymbicTree, label_key
 
-VERIFY_CAP = 5
+VERIFY_CAP = 6
 
 
 class EdgeOrder:
@@ -90,25 +88,14 @@ def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
 
 
 class TreeComparator:
-    """Implements the recursive shelling comparison; caches per combinatorial
-    type since deletions and twigs only depend on the type."""
+    """Implements the recursive shelling comparison as one sort key per
+    combinatorial type, memoized since deletions and twigs only depend on
+    the type."""
 
     def __init__(self) -> None:
-        self._info: dict = {}
+        self._keys: dict = {}
+        self._types: dict = {}
         self._orders: dict = {}
-
-    def _tree_info(self, tree: SymbicTree):
-        key = tree.canonical_key()
-        if key not in self._info:
-            twig = tree.brittle_twig() if tree.n >= 2 else None
-            if twig is not None:
-                self._info[key] = (twig, reduce_by_twig(tree, twig), None)
-            elif tree.n >= 2:
-                smaller, place = tree.delete_top_pair()
-                self._info[key] = (None, smaller, place)
-            else:
-                self._info[key] = (None, None, None)
-        return self._info[key]
 
     def _order_of(self, tree: SymbicTree) -> EdgeOrder:
         key = tree.canonical_key()
@@ -116,36 +103,32 @@ class TreeComparator:
             self._orders[key] = EdgeOrder(tree)
         return self._orders[key]
 
+    def key(self, tree: SymbicTree) -> tuple:
+        """() for n <= 1; (0, key of the smaller tree, index of the deletion
+        place in its edge order) when deleting n, n' leaves a symbic tree;
+        (1, twig, key of the twig reduction) otherwise.  Twig-free trees
+        therefore sort first, twigs lexicographically with prefixes first."""
+        memo = (tree.n, tree.canonical_key())
+        key = self._keys.get(memo)
+        if key is None:
+            if tree.n < 2:
+                key = ()
+            elif (twig := tree.brittle_twig()) is not None:
+                key = (1, twig, self.key(reduce_by_twig(tree, twig)))
+            else:
+                smaller, place = tree.delete_top_pair()
+                key = (0, self.key(smaller), self._order_of(smaller).index(place))
+            if self._types.setdefault(key, memo) != memo:
+                raise AssertionError("distinct trees share a shelling key")
+            self._keys[memo] = key
+        return key
+
     def compare(self, first: SymbicTree, second: SymbicTree) -> int:
         """-1 when first precedes second, 0 for equal combinatorial type."""
         if first.n != second.n:
             raise ValueError("comparison needs trees on the same leaf set")
-        if first.canonical_key() == second.canonical_key():
-            return 0
-        twig1, reduced1, place1 = self._tree_info(first)
-        twig2, reduced2, place2 = self._tree_info(second)
-        if twig1 is None and twig2 is None:
-            verdict = self.compare(reduced1, reduced2)
-            if verdict != 0:
-                return verdict
-            order = self._order_of(reduced1)
-            i1, i2 = order.index(place1), order.index(place2)
-            if i1 == i2:
-                raise AssertionError("distinct trees with identical reduction")
-            return -1 if i1 < i2 else 1
-        if twig1 is None:
-            return -1
-        if twig2 is None:
-            return 1
-        if twig1 != twig2:
-            for a, b in itertools.zip_longest(twig1, twig2, fillvalue=0):
-                if a != b:
-                    return -1 if a < b else 1
-            raise AssertionError("unreachable: unequal twigs compared equal")
-        verdict = self.compare(reduced1, reduced2)
-        if verdict == 0:
-            raise AssertionError("distinct trees with identical twig reduction")
-        return verdict
+        a, b = self.key(first), self.key(second)
+        return (a > b) - (a < b)
 
 
 def compare_trees(first: SymbicTree, second: SymbicTree) -> int:
@@ -156,8 +139,36 @@ def rule_order(n: int, catalog: Optional[TreeCatalog] = None) -> list[SymbicTree
     """All regular n+n trees sorted by the recursive comparison alone."""
     if catalog is None:
         catalog = enumerate_regular(n)
-    comparator = TreeComparator()
-    return sorted(catalog, key=functools.cmp_to_key(comparator.compare))
+    return sorted(catalog, key=TreeComparator().key)
+
+
+class _PlacedCells:
+    """The cells laid down so far: every ridge (cell minus one vertex) they
+    have, and per vertex the int bitset of the placed cells holding it."""
+
+    __slots__ = ("count", "ridges", "holders")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.ridges: set[frozenset] = set()
+        self.holders: dict = {}
+
+    def blockers(self, cell: frozenset) -> int:
+        """Bitset of the placed cells C' for which the pair (C', cell) fails
+        the shelling condition: C' holds every covered vertex x of cell,
+        one whose ridge cell - {x} some placed cell already has."""
+        common = (1 << self.count) - 1
+        for x in cell:
+            if common and cell - {x} in self.ridges:
+                common &= self.holders.get(x, 0)
+        return common
+
+    def add(self, cell: frozenset) -> None:
+        bit = 1 << self.count
+        for x in cell:
+            self.ridges.add(cell - {x})
+            self.holders[x] = self.holders.get(x, 0) | bit
+        self.count += 1
 
 
 def shelling_order(
@@ -177,20 +188,15 @@ def shelling_order(
     """
     ordered = rule_order(n, catalog)
     placed: list[SymbicTree] = []
-    placed_cells: list[frozenset] = []
-    ridge_first: dict[frozenset, int] = {}
+    shell = _PlacedCells()
     pending: list[SymbicTree] = []
 
     def try_place(tree: SymbicTree) -> bool:
         cell = tree.split_orbits()
-        idx = len(placed_cells)
-        covered = {x for x in cell if ridge_first.get(cell - {x}, idx) < idx}
-        if any(covered <= earlier for earlier in placed_cells):
+        if shell.blockers(cell):
             return False
-        for x in cell:
-            ridge_first.setdefault(cell - {x}, idx)
+        shell.add(cell)
         placed.append(tree)
-        placed_cells.append(cell)
         return True
 
     for tree in ordered:
@@ -251,30 +257,18 @@ def verify_shelling(
         raise ValueError("duplicate maximal cells in the order")
     if len({len(c) for c in cells}) > 1:
         raise ValueError("complex is not pure")
-    vertex_ids: dict = {}
-    packed: list[frozenset] = []
+    shell = _PlacedCells()
     for cell in cells:
-        for vertex in cell:
-            vertex_ids.setdefault(vertex, len(vertex_ids))
-        packed.append(frozenset(vertex_ids[v] for v in cell))
-    ridge_first: dict[frozenset, int] = {}
-    for idx, cell in enumerate(packed):
-        covered = {
-            x for x in cell if ridge_first.get(cell - {x}, idx) < idx
-        }
-        # the pair (C', C) fails exactly when every covered direction of C
-        # lies inside C', i.e. covered <= C'
-        for j in range(idx):
-            if covered <= packed[j]:
-                return ShellingCounterExample(
-                    cells[j],
-                    cells[idx],
-                    "no earlier cell differs from C in exactly one vertex "
-                    "while containing the intersection",
-                )
-        for x in cell:
-            ridge = cell - {x}
-            ridge_first.setdefault(ridge, idx)
+        blockers = shell.blockers(cell)
+        if blockers:
+            j = (blockers & -blockers).bit_length() - 1  # the lowest set bit
+            return ShellingCounterExample(
+                cells[j],
+                cell,
+                "no earlier cell differs from C in exactly one vertex "
+                "while containing the intersection",
+            )
+        shell.add(cell)
     return None
 
 

@@ -640,6 +640,7 @@ class SymbicTree:
             raise InvalidMoveError("attachment edge length must be positive")
         adj, leaf_vertex = self._graph_copy()
         counter = max(adj)
+        sigma = dict(self.involution())  # extended to every new vertex
 
         def new_vertex() -> int:
             nonlocal counter
@@ -670,16 +671,16 @@ class SymbicTree:
                 adj[b][x] = half
             return x
 
+        # n+1 hangs at x and (n+1)' at its mirror image x2; x2 = x is fixed
         if place in (("near",), ("far",)):
             trunk = self.trunk()
             if place == ("far",) and len(trunk) == 1:
                 raise InvalidMoveError("one-vertex trunk has no far endpoint")
             v = trunk[0] if place == ("near",) else trunk[-1]
-            x = new_vertex()
+            x = x2 = new_vertex()
             adj[x] = {v: length}
             adj[v][x] = length
             hang(x, k)
-            hang(x, -k)
         elif len(place) == 2 and place[0] == "edge":
             descriptor = place[1]
             target = None
@@ -689,21 +690,18 @@ class SymbicTree:
                     break
             if target is None:
                 raise InvalidMoveError(f"no edge with descriptor {set(descriptor)}")
-            sigma = self.involution()
             u, v = target
             mirror = (sigma[u], sigma[v])
-            if frozenset(mirror) == frozenset(target):
-                x = subdivide(u, v)
-                hang(x, k)
-                hang(x, -k)
-            else:
-                x = subdivide(u, v)
-                hang(x, k)
+            x = x2 = subdivide(u, v)
+            hang(x, k)
+            if frozenset(mirror) != frozenset(target):
                 x2 = subdivide(*mirror)
-                hang(x2, -k)
         else:
             raise InvalidMoveError(f"unknown place {place!r}")
-        tree = SymbicTree(k, adj, leaf_vertex)
+        hang(x2, -k)
+        sigma[x], sigma[x2] = x2, x
+        sigma[leaf_vertex[k]], sigma[leaf_vertex[-k]] = leaf_vertex[-k], leaf_vertex[k]
+        tree = SymbicTree(k, adj, leaf_vertex, involution_hint=sigma)
         violation = tree.validate()
         if violation is not None:
             raise InvalidMoveError(f"attachment breaks axiom: {violation}", violation)

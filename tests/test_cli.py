@@ -148,6 +148,8 @@ def test_unknown_flags_rejected():
          "1068d6c0ea11009848e0346d4ba862f92c58f56df639f5494ca75d95da62e5b8"),
         (["matroid", "--n", "3", "--filter", "all", "--verify"],
          "aaccac5604780635e2150a3a79962a61c35c13c7c86b26ef005f5a9bc88d6c9b"),
+        (["shelling", "--n", "5", "--verify"],
+         "7293ed932cfad6f2211668fa606492498be3b4b009041432238f079a4b89b710"),
     ],
 )
 def test_outputs_are_pinned(tmp_path, argv, digest):

@@ -183,6 +183,25 @@ def test_faces_of_n3():
         assert face.split_orbits() == key
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.long)]
+)
+def test_faces_match_the_face_catalog(n):
+    """enumerate_faces reads the orbit subsets off the cells; the oracle
+    groups the keys of the contracted face trees by size."""
+    expected: dict = {}
+    for key in face_catalog(n):
+        expected.setdefault(len(key), set()).add(key)
+    assert enumerate_faces(n) == expected
+
+
+def test_face_enumeration_caps():
+    with pytest.raises(SizeCapError):
+        enumerate_faces(6)
+    with pytest.raises(ValueError):
+        enumerate_faces(0)
+
+
 def test_faces_are_downward_closed():
     faces = set(face_catalog(4))
     for key in faces:

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbic.counting import enumerate_regular
 from symbic.shelling import (
@@ -19,6 +21,120 @@ from symbic.shelling import (
 )
 from symbic.trees import MalformedTreeError, tree_of_single_pair
 from symbic.acceptance import four_pair_chain_tree
+
+
+class RecursiveComparator:
+    """The recursive six-case comparison made pair by pair: the oracle of
+    the memoized sort key in TreeComparator."""
+
+    def __init__(self):
+        self._info = {}
+        self._orders = {}
+
+    def _tree_info(self, tree):
+        key = tree.canonical_key()
+        if key not in self._info:
+            twig = tree.brittle_twig() if tree.n >= 2 else None
+            if twig is not None:
+                self._info[key] = (twig, reduce_by_twig(tree, twig), None)
+            elif tree.n >= 2:
+                smaller, place = tree.delete_top_pair()
+                self._info[key] = (None, smaller, place)
+            else:
+                self._info[key] = (None, None, None)
+        return self._info[key]
+
+    def _order_of(self, tree):
+        key = tree.canonical_key()
+        if key not in self._orders:
+            self._orders[key] = EdgeOrder(tree)
+        return self._orders[key]
+
+    def compare(self, first, second):
+        if first.canonical_key() == second.canonical_key():
+            return 0
+        twig1, reduced1, place1 = self._tree_info(first)
+        twig2, reduced2, place2 = self._tree_info(second)
+        if twig1 is None and twig2 is None:
+            verdict = self.compare(reduced1, reduced2)
+            if verdict != 0:
+                return verdict
+            order = self._order_of(reduced1)
+            i1, i2 = order.index(place1), order.index(place2)
+            if i1 == i2:
+                raise AssertionError("distinct trees with identical reduction")
+            return -1 if i1 < i2 else 1
+        if twig1 is None:
+            return -1
+        if twig2 is None:
+            return 1
+        if twig1 != twig2:
+            for a, b in itertools.zip_longest(twig1, twig2, fillvalue=0):
+                if a != b:
+                    return -1 if a < b else 1
+            raise AssertionError("unreachable: unequal twigs compared equal")
+        verdict = self.compare(reduced1, reduced2)
+        if verdict == 0:
+            raise AssertionError("distinct trees with identical twig reduction")
+        return verdict
+
+
+def pairwise_verify(cells):
+    """The shelling check scanning every earlier cell: the first pair
+    (C', C) whose covered directions of C all lie in C', or None."""
+    ridge_first = {}
+    for idx, cell in enumerate(cells):
+        covered = {x for x in cell if ridge_first.get(cell - {x}, idx) < idx}
+        for j in range(idx):
+            if covered <= cells[j]:
+                return cells[j], cell
+        for x in cell:
+            ridge_first.setdefault(cell - {x}, idx)
+    return None
+
+
+def scanning_shelling_order(n):
+    """The deferral-repaired order with the linear scan over placed cells,
+    laid down in the oracle comparator's order."""
+    ordered = sorted(
+        enumerate_regular(n), key=functools.cmp_to_key(RecursiveComparator().compare)
+    )
+    placed, placed_cells, ridge_first, pending = [], [], {}, []
+
+    def try_place(tree):
+        cell = tree.split_orbits()
+        idx = len(placed_cells)
+        covered = {x for x in cell if ridge_first.get(cell - {x}, idx) < idx}
+        if any(covered <= earlier for earlier in placed_cells):
+            return False
+        for x in cell:
+            ridge_first.setdefault(cell - {x}, idx)
+        placed.append(tree)
+        placed_cells.append(cell)
+        return True
+
+    for tree in ordered:
+        if not try_place(tree):
+            pending.append(tree)
+            continue
+        progress = True
+        while progress and pending:
+            progress = False
+            for waiting in list(pending):
+                if try_place(waiting):
+                    pending.remove(waiting)
+                    progress = True
+    assert not pending
+    return placed
+
+
+@functools.cache
+def cell_orders(n):
+    """(rule order, shelling order) of the cells at n."""
+    return (
+        [t.split_orbits() for t in rule_order(n)],
+        [t.split_orbits() for t in shelling_order(n)],
+    )
 
 
 def test_edge_order_of_single_pair_tree():
@@ -148,6 +264,53 @@ def test_deletion_places_live_in_the_edge_order():
         assert order.index(place) >= 0
 
 
+@pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.long)])
+def test_rule_order_matches_the_recursive_comparison(n):
+    catalog = list(enumerate_regular(n))
+    expected = sorted(catalog, key=functools.cmp_to_key(RecursiveComparator().compare))
+    assert [t.canonical_key() for t in rule_order(n)] == [
+        t.canonical_key() for t in expected
+    ]
+
+
+def test_trees_sharing_a_key_are_refused(monkeypatch):
+    """Keys that fail to separate two combinatorial types raise, in the
+    sort and in the comparison alike."""
+    monkeypatch.setattr(EdgeOrder, "index", lambda self, place: 0)
+    with pytest.raises(AssertionError):
+        rule_order(3)
+    comparator = TreeComparator()
+    with pytest.raises(AssertionError):
+        for a, b in itertools.combinations(enumerate_regular(3), 2):
+            comparator.compare(a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_shelling_order_matches_the_linear_scan(n):
+    assert [t.canonical_key() for t in shelling_order(n)] == [
+        t.canonical_key() for t in scanning_shelling_order(n)
+    ]
+
+
+@given(
+    st.sampled_from([3, 4]),
+    st.booleans(),
+    st.sampled_from(["as is", "swapped", "shuffled"]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_verify_shelling_matches_the_pairwise_scan(n, shelled, edit, rng):
+    cells = list(cell_orders(n)[shelled])
+    if edit == "swapped":
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(cells)), 2)
+            cells[i], cells[j] = cells[j], cells[i]
+    elif edit == "shuffled":
+        rng.shuffle(cells)
+    bad = verify_shelling(cells)
+    assert (bad and (bad.earlier, bad.cell)) == pairwise_verify(cells)
+
+
 def test_complex_is_pure_and_matches_catalog():
     complex_ = build_complex(3)
     assert len(complex_.cells) == 12
@@ -208,6 +371,13 @@ def test_shelling_n5():
     counterexample, ordered = shelling_check(5)
     assert counterexample is None
     assert len(ordered) == 1395
+
+
+@pytest.mark.long
+def test_shelling_n6():
+    counterexample, ordered = shelling_check(6)
+    assert counterexample is None
+    assert len(ordered) == 22185
 
 
 @pytest.mark.long

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from symbic import trees
 from symbic.counting import enumerate_regular, random_regular_tree
-from symbic.shelling import reduce_by_twig
+from symbic.shelling import EdgeOrder, reduce_by_twig
 from symbic.trees import (
     InvalidMoveError,
     MalformedTreeError,
@@ -508,6 +508,17 @@ def test_hinted_involutions_match_the_search(monkeypatch):
             for orbit in tree.split_orbits():
                 made.append(tree.contract_orbit(orbit))
                 made += tree.expansions(orbit).values()
+            if twig is None:
+                smaller, place = tree.delete_top_pair()
+                made.append(smaller.attach_top_pair(place))
+        # every place of the edge order: the trunk ends, fixed trunk edges
+        # and mirrored edge pairs, leaf edges among them
+        for tree in enumerate_regular(3):
+            for place in EdgeOrder(tree).places:
+                try:
+                    made.append(tree.attach_top_pair(place, 3))
+                except InvalidMoveError:
+                    pass
     for tree in made:
         assert tree.involution() == search(tree)
     # a wrong hint falls back to the search
