@@ -77,20 +77,13 @@ from .trees import (
     tree_of_single_pair,
 )
 from .tropical import (
-    Minor,
     MinorSizeError,
     TropMatrix,
     TropicalError,
-    all_minors,
-    argmin_monomials,
     canonicalize_mod_lineality,
     hilbert_distance,
-    minor_degenerate,
-    monomial_of_permutation,
     rank_one_matrix,
-    sym_minor_degenerate,
     sym_trop_rank,
-    trop_det,
     trop_rank,
 )
 

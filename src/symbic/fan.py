@@ -8,7 +8,10 @@ tree fan refines the coarse fan and counts coarse cells.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
+from operator import getitem, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .correspond import matrix_from_tree
@@ -16,8 +19,8 @@ from .counting import SizeCapError, TreeCatalog, enumerate_regular, orbit_sort_k
 from .tropical import (
     TropMatrix,
     TropicalError,
-    all_minors,
-    argmin_monomials,
+    _integer_grid,
+    _monomial,
     canonicalize_mod_lineality,
 )
 from .trees import InvalidMoveError, SymbicTree
@@ -63,13 +66,55 @@ def sample_interior(tree: SymbicTree, lengths: Sequence[object]) -> TropMatrix:
 
 
 def signature(matrix: TropMatrix) -> Signature:
-    """Argmin monomial sets of every 3x3 minor (all row/column index pairs)."""
+    """Argmin monomial sets of every 3x3 minor (all row/column index pairs)
+    of a symmetric matrix, computed on its integer grid.
+
+    Only the minors (R, C) with C >= R are evaluated.  The transpose (C, R)
+    of a symmetric matrix has the same monomial set, by the argument of the
+    symmetric rank scan, and enters the signature with that set.
+    """
     if matrix.n < 3:
         raise TropicalError("signatures need n >= 3")
+    matrix.require_symmetric()
+    grid = _integer_grid(matrix)
+    perms, table = _minor_table(matrix.n)
     out = []
-    for minor in all_minors(matrix.n, 3):
-        out.append((minor.rows, minor.cols, argmin_monomials(matrix, minor)))
+    for rows, row_ids, columns in table:
+        sub = [grid[r] for r in row_ids]
+        for cols, pick, monomials in columns:
+            block = [pick(row) for row in sub]
+            totals = [sum(map(getitem, block, p)) for p in perms]
+            best = min(totals)
+            argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
+            out.append((rows, cols, argmin))
+            if cols != rows:
+                out.append((cols, rows, argmin))
     return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_table(n: int) -> tuple[tuple, tuple]:
+    """The permutations of size 3, and per row set R of an n x n matrix
+    (1-based, with its 0-based grid rows) the column sets C >= R, each with
+    its column picker and the monomial of every permutation of (R, C).
+
+    None of this depends on the entries, so it is built once per size and
+    shared, immutable, by every signature of that size."""
+    perms = tuple(itertools.permutations(range(3)))
+    combos = tuple(itertools.combinations(range(n), 3))
+    labels = tuple(tuple(i + 1 for i in c) for c in combos)
+    table = tuple(
+        (
+            rows,
+            combos[first],
+            tuple(
+                (cols, itemgetter(*ids), tuple(_monomial(rows, cols, p) for p in perms))
+                for cols, ids in zip(labels[first:], combos[first:])
+            ),
+        )
+        for first, rows in enumerate(labels)
+    )
+    return perms, table
 
 
 class RefinementCounterExample(NamedTuple):

@@ -1,11 +1,10 @@
-"""Exact min-plus linear algebra: tropical determinants, minors and rank tests.
+"""Exact min-plus linear algebra: tropical rank tests and the Hilbert metric.
 
-Entries are ``fractions.Fraction``, and the public determinant and minor
-functions work over them.  The two rank scans, :func:`trop_rank` and
-:func:`sym_trop_rank`, run on the matrix scaled once to an exact integer
-grid (see :func:`_integer_grid`).  The "minimum attained twice" predicates
-that define tropical rank are not robust under floating point, so no float
-ever enters these computations.
+Entries are ``fractions.Fraction``.  The two rank scans, :func:`trop_rank`
+and :func:`sym_trop_rank`, and the fan signatures (``symbic.fan``) run on
+the matrix scaled once to an exact integer grid (see :func:`_integer_grid`).
+The "minimum attained twice" predicates that define tropical rank are not
+robust under floating point, so no float ever enters these computations.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import getitem, itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # 9! = 362880 permutations per minor; enough for desk-scale matrices.
 MAX_MINOR_SIZE = 9
@@ -179,103 +178,12 @@ def rank_one_matrix(x: Sequence[object]) -> TropMatrix:
     return TropMatrix(tuple(a + b for b in xs) for a in xs)
 
 
-class Minor:
-    """Row/column index sets (1-based, strictly increasing) of a k x k minor."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: Iterable[int], cols: Iterable[int]):
-        self.rows = tuple(rows)
-        self.cols = tuple(cols)
-        if len(self.rows) != len(self.cols) or len(self.rows) < 2:
-            raise TropicalError("minor needs equal row/col counts, size >= 2")
-        for idx in (self.rows, self.cols):
-            if any(a >= b for a, b in zip(idx, idx[1:])) or idx[0] < 1:
-                raise TropicalError("minor indices must be strictly increasing, >= 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def check_against(self, m: TropMatrix) -> None:
-        if self.rows[-1] > m.n or self.cols[-1] > m.n:
-            raise TropicalError("minor indices exceed matrix size")
-        if self.size > MAX_MINOR_SIZE:
-            raise MinorSizeError(f"minor size {self.size} > cap {MAX_MINOR_SIZE}")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Minor)
-            and self.rows == other.rows
-            and self.cols == other.cols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols))
-
-    def __repr__(self) -> str:
-        return f"Minor(rows={self.rows}, cols={self.cols})"
-
-
-def all_minors(n: int, size: int) -> Iterator[Minor]:
-    for rows in itertools.combinations(range(1, n + 1), size):
-        for cols in itertools.combinations(range(1, n + 1), size):
-            yield Minor(rows, cols)
-
-
-def trop_det(m: TropMatrix, minor: Minor) -> tuple[Fraction, frozenset[Permutation]]:
-    """Tropical determinant of a minor: the minimum over permutations of the
-    entry sum, together with the full set of minimizing permutations.
-
-    A permutation is the tuple (s(0), ..., s(k-1)) pairing minor row i with
-    minor column s(i) (0-based positions into the index tuples).
-    """
-    minor.check_against(m)
-    rows = [m.rows[i - 1] for i in minor.rows]
-    cols = [j - 1 for j in minor.cols]
-    best: Fraction | None = None
-    argmin: list[Permutation] = []
-    for perm in itertools.permutations(range(minor.size)):
-        total = sum(rows[i][cols[perm[i]]] for i in range(minor.size))
-        if best is None or total < best:
-            best = total
-            argmin = [perm]
-        elif total == best:
-            argmin.append(perm)
-    assert best is not None
-    return best, frozenset(argmin)
-
-
-def monomial_of_permutation(minor: Minor, perm: Permutation) -> Monomial:
-    """The monomial in the variables x_{ij} (i <= j) picked out by a
-    permutation of a symmetric minor: a sorted multiset of unordered pairs."""
-    if sorted(perm) != list(range(minor.size)):
-        raise TropicalError("not a permutation of the minor size")
-    return _monomial(minor.rows, minor.cols, perm)
-
-
 def _monomial(rows: Sequence[int], cols: Sequence[int], perm: Permutation) -> Monomial:
+    """The monomial in the variables x_{ij} (i <= j) that a permutation of
+    the minor (rows, cols) picks out: a sorted multiset of unordered pairs."""
     return tuple(
         sorted((r, c) if r <= c else (c, r) for r, c in zip(rows, map(cols.__getitem__, perm)))
     )
-
-
-def argmin_monomials(m: TropMatrix, minor: Minor) -> frozenset[Monomial]:
-    _, perms = trop_det(m, minor)
-    return frozenset(monomial_of_permutation(minor, p) for p in perms)
-
-
-def minor_degenerate(m: TropMatrix, minor: Minor) -> bool:
-    """Ordinary degeneracy: the minimum is attained by >= 2 permutations."""
-    _, perms = trop_det(m, minor)
-    return len(perms) >= 2
-
-
-def sym_minor_degenerate(m: TropMatrix, minor: Minor) -> bool:
-    """Symmetric degeneracy: the argmin permutations cover >= 2 distinct
-    monomials of the symmetric determinant."""
-    m.require_symmetric()
-    return len(argmin_monomials(m, minor)) >= 2
 
 
 def trop_rank(m: TropMatrix) -> int:
@@ -307,8 +215,9 @@ def _integer_grid(m: TropMatrix) -> list[list[int]]:
     """The entries of ``m`` times the lcm L of their denominators, as ints.
 
     Every permutation sum of a minor is scaled by the same L > 0, so each
-    minor keeps its argmin permutation set, and with it its ordinary and
-    symmetric degeneracy: the rank scans may run on this grid exactly.
+    minor keeps its argmin permutation set, and with it its argmin monomial
+    set and its ordinary and symmetric degeneracy: the rank scans and the
+    fan signatures may run on this grid exactly.
     """
     scale = math.lcm(*(x.denominator for row in m.rows for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]

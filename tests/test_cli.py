@@ -160,6 +160,22 @@ def test_outputs_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (3, "ef380dbd45fd7830f817a48d38cc17c08e1a932c87d01f871603c3be30d5095b"),
+        (4, "bb15cf9808c7e05304a46a572bfe44be769f47578e1995112cd4562fe84b9e4c"),
+    ],
+)
+def test_fan_report_is_pinned(tmp_path, n, digest):
+    """``fan`` writes its coarse cell counts and signature groups with
+    ``--report``; their bytes must not move when the signature kernel
+    changes."""
+    report = tmp_path / "fan.md"
+    assert main(["fan", "--n", str(n), "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 def test_matroid_verify_enumerates_once(monkeypatch, capsys):
     calls = []
     original = symbic.cli.enumerate_regular

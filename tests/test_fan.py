@@ -2,10 +2,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
-from symbic.counting import enumerate_regular
+from symbic.counting import enumerate_regular, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
     coarse_cell_count,
@@ -15,15 +17,16 @@ from symbic.fan import (
     signature,
     subdivision_witness,
 )
-from symbic.tropical import (
-    Minor,
-    TropMatrix,
-    TropicalError,
-    argmin_monomials,
-    rank_one_matrix,
-    sym_minor_degenerate,
-)
+from symbic.tropical import TropMatrix, TropicalError, rank_one_matrix, sym_trop_rank
 from symbic.trees import InvalidMoveError
+from test_tropical import (
+    Minor,
+    all_minors,
+    argmin_monomials,
+    mixed_rationals,
+    monomial_of_permutation,
+    small_integers,
+)
 
 
 def test_generic_tuples_are_distinct_positive():
@@ -68,8 +71,6 @@ def test_signature_of_permuted_matrix():
 
 def test_signature_of_zero_matrix_has_every_monomial():
     m = TropMatrix([[0] * 3] * 3)
-    from symbic.tropical import monomial_of_permutation
-
     for rows, cols, monomials in signature(m):
         minor = Minor(rows, cols)
         every = {
@@ -82,6 +83,49 @@ def test_signature_of_zero_matrix_has_every_monomial():
 def test_signature_needs_n_at_least_3():
     with pytest.raises(TropicalError):
         signature(TropMatrix([[0, 0], [0, 0]]))
+
+
+def test_signature_refuses_asymmetric_input():
+    # symmetric except one entry: the monomials are in the symmetric
+    # variables x_ij, so an asymmetric matrix has no signature
+    entries = [[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 7, 0]]
+    with pytest.raises(TropicalError):
+        signature(TropMatrix(entries))
+    entries[3][2] = 6
+    assert len(signature(TropMatrix(entries))) == 16
+
+
+def oracle_signature(m):
+    """Every 3x3 minor (R, C) through the Fraction ``trop_det``, with no
+    scaling and no transpose sharing."""
+    return frozenset(
+        (mi.rows, mi.cols, argmin_monomials(m, mi)) for mi in all_minors(m.n, 3)
+    )
+
+
+@st.composite
+def fan_matrices(draw):
+    """Symmetric matrices with n = 3..5: random entries, small integers
+    (many ties) or mixed denominators, or a cone sample of a random regular tree at
+    distinct positive lengths."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    if draw(st.booleans()):
+        cells = draw(st.sampled_from([mixed_rationals, small_integers]))
+        entries = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                entries[i][j] = entries[j][i] = draw(cells)
+        return TropMatrix(entries)
+    tree = random_regular_tree(n, draw(st.randoms(use_true_random=False)))
+    positive = st.fractions(min_value=Fraction(1, 12), max_value=12, max_denominator=12)
+    lengths = draw(st.lists(positive, min_size=n - 1, max_size=n - 1, unique=True))
+    return sample_interior(tree, lengths)
+
+
+@given(fan_matrices())
+@settings(max_examples=150, deadline=None)
+def test_signature_matches_the_fraction_oracle(m):
+    assert signature(m) == oracle_signature(m)
 
 
 def test_signature_is_lineality_invariant():
@@ -100,14 +144,13 @@ def test_samples_of_one_cone_share_signatures():
 
 
 def test_every_symmetric_minor_is_degenerate_on_cone_samples():
-    from symbic.tropical import sym_trop_rank
-
     for n in (3, 4):
         for tree in enumerate_regular(n):
             sample = sample_interior(tree, generic_length_tuples(1, n - 1)[0])
             assert sym_trop_rank(sample) <= 2
-            for minor in (Minor((1, 2, 3), (1, 2, 3)),):
-                assert sym_minor_degenerate(sample, minor)
+            sig = signature(sample)
+            assert len(sig) == len(list(all_minors(n, 3)))
+            assert all(len(monomials) >= 2 for _, _, monomials in sig)
 
 
 def test_refinement_check_small_n():
@@ -143,3 +186,12 @@ def test_coarse_cells_n4_bounded_by_catalog():
     count = coarse_cell_count(4)
     assert count <= 111
     assert count == 75  # computed value; no published expectation
+
+
+@pytest.mark.long
+def test_refinement_and_coarse_cells_n5():
+    catalog = enumerate_regular(5)
+    assert refinement_check(5, 3, catalog=catalog) is None
+    # computed value, equal to the count over the Fraction oracle's
+    # signatures; no published expectation
+    assert coarse_cell_count(5, catalog) == 855

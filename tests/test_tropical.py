@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,23 +10,107 @@ from hypothesis import strategies as st
 from symbic.correspond import matrix_from_tree
 from symbic.counting import random_regular_tree
 from symbic.tropical import (
+    MAX_MINOR_SIZE,
     MAX_NUMERAL_DIGITS,
-    Minor,
     MinorSizeError,
     TropMatrix,
     TropicalError,
-    all_minors,
     canonicalize_mod_lineality,
     hilbert_distance,
-    minor_degenerate,
-    monomial_of_permutation,
     parse_rational,
     rank_one_matrix,
-    sym_minor_degenerate,
     sym_trop_rank,
-    trop_det,
     trop_rank,
 )
+
+# -- the Fraction oracle: minors and tropical determinants by definition -----
+#
+# The library evaluates minors only on the integer grid (``_integer_grid``).
+# These are the literal definitions over ``Fraction``, with no scaling and
+# no transpose sharing, kept as the oracle for the rank scans and for
+# ``symbic.fan.signature``.
+
+
+class Minor:
+    """Row/column index sets (1-based, strictly increasing) of a k x k minor."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: Iterable[int], cols: Iterable[int]):
+        self.rows = tuple(rows)
+        self.cols = tuple(cols)
+        if len(self.rows) != len(self.cols) or len(self.rows) < 2:
+            raise TropicalError("minor needs equal row/col counts, size >= 2")
+        for idx in (self.rows, self.cols):
+            if any(a >= b for a, b in zip(idx, idx[1:])) or idx[0] < 1:
+                raise TropicalError("minor indices must be strictly increasing, >= 1")
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def check_against(self, m: TropMatrix) -> None:
+        if self.rows[-1] > m.n or self.cols[-1] > m.n:
+            raise TropicalError("minor indices exceed matrix size")
+        if self.size > MAX_MINOR_SIZE:
+            raise MinorSizeError(f"minor size {self.size} > cap {MAX_MINOR_SIZE}")
+
+
+def all_minors(n: int, size: int) -> Iterator[Minor]:
+    for rows in itertools.combinations(range(1, n + 1), size):
+        for cols in itertools.combinations(range(1, n + 1), size):
+            yield Minor(rows, cols)
+
+
+def trop_det(m: TropMatrix, minor: Minor) -> tuple[Fraction, frozenset]:
+    """Tropical determinant of a minor: the minimum over permutations of the
+    entry sum, together with the full set of minimizing permutations.
+
+    A permutation is the tuple (s(0), ..., s(k-1)) pairing minor row i with
+    minor column s(i) (0-based positions into the index tuples).
+    """
+    minor.check_against(m)
+    rows = [m.rows[i - 1] for i in minor.rows]
+    cols = [j - 1 for j in minor.cols]
+    best = None
+    argmin = []
+    for perm in itertools.permutations(range(minor.size)):
+        total = sum(rows[i][cols[perm[i]]] for i in range(minor.size))
+        if best is None or total < best:
+            best = total
+            argmin = [perm]
+        elif total == best:
+            argmin.append(perm)
+    assert best is not None
+    return best, frozenset(argmin)
+
+
+def monomial_of_permutation(minor: Minor, perm: tuple) -> tuple:
+    """The monomial in the variables x_{ij} (i <= j) picked out by a
+    permutation of a symmetric minor: a sorted multiset of unordered pairs."""
+    if sorted(perm) != list(range(minor.size)):
+        raise TropicalError("not a permutation of the minor size")
+    pairs = zip(minor.rows, (minor.cols[s] for s in perm))
+    return tuple(sorted((r, c) if r <= c else (c, r) for r, c in pairs))
+
+
+def argmin_monomials(m: TropMatrix, minor: Minor) -> frozenset:
+    _, perms = trop_det(m, minor)
+    return frozenset(monomial_of_permutation(minor, p) for p in perms)
+
+
+def minor_degenerate(m: TropMatrix, minor: Minor) -> bool:
+    """Ordinary degeneracy: the minimum is attained by >= 2 permutations."""
+    _, perms = trop_det(m, minor)
+    return len(perms) >= 2
+
+
+def sym_minor_degenerate(m: TropMatrix, minor: Minor) -> bool:
+    """Symmetric degeneracy: the argmin permutations cover >= 2 distinct
+    monomials of the symmetric determinant."""
+    m.require_symmetric()
+    return len(argmin_monomials(m, minor)) >= 2
+
 
 IDENTITY_LIKE = TropMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
