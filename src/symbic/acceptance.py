@@ -242,12 +242,14 @@ def criterion_shelling(include_long: bool = False) -> CriterionResult:
 
 def criterion_fan(seed: int = 0) -> CriterionResult:
     t0 = time.time()
+    catalogs = {}
     for n in (3, 4):
-        bad = refinement_check(n, 3)
+        catalogs[n] = enumerate_regular(n)
+        bad = refinement_check(n, 3, catalogs[n])
         if bad is not None:
             return CriterionResult(6, "fan refinement", False, f"n={n}: {bad}")
-    count = coarse_cell_count(3)
-    sizes = sorted(len(keys) for _, keys in subdivision_witness(3))
+    count = coarse_cell_count(3, catalogs[3])
+    sizes = sorted(len(keys) for _, keys in subdivision_witness(3, catalogs[3]))
     ok = count == 9 and sizes == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     return CriterionResult(
         6,

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import acceptance
 from .correspond import matrix_from_tree, tree_from_matrix
 from .counting import count_regular, enumerate_regular, orbit_sort_key
-from .fan import coarse_cell_count, refinement_check, subdivision_witness
+from .fan import FAN_CAP, coarse_cell_count, refinement_check, subdivision_witness
 from .matroid import (
     BASES_CAP,
     basis_transition_check,
@@ -207,7 +207,9 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_fan(args) -> int:
-    bad = refinement_check(args.n, samples_per_tree=3)
+    # past the cap refinement_check reports the size error before any enumeration
+    catalog = enumerate_regular(args.n) if args.n <= FAN_CAP else None
+    bad = refinement_check(args.n, samples_per_tree=3, catalog=catalog)
     refined = "Ok" if bad is None else f"COUNTEREXAMPLE {bad}"
     print(f"n={args.n} refinement: {refined}")
     lines = [
@@ -216,12 +218,12 @@ def cmd_fan(args) -> int:
         f"- refinement check (3 generic samples per tree): {refined}",
     ]
     if bad is None:
-        cells = coarse_cell_count(args.n)
+        cells = coarse_cell_count(args.n, catalog)
         total = count_regular(args.n)
         print(f"coarse cells: {cells} over {total} tree cones")
         lines.append(f"- distinct coarse signatures: {cells} over {total} tree cones")
         if args.n == 3:
-            groups = subdivision_witness(3)
+            groups = subdivision_witness(3, catalog)
             sizes = sorted(len(keys) for _, keys in groups)
             lines += ["", "Signature group sizes: " + str(sizes), ""]
             for i, (_, keys) in enumerate(groups, start=1):

@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .correspond import matrix_from_tree
+from .correspond import base_point
 from .counting import SizeCapError, TreeCatalog, enumerate_regular, orbit_sort_key
-from .tropical import (
-    TropMatrix,
-    TropicalError,
-    _integer_grid,
-    _monomial,
-    canonicalize_mod_lineality,
-)
-from .trees import InvalidMoveError, SymbicTree
+from .tropical import TropMatrix, TropicalError, _integer_grid, _monomial, parse_rational
+from .trees import InvalidMoveError, SymbicTree, _preorder
 
 FAN_CAP = 5
 
@@ -51,18 +46,76 @@ def generic_length_tuples(count: int, size: int) -> list[tuple[Fraction, ...]]:
 def sample_interior(tree: SymbicTree, lengths: Sequence[object]) -> TropMatrix:
     """Canonicalized matrix of the tree at the given orbit lengths: a point
     in the relative interior of the tree's cone.  Lengths are assigned to
-    split orbits in a fixed deterministic order and must be positive and
-    pairwise distinct."""
-    orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
-    values = [Fraction(v) if not isinstance(v, Fraction) else v for v in lengths]
+    split orbits in a fixed deterministic order, are parsed exactly (floats
+    and bools are refused) and must be positive and pairwise distinct.
+    Entry (i, j) is the tree's form (i, j) dotted with the lengths scaled
+    to a common denominator L, over 2L."""
+    orbits, form = _sampling_form(tree)
+    values = [parse_rational(v) for v in lengths]
     if len(values) != len(orbits):
         raise InvalidMoveError("need exactly one length per split orbit")
     if any(v <= 0 for v in values):
         raise InvalidMoveError("interior sample needs strictly positive lengths")
     if len(set(values)) != len(values):
         raise InvalidMoveError("interior sample wants pairwise distinct lengths")
-    sampled = tree.with_orbit_lengths(dict(zip(orbits, values)))
-    return canonicalize_mod_lineality(matrix_from_tree(sampled))
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    half = 2 * common
+    return TropMatrix(
+        [Fraction(sum(map(mul, coeffs, scaled)), half) for coeffs in row] for row in form
+    )
+
+
+def _sampling_form(tree: SymbicTree) -> tuple[list, tuple]:
+    """The split orbits in sampling order, and per entry (i, j) the integer
+    coefficients, doubled, of the canonicalized matrix in the orbit lengths;
+    cached on the tree, which is immutable by convention.  Entry (i, j) of
+    ``matrix_from_tree`` is the path length from the base point O to the
+    divergence of O -> i and O -> j', so its coefficients count each
+    orbit's edges on that path, and ``canonicalize_mod_lineality`` is
+    linear in the entries."""
+    cached = tree._cache.get("sampling_form")
+    if cached is not None:
+        return cached
+    edge_orbits = tree._edge_orbits()
+    orbits = sorted(set(edge_orbits.values()), key=orbit_sort_key)
+    column = {orbit: k for k, orbit in enumerate(orbits)}
+    o = base_point(tree)
+    parent = _preorder(tree.adj, o)
+    counts: dict[int, list[int]] = {}
+    for v, p in parent.items():
+        if p is None:
+            counts[v] = [0] * len(orbits)
+        elif (edge := frozenset((p, v))) in edge_orbits:  # leaf edges are never crossed
+            counts[v] = list(counts[p])
+            counts[v][column[edge_orbits[edge]]] += 1
+    # rooted at O, the divergence of O -> i and O -> j' is the lowest common
+    # ancestor of their attachment vertices
+    n = tree.n
+    m = []
+    for i in range(1, n + 1):
+        above, v = set(), tree.pos(i)
+        while v is not None:
+            above.add(v)
+            v = parent[v]
+        row = []
+        for j in range(1, n + 1):
+            v = tree.pos(-j)
+            while v not in above:
+                v = parent[v]
+            row.append(counts[v])
+        m.append(row)
+    # canonicalizing subtracts x_i + x_j, where x_1 = m_11 / 2 and
+    # x_j = m_1j - m_11 / 2; doubled, every coefficient stays an integer
+    x = [m[0][0]] + [[2 * a - b for a, b in zip(m[0][j], m[0][0])] for j in range(1, n)]
+    form = tuple(
+        tuple(
+            tuple(2 * a - b - c for a, b, c in zip(m[i][j], x[i], x[j])) for j in range(n)
+        )
+        for i in range(n)
+    )
+    cached = tree._cache["sampling_form"] = (orbits, form)
+    return cached
 
 
 def signature(matrix: TropMatrix) -> Signature:
@@ -131,8 +184,11 @@ def refinement_check(
 ) -> Optional[RefinementCounterExample]:
     """Within each tree's cone, generic samples must share their signature
     (the tree fan refines the coarse 3x3-minor fan).  Sampling-based: two
-    independent generic samples agreeing is the practical test.  ``sampler``
-    exists for fault injection in tests."""
+    independent generic samples agreeing is the practical test, so fewer
+    than two samples per tree are refused.  ``sampler`` exists for fault
+    injection in tests."""
+    if samples_per_tree < 2:
+        raise ValueError("a refinement check compares at least 2 samples per tree")
     if n > FAN_CAP:
         raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
     if catalog is None:

@@ -3,6 +3,7 @@ and prints one pass/fail line per criterion."""
 
 import pytest
 
+import symbic.fan
 from symbic import acceptance
 
 
@@ -52,6 +53,20 @@ def test_criterion_6_fan_refinement():
     result = acceptance.criterion_fan(seed=0)
     _report(result)
     assert result.passed, result.detail
+
+
+def test_criterion_6_enumerates_each_catalog_once(monkeypatch):
+    calls = []
+    original = acceptance.enumerate_regular
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(acceptance, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.fan, "enumerate_regular", counted)
+    assert acceptance.criterion_fan().passed
+    assert calls == [3, 4]
 
 
 def test_criterion_7_matroid():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbic.cli
+import symbic.fan
 import symbic.matroid
 from symbic.cli import main
 from symbic.counting import random_regular_tree
@@ -189,6 +190,25 @@ def test_matroid_verify_enumerates_once(monkeypatch, capsys):
     assert main(["matroid", "--n", "3", "--verify"]) == 0
     assert calls == [3]
     assert capsys.readouterr().out == "n=3 filter=all: 6 bases\nbasis transitions: Ok\n"
+
+
+def test_fan_enumerates_once(monkeypatch, capsys):
+    calls = []
+    original = symbic.cli.enumerate_regular
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(symbic.cli, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.fan, "enumerate_regular", counted)
+    assert main(["fan", "--n", "3"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == "n=3 refinement: Ok\ncoarse cells: 9 over 12 tree cones\n"
+    # past the cap the size error comes before any enumeration
+    assert main(["fan", "--n", "6"]) == 1
+    assert calls == [3]
+    assert "exceeds fan cap 5" in capsys.readouterr().err
 
 
 # -- fuzzing the loaders --------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
-from symbic.counting import enumerate_regular, random_regular_tree
+from symbic.counting import enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
     coarse_cell_count,
@@ -17,8 +17,14 @@ from symbic.fan import (
     signature,
     subdivision_witness,
 )
-from symbic.tropical import TropMatrix, TropicalError, rank_one_matrix, sym_trop_rank
-from symbic.trees import InvalidMoveError
+from symbic.tropical import (
+    TropMatrix,
+    TropicalError,
+    canonicalize_mod_lineality,
+    rank_one_matrix,
+    sym_trop_rank,
+)
+from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree
 from test_tropical import (
     Minor,
     all_minors,
@@ -55,6 +61,77 @@ def test_sample_interior_rejects_bad_lengths():
         sample_interior(tree, (Fraction(1), Fraction(2), Fraction(2)))
     with pytest.raises(InvalidMoveError):
         sample_interior(tree, (Fraction(1), Fraction(2)))
+
+
+def test_sample_interior_parses_lengths_exactly():
+    tree = four_pair_chain_tree(1, 1, 1)
+    exact = sample_interior(tree, (Fraction(1, 10), Fraction(1, 5), Fraction(2)))
+    assert sample_interior(tree, ("1/10", "1/5", 2)) == exact
+    with pytest.raises(TropicalError):
+        sample_interior(tree, (0.1, Fraction(1, 5), Fraction(2)))
+    with pytest.raises(TropicalError):
+        sample_interior(tree, (True, 2, 3))
+    with pytest.raises(TropicalError):
+        sample_interior(tree, ("1/0", 2, 3))
+
+
+def oracle_sample(tree, lengths):
+    """The tree rebuild that ``sample_interior`` replaced: a new tree at the
+    given orbit lengths, its matrix read off in ``Fraction``, canonicalized."""
+    orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
+    sampled = tree.with_orbit_lengths(dict(zip(orbits, lengths)))
+    return canonicalize_mod_lineality(matrix_from_tree(sampled))
+
+
+def assert_samples_match(tree, a, b):
+    # a, b, a on one instance: a form corrupted by the first call shows
+    for lengths in (a, b, a):
+        assert sample_interior(tree, lengths).rows == oracle_sample(tree, lengths).rows
+
+
+POSITIVE_LENGTHS = st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30)
+
+
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_sample_interior_matches_the_tree_rebuild(n, rng, data):
+    tree = random_regular_tree(n, rng)
+    lengths = st.lists(POSITIVE_LENGTHS, min_size=n - 1, max_size=n - 1, unique=True)
+    assert_samples_match(tree, data.draw(lengths), data.draw(lengths))
+
+
+def test_sample_interior_matches_the_tree_rebuild_on_the_catalogs():
+    for n in (3, 4):
+        a, b = generic_length_tuples(2, n - 1)
+        mixed = tuple(Fraction(k + 2, 2 * k + 1) for k in range(n - 1))
+        for tree in enumerate_regular(n):
+            assert_samples_match(tree, a, b)
+            assert_samples_match(tree, mixed, a)
+
+
+def test_sample_interior_raises_what_the_tree_rebuild_raises():
+    leaf_vertex = {label: 10 + 2 * abs(label) + (label < 0) for label in (1, -1, 2, -2, 3, -3)}
+    # three fixed vertices on a fixed center, one leaf pair on each: the
+    # involution exists but its fixed set is a star, not a path
+    star = {0: {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}}
+    for v in (1, 2, 3):
+        star[v] = {0: Fraction(1), leaf_vertex[v]: None, leaf_vertex[-v]: None}
+    # a chain 1 - 1' - 2 - 2' whose unequal lengths have no involution
+    chain = {0: {1: Fraction(1)}, 1: {0: Fraction(1), 2: Fraction(2)}, 2: {1: Fraction(2)}}
+    for v, (x, y) in zip((0, 1, 2), ((1, -1), (2, 3), (-2, -3))):
+        chain[v].update({leaf_vertex[x]: None, leaf_vertex[y]: None})
+    for adj, message in ((star, "not a path"), (chain, "symmetry")):
+        for v in list(adj):
+            for w, length in adj[v].items():
+                adj.setdefault(w, {})[v] = length
+        tree = SymbicTree(3, adj, dict(leaf_vertex))
+        for sampler in (oracle_sample, sample_interior):
+            with pytest.raises(MalformedTreeError, match=message):
+                sampler(tree, (Fraction(1), Fraction(2), Fraction(3)))
 
 
 def test_signature_of_permuted_matrix():
@@ -158,6 +235,12 @@ def test_refinement_check_small_n():
     assert refinement_check(4, samples_per_tree=3) is None
 
 
+def test_refinement_check_needs_two_samples():
+    for samples in (1, 0):
+        with pytest.raises(ValueError):
+            refinement_check(3, samples_per_tree=samples)
+
+
 def test_refinement_check_catches_mixed_samples():
     catalog = enumerate_regular(3)
     trees = list(catalog)
@@ -188,7 +271,6 @@ def test_coarse_cells_n4_bounded_by_catalog():
     assert count == 75  # computed value; no published expectation
 
 
-@pytest.mark.long
 def test_refinement_and_coarse_cells_n5():
     catalog = enumerate_regular(5)
     assert refinement_check(5, 3, catalog=catalog) is None
