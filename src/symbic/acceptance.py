@@ -4,11 +4,12 @@ here is exact; there are no tolerances anywhere."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .correspond import (
     leaf_distances,
@@ -127,7 +128,7 @@ _CAYLEY_ROWS = [
 
 
 def criterion_counting() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = [1, 1, 2, 12, 111, 1395]
     ok = True
     notes = []
@@ -142,7 +143,7 @@ def criterion_counting() -> CriterionResult:
     if [count_full_trunk(n) for n in range(5)] != [1, 1, 1, 3, 12]:
         ok = False
         notes.append("full-trunk sequence off")
-    detail = f"three methods agree on {expected} ({time.time() - t0:.1f}s)"
+    detail = f"three methods agree on {expected} ({time.perf_counter() - t0:.1f}s)"
     return CriterionResult(1, "counting", ok, detail if ok else "; ".join(notes))
 
 
@@ -163,7 +164,7 @@ def criterion_rank_examples() -> CriterionResult:
 
 
 def criterion_round_trips(rounds: int = 500, seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     for i in range(rounds):
         n = rng.randint(1, 6)
@@ -178,8 +179,9 @@ def criterion_round_trips(rounds: int = 500, seed: int = 0) -> CriterionResult:
             return CriterionResult(3, "round trips", False, f"length mismatch at trial {i}")
         if not matrices_agree_mod_lineality(matrix_from_tree(rebuilt), matrix):
             return CriterionResult(3, "round trips", False, f"matrix mismatch at trial {i}")
+    elapsed = time.perf_counter() - t0
     return CriterionResult(
-        3, "round trips", True, f"{rounds} random trees, n <= 6 ({time.time() - t0:.1f}s)"
+        3, "round trips", True, f"{rounds} random trees, n <= 6 ({elapsed:.1f}s)"
     )
 
 
@@ -225,7 +227,7 @@ def criterion_paper_matrices(seed: int = 0) -> CriterionResult:
 
 
 def criterion_shelling(include_long: bool = False) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sizes = {}
     for n in (3, 4) + ((5,) if include_long else ()):
         counterexample, ordered = shelling_check(n)
@@ -236,12 +238,12 @@ def criterion_shelling(include_long: bool = False) -> CriterionResult:
     ok = all(sizes[n] == want[n] for n in sizes)
     scope = ", ".join(f"n={n} ({sizes[n]} cells)" for n in sizes)
     return CriterionResult(
-        5, "shellability", ok, f"verified {scope} ({time.time() - t0:.1f}s)"
+        5, "shellability", ok, f"verified {scope} ({time.perf_counter() - t0:.1f}s)"
     )
 
 
-def criterion_fan(seed: int = 0) -> CriterionResult:
-    t0 = time.time()
+def criterion_fan() -> CriterionResult:
+    t0 = time.perf_counter()
     catalogs = {}
     for n in (3, 4):
         catalogs[n] = enumerate_regular(n)
@@ -256,12 +258,12 @@ def criterion_fan(seed: int = 0) -> CriterionResult:
         "fan refinement",
         ok,
         f"n=3,4 signatures stable; 9 coarse cells over 12 cones, "
-        f"groups {sizes} ({time.time() - t0:.1f}s)",
+        f"groups {sizes} ({time.perf_counter() - t0:.1f}s)",
     )
 
 
 def criterion_matroid() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     catalogs = {n: enumerate_regular(n) for n in range(1, 6)}
     for n, catalog in catalogs.items():
         for tree in catalog:
@@ -286,7 +288,7 @@ def criterion_matroid() -> CriterionResult:
         "matroid",
         True,
         f"Cayley rank 2n-1 for n<=5; caterpillar-branch union equal n=3,4; "
-        f"transitions Ok n<=4; scans: {summary} ({time.time() - t0:.1f}s)",
+        f"transitions Ok n<=4; scans: {summary} ({time.perf_counter() - t0:.1f}s)",
     )
 
 
@@ -325,8 +327,6 @@ def criterion_properties(seed: int = 0) -> CriterionResult:
     for n in (2, 3):
         catalog = list(enumerate_regular(n))
         comparator = TreeComparator()
-        import functools
-
         ordered = sorted(catalog, key=functools.cmp_to_key(comparator.compare))
         for i, j in itertools.combinations(range(len(ordered)), 2):
             if comparator.compare(ordered[i], ordered[j]) != -1:
@@ -342,26 +342,14 @@ def criterion_properties(seed: int = 0) -> CriterionResult:
     )
 
 
-CRITERIA: list[Callable[..., CriterionResult]] = [
-    criterion_counting,
-    criterion_rank_examples,
-    criterion_round_trips,
-    criterion_paper_matrices,
-    criterion_shelling,
-    criterion_fan,
-    criterion_matroid,
-    criterion_properties,
-]
-
-
 def run_all(include_long: bool = False, seed: int = 0) -> list[CriterionResult]:
-    results = []
-    for func in CRITERIA:
-        if func is criterion_shelling:
-            results.append(func(include_long=include_long))
-        elif func in (criterion_round_trips, criterion_paper_matrices,
-                      criterion_fan, criterion_properties):
-            results.append(func(seed=seed))
-        else:
-            results.append(func())
-    return results
+    return [
+        criterion_counting(),
+        criterion_rank_examples(),
+        criterion_round_trips(seed=seed),
+        criterion_paper_matrices(seed=seed),
+        criterion_shelling(include_long=include_long),
+        criterion_fan(),
+        criterion_matroid(),
+        criterion_properties(seed=seed),
+    ]

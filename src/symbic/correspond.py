@@ -42,33 +42,36 @@ class ReconstructionError(TropicalError):
 
 def base_point(tree: SymbicTree, base: Optional[int] = None) -> int:
     """Resolve and sanity-check the base point O: any fixed trunk vertex.
-    The default is the trunk endpoint whose nearest branch carries the
-    smallest row-leaf index (the single trunk vertex for one-point trunks),
-    which lines up with how the worked matrices read off a tree."""
+    The default is the trunk end opposite the anchor, so the end whose
+    branches carry the smaller smallest row-leaf index (the single trunk
+    vertex for one-point trunks), which lines up with how the worked
+    matrices read off a tree."""
     trunk = tree.trunk()
     if base is None:
-        if len(trunk) == 1:
-            return trunk[0]
-        ends = (trunk[0], trunk[-1])
-        return min(ends, key=lambda v: (tree.endpoint_min_row(v), v))
+        return trunk[-1]
     if base not in trunk:
         raise MalformedTreeError("base point must be a fixed trunk vertex")
     return base
 
 
+def divergences(tree: SymbicTree, base: Optional[int] = None) -> tuple[int, list[list[int]]]:
+    """The base point O, and per entry (i, j) the vertex where the paths
+    O -> i and O -> j' part: the vertex that entry (i, j) of the tree's
+    matrix reads."""
+    o = base_point(tree, base)
+    cols = [tree.pos(-j) for j in range(1, tree.n + 1)]
+    table = []
+    for i in range(1, tree.n + 1):
+        pi = tree.pos(i)
+        table.append([tree.divergence_vertex(o, pi, pj) for pj in cols])
+    return o, table
+
+
 def matrix_from_tree(tree: SymbicTree, base: Optional[int] = None) -> TropMatrix:
     """Entry (i, j): distance from O to the divergence of the paths O -> i
     and O -> j'; symmetric of symmetric tropical rank <= 2."""
-    o = base_point(tree, base)
-    n = tree.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            meet = tree.divergence_vertex(o, tree.pos(i), tree.pos(-j))
-            row.append(tree.distance(o, meet))
-        rows.append(row)
-    matrix = TropMatrix(rows)
+    o, table = divergences(tree, base)
+    matrix = TropMatrix([[tree.distance(o, v) for v in row] for row in table])
     assert matrix.is_symmetric(), "tree symmetry must make the matrix symmetric"
     return matrix
 

@@ -256,12 +256,14 @@ def colored_branch_shapes(labels: tuple[int, ...]) -> list:
                     out.append(("N", lt, rt))
         return out
 
-    def color_of(structure, index: int) -> int:
-        if isinstance(structure, int):
-            return structure if abs(structure) == index else 0
-        return color_of(structure[1], index) or color_of(structure[2], index)
+    return [s for s in rec(labels) if _color_of(s, labels[0]) > 0]
 
-    return [s for s in rec(labels) if color_of(s, labels[0]) > 0]
+
+def _color_of(structure, index: int) -> int:
+    """The signed leaf of ``index`` in a branch structure, 0 if absent."""
+    if isinstance(structure, int):
+        return structure if abs(structure) == index else 0
+    return _color_of(structure[1], index) or _color_of(structure[2], index)
 
 
 class TreeCatalog:
@@ -413,12 +415,7 @@ def random_regular_tree(n: int, rng: random.Random) -> SymbicTree:
         return ("N", lt, rt)
 
     def normalize(structure, smallest: int):
-        def color(s):
-            if isinstance(s, int):
-                return s if abs(s) == smallest else 0
-            return color(s[1]) or color(s[2])
-
-        if color(structure) < 0:
+        if _color_of(structure, smallest) < 0:
             def flip(s):
                 if isinstance(s, int):
                     return -s
@@ -475,3 +472,8 @@ def orbit_sort_key(orbit: Orbit) -> tuple:
     return tuple(
         sorted(tuple(sorted(split, key=lambda l: (abs(l), l < 0))) for split in orbit)
     )
+
+
+def cell_sort_key(cell: frozenset) -> tuple:
+    """Sort key of a set of orbits: a cell, a tree's canonical key."""
+    return tuple(sorted(orbit_sort_key(o) for o in cell))

@@ -15,10 +15,16 @@ from fractions import Fraction
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .correspond import base_point
-from .counting import SizeCapError, TreeCatalog, enumerate_regular, orbit_sort_key
+from .correspond import divergences
+from .counting import (
+    SizeCapError,
+    TreeCatalog,
+    cell_sort_key,
+    enumerate_regular,
+    orbit_sort_key,
+)
 from .tropical import TropMatrix, TropicalError, _integer_grid, _monomial, parse_rational
-from .trees import InvalidMoveError, SymbicTree, _preorder
+from .trees import InvalidMoveError, SymbicTree
 
 FAN_CAP = 5
 
@@ -71,7 +77,7 @@ def _sampling_form(tree: SymbicTree) -> tuple[list, tuple]:
     coefficients, doubled, of the canonicalized matrix in the orbit lengths;
     cached on the tree, which is immutable by convention.  Entry (i, j) of
     ``matrix_from_tree`` is the path length from the base point O to the
-    divergence of O -> i and O -> j', so its coefficients count each
+    vertex ``divergences`` gives for (i, j), so its coefficients count each
     orbit's edges on that path, and ``canonicalize_mod_lineality`` is
     linear in the entries."""
     cached = tree._cache.get("sampling_form")
@@ -80,31 +86,15 @@ def _sampling_form(tree: SymbicTree) -> tuple[list, tuple]:
     edge_orbits = tree._edge_orbits()
     orbits = sorted(set(edge_orbits.values()), key=orbit_sort_key)
     column = {orbit: k for k, orbit in enumerate(orbits)}
-    o = base_point(tree)
-    parent = _preorder(tree.adj, o)
+    o, table = divergences(tree)
     counts: dict[int, list[int]] = {}
-    for v, p in parent.items():
-        if p is None:
-            counts[v] = [0] * len(orbits)
-        elif (edge := frozenset((p, v))) in edge_orbits:  # leaf edges are never crossed
-            counts[v] = list(counts[p])
-            counts[v][column[edge_orbits[edge]]] += 1
-    # rooted at O, the divergence of O -> i and O -> j' is the lowest common
-    # ancestor of their attachment vertices
+    for v in {v for row in table for v in row}:
+        path = tree.path(o, v)  # internal vertices only: no leaf edge on it
+        counts[v] = [0] * len(orbits)
+        for edge in zip(path, path[1:]):
+            counts[v][column[edge_orbits[frozenset(edge)]]] += 1
     n = tree.n
-    m = []
-    for i in range(1, n + 1):
-        above, v = set(), tree.pos(i)
-        while v is not None:
-            above.add(v)
-            v = parent[v]
-        row = []
-        for j in range(1, n + 1):
-            v = tree.pos(-j)
-            while v not in above:
-                v = parent[v]
-            row.append(counts[v])
-        m.append(row)
+    m = [[counts[v] for v in row] for row in table]
     # canonicalizing subtracts x_i + x_j, where x_1 = m_11 / 2 and
     # x_j = m_1j - m_11 / 2; doubled, every coefficient stays an integer
     x = [m[0][0]] + [[2 * a - b for a, b in zip(m[0][j], m[0][0])] for j in range(1, n)]
@@ -233,14 +223,10 @@ def subdivision_witness(
     for key, sig in signature_by_tree(n, catalog).items():
         groups.setdefault(sig, []).append(key)
     return [
-        (sig, tuple(sorted(keys, key=_key_sort)))
+        (sig, tuple(sorted(keys, key=cell_sort_key)))
         for sig, keys in sorted(groups.items(), key=lambda kv: _group_sort(kv[1]))
     ]
 
 
-def _key_sort(key: frozenset) -> tuple:
-    return tuple(sorted(orbit_sort_key(o) for o in key))
-
-
 def _group_sort(keys: list) -> tuple:
-    return (len(keys), tuple(sorted(_key_sort(k) for k in keys)))
+    return (len(keys), tuple(sorted(cell_sort_key(k) for k in keys)))

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .correspond import base_point
+from .correspond import divergences
 from .counting import SizeCapError, TreeCatalog, enumerate_regular
 from .trees import InvalidMoveError, SymbicTree
 
@@ -49,13 +49,13 @@ class CayleyMatrix(NamedTuple):
 def cayley_matrix(tree: SymbicTree, base: Optional[int] = None) -> CayleyMatrix:
     if not tree.is_regular():
         raise InvalidMoveError("Cayley matrix wants a regular tree")
-    o = base_point(tree, base)
+    o, table = divergences(tree, base)
     sigma = tree.involution()
     n = tree.n
     pairs = ground_set(n)
     divergence_orbit: dict[GroundPair, frozenset] = {}
     for i, j in pairs:
-        v = tree.divergence_vertex(o, tree.pos(i), tree.pos(-j))
+        v = table[i - 1][j - 1]
         divergence_orbit[(i, j)] = frozenset((v, sigma[v]))
     base_orbit = frozenset((o,))
     node_orbits = sorted(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .counting import TreeCatalog, enumerate_regular, orbit_sort_key
+from .counting import TreeCatalog, cell_sort_key, enumerate_regular
 from .trees import MalformedTreeError, SymbicTree, label_key
 
 VERIFY_CAP = 6
@@ -229,15 +229,11 @@ class SymbicComplex(NamedTuple):
 def build_complex(n: int, catalog: Optional[TreeCatalog] = None) -> SymbicComplex:
     if catalog is None:
         catalog = enumerate_regular(n)
-    cells = tuple(sorted((t.split_orbits() for t in catalog), key=_cell_sort_key))
+    cells = tuple(sorted((t.split_orbits() for t in catalog), key=cell_sort_key))
     vertices = frozenset().union(*cells) if cells else frozenset()
     if any(len(c) != n - 1 for c in cells):
         raise ValueError("complex is not pure")
     return SymbicComplex(n, vertices, cells)
-
-
-def _cell_sort_key(cell: frozenset) -> tuple:
-    return tuple(sorted(orbit_sort_key(o) for o in cell))
 
 
 class ShellingCounterExample(NamedTuple):

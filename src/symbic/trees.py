@@ -52,10 +52,6 @@ class Violation(NamedTuple):
     witness: object = None
 
 
-def swap_label(label: Label) -> Label:
-    return -label
-
-
 def label_key(label: Label) -> tuple[int, int]:
     return (abs(label), 0 if label > 0 else 1)
 
@@ -102,6 +98,11 @@ def _mask_labels(mask: int) -> frozenset:
         for b in range(mask.bit_length())
         if mask >> b & 1
     )
+
+
+def _row_bits(n: int) -> int:
+    """The label-mask bits of the row leaves 1, 2, ..., n."""
+    return (4**n - 1) // 3
 
 
 class _TreeIndex(NamedTuple):
@@ -210,8 +211,9 @@ class SymbicTree:
     # -- metric ------------------------------------------------------------
 
     def _index(self) -> _TreeIndex:
-        """The rooted walk behind every distance, path and side query; built
-        on first use, after normalization has finished changing ``adj``."""
+        """The rooted walk behind every distance, path and side query, built
+        on first use.  The involution search builds it during normalization,
+        which drops it again if it then inserts a flip midpoint."""
         index = self._cache.get("index")
         if index is None:
             adj = self.adj
@@ -255,10 +257,13 @@ class SymbicTree:
 
     def divergence_vertex(self, base: int, u: int, v: int) -> int:
         """Last common vertex of the paths base->u and base->v: the median of
-        the three, which is the deepest of their pairwise meeting points."""
+        the three, which is the deepest of their pairwise meeting points.  Two
+        of those coincide and the third lies below them, so when the first
+        two differ the deeper of them is the median."""
         index = self._index()
         b, i, j = index.slot[base], index.slot[u], index.slot[v]
-        return index.order[max(index.meet(b, i), index.meet(b, j), index.meet(i, j))]
+        x, y = index.meet(b, i), index.meet(i, j)
+        return index.order[max(x, y) if x != y else index.meet(b, j)]
 
     # -- splits and keys ----------------------------------------------------
 
@@ -321,9 +326,6 @@ class SymbicTree:
         """Equal keys iff equal combinatorial type; blind to lengths/ids."""
         return self.split_orbits()
 
-    def orbit_of_edge(self, u: int, v: int) -> Orbit:
-        return self._edge_orbits()[frozenset((u, v))]
-
     def edges_of_orbit(self, orbit: Orbit) -> list[frozenset]:
         return [e for e, s in self.splits().items() if s in orbit]
 
@@ -359,7 +361,7 @@ class SymbicTree:
         return self._cache["violation"]
 
     def _first_violation(self) -> Optional[Violation]:
-        rows = (4**self.n - 1) // 3  # the bits of 1, 2, ..., n
+        rows = _row_bits(self.n)
         for u, v, _ in self.internal_edges():
             for side in (self._side_mask(u, v), self._side_mask(v, u)):
                 if not side & rows or not side & (rows << 1):
@@ -381,12 +383,6 @@ class SymbicTree:
             return Violation(4, "fixed set is disconnected", fixed)
         return None
 
-    def require_valid(self) -> "SymbicTree":
-        violation = self.validate()
-        if violation is not None:
-            raise InvalidMoveError(f"not a symbic tree: {violation}", violation)
-        return self
-
     # -- trunk, branches, shape predicates -----------------------------------
 
     def trunk(self) -> tuple[int, ...]:
@@ -407,10 +403,8 @@ class SymbicTree:
         self._cache["trunk"] = path
         return path
 
-    def endpoint_min_row(self, v: int, fixed: Optional[set[int]] = None) -> int:
+    def endpoint_min_row(self, v: int, fixed: set[int]) -> int:
         """Smallest row index carried by the branches at a trunk vertex."""
-        if fixed is None:
-            fixed = self.fixed_vertices()
         rows = [
             l for w in self.adj[v] if w not in fixed for l in self.side_labels(v, w) if l > 0
         ]
@@ -988,6 +982,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
             adj[u][m] = half
             adj[v][m] = half
             sigma[m] = m
+            tree._cache.pop("index", None)
         tree._cache["sigma"] = sigma
 
 
@@ -1008,38 +1003,24 @@ def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
 
 
 def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
-    """Reconstruct the color-swapping symmetry from internal distances; the
-    map is unique when it exists because distance vectors to the leaf
-    attachment points separate internal vertices."""
-    internals = tree.internal_vertices()
-    labels = tree.labels()
-    leafset = tree.leaf_vertices()
-    pos = {l: tree.pos(l) for l in labels}
-    dist: dict[int, dict[int, Fraction]] = {}
-    for v in internals:
-        d = {}
-        for b, a in _preorder(tree.adj, v).items():
-            if b not in leafset:
-                d[b] = Fraction(0) if a is None else d[a] + tree.adj[a][b]
-        dist[v] = d
-    index: dict[tuple, int] = {}
-    for v in internals:
-        key = tuple(dist[v][pos[l]] for l in labels)
-        if key in index:
-            return None
-        index[key] = v
-    sigma: dict[int, int] = {}
-    for v in internals:
-        target = tuple(dist[v][pos[-l]] for l in labels)
-        w = index.get(target)
+    """Reconstruct the color-swapping symmetry from side masks: an internal
+    vertex is determined by the label masks of its sides, and its image is
+    the vertex whose masks carry the swapped colors (bit 2k-2 <-> 2k-1).
+    ``_check_involution`` certifies the lengths."""
+    rows = _row_bits(tree.n)
+    leaves = tree.leaf_vertices()
+    by_sides = {
+        frozenset(tree._side_mask(v, w) for w in tree.adj[v]): v
+        for v in tree.adj
+        if v not in leaves
+    }
+    sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
+    for sides, v in by_sides.items():
+        w = by_sides.get(frozenset((m & rows) << 1 | m >> 1 & rows for m in sides))
         if w is None:
             return None
         sigma[v] = w
-    for label, lv in tree.leaf_vertex.items():
-        sigma[lv] = tree.leaf_vertex[-label]
-    if not _check_involution(tree, sigma):
-        return None
-    return sigma
+    return sigma if _check_involution(tree, sigma) else None
 
 
 def _expand_vertex(

@@ -188,13 +188,7 @@ def _monomial(rows: Sequence[int], cols: Sequence[int], perm: Permutation) -> Mo
 
 def trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate."""
-    if m.n > MAX_MINOR_SIZE:
-        raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
-    grid = _integer_grid(m)
-    for r in range(1, m.n):
-        if _all_minors_degenerate(grid, r + 1, symmetric=False):
-            return r
-    return m.n
+    return _rank_scan(m, symmetric=False)
 
 
 def sym_trop_rank(m: TropMatrix) -> int:
@@ -202,11 +196,15 @@ def sym_trop_rank(m: TropMatrix) -> int:
     polynomial in the symmetric variables x_{ij}.  Scans all minors, not
     only principal ones."""
     m.require_symmetric()
+    return _rank_scan(m, symmetric=True)
+
+
+def _rank_scan(m: TropMatrix, symmetric: bool) -> int:
     if m.n > MAX_MINOR_SIZE:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
     grid = _integer_grid(m)
     for r in range(1, m.n):
-        if _all_minors_degenerate(grid, r + 1, symmetric=True):
+        if _all_minors_degenerate(grid, r + 1, symmetric):
             return r
     return m.n
 

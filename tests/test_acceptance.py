@@ -50,7 +50,7 @@ def test_criterion_5_shellability_n5():
 
 
 def test_criterion_6_fan_refinement():
-    result = acceptance.criterion_fan(seed=0)
+    result = acceptance.criterion_fan()
     _report(result)
     assert result.passed, result.detail
 
@@ -79,3 +79,36 @@ def test_criterion_8_property_suites():
     result = acceptance.criterion_properties(seed=0)
     _report(result)
     assert result.passed, result.detail
+
+
+def test_run_all_hands_each_criterion_its_arguments(monkeypatch):
+    calls = []
+
+    def stub(name):
+        def criterion(**kwargs):
+            calls.append((name, kwargs))
+            return name
+
+        return criterion
+
+    names = [
+        "counting", "rank_examples", "round_trips", "paper_matrices",
+        "shelling", "fan", "matroid", "properties",
+    ]
+    for name in names:
+        monkeypatch.setattr(acceptance, f"criterion_{name}", stub(name))
+    assert acceptance.run_all(include_long=True, seed=7) == names
+    assert calls == [
+        ("counting", {}),
+        ("rank_examples", {}),
+        ("round_trips", {"seed": 7}),
+        ("paper_matrices", {"seed": 7}),
+        ("shelling", {"include_long": True}),
+        ("fan", {}),
+        ("matroid", {}),
+        ("properties", {"seed": 7}),
+    ]
+    calls.clear()
+    acceptance.run_all()
+    assert dict(calls)["shelling"] == {"include_long": False}
+    assert dict(calls)["round_trips"] == {"seed": 0}

@@ -16,7 +16,7 @@ from symbic.correspond import (
     path_matrix_from_tree,
     tree_from_matrix,
 )
-from symbic.counting import random_regular_tree
+from symbic.counting import enumerate_regular, random_regular_tree
 from symbic.trees import MalformedTreeError, tree_of_single_pair
 from symbic.tropical import TropMatrix, rank_one_matrix, sym_trop_rank
 
@@ -52,6 +52,30 @@ def test_base_point_prefers_smallest_row_branch():
     assert leaf_distances(tree, other) != leaf_distances(tree, o)
     with pytest.raises(MalformedTreeError):
         base_point(tree, tree.pos(1))  # not a fixed trunk vertex
+
+
+def min_row_end(tree):
+    """The base point as first defined: the trunk end whose branches carry
+    the smaller smallest row index."""
+    trunk = tree.trunk()
+    if len(trunk) == 1:
+        return trunk[0]
+    fixed = tree.fixed_vertices()
+    return min((trunk[0], trunk[-1]), key=lambda v: (tree.endpoint_min_row(v, fixed), v))
+
+
+def test_default_base_point_is_the_min_row_end():
+    checked = 0
+    for n in range(1, 6):
+        for tree in enumerate_regular(n):
+            assert base_point(tree) == min_row_end(tree)
+            checked += len(tree.trunk()) > 1
+    rng = random.Random(11)
+    for _ in range(300):
+        tree = random_regular_tree(rng.randint(1, 8), rng)
+        assert base_point(tree) == min_row_end(tree)
+        checked += len(tree.trunk()) > 1
+    assert checked > 1000
 
 
 def test_negated_path_matrix_is_max_plus_rank_two():

@@ -524,3 +524,97 @@ def test_hinted_involutions_match_the_search(monkeypatch):
     # a wrong hint falls back to the search
     adj, leaves = made[0]._graph_copy()
     assert SymbicTree(4, adj, leaves, {v: v for v in adj}).involution() == made[0].involution()
+
+
+# -- distance-vector oracle for the involution search ---------------------------
+
+
+def distance_vector_involution(tree):
+    """The color-swapping symmetry reconstructed from internal distances:
+    vertices keyed by their distance vectors to the leaf attachment points,
+    each sent to the vertex whose vector is its own with the colors swapped."""
+    internals = tree.internal_vertices()
+    labels = tree.labels()
+    leafset = tree.leaf_vertices()
+    pos = {l: tree.pos(l) for l in labels}
+    dist = {}
+    for v in internals:
+        d = {}
+        for b, a in bfs_parents(tree, v).items():
+            if b not in leafset:
+                d[b] = Fraction(0) if a is None else d[a] + tree.adj[a][b]
+        dist[v] = d
+    index = {}
+    for v in internals:
+        key = tuple(dist[v][pos[l]] for l in labels)
+        if key in index:
+            return None
+        index[key] = v
+    sigma = {}
+    for v in internals:
+        w = index.get(tuple(dist[v][pos[-l]] for l in labels))
+        if w is None:
+            return None
+        sigma[v] = w
+    for label, lv in tree.leaf_vertex.items():
+        sigma[lv] = tree.leaf_vertex[-label]
+    return sigma if trees._check_involution(tree, sigma) else None
+
+
+def search_variants(tree, rng):
+    """The tree, a copy with one internal length changed and a copy with two
+    leaf labels swapped, the last two built with no hint."""
+    out = [tree]
+    adj, leaves = tree._graph_copy()
+    edges = tree.internal_edges()
+    if edges:
+        u, v, length = rng.choice(edges)
+        adj[u][v] = adj[v][u] = length + rng.randint(1, 3)
+        out.append(SymbicTree(tree.n, adj, leaves))
+    adj, leaves = tree._graph_copy()
+    a, b = rng.sample(sorted(leaves), 2)
+    leaves[a], leaves[b] = leaves[b], leaves[a]
+    out.append(SymbicTree(tree.n, adj, leaves))
+    return out
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_side_mask_search_matches_distance_vectors(n, seed):
+    rng = random.Random(seed)
+    for tree in search_variants(random_regular_tree(n, rng), rng):
+        assert trees._find_involution(tree) == distance_vector_involution(tree)
+
+
+def test_side_mask_search_matches_distance_vectors_on_contractions():
+    rng = random.Random(0)
+    found = 0
+    for n in range(1, 5):
+        for tree in enumerate_regular(n):
+            for orbit in tree.split_orbits():
+                for face in search_variants(tree.contract_orbit(orbit), rng):
+                    sigma = trees._find_involution(face)
+                    assert sigma == distance_vector_involution(face)
+                    found += sigma is not None
+    assert found > 300
+
+
+def test_unhinted_flip_midpoint_gets_an_index_slot():
+    """The search builds the index before the flip midpoint exists, so the
+    midpoint's insertion must drop it."""
+    # cherries (1, 2') and (2, 1') joined by one edge that the involution flips
+    edges = [(0, 1, 2), (10, 0, None), (11, 0, None), (12, 1, None), (13, 1, None)]
+    tree = build(2, edges, {1: 10, -2: 11, 2: 12, -1: 13})
+    (mid,) = tree.trunk()
+    assert mid not in (0, 1)
+    assert set(tree._index().slot) == set(tree.adj)
+    assert tree.distance(0, mid) == 1
+    flips = 0
+    for n in range(1, 5):
+        for regular in enumerate_regular(n):
+            # without the hint the midpoint is smoothed away and found again
+            rebuilt = SymbicTree(n, *regular._graph_copy())
+            assert set(rebuilt._index().slot) == set(rebuilt.adj)
+            trunk = rebuilt.trunk()
+            flips += len(trunk) == 1 and rebuilt.leaf_vertices().isdisjoint(rebuilt.adj[trunk[0]])
+    assert flips > 0
