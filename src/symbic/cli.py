@@ -26,7 +26,7 @@ from .matroid import (
 )
 from .shelling import shelling_check, shelling_order
 from .trees import SymbicTree, format_label, label_key
-from .tropical import TropMatrix, TropicalError, sym_trop_rank, trop_rank
+from .tropical import TropMatrix, sym_trop_rank, trop_rank
 
 
 class CommandError(Exception):
@@ -39,14 +39,12 @@ def _load_matrix(path: str) -> TropMatrix:
     p = Path(path)
     if not p.exists():
         raise CommandError("bad-input", f"no such file: {path}")
-    if p.suffix.lower() == ".csv":
-        with p.open(newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        return TropMatrix(rows)
     try:
-        data = json.loads(p.read_text())
-        return TropMatrix.from_json_dict(data)
-    except (json.JSONDecodeError, TropicalError) as exc:
+        if p.suffix.lower() == ".csv":
+            with p.open(newline="") as fh:
+                return TropMatrix([row for row in csv.reader(fh) if row])
+        return TropMatrix.from_json_dict(json.loads(p.read_text()))
+    except (OSError, ValueError, csv.Error) as exc:
         raise CommandError("bad-input", f"cannot read matrix from {path}: {exc}")
 
 
@@ -56,7 +54,7 @@ def _load_tree(path: str) -> SymbicTree:
         raise CommandError("bad-input", f"no such file: {path}")
     try:
         return SymbicTree.from_json_dict(json.loads(p.read_text()))
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError("bad-input", f"cannot read tree from {path}: {exc}")
 
 
@@ -319,13 +317,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CommandError as exc:
-        json.dump({"error": {"kind": exc.kind, "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        kind, message = exc.kind, str(exc)
+    except OSError as exc:  # an --out, --dot or --report file cannot be written
+        kind, message = "io", str(exc)
     except ValueError as exc:
-        json.dump({"error": {"kind": "invalid", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        kind, message = "invalid", str(exc)
+    json.dump({"error": {"kind": kind, "message": message}}, sys.stderr)
+    sys.stderr.write("\n")
+    return 1
 
 
 if __name__ == "__main__":

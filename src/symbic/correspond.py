@@ -21,6 +21,7 @@ from .tropical import (
 from .trees import (
     MalformedTreeError,
     SymbicTree,
+    format_label,
     label_key,
     tree_of_single_pair,
 )
@@ -149,7 +150,6 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
     translation under simultaneous tropical row/column scaling, so every
     pairwise distance is invariant on the matrix's lineality class.
     """
-    matrix.require_symmetric()
     rank = sym_trop_rank(matrix)
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
@@ -177,10 +177,11 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
     keeps parent pointers toward it.
     """
     labels = list(metric.labels)
+    x0 = labels[0]
     adj: dict[int, dict[int, Fraction]] = {0: {}}
     up: dict[int, int] = {}
-    pos: dict[int, int] = {labels[0]: 0}
-    placed = [labels[0]]
+    pos: dict[int, int] = {x0: 0}
+    placed = [x0]
     counter = 0
 
     def fresh() -> int:
@@ -188,8 +189,11 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         counter += 1
         return counter
 
+    def misfit(z: int, y: int) -> ReconstructionError:
+        path = f"({format_label(x0)}, {format_label(y)})"
+        return ReconstructionError(f"not a tree metric: cannot place {format_label(z)} on {path}")
+
     for z in labels[1:]:
-        x0 = placed[0]
         gammas = [
             (
                 (metric.distance(x0, z) + metric.distance(x0, y) - metric.distance(y, z)),
@@ -201,7 +205,7 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         gamma = best2 / 2
         stub = metric.distance(x0, z) - gamma
         if gamma < 0 or stub < 0:
-            raise ReconstructionError("metric is not a tree metric")
+            raise misfit(z, ystar)
         # walk from pos(x0) = 0 toward pos(ystar) for distance gamma
         steps = [pos[ystar]]
         while steps[-1] != 0:
@@ -211,7 +215,7 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         attach = 0
         while walked < gamma:
             if not steps:
-                raise ReconstructionError("metric is not a tree metric")
+                raise misfit(z, ystar)
             nxt = steps.pop()
             length = adj[attach][nxt]
             if walked + length <= gamma:
@@ -247,9 +251,9 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
 
     Rank-1 input degenerates to a star and is reported via
     :class:`RankOneMatrixError` rather than returned; the 1x1 case is the
-    honest single-pair tree.
+    honest single-pair tree.  The rebuilt tree must fit every leaf distance
+    exactly: that fit certifies the leaf metric as a tree metric.
     """
-    matrix.require_symmetric()
     if matrix.n == 1:
         return tree_of_single_pair()
     rank = sym_trop_rank(matrix)
@@ -260,25 +264,21 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
             "rank-one matrix: the tree degenerates to a star"
         )
     metric = leaf_metric_from_matrix(matrix)
-    bad = metric.four_point_violation()
-    if bad is not None:
-        raise ReconstructionError(f"four-point condition fails on {bad}")
     adj, pos = _steiner_tree(metric)
     # attach explicit leaf vertices
-    full_adj: dict[int, dict[int, Optional[Fraction]]] = {
-        u: dict(nbrs) for u, nbrs in adj.items()
-    }
     leaf_vertex = {}
-    nxt = max(full_adj) + 1
+    nxt = max(adj) + 1
     for label, vertex in pos.items():
-        full_adj[nxt] = {vertex: None}
-        full_adj[vertex][nxt] = None
+        adj[nxt] = {vertex: None}
+        adj[vertex][nxt] = None
         leaf_vertex[label] = nxt
         nxt += 1
-    tree = SymbicTree(matrix.n, full_adj, leaf_vertex)
+    tree = SymbicTree(matrix.n, adj, leaf_vertex)
     for x, y in itertools.combinations(tree.labels(), 2):
-        if tree.distance(tree.pos(x), tree.pos(y)) != metric.distance(x, y):
-            raise ReconstructionError("reconstructed tree does not fit the metric")
+        fitted, wanted = tree.distance(tree.pos(x), tree.pos(y)), metric.distance(x, y)
+        if fitted != wanted:
+            pair = f"({format_label(x)}, {format_label(y)})"
+            raise ReconstructionError(f"tree distance {fitted} at {pair}, metric {wanted}")
     violation = tree.validate()
     if violation is not None:
         raise ReconstructionError(f"reconstruction is not symbic: {violation}")

@@ -192,6 +192,8 @@ def egf_coefficients(which: str, order: int) -> RationalSeries:
 
 def count_regular(n: int, method: str = "recurrence") -> int:
     """Total number of n+n regular symbic trees by one of three routes."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if method == "egf":
         value = series_regular(max(n, 1)).egf_count(n)
         assert value.denominator == 1

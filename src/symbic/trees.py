@@ -332,14 +332,9 @@ class SymbicTree:
     # -- involution and validation ------------------------------------------
 
     def involution(self) -> dict[int, int]:
-        sigma = self._cache.get("sigma")
+        sigma = self._cache["sigma"]  # the verdict of _normalize, found or not
         if sigma is None:
-            sigma = _find_involution(self)
-            if sigma is None:
-                raise MalformedTreeError(
-                    "no length-preserving color-swapping symmetry"
-                )
-            self._cache["sigma"] = sigma
+            raise MalformedTreeError("no length-preserving color-swapping symmetry")
         return sigma
 
     def has_involution(self) -> bool:
@@ -983,7 +978,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
             adj[v][m] = half
             sigma[m] = m
             tree._cache.pop("index", None)
-        tree._cache["sigma"] = sigma
+    tree._cache["sigma"] = sigma
 
 
 def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:

@@ -129,6 +129,68 @@ def test_bad_input_gives_structured_error(tmp_path, capsys):
     assert main(["matrix-from-tree", "--tree", str(path)]) == 0
 
 
+def structured_error(capsys):
+    """The one JSON error object a failed command wrote to stderr."""
+    payload = json.loads(capsys.readouterr().err)
+    assert set(payload) == {"error"} and set(payload["error"]) == {"kind", "message"}
+    return payload["error"]
+
+
+def test_file_system_errors_give_structured_error(tmp_path, capsys):
+    matrix = write_matrix(tmp_path / "p3.json", [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]])
+    tree = tmp_path / "tree.json"
+    assert main(["tree-from-matrix", "--matrix", matrix, "--out", str(tree)]) == 0
+    capsys.readouterr()
+    # a directory where an input file should be
+    for argv in (["rank", "--matrix", str(tmp_path)],
+                 ["tree-from-matrix", "--matrix", str(tmp_path)],
+                 ["matrix-from-tree", "--tree", str(tmp_path)]):
+        assert main(argv) == 1
+        error = structured_error(capsys)
+        assert error["kind"] == "bad-input" and str(tmp_path) in error["message"]
+    # every --out, --dot and --report write, into a missing directory
+    unwritable = str(tmp_path / "no" / "such" / "dir" / "x")
+    for argv in (
+        ["count", "--n", "3", "--out", unwritable],
+        ["count", "--n", "3", "--method", "egf", "--out", unwritable],
+        ["rank", "--matrix", matrix, "--out", unwritable],
+        ["tree-from-matrix", "--matrix", matrix, "--out", unwritable],
+        ["tree-from-matrix", "--matrix", matrix, "--dot", unwritable],
+        ["matrix-from-tree", "--tree", str(tree), "--out", unwritable],
+        ["enumerate", "--n", "2", "--out", unwritable],
+        ["shelling", "--n", "2", "--out", unwritable],
+        ["matroid", "--n", "2", "--out", unwritable],
+        ["conjecture", "--n", "2", "--report", unwritable],
+        ["fan", "--n", "3", "--report", unwritable],
+    ):
+        assert main(argv) == 1, argv
+        error = structured_error(capsys)
+        assert error["kind"] == "io" and unwritable in error["message"]
+    # an existing directory as the output file
+    assert main(["count", "--n", "2", "--out", str(tmp_path)]) == 1
+    assert structured_error(capsys)["kind"] == "io"
+
+
+def test_csv_and_json_parse_errors_share_a_kind(tmp_path, capsys):
+    for rows in ([["1", "x"], ["0", "1"]], [["1", "0"], ["0"]], [["1/0", "0"], ["0", "1"]]):
+        table = tmp_path / "m.csv"
+        table.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        document = write_matrix(tmp_path / "m.json", rows)
+        for command in ("rank", "tree-from-matrix"):
+            kinds = []
+            for path in (str(table), document):
+                assert main([command, "--matrix", path]) == 1
+                kinds.append(structured_error(capsys)["kind"])
+            assert kinds == ["bad-input", "bad-input"]
+
+
+def test_negative_count_gives_structured_error(capsys):
+    for extra in ([], ["--method", "recurrence"], ["--method", "egf"],
+                  ["--method", "constructive"]):
+        assert main(["count", "--n", "-1", *extra]) == 1
+        assert structured_error(capsys) == {"kind": "invalid", "message": "n must be >= 0"}
+
+
 def test_size_cap_is_reported(capsys):
     assert main(["enumerate", "--n", "9"]) == 1
     payload = json.loads(capsys.readouterr().err)
@@ -159,6 +221,39 @@ def test_outputs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "entries, tree_digest, dot_digest",
+    [
+        ([["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+         "e54427efe74d85f9fcb118feaf851bc5badeb8f90d7478830bd4024ec29a5831",
+         "49da6f27de11f15250117c67d47571952fe17f609013c5f3bc64c90724288a8b"),
+        # the matrix of four_pair_chain_tree(1, 2, 3)
+        ([["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "2", "2"], ["0", "0", "2", "5"]],
+         "eda46a01442c970453c107af2ba009f2092301a85f497186887f083b71ee87be",
+         "660377af39c4c5e7e23a6b7f6e4bde6fa5cba95eeb55bd595ba1b2c84e92f975"),
+        # the matrix of random_regular_tree(6, random.Random(6))
+        ([["0", "0", "0", "0", "10/11", "0"],
+          ["0", "10/9", "10/9", "88/63", "0", "10/9"],
+          ["0", "10/9", "19/9", "10/9", "0", "19/9"],
+          ["0", "88/63", "10/9", "10/9", "0", "10/9"],
+          ["10/11", "0", "0", "0", "0", "0"],
+          ["0", "10/9", "19/9", "10/9", "0", "254/99"]],
+         "0ee21e5825426fe0075de17f65035d3096077654ce682ffbf1df8023222e681f",
+         "3d9928375e6b7dc4463eb8713c3c661f823096b57ca0839f609ef9f0ca38ece9"),
+    ],
+    ids=["permuted", "four-pair-chain", "random-n6"],
+)
+def test_tree_from_matrix_outputs_are_pinned(tmp_path, entries, tree_digest, dot_digest):
+    """The rebuilt tree's vertex ids and edge order reach both files; their
+    bytes must not move when the reconstruction's checks change."""
+    matrix = write_matrix(tmp_path / "m.json", entries)
+    out, dot = tmp_path / "tree.json", tmp_path / "tree.dot"
+    assert main(["tree-from-matrix", "--matrix", matrix,
+                 "--out", str(out), "--dot", str(dot)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == tree_digest
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
 
 
 @pytest.mark.parametrize(

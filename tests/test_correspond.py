@@ -1,12 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symbic import correspond
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import (
     NotRankTwoError,
     RankOneMatrixError,
+    ReconstructionError,
+    _steiner_tree,
     base_point,
     leaf_distances,
     leaf_metric_from_matrix,
@@ -17,7 +23,7 @@ from symbic.correspond import (
     tree_from_matrix,
 )
 from symbic.counting import enumerate_regular, random_regular_tree
-from symbic.trees import MalformedTreeError, tree_of_single_pair
+from symbic.trees import MalformedTreeError, SymbicTree, tree_of_single_pair
 from symbic.tropical import TropMatrix, rank_one_matrix, sym_trop_rank
 
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -163,8 +169,6 @@ def test_transpose_invariance():
         rebuilt = tree_from_matrix(matrix)
         swapped_leaves = {-l: v for l, v in rebuilt.leaf_vertex.items()}
         adj = {u: dict(nb) for u, nb in rebuilt.adj.items()}
-        from symbic.trees import SymbicTree
-
         swapped = SymbicTree(rebuilt.n, adj, swapped_leaves)
         assert swapped.canonical_key() == rebuilt.canonical_key()
 
@@ -226,9 +230,103 @@ def test_reconstructions_always_have_path_fixed_sets():
         assert rebuilt.validate() is None
 
 
-def test_reconstruction_error_on_cooked_metric():
+def test_reconstruction_error_on_cooked_metric(monkeypatch):
     # a symmetric matrix passing the rank test cannot fail the four-point
-    # condition, so force the error path directly
+    # condition, so hand the reconstruction a cooked metric directly
     metric = leaf_metric_from_matrix(PERMUTED)
     metric.dist[(1, -2)] = Fraction(99)
     assert metric.four_point_violation() is not None
+    monkeypatch.setattr(correspond, "leaf_metric_from_matrix", lambda matrix: metric)
+    with pytest.raises(ReconstructionError, match=r"\(\d+p?, \d+p?\)"):
+        tree_from_matrix(PERMUTED)
+
+
+def test_fit_check_names_its_witness(monkeypatch):
+    """A metric that Steiner insertion places but the rebuilt tree does not
+    fit is refused at the first mismatching pair, with both distances."""
+    metric = leaf_metric_from_matrix(PERMUTED)
+    metric.dist[(-1, -2)] = Fraction(99)
+    monkeypatch.setattr(correspond, "leaf_metric_from_matrix", lambda matrix: metric)
+    with pytest.raises(ReconstructionError, match=r"^tree distance 2 at \(1p, 2p\), metric 99$"):
+        tree_from_matrix(PERMUTED)
+
+
+# -- the reconstruction as it was, with the four-point pre-scan: the oracle ------
+
+
+def four_point_tree_from_matrix(matrix):
+    """``tree_from_matrix`` before the rebuilt tree's exact fit became its
+    only certificate: symmetry checked up front and the four-point condition
+    scanned before Steiner insertion."""
+    matrix.require_symmetric()
+    if matrix.n == 1:
+        return tree_of_single_pair()
+    rank = sym_trop_rank(matrix)
+    if rank > 2:
+        raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
+    if rank == 1:
+        raise RankOneMatrixError(
+            "rank-one matrix: the tree degenerates to a star"
+        )
+    metric = leaf_metric_from_matrix(matrix)
+    bad = metric.four_point_violation()
+    if bad is not None:
+        raise ReconstructionError(f"four-point condition fails on {bad}")
+    adj, pos = _steiner_tree(metric)
+    full_adj = {u: dict(nbrs) for u, nbrs in adj.items()}
+    leaf_vertex = {}
+    nxt = max(full_adj) + 1
+    for label, vertex in pos.items():
+        full_adj[nxt] = {vertex: None}
+        full_adj[vertex][nxt] = None
+        leaf_vertex[label] = nxt
+        nxt += 1
+    tree = SymbicTree(matrix.n, full_adj, leaf_vertex)
+    for x, y in itertools.combinations(tree.labels(), 2):
+        if tree.distance(tree.pos(x), tree.pos(y)) != metric.distance(x, y):
+            raise ReconstructionError("reconstructed tree does not fit the metric")
+    violation = tree.validate()
+    if violation is not None:
+        raise ReconstructionError(f"reconstruction is not symbic: {violation}")
+    return tree
+
+
+def reconstruction_outcome(reconstruct, matrix):
+    try:
+        return reconstruct(matrix).to_json_dict()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reconstruction_inputs(draw):
+    """Tree matrices with lineality shifts, tree matrices with a planted
+    rank-3 block, small-integer symmetric matrices and asymmetric ones."""
+    family = draw(st.sampled_from(["tree", "planted", "symmetric", "asymmetric"]))
+    if family in ("tree", "planted"):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        n = draw(st.integers(1 if family == "tree" else 3, 7))
+        shift = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        rows = [list(row) for row in matrix_from_tree(random_regular_tree(n, rng)).rows]
+        if family == "planted":
+            # d on the diagonal and c off it: the 3x3 minor of diag(1, 1, 1)
+            block = rng.sample(range(n), 3)
+            c, d = rng.randint(-3, 3), rng.randint(1, 4)
+            for i in block:
+                for j in block:
+                    rows[i][j] = c + d * (i == j)
+        return TropMatrix(rows).add(rank_one_matrix(shift))
+    n = draw(st.integers(1, 5) if family == "symmetric" else st.integers(2, 4))
+    entries = {(i, j): draw(st.integers(-2, 3)) for i in range(n) for j in range(n)}
+    if family == "symmetric":
+        return TropMatrix([[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    entries[0, 1] = entries[1, 0] + draw(st.integers(1, 3))
+    return TropMatrix([[entries[i, j] for j in range(n)] for i in range(n)])
+
+
+@given(reconstruction_inputs())
+@settings(max_examples=200, deadline=None)
+def test_reconstruction_matches_the_four_point_oracle(matrix):
+    assert reconstruction_outcome(tree_from_matrix, matrix) == reconstruction_outcome(
+        four_point_tree_from_matrix, matrix
+    )

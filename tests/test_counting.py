@@ -90,6 +90,13 @@ def test_counting_methods_agree():
     assert count_regular(8, "egf") == count_regular(8, "recurrence")
 
 
+@pytest.mark.parametrize("method", ["recurrence", "egf", "constructive"])
+def test_negative_n_is_refused_by_every_method(method):
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count_regular(n, method)
+
+
 def test_branch_shape_counts_match_recurrence():
     for k in range(1, 6):
         labels = tuple(range(1, k + 1))

@@ -127,6 +127,33 @@ def test_asymmetric_lengths_are_flagged():
     assert violation is not None and violation.condition == 3
 
 
+def test_missing_involution_is_searched_once(monkeypatch):
+    """Construction caches the search's verdict also when it finds no
+    involution, so later checks never search again."""
+    tree = random_regular_tree(4, random.Random(0))
+    sigma = tree.involution()
+    u, v, length = next(
+        (u, v, length) for u, v, length in tree.internal_edges() if sigma[v] != v
+    )
+    adj, leaves = tree._graph_copy()
+    adj[u][v] = adj[v][u] = length + 1
+    search = trees._find_involution
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return search(t)
+
+    monkeypatch.setattr(trees, "_find_involution", counted)
+    asymmetric = SymbicTree(4, adj, leaves)
+    for _ in range(2):
+        assert asymmetric.validate().condition == 3
+        assert not asymmetric.has_involution()
+    with pytest.raises(MalformedTreeError):
+        asymmetric.involution()
+    assert len(calls) == 1
+
+
 def test_zero_length_edges_are_contracted():
     edges = [
         (0, 1, 0), (1, 2, 1), (1, 3, 1),
