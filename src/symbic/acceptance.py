@@ -27,7 +27,7 @@ from .counting import (
     enumerate_regular,
     random_regular_tree,
 )
-from .fan import coarse_cell_count, refinement_check, signature, subdivision_witness
+from .fan import refinement_check, signature, subdivision_witness
 from .matroid import (
     basis_transition_check,
     cayley_matrix,
@@ -250,8 +250,9 @@ def criterion_fan() -> CriterionResult:
         bad = refinement_check(n, 3, catalogs[n])
         if bad is not None:
             return CriterionResult(6, "fan refinement", False, f"n={n}: {bad}")
-    count = coarse_cell_count(3, catalogs[3])
-    sizes = sorted(len(keys) for _, keys in subdivision_witness(3, catalogs[3]))
+    groups = subdivision_witness(3, catalogs[3])
+    count = len(groups)
+    sizes = sorted(len(keys) for _, keys in groups)
     ok = count == 9 and sizes == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     return CriterionResult(
         6,

@@ -216,12 +216,13 @@ def cmd_fan(args) -> int:
         f"- refinement check (3 generic samples per tree): {refined}",
     ]
     if bad is None:
-        cells = coarse_cell_count(args.n, catalog)
+        # at n = 3 the signature groups are reported too; their count is the cell count
+        groups = subdivision_witness(3, catalog) if args.n == 3 else None
+        cells = coarse_cell_count(args.n, catalog) if groups is None else len(groups)
         total = count_regular(args.n)
         print(f"coarse cells: {cells} over {total} tree cones")
         lines.append(f"- distinct coarse signatures: {cells} over {total} tree cones")
-        if args.n == 3:
-            groups = subdivision_witness(3, catalog)
+        if groups is not None:
             sizes = sorted(len(keys) for _, keys in groups)
             lines += ["", "Signature group sizes: " + str(sizes), ""]
             for i, (_, keys) in enumerate(groups, start=1):

@@ -8,14 +8,17 @@ are exact: rationals in, rationals out, tolerance zero.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 from .tropical import (
     TropMatrix,
     TropicalError,
+    _grid_scale,
+    _integer_grid,
     canonicalize_mod_lineality,
-    hilbert_distance,
     sym_trop_rank,
 )
 from .trees import (
@@ -149,22 +152,27 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
     coordinates min_l (M_kl - M_jl).  Both positions shift by a common
     translation under simultaneous tropical row/column scaling, so every
     pairwise distance is invariant on the matrix's lineality class.
+
+    Positions and distances are computed on the matrix scaled once to its
+    integer grid (see :func:`symbic.tropical._integer_grid`): a distance
+    there is L times the rational one, with L the lcm of the entries'
+    denominators, and becomes a ``Fraction`` only at the end.
     """
     rank = sym_trop_rank(matrix)
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
     n = matrix.n
-    position: dict[int, tuple[Fraction, ...]] = {}
-    for i in range(1, n + 1):
-        position[i] = matrix.column(i)
-        position[-i] = tuple(
-            min(matrix.entry(k, l) - matrix.entry(i, l) for l in range(1, n + 1))
-            for k in range(1, n + 1)
-        )
+    scale = _grid_scale(matrix)
+    grid = _integer_grid(matrix)
+    position: dict[int, list[int]] = {}
+    for i, row_i in enumerate(grid, start=1):
+        position[i] = [row[i - 1] for row in grid]
+        position[-i] = [min(map(sub, row_k, row_i)) for row_k in grid]
     labels = [s * i for i in range(1, n + 1) for s in (1, -1)]
     dist = {}
     for x, y in itertools.combinations(labels, 2):
-        dist[(x, y)] = hilbert_distance(position[x], position[y])
+        diffs = list(map(sub, position[x], position[y]))
+        dist[(x, y)] = Fraction(max(diffs) - min(diffs), scale)
     return LeafMetric(labels, dist)
 
 
@@ -175,10 +183,19 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
     position vertex of every label).  Labels may share positions.  Every
     walk starts at vertex 0, the position of the first label, so the tree
     keeps parent pointers toward it.
+
+    The walk runs on integers: every distance times twice the lcm of the
+    metric's denominators, which makes each Gromov product gamma integral.
+    Edge lengths become ``Fraction``s once, on return.
     """
     labels = list(metric.labels)
     x0 = labels[0]
-    adj: dict[int, dict[int, Fraction]] = {0: {}}
+    scale = 2 * math.lcm(*(d.denominator for d in metric.dist.values()))
+    dist: dict[tuple[int, int], int] = {(x0, x0): 0}
+    for x, y in itertools.combinations(labels, 2):
+        d = metric.distance(x, y)
+        dist[x, y] = dist[y, x] = d.numerator * (scale // d.denominator)
+    adj: dict[int, dict[int, int]] = {0: {}}
     up: dict[int, int] = {}
     pos: dict[int, int] = {x0: 0}
     placed = [x0]
@@ -194,16 +211,9 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         return ReconstructionError(f"not a tree metric: cannot place {format_label(z)} on {path}")
 
     for z in labels[1:]:
-        gammas = [
-            (
-                (metric.distance(x0, z) + metric.distance(x0, y) - metric.distance(y, z)),
-                y,
-            )
-            for y in placed
-        ]
-        best2, ystar = max(gammas)
-        gamma = best2 / 2
-        stub = metric.distance(x0, z) - gamma
+        best2, ystar = max((dist[x0, z] + dist[x0, y] - dist[y, z], y) for y in placed)
+        gamma = best2 // 2
+        stub = dist[x0, z] - gamma
         if gamma < 0 or stub < 0:
             raise misfit(z, ystar)
         # walk from pos(x0) = 0 toward pos(ystar) for distance gamma
@@ -211,7 +221,7 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
         while steps[-1] != 0:
             steps.append(up[steps[-1]])
         steps.pop()
-        walked = Fraction(0)
+        walked = 0
         attach = 0
         while walked < gamma:
             if not steps:
@@ -242,7 +252,7 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
             up[w] = attach
             pos[z] = w
         placed.append(z)
-    return adj, pos
+    return {u: {v: Fraction(l, scale) for v, l in nb.items()} for u, nb in adj.items()}, pos
 
 
 def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:

@@ -1,14 +1,17 @@
 """Exact min-plus linear algebra: tropical rank tests and the Hilbert metric.
 
 Entries are ``fractions.Fraction``.  The two rank scans, :func:`trop_rank`
-and :func:`sym_trop_rank`, and the fan signatures (``symbic.fan``) run on
-the matrix scaled once to an exact integer grid (see :func:`_integer_grid`).
-The "minimum attained twice" predicates that define tropical rank are not
-robust under floating point, so no float ever enters these computations.
+and :func:`sym_trop_rank`, the fan signatures (``symbic.fan``) and the leaf
+metric of ``symbic.correspond`` run on the matrix scaled once to an exact
+integer grid (see :func:`_integer_grid`), and ``Fraction``s are made again
+only for their results.  The "minimum attained twice" predicates that
+define tropical rank are not robust under floating point, so no float ever
+enters these computations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -217,8 +220,13 @@ def _integer_grid(m: TropMatrix) -> list[list[int]]:
     set and its ordinary and symmetric degeneracy: the rank scans and the
     fan signatures may run on this grid exactly.
     """
-    scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+    scale = _grid_scale(m)
     return [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+
+
+def _grid_scale(m: TropMatrix) -> int:
+    """The lcm L of the denominators of the entries of ``m``."""
+    return math.lcm(*(x.denominator for row in m.rows for x in row))
 
 
 def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bool:
@@ -229,29 +237,68 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     The symmetric scan visits a minor (R, C) only when C >= R.  On a
     symmetric grid the transpose minor (C, R) has the same entry sums, its
     argmin permutations are the inverses, and a permutation and its inverse
-    pick the same unordered pairs {r, c}: the same monomial set.
+    pick the same unordered pairs {r, c}: the same monomial set.  A minor
+    is then degenerate iff its argmin permutations fall into at least two
+    of its monomial classes (see :func:`_monomial_classes`), which are
+    computed on the minor's first tied argmin and kept for later scans (a
+    table of all minors built up front takes about 1 s at n = 8, some 20
+    scans of a random 8 x 8 matrix).
 
-    The permutations are listed once per call: k! tuples, about 50 MB at
-    the 9 x 9 cap.  A fresh generator per minor would save that memory but
-    is 15-20 % slower at k = 2..4, where the scans spend their time.
+    The column sets and their pickers are cached per (n, k).  The k!
+    permutations are listed per call, so that no 9!-sized list (about
+    50 MB) stays resident; a generator per minor would be 15-20 % slower.
     """
+    combos, pickers, classes_of, interned = _minor_plan(len(grid), k)
     perms = list(itertools.permutations(range(k)))
-    combos = list(itertools.combinations(range(len(grid)), k))
-    pickers = [itemgetter(*cols) for cols in combos]
     for first, rows in enumerate(combos):
         sub = [grid[r] for r in rows]
-        start = first if symmetric else 0
-        for cols, pick in zip(combos[start:], pickers[start:]):
+        for second in range(first if symmetric else 0, len(combos)):
+            pick = pickers[second]
             block = [pick(row) for row in sub]
             totals = [sum(map(getitem, block, p)) for p in perms]
             best = min(totals)
             if totals.count(best) < 2:
                 return False
             if symmetric:
-                argmin = [p for p, total in zip(perms, totals) if total == best]
-                if len({_monomial(rows, cols, p) for p in argmin}) < 2:
+                classes = classes_of.get((first, second))
+                if classes is None:
+                    classes = _monomial_classes(rows, combos[second], perms)
+                    classes = classes_of[first, second] = interned.setdefault(classes, classes)
+                if len({c for c, total in zip(classes, totals) if total == best}) < 2:
                     return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict, dict]:
+    """The k-subsets of range(n) in scan order, a column picker for each,
+    and two dicts that the symmetric scan fills: the monomial classes of a
+    minor by its (row set, column set) indices, and one shared copy of each
+    distinct classes tuple (the 3 x 3 minors have two).  None of it depends
+    on matrix entries, so every scan of an n x n matrix may share it."""
+    combos = tuple(itertools.combinations(range(n), k))
+    return combos, tuple(itemgetter(*cols) for cols in combos), {}, {}
+
+
+def _monomial_classes(
+    rows: Sequence[int], cols: Sequence[int], perms: Sequence[Permutation]
+) -> tuple[int, ...]:
+    """Per permutation of the minor (rows, cols), in ``perms`` order, the
+    index of its monomial (see :func:`_monomial`) among the minor's distinct
+    monomials, numbered in order of first appearance.
+
+    A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
+    (c, r), so it is coded without sorting as a sum of 2-bit digits, one
+    place per pair: no digit carries, and equal codes are equal monomials.
+    """
+    places: dict[tuple[int, int], int] = {}
+    block = [
+        [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
+        for r in rows
+    ]
+    codes = [sum(map(getitem, block, p)) for p in perms]
+    index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
+    return tuple(map(index.__getitem__, codes))
 
 
 def hilbert_distance(x: Sequence[object], y: Sequence[object]) -> Fraction:

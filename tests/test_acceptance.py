@@ -69,6 +69,19 @@ def test_criterion_6_enumerates_each_catalog_once(monkeypatch):
     assert calls == [3, 4]
 
 
+def test_criterion_6_signs_the_n3_catalog_once_past_the_refinement(monkeypatch):
+    calls = []
+    original = symbic.fan.signature_by_tree
+
+    def counted(n, catalog=None):
+        calls.append(n)
+        return original(n, catalog)
+
+    monkeypatch.setattr(symbic.fan, "signature_by_tree", counted)
+    assert acceptance.criterion_fan().passed
+    assert calls == [3]
+
+
 def test_criterion_7_matroid():
     result = acceptance.criterion_matroid()
     _report(result)

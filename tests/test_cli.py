@@ -306,6 +306,22 @@ def test_fan_enumerates_once(monkeypatch, capsys):
     assert "exceeds fan cap 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_fan_signs_the_catalog_once_past_the_refinement(monkeypatch, n):
+    """The coarse cell count and, at n = 3, the signature groups come from
+    one signing of the catalog at the first generic sample."""
+    calls = []
+    original = symbic.fan.signature_by_tree
+
+    def counted(n, catalog=None):
+        calls.append(n)
+        return original(n, catalog)
+
+    monkeypatch.setattr(symbic.fan, "signature_by_tree", counted)
+    assert main(["fan", "--n", str(n)]) == 0
+    assert calls == [n]
+
+
 # -- fuzzing the loaders --------------------------------------------------------
 
 KEYS = st.sampled_from(["n", "u", "v", "len", "edges", "leaves", "vertices", "entries", "1", "1p"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from symbic import correspond
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import (
+    LeafMetric,
     NotRankTwoError,
     RankOneMatrixError,
     ReconstructionError,
@@ -23,8 +24,14 @@ from symbic.correspond import (
     tree_from_matrix,
 )
 from symbic.counting import enumerate_regular, random_regular_tree
-from symbic.trees import MalformedTreeError, SymbicTree, tree_of_single_pair
-from symbic.tropical import TropMatrix, rank_one_matrix, sym_trop_rank
+from symbic.trees import MalformedTreeError, SymbicTree, format_label, tree_of_single_pair
+from symbic.tropical import (
+    TropicalError,
+    TropMatrix,
+    hilbert_distance,
+    rank_one_matrix,
+    sym_trop_rank,
+)
 
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
@@ -251,13 +258,105 @@ def test_fit_check_names_its_witness(monkeypatch):
         tree_from_matrix(PERMUTED)
 
 
-# -- the reconstruction as it was, with the four-point pre-scan: the oracle ------
+# -- the reconstruction as it was, in Fraction arithmetic with the four-point ---
+# -- pre-scan: the oracle ---------------------------------------------------------
+
+
+def fraction_leaf_metric(matrix):
+    """``leaf_metric_from_matrix`` in ``Fraction`` arithmetic: positions in
+    the tropical convex hull of the columns, one ``hilbert_distance`` per
+    label pair."""
+    rank = sym_trop_rank(matrix)
+    if rank > 2:
+        raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
+    n = matrix.n
+    position = {}
+    for i in range(1, n + 1):
+        position[i] = matrix.column(i)
+        position[-i] = tuple(
+            min(matrix.entry(k, l) - matrix.entry(i, l) for l in range(1, n + 1))
+            for k in range(1, n + 1)
+        )
+    labels = [s * i for i in range(1, n + 1) for s in (1, -1)]
+    dist = {}
+    for x, y in itertools.combinations(labels, 2):
+        dist[(x, y)] = hilbert_distance(position[x], position[y])
+    return LeafMetric(labels, dist)
+
+
+def fraction_steiner_tree(metric):
+    """``_steiner_tree`` in ``Fraction`` arithmetic: the same insertion
+    order, walk, edge splits, vertex numbering and errors."""
+    labels = list(metric.labels)
+    x0 = labels[0]
+    adj = {0: {}}
+    up = {}
+    pos = {x0: 0}
+    placed = [x0]
+    counter = 0
+
+    def fresh():
+        nonlocal counter
+        counter += 1
+        return counter
+
+    def misfit(z, y):
+        path = f"({format_label(x0)}, {format_label(y)})"
+        return ReconstructionError(f"not a tree metric: cannot place {format_label(z)} on {path}")
+
+    for z in labels[1:]:
+        gammas = [
+            (metric.distance(x0, z) + metric.distance(x0, y) - metric.distance(y, z), y)
+            for y in placed
+        ]
+        best2, ystar = max(gammas)
+        gamma = best2 / 2
+        stub = metric.distance(x0, z) - gamma
+        if gamma < 0 or stub < 0:
+            raise misfit(z, ystar)
+        steps = [pos[ystar]]
+        while steps[-1] != 0:
+            steps.append(up[steps[-1]])
+        steps.pop()
+        walked = Fraction(0)
+        attach = 0
+        while walked < gamma:
+            if not steps:
+                raise misfit(z, ystar)
+            nxt = steps.pop()
+            length = adj[attach][nxt]
+            if walked + length <= gamma:
+                walked += length
+                attach = nxt
+            else:
+                mid = fresh()
+                first = gamma - walked
+                second = length - first
+                del adj[attach][nxt]
+                del adj[nxt][attach]
+                adj[mid] = {attach: first, nxt: second}
+                adj[attach][mid] = first
+                adj[nxt][mid] = second
+                up[mid], up[nxt] = attach, mid
+                attach = mid
+                walked = gamma
+        if stub == 0:
+            pos[z] = attach
+        else:
+            w = fresh()
+            adj[w] = {attach: stub}
+            adj[attach][w] = stub
+            up[w] = attach
+            pos[z] = w
+        placed.append(z)
+    return adj, pos
 
 
 def four_point_tree_from_matrix(matrix):
     """``tree_from_matrix`` before the rebuilt tree's exact fit became its
-    only certificate: symmetry checked up front and the four-point condition
-    scanned before Steiner insertion."""
+    only certificate and before the leaf metric and the Steiner insertion
+    moved to the integer grid: symmetry checked up front, the four-point
+    condition scanned before Steiner insertion, all in ``Fraction``s."""
     matrix.require_symmetric()
     if matrix.n == 1:
         return tree_of_single_pair()
@@ -268,11 +367,11 @@ def four_point_tree_from_matrix(matrix):
         raise RankOneMatrixError(
             "rank-one matrix: the tree degenerates to a star"
         )
-    metric = leaf_metric_from_matrix(matrix)
+    metric = fraction_leaf_metric(matrix)
     bad = metric.four_point_violation()
     if bad is not None:
         raise ReconstructionError(f"four-point condition fails on {bad}")
-    adj, pos = _steiner_tree(metric)
+    adj, pos = fraction_steiner_tree(metric)
     full_adj = {u: dict(nbrs) for u, nbrs in adj.items()}
     leaf_vertex = {}
     nxt = max(full_adj) + 1
@@ -330,3 +429,55 @@ def test_reconstruction_matches_the_four_point_oracle(matrix):
     assert reconstruction_outcome(tree_from_matrix, matrix) == reconstruction_outcome(
         four_point_tree_from_matrix, matrix
     )
+
+
+def outcome(compute, *args):
+    """What ``compute`` returns, or the class and message of its error as
+    one string."""
+    try:
+        return compute(*args)
+    except TropicalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def ordered(adj):
+    """Adjacency with its insertion orders, which the tree built from it
+    inherits."""
+    return [(u, list(nbrs.items())) for u, nbrs in adj.items()]
+
+
+@given(
+    reconstruction_inputs(),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=7, max_size=7),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_reconstruction_matches_the_fraction_oracle(matrix, shift, data):
+    """On every input, shifted along the lineality space by a vector with
+    mixed denominators, the integer leaf metric equals the ``Fraction`` one
+    exactly, or both refuse the matrix alike; Steiner insertion on it, and
+    on the metric with one distance cooked, gives the oracle's adjacency,
+    lengths, vertex numbering and positions, or the same error."""
+    if matrix.is_symmetric():
+        matrix = matrix.add(rank_one_matrix(shift[: matrix.n]))
+    metric = outcome(leaf_metric_from_matrix, matrix)
+    oracle = outcome(fraction_leaf_metric, matrix)
+    if isinstance(oracle, str):
+        assert metric == oracle
+        return
+    assert metric.labels == oracle.labels
+    assert metric.dist == oracle.dist
+    assert all(type(d) is Fraction for d in metric.dist.values())
+    # one distance to the last label moved: Steiner insertion places some
+    # such metrics (the exact fit refuses them later) and not others
+    cooked = LeafMetric(metric.labels, dict(metric.dist))
+    pair = data.draw(st.sampled_from(sorted(p for p in metric.dist if metric.labels[-1] in p)))
+    cooked.dist[pair] += data.draw(st.fractions(min_value=-1, max_value=3, max_denominator=6))
+    for m in (metric, cooked):
+        got, want = outcome(_steiner_tree, m), outcome(fraction_steiner_tree, m)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert ordered(got[0]) == ordered(want[0])
+            assert all(type(l) is Fraction for nbrs in got[0].values() for l in nbrs.values())
+            assert list(got[1].items()) == list(want[1].items())

@@ -15,6 +15,9 @@ from symbic.tropical import (
     MinorSizeError,
     TropMatrix,
     TropicalError,
+    _minor_plan,
+    _monomial,
+    _monomial_classes,
     canonicalize_mod_lineality,
     hilbert_distance,
     parse_rational,
@@ -394,6 +397,33 @@ def rank_matrices(draw):
 # rank 3, though every 3x3 minor (R, C) with C >= R is degenerate: a scan
 # that skipped transpose minors of an asymmetric matrix would return 2
 @example(TropMatrix([[2, 1, 1, 1], [1, 0, 0, 0], [2, 2, 1, 1], [0, 4, 0, 0]]))
+# an n = 6 tree matrix with its last three indices overwritten by 0 on the
+# diagonal and K off it, K above every other entry: symmetric rank 4
+@example(
+    TropMatrix(
+        [
+            ["0", "0", "0", "0", "10/11", "0"],
+            ["0", "10/9", "10/9", "88/63", "0", "10/9"],
+            ["0", "10/9", "19/9", "10/9", "0", "19/9"],
+            ["0", "88/63", "10/9", "0", "353/99", "353/99"],
+            ["10/11", "0", "0", "353/99", "0", "353/99"],
+            ["0", "10/9", "19/9", "353/99", "353/99", "0"],
+        ]
+    )
+)
+# an n = 6 tree matrix shifted by x_i + x_j, x with denominators 1 to 6
+@example(
+    TropMatrix(
+        [
+            ["1", "-1/6", "91/12", "1/2", "13/3", "7/2"],
+            ["-1/6", "-4/3", "659/84", "-2/3", "19/6", "7/3"],
+            ["91/12", "659/84", "5/2", "5/4", "1/12", "17/4"],
+            ["1/2", "-2/3", "5/4", "1/11", "-7/6", "34/11"],
+            ["13/3", "19/6", "1/12", "-7/6", "-7/3", "11/6"],
+            ["7/2", "7/3", "17/4", "34/11", "11/6", "167/22"],
+        ]
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_rank_scans_match_the_definition(m):
     assert trop_rank(m) == oracle_rank(m, symmetric=False)
@@ -402,3 +432,59 @@ def test_rank_scans_match_the_definition(m):
     else:
         with pytest.raises(TropicalError):
             sym_trop_rank(m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_monomial_classes_number_the_sorted_monomials(k):
+    """Two permutations of a minor share a class iff ``_monomial`` gives
+    them the same sorted monomial, and classes count up from 0 in order of
+    first appearance."""
+    perms = list(itertools.permutations(range(k)))
+    combos = list(itertools.combinations(range(1, 7), k))
+    for rows, cols in itertools.product(combos, repeat=2):
+        classes = _monomial_classes(rows, cols, perms)
+        first_seen = {}
+        for p, c in zip(perms, classes):
+            assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
+
+
+def random_symmetric(n, rng, high):
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entries[i][j] = entries[j][i] = rng.randint(0, high)
+    return TropMatrix(entries)
+
+
+def memoized_classes(n):
+    """The monomial classes memoized for n x n matrices, one entry per minor."""
+    return sum(len(_minor_plan(n, k)[2]) for k in range(2, n + 1))
+
+
+def test_monomial_classes_are_computed_lazily():
+    """The symmetric scan keeps the classes of only the minors whose argmin
+    it found tied.  An eager table for 8 x 8 matrices would hold one entry
+    per minor (R, C) with C >= R: 6526 of them."""
+    _minor_plan.cache_clear()
+    m = random_symmetric(8, random.Random(0), 9)
+    rank = sym_trop_rank(m)
+    assert 0 < memoized_classes(8) < 10
+    # a second scan of the same matrix reads the memo and adds nothing
+    before = memoized_classes(8)
+    assert sym_trop_rank(m) == rank
+    assert memoized_classes(8) == before
+    # the ordinary scan never computes classes
+    trop_rank(random_symmetric(8, random.Random(1), 3))
+    assert memoized_classes(8) == before
+
+
+def test_equal_monomial_classes_are_shared():
+    _minor_plan.cache_clear()
+    rng = random.Random(5)
+    for _ in range(20):
+        sym_trop_rank(random_symmetric(5, rng, 2))
+    for k in range(2, 6):
+        _, _, classes_of, interned = _minor_plan(5, k)
+        assert set(map(id, classes_of.values())) == set(map(id, interned.values()))
+        assert len(interned) <= len(classes_of)
+    assert len(_minor_plan(5, 3)[3]) < len(_minor_plan(5, 3)[2])
