@@ -30,7 +30,6 @@ from .counting import (
     egf_coefficients,
     enumerate_faces,
     enumerate_regular,
-    face_catalog,
     random_regular_tree,
     series_full_trunk,
     series_one_vertex_trunk,

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .trees import Orbit, SymbicTree
+from .trees import Orbit, SymbicTree, _mask_labels, _row_bits
 
 SERIES_ORDER_CAP = 30
 ENUM_CAP = 7
@@ -351,14 +351,13 @@ def _assemble_tree(
     return SymbicTree(n, adj, leaf_vertex, involution_hint=sigma)
 
 
-def enumerate_regular(n: int) -> TreeCatalog:
-    """Constructive catalog of all regular n+n symbic trees: set partitions
-    into trunk blocks (ordered up to reversal), each block realized by every
-    one-vertex-trunk branch structure."""
+def _regular_codes(n: int) -> Iterator[tuple[tuple, tuple]]:
+    """Every regular n+n cell as the (block sequence, branch structures) code
+    that :func:`_assemble_tree` consumes: set partitions into trunk blocks
+    (ordered up to reversal), each block realized by every one-vertex-trunk
+    branch structure."""
     if n < 1:
         raise ValueError("n must be >= 1 (n=0 counts the empty tree)")
-    if n > ENUM_CAP:
-        raise SizeCapError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     shapes_memo: dict[tuple[int, ...], list] = {}
 
     def shapes(block: tuple[int, ...]) -> list:
@@ -366,7 +365,6 @@ def enumerate_regular(n: int) -> TreeCatalog:
             shapes_memo[block] = colored_branch_shapes(block)
         return shapes_memo[block]
 
-    trees: dict[frozenset, SymbicTree] = {}
     for partition in set_partitions(tuple(range(1, n + 1))):
         blocks = [tuple(sorted(b)) for b in partition]
         if len(blocks) == 1:
@@ -379,11 +377,57 @@ def enumerate_regular(n: int) -> TreeCatalog:
             ]
         for seq in orders:
             for combo in itertools.product(*(shapes(b) for b in seq)):
-                tree = _assemble_tree(n, seq, combo)
-                key = tree.canonical_key()
-                if key in trees:
-                    raise AssertionError("duplicate combinatorial type generated")
-                trees[key] = tree
+                yield seq, combo
+
+
+def _code_orbits(
+    n: int, seq: Sequence[tuple[int, ...]], combo: Sequence[object]
+) -> frozenset:
+    """The split orbits of ``_assemble_tree(n, seq, combo)``, read off the
+    code.  A trunk edge is a one-split orbit: the blocks before it, in both
+    colors.  A non-leaf subtree S of a branch structure is the orbit
+    {S, swap(S)} of the edge above it and its mirror.  Sides are label
+    masks, normalized as in :meth:`SymbicTree.splits` to the side without
+    +1.  On a one-vertex trunk the two branch edges smooth into one edge
+    with a fixed midpoint, whose split is S | swap(S): the same orbit."""
+    full = (1 << 2 * n) - 1
+    rows = _row_bits(n)
+
+    def split(mask: int) -> frozenset:
+        return _mask_labels(mask ^ full if mask & 1 else mask)
+
+    orbits = []
+    before = 0
+    for block in seq[:-1]:
+        for label in block:
+            before |= 3 << 2 * label - 2
+        orbits.append(frozenset((split(before),)))
+
+    def walk(structure) -> int:
+        if isinstance(structure, int):
+            return 1 << (2 * structure - 2 if structure > 0 else -2 * structure - 1)
+        mask = walk(structure[1]) | walk(structure[2])
+        mirror = (mask & rows) << 1 | mask >> 1 & rows
+        orbits.append(frozenset((split(mask), split(mirror))))
+        return mask
+
+    for structure in combo:
+        walk(structure)
+    return frozenset(orbits)
+
+
+def enumerate_regular(n: int) -> TreeCatalog:
+    """Constructive catalog of all regular n+n symbic trees: one tree per
+    code of :func:`_regular_codes`, keyed by its canonical key."""
+    if n > ENUM_CAP:
+        raise SizeCapError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
+    trees: dict[frozenset, SymbicTree] = {}
+    for seq, combo in _regular_codes(n):
+        tree = _assemble_tree(n, seq, combo)
+        key = tree.canonical_key()
+        if key in trees:
+            raise AssertionError("duplicate combinatorial type generated")
+        trees[key] = tree
     return TreeCatalog(n, trees)
 
 
@@ -433,37 +477,16 @@ def random_regular_tree(n: int, rng: random.Random) -> SymbicTree:
 # -- faces of the simplicial complex -----------------------------------------------
 
 
-def face_catalog(n: int) -> dict[frozenset, SymbicTree]:
-    """Every face (nonempty orbit subset of a maximal cell) of the complex
-    of n+n symbic trees, with a representative contracted tree.  The empty
-    face is the lineality class and is excluded."""
-    if n > FACE_CAP:
-        raise SizeCapError(f"n={n} exceeds face enumeration cap {FACE_CAP}")
-    faces: dict[frozenset, SymbicTree] = {}
-    for tree in enumerate_regular(n):
-        orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
-        for r in range(1, len(orbits) + 1):
-            for keep in itertools.combinations(orbits, r):
-                key = frozenset(keep)
-                if key in faces:
-                    continue
-                face = tree
-                for orbit in orbits:
-                    if orbit not in key:
-                        face = face.contract_orbit(orbit)
-                faces[key] = face
-    return faces
-
-
 def enumerate_faces(n: int) -> dict[int, set[frozenset]]:
-    """Map dimension (number of surviving orbits) -> set of face keys: the
-    keys of :func:`face_catalog`, read off the cells without building the
-    contracted trees."""
+    """Map dimension (number of surviving orbits) -> set of face keys.  A
+    face is a nonempty subset of a cell's split orbits (the empty face is
+    the lineality class and is excluded); the orbits are read off each
+    cell's code by :func:`_code_orbits`, so no tree is built."""
     if n > FACE_CAP:
         raise SizeCapError(f"n={n} exceeds face enumeration cap {FACE_CAP}")
     by_dim: dict[int, set[frozenset]] = {}
-    for tree in enumerate_regular(n):
-        orbits = tree.split_orbits()
+    for seq, combo in _regular_codes(n):
+        orbits = _code_orbits(n, seq, combo)
         for r in range(1, len(orbits) + 1):
             faces = map(frozenset, itertools.combinations(orbits, r))
             by_dim.setdefault(r, set()).update(faces)

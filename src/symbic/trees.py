@@ -20,6 +20,7 @@ Normal form maintained by the builder:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -92,7 +93,11 @@ class Branch(NamedTuple):
     labels: frozenset
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _mask_labels(mask: int) -> frozenset:
+    """The signed labels of a label mask, interned: every split of every tree
+    with the same mask shares one frozenset.  The cache holds every mask at
+    n <= 8 (fewer than 4**n each)."""
     return frozenset(
         b // 2 + 1 if b % 2 == 0 else -(b // 2 + 1)
         for b in range(mask.bit_length())
@@ -879,6 +884,17 @@ class SymbicTree:
 
 
 def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> None:
+    """Validate the raw graph, bring it to the normal form of the module
+    docstring in place, and record the involution (or None) in
+    ``_cache["sigma"]``.
+
+    The normal form is reached by rescanning the vertices after each single
+    change: contract a zero-length edge into the scanned vertex, drop a
+    degree-1 internal vertex, smooth a degree-2 vertex with two lengths, or
+    move a leaf edge off a stub.  The validation pass notes whether any
+    length is zero; when none is, the rescans skip the zero-edge test,
+    since smoothing sums positive lengths and the other moves make no new
+    length.  A valid ``involution_hint`` replaces the search."""
     adj, leaf_vertex = tree.adj, tree.leaf_vertex
     n = tree.n
     expected = {s * i for i in range(1, n + 1) for s in (1, -1)}
@@ -890,12 +906,16 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     for lv in leaves:
         if len(adj.get(lv, {})) != 1 or next(iter(adj[lv].values())) is not None:
             raise MalformedTreeError("each leaf needs one lengthless leaf edge")
+    has_zero = False
     for u, nbrs in adj.items():
         for v, length in nbrs.items():
-            if adj.get(v, {}).get(u, "missing") != length:
+            back = adj.get(v, {}).get(u, "missing")
+            if back is not length and back != length:
                 raise MalformedTreeError("asymmetric adjacency")
-            if length is not None and length < 0:
-                raise MalformedTreeError("negative edge length")
+            if length is not None:
+                if length < 0:
+                    raise MalformedTreeError("negative edge length")
+                has_zero = has_zero or not length
             if length is None and u not in leaves and v not in leaves:
                 raise MalformedTreeError("lengthless edge between internal vertices")
     edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
@@ -911,7 +931,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
             if v in leaves or v not in adj:
                 continue
             nbrs = adj[v]
-            zero = [w for w, L in nbrs.items() if L is not None and L == 0]
+            zero = has_zero and [w for w, L in nbrs.items() if L is not None and L == 0]
             if zero:
                 w = zero[0]
                 for t, L in list(adj[w].items()):
@@ -992,7 +1012,8 @@ def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
         if sigma[u] not in adj or sigma.get(sigma[u]) != u:
             return False
         for v, length in adj[u].items():
-            if adj.get(sigma[u], {}).get(sigma[v], "missing") != length:
+            image = adj.get(sigma[u], {}).get(sigma[v], "missing")
+            if image is not length and image != length:
                 return False
     return True
 

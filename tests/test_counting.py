@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,8 +6,12 @@ from fractions import Fraction
 import pytest
 
 from symbic.counting import (
+    FACE_CAP,
     RationalSeries,
     SizeCapError,
+    _assemble_tree,
+    _code_orbits,
+    _regular_codes,
     colored_branch_shapes,
     count_full_trunk,
     count_one_vertex_trunk,
@@ -14,7 +19,7 @@ from symbic.counting import (
     egf_coefficients,
     enumerate_faces,
     enumerate_regular,
-    face_catalog,
+    orbit_sort_key,
     random_regular_tree,
     series_full_trunk,
     series_one_vertex_trunk,
@@ -23,6 +28,29 @@ from symbic.counting import (
 )
 
 REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
+
+
+def face_catalog(n: int) -> dict:
+    """Every face (nonempty orbit subset of a maximal cell) of the complex
+    of n+n symbic trees, with a representative contracted tree.  The empty
+    face is the lineality class and is excluded.  The oracle of
+    enumerate_faces: its keys come from contracted trees."""
+    if n > FACE_CAP:
+        raise SizeCapError(f"n={n} exceeds face enumeration cap {FACE_CAP}")
+    faces: dict = {}
+    for tree in enumerate_regular(n):
+        orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
+        for r in range(1, len(orbits) + 1):
+            for keep in itertools.combinations(orbits, r):
+                key = frozenset(keep)
+                if key in faces:
+                    continue
+                face = tree
+                for orbit in orbits:
+                    if orbit not in key:
+                        face = face.contract_orbit(orbit)
+                faces[key] = face
+    return faces
 
 
 def test_one_vertex_trunk_recurrence():
@@ -154,6 +182,17 @@ def test_trunk_block_statistics_match_composition_formula():
             assert got == partitions * arrangements * shapes_product
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_code_orbits_match_the_assembled_trees(n):
+    """The orbits read off a code are those of the tree built from it."""
+    codes = 0
+    for seq, combo in _regular_codes(n):
+        tree = _assemble_tree(n, seq, combo)
+        assert _code_orbits(n, seq, combo) == tree.split_orbits()
+        codes += 1
+    assert codes == REGULAR_COUNTS[n]
+
+
 def test_enumeration_caps():
     with pytest.raises(SizeCapError):
         enumerate_regular(8)
@@ -203,9 +242,9 @@ def test_faces_match_the_face_catalog(n):
 
 
 def test_face_enumeration_caps():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match="n=6 exceeds face enumeration cap 5"):
         enumerate_faces(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n must be >= 1 \(n=0 counts"):
         enumerate_faces(0)
 
 
@@ -224,3 +263,5 @@ def test_catalog_n6_count_and_orbits():
     assert len(catalog) == count_regular(6, "egf")
     for key, tree in catalog.items():
         assert len(key) == 5
+    code_keys = {_code_orbits(6, seq, combo) for seq, combo in _regular_codes(6)}
+    assert code_keys == set(catalog.trees)

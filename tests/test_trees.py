@@ -645,3 +645,273 @@ def test_unhinted_flip_midpoint_gets_an_index_slot():
             trunk = rebuilt.trunk()
             flips += len(trunk) == 1 and rebuilt.leaf_vertices().isdisjoint(rebuilt.adj[trunk[0]])
     assert flips > 0
+
+
+# -- the restart-scan normalization as the oracle of _normalize ----------------
+
+
+def oracle_check_involution(tree, sigma):
+    adj = tree.adj
+    if not set(adj) <= set(sigma):
+        return False
+    for label, lv in tree.leaf_vertex.items():
+        if sigma.get(lv) != tree.leaf_vertex.get(-label):
+            return False
+    for u in adj:
+        if sigma[u] not in adj or sigma.get(sigma[u]) != u:
+            return False
+        for v, length in adj[u].items():
+            if adj.get(sigma[u], {}).get(sigma[v], "missing") != length:
+                return False
+    return True
+
+
+def oracle_find_involution(tree):
+    rows = trees._row_bits(tree.n)
+    leaves = tree.leaf_vertices()
+    by_sides = {
+        frozenset(tree._side_mask(v, w) for w in tree.adj[v]): v
+        for v in tree.adj
+        if v not in leaves
+    }
+    sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
+    for sides, v in by_sides.items():
+        w = by_sides.get(frozenset((m & rows) << 1 | m >> 1 & rows for m in sides))
+        if w is None:
+            return None
+        sigma[v] = w
+    return sigma if oracle_check_involution(tree, sigma) else None
+
+
+def oracle_normalize(tree, involution_hint):
+    """_normalize as it was before the zero-length scan was gated: every
+    rescan tests every edge of every vertex against 0, and both symmetry
+    checks compare lengths by value only."""
+    adj, leaf_vertex = tree.adj, tree.leaf_vertex
+    n = tree.n
+    expected = {s * i for i in range(1, n + 1) for s in (1, -1)}
+    if n < 1 or set(leaf_vertex) != expected:
+        raise MalformedTreeError("leaf labels must be exactly 1..n and 1'..n'")
+    leaves = set(leaf_vertex.values())
+    if len(leaves) != 2 * n:
+        raise MalformedTreeError("leaf vertices must be distinct")
+    for lv in leaves:
+        if len(adj.get(lv, {})) != 1 or next(iter(adj[lv].values())) is not None:
+            raise MalformedTreeError("each leaf needs one lengthless leaf edge")
+    for u, nbrs in adj.items():
+        for v, length in nbrs.items():
+            if adj.get(v, {}).get(u, "missing") != length:
+                raise MalformedTreeError("asymmetric adjacency")
+            if length is not None and length < 0:
+                raise MalformedTreeError("negative edge length")
+            if length is None and u not in leaves and v not in leaves:
+                raise MalformedTreeError("lengthless edge between internal vertices")
+    edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
+    if edge_count != len(adj) - 1:
+        raise MalformedTreeError("not a tree (wrong edge count)")
+    if len(trees._preorder(adj, next(iter(adj)))) != len(adj):
+        raise MalformedTreeError("not a tree (disconnected)")
+
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in leaves or v not in adj:
+                continue
+            nbrs = adj[v]
+            zero = [w for w, L in nbrs.items() if L is not None and L == 0]
+            if zero:
+                w = zero[0]
+                for t, L in list(adj[w].items()):
+                    if t == v:
+                        continue
+                    del adj[t][w]
+                    adj[v][t] = L
+                    adj[t][v] = L
+                adj[v].pop(w, None)
+                del adj[w]
+                changed = True
+                break
+            if len(nbrs) == 0:
+                raise MalformedTreeError("isolated internal vertex")
+            if len(nbrs) == 1:
+                (u,) = nbrs
+                del adj[u][v]
+                del adj[v]
+                changed = True
+                break
+            if len(nbrs) == 2:
+                (a, la), (b, lb) = nbrs.items()
+                if la is not None and lb is not None:
+                    del adj[a][v]
+                    del adj[b][v]
+                    del adj[v]
+                    adj[a][b] = la + lb
+                    adj[b][a] = la + lb
+                    changed = True
+                    break
+                if (la is None) != (lb is None):
+                    leaf_side, inner = (a, b) if la is None else (b, a)
+                    del adj[inner][v]
+                    del adj[v]
+                    adj[leaf_side] = {inner: None}
+                    adj[inner][leaf_side] = None
+                    changed = True
+                    break
+    if not any(v not in leaves for v in adj):
+        raise MalformedTreeError("tree has no internal vertex")
+
+    if involution_hint is not None and oracle_check_involution(tree, involution_hint):
+        sigma = {v: involution_hint[v] for v in adj}
+    else:
+        sigma = oracle_find_involution(tree)
+    if sigma is not None:
+        flipped = [
+            (u, v)
+            for u in adj
+            for v in adj[u]
+            if u < v and sigma.get(u) == v
+        ]
+        if flipped:
+            ((u, v),) = flipped
+            length = adj[u].pop(v)
+            del adj[v][u]
+            m = max(adj) + 1
+            half = length / 2
+            adj[m] = {u: half, v: half}
+            adj[u][m] = half
+            adj[v][m] = half
+            sigma[m] = m
+            tree._cache.pop("index", None)
+    tree._cache["sigma"] = sigma
+
+
+def raw_graph(n, rng):
+    """A random regular tree's graph, made messy: degree-2 chains, zero-length
+    edges and pendants, leaf stubs, equal lengths held by distinct objects;
+    sometimes broken outright.  Returns (n, adj, leaf_vertex, hint)."""
+    tree = random_regular_tree(n, rng)
+    adj, leaves = tree._graph_copy()
+    sigma = dict(tree.involution())
+    fresh = [max(adj) + 1]
+
+    def new_vertex():
+        fresh[0] += 1
+        adj[fresh[0]] = {}
+        return fresh[0]
+
+    def link(u, v, length):
+        adj[u][v] = adj[v][u] = length
+
+    def internal():
+        leafset = set(leaves.values())
+        return sorted(v for v in adj if v not in leafset)
+
+    def length_edges():
+        return sorted(
+            (u, v) for u in adj for v, L in adj[u].items() if L is not None and u < v
+        )
+
+    def piece():
+        return rng.choice([0, 1, Fraction(rng.randint(1, 5), rng.randint(1, 4))])
+
+    for _ in range(rng.randint(0, 5)):
+        move = rng.choice(["chain", "zero", "stub", "pendant", "copy"])
+        if move == "chain" and length_edges():
+            u, v = rng.choice(length_edges())
+            length = adj[u].pop(v)
+            del adj[v][u]
+            prev = u
+            for _ in range(rng.randint(1, 3)):
+                w = new_vertex()
+                cut = rng.choice([0, length, Fraction(length, 2), Fraction(length, 3)])
+                link(prev, w, cut)
+                length -= cut
+                prev = w
+            link(prev, v, length)
+        elif move == "zero":
+            u = rng.choice(internal())
+            w = new_vertex()
+            for t in [t for t in adj[u] if rng.random() < 0.5]:
+                link(w, t, adj[u].pop(t))
+                del adj[t][u]
+            link(u, w, Fraction(0))
+        elif move == "stub":
+            lv = leaves[rng.choice(sorted(leaves))]
+            (att,) = adj[lv]
+            del adj[lv][att], adj[att][lv]
+            s = new_vertex()
+            link(lv, s, None)
+            link(s, att, piece())
+        elif move == "pendant":
+            link(rng.choice(internal()), new_vertex(), piece())
+        elif move == "copy" and length_edges():
+            u, v = rng.choice(length_edges())
+            adj[u][v] = Fraction(adj[u][v])
+
+    on_edges = ["asym", "neg", "none", "cut", "missing", "lengths"]
+    broken = rng.choice([None] * 6 + on_edges + ["label", "twin"])
+    if broken in on_edges and not length_edges():
+        broken = None
+    if broken == "asym":
+        u, v = rng.choice(length_edges())
+        adj[u][v] = adj[u][v] + 1
+    elif broken == "neg":
+        u, v = rng.choice(length_edges())
+        link(u, v, Fraction(-1))
+    elif broken == "none":
+        u, v = rng.choice(length_edges())
+        link(u, v, None)
+    elif broken == "label":
+        leaves[n + 1] = leaves.pop(n)
+    elif broken == "twin":
+        leaves[1] = leaves[-1]
+    elif broken == "cut":
+        u, v = rng.choice(length_edges())
+        del adj[u][v], adj[v][u]
+        a, b = rng.sample(internal(), 2) if len(internal()) > 1 else (u, v)
+        if b not in adj[a]:
+            link(a, b, Fraction(1))
+    elif broken == "missing":
+        u, v = rng.choice(length_edges())
+        del adj[u][v]
+    elif broken == "lengths":
+        u, v = rng.choice(length_edges())
+        link(u, v, adj[u][v] + rng.randint(1, 3))
+
+    hint = rng.choice([
+        None,
+        sigma,
+        {**{v: v for v in adj}, **sigma},
+        {v: v for v in adj},
+        dict(zip(adj, rng.sample(sorted(adj), len(adj)))),
+    ])
+    return n, adj, leaves, hint
+
+
+def normalized(n, adj, leaves, hint, oracle):
+    """(ordered adjacency, leaf map, sigma) after normalizing copies of the
+    graph, or (exception class, message)."""
+    adj = {u: dict(nbrs) for u, nbrs in adj.items()}
+    hint = None if hint is None else dict(hint)
+    try:
+        if oracle:
+            tree = SymbicTree.__new__(SymbicTree)
+            tree.n, tree.adj, tree.leaf_vertex, tree._cache = n, adj, dict(leaves), {}
+            oracle_normalize(tree, hint)
+        else:
+            tree = SymbicTree(n, adj, dict(leaves), involution_hint=hint)
+    except Exception as exc:  # the same failure, class and message
+        return type(exc), str(exc)
+    return (
+        [(u, list(nbrs.items())) for u, nbrs in tree.adj.items()],
+        tree.leaf_vertex,
+        tree._cache["sigma"],
+    )
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_the_restart_scan_oracle(n, seed):
+    graph = raw_graph(n, random.Random(seed))
+    assert normalized(*graph, oracle=False) == normalized(*graph, oracle=True)
