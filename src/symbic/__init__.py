@@ -55,10 +55,7 @@ from .matroid import (
 )
 from .shelling import (
     EdgeOrder,
-    SymbicComplex,
     TreeComparator,
-    build_complex,
-    compare_trees,
     edge_order,
     reduce_by_twig,
     rule_order,

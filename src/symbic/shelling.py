@@ -9,9 +9,9 @@ by twig sequence and twig-reduced recursion.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .counting import TreeCatalog, cell_sort_key, enumerate_regular
+from .counting import TreeCatalog, enumerate_regular
 from .trees import MalformedTreeError, SymbicTree, label_key
 
 VERIFY_CAP = 6
@@ -87,15 +87,56 @@ def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
     return swapped
 
 
+def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
+    """Split orbits moved by a signed label map onto the labels it hits:
+    labels outside the map drop out of every split, a split left with fewer
+    than two labels on a side drops out (with its mirror, which has the same
+    sizes), and each split is stored as its side without +1, as
+    SymbicTree.splits stores it.  Deleting leaf pairs from a tree restricts
+    its splits and its involution, so this is the key of the tree with the
+    unmapped leaves deleted and the rest renamed."""
+    every = frozenset(label_map.values())
+    most = len(every) - 2
+    out = []
+    for orbit in orbits:
+        moved = []
+        for split in orbit:
+            side = frozenset(label_map[l] for l in split if l in label_map)
+            if not 2 <= len(side) <= most:
+                break
+            moved.append(every - side if 1 in side else side)
+        else:
+            out.append(frozenset(moved))
+    return frozenset(out)
+
+
+def _deletion_map(n: int) -> dict:
+    """Delete n, n': the labels of 1..n-1 keep their names."""
+    return {s * i: s * i for i in range(1, n) for s in (1, -1)}
+
+
+def _twig_map(n: int, twig: Sequence[int]) -> dict:
+    """reduce_by_twig as a label map: drop the twig's indices, renumber the
+    survivors in order, and swap the colors of the top survivor."""
+    survivors = [i for i in range(1, n + 1) if i not in twig]
+    label_map = {s * i: s * j for j, i in enumerate(survivors, start=1) for s in (1, -1)}
+    top = survivors[-1]
+    label_map[top], label_map[-top] = label_map[-top], label_map[top]
+    return label_map
+
+
 class TreeComparator:
     """Implements the recursive shelling comparison as one sort key per
     combinatorial type, memoized since deletions and twigs only depend on
-    the type."""
+    the type.  The type of a deletion or a twig reduction is read off the
+    tree's split orbits, so a smaller tree is built once per type, and a
+    deletion's place is resolved against that one tree."""
 
     def __init__(self) -> None:
         self._keys: dict = {}
         self._types: dict = {}
         self._orders: dict = {}
+        self._trees: dict = {}
 
     def _order_of(self, tree: SymbicTree) -> EdgeOrder:
         key = tree.canonical_key()
@@ -103,20 +144,39 @@ class TreeComparator:
             self._orders[key] = EdgeOrder(tree)
         return self._orders[key]
 
+    def _tree_of(self, memo: tuple, build: Callable[[], SymbicTree]) -> SymbicTree:
+        """The one tree kept for the type (n, key), built on first need."""
+        tree = self._trees.get(memo)
+        if tree is None:
+            tree = build()
+            if (tree.n, tree.canonical_key()) != memo:
+                raise AssertionError("relabelled orbits disagree with the built tree")
+            self._trees[memo] = tree
+        return tree
+
     def key(self, tree: SymbicTree) -> tuple:
         """() for n <= 1; (0, key of the smaller tree, index of the deletion
         place in its edge order) when deleting n, n' leaves a symbic tree;
         (1, twig, key of the twig reduction) otherwise.  Twig-free trees
         therefore sort first, twigs lexicographically with prefixes first."""
-        memo = (tree.n, tree.canonical_key())
+        n, orbits = tree.n, tree.canonical_key()
+        memo = (n, orbits)
         key = self._keys.get(memo)
         if key is None:
-            if tree.n < 2:
+            if n < 2:
                 key = ()
             elif (twig := tree.brittle_twig()) is not None:
-                key = (1, twig, self.key(reduce_by_twig(tree, twig)))
+                reduced = self._tree_of(
+                    (n - len(twig), _relabelled_orbits(orbits, _twig_map(n, twig))),
+                    lambda: reduce_by_twig(tree, twig),
+                )
+                key = (1, twig, self.key(reduced))
             else:
-                smaller, place = tree.delete_top_pair()
+                smaller = self._tree_of(
+                    (n - 1, _relabelled_orbits(orbits, _deletion_map(n))),
+                    lambda: tree.delete_leaves({n, -n}),
+                )
+                place = smaller.place_of_site(tree.top_pair_site())
                 key = (0, self.key(smaller), self._order_of(smaller).index(place))
             if self._types.setdefault(key, memo) != memo:
                 raise AssertionError("distinct trees share a shelling key")
@@ -129,10 +189,6 @@ class TreeComparator:
             raise ValueError("comparison needs trees on the same leaf set")
         a, b = self.key(first), self.key(second)
         return (a > b) - (a < b)
-
-
-def compare_trees(first: SymbicTree, second: SymbicTree) -> int:
-    return TreeComparator().compare(first, second)
 
 
 def rule_order(n: int, catalog: Optional[TreeCatalog] = None) -> list[SymbicTree]:
@@ -163,12 +219,19 @@ class _PlacedCells:
                 common &= self.holders.get(x, 0)
         return common
 
-    def add(self, cell: frozenset) -> None:
+    def add(self, cell: frozenset) -> list[frozenset]:
+        """Lay the cell down; returns those of its ridges that no placed
+        cell had."""
         bit = 1 << self.count
+        new = []
         for x in cell:
-            self.ridges.add(cell - {x})
+            ridge = cell - {x}
+            if ridge not in self.ridges:
+                self.ridges.add(ridge)
+                new.append(ridge)
             self.holders[x] = self.holders.get(x, 0) | bit
         self.count += 1
+        return new
 
 
 def shelling_order(
@@ -185,55 +248,48 @@ def shelling_order(
     condition cannot yet be met waits until the cells that support it have
     been placed; the result is the lexicographically earliest shelling
     refinement of the rule order.
+
+    After each placement the waiting cells are swept in deferral order
+    until a sweep places none, and a sweep tests again only the cells that
+    gained a covered ridge since their last test: a cell whose covered
+    ridges did not change keeps every blocker it had.
     """
     ordered = rule_order(n, catalog)
     placed: list[SymbicTree] = []
     shell = _PlacedCells()
-    pending: list[SymbicTree] = []
+    pending: dict[SymbicTree, frozenset] = {}  # deferred tree -> cell, in deferral order
+    waiting: dict[frozenset, list[SymbicTree]] = {}  # uncovered ridge -> deferred trees
+    dirty: set[SymbicTree] = set()  # deferred trees with a newly covered ridge
 
-    def try_place(tree: SymbicTree) -> bool:
-        cell = tree.split_orbits()
+    def try_place(tree: SymbicTree, cell: frozenset) -> bool:
         if shell.blockers(cell):
             return False
-        shell.add(cell)
+        for ridge in shell.add(cell):
+            dirty.update(waiting.pop(ridge, ()))
         placed.append(tree)
         return True
 
     for tree in ordered:
-        if not try_place(tree):
-            pending.append(tree)
+        cell = tree.split_orbits()
+        if not try_place(tree, cell):
+            pending[tree] = cell
+            for x in cell:
+                ridge = cell - {x}
+                if ridge not in shell.ridges:
+                    waiting.setdefault(ridge, []).append(tree)
             continue
-        progress = True
-        while progress and pending:
-            progress = False
-            for waiting in list(pending):
-                if try_place(waiting):
-                    pending.remove(waiting)
-                    progress = True
+        while dirty:
+            for deferred in list(pending):
+                if deferred in dirty:
+                    dirty.remove(deferred)
+                    if try_place(deferred, pending[deferred]):
+                        del pending[deferred]
+            dirty.intersection_update(pending)  # placed cells marked by a later ridge
     if pending:
         raise RuntimeError(
             "deferral repair failed to complete a shelling order"
         )
     return placed
-
-
-class SymbicComplex(NamedTuple):
-    """Pure simplicial complex: vertices are split orbits, maximal cells the
-    orbit sets of regular trees."""
-
-    n: int
-    vertices: frozenset
-    cells: tuple
-
-
-def build_complex(n: int, catalog: Optional[TreeCatalog] = None) -> SymbicComplex:
-    if catalog is None:
-        catalog = enumerate_regular(n)
-    cells = tuple(sorted((t.split_orbits() for t in catalog), key=cell_sort_key))
-    vertices = frozenset().union(*cells) if cells else frozenset()
-    if any(len(c) != n - 1 for c in cells):
-        raise ValueError("complex is not pure")
-    return SymbicComplex(n, vertices, cells)
 
 
 class ShellingCounterExample(NamedTuple):

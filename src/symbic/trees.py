@@ -503,22 +503,29 @@ class SymbicTree:
     def brittle_twig(self) -> Optional[tuple[int, ...]]:
         """The uni-colored caterpillar (i_1, ..., i_k), k >= 2, exposed by
         removing the column leaf n'; None when deleting n, n' stays symbic.
-        i_1 is the cherry partner of n'; the sequence runs along the twig."""
-        nprime = -self.n
-        best: Optional[frozenset] = None
-        for u, v, _ in self.internal_edges():
-            side = self.side_labels(u, v)
-            if nprime not in side:
-                side = self.side_labels(v, u)
-            exposed = side - {nprime}
-            if len(exposed) >= 2 and all(l > 0 for l in exposed):
-                if best is None or len(exposed) > len(best):
-                    best = exposed
-        if best is None:
+        i_1 is the cherry partner of n'; the sequence runs along the twig.
+        One pass over the index: the side of each internal edge that holds
+        n' exposes a twig when the rest of it is two or more row leaves."""
+        nprime = 1 << (2 * self.n - 1)  # the label-mask bit of n'
+        columns = _row_bits(self.n) << 1
+        index = self._index()
+        full = index.mask[0]
+        best = 0
+        for side in index.mask[1:]:
+            if not side & nprime:
+                side ^= full
+            exposed = side ^ nprime
+            if (
+                not exposed & columns
+                and exposed.bit_count() > max(best.bit_count(), 1)
+                and (full ^ side).bit_count() >= 2  # an internal edge
+            ):
+                best = exposed
+        if not best:
             return None
-        anchor = self.pos(nprime)
+        anchor = self.pos(-self.n)
         return tuple(
-            sorted(best, key=lambda l: self.distance(anchor, self.pos(l)))
+            sorted(_mask_labels(best), key=lambda l: self.distance(anchor, self.pos(l)))
         )
 
     # -- surgery --------------------------------------------------------------
@@ -559,70 +566,73 @@ class SymbicTree:
         }
         return SymbicTree(len(remaining), adj, leaf_vertex, self._cache.get("sigma"))
 
-    def delete_top_pair(self) -> tuple["SymbicTree", tuple]:
-        """Delete leaves n and n', returning the smaller tree and the place
-        n was attached at, as an element of the smaller tree's edge order:
-        ("near",), ("far",) or ("edge", edge descriptor)."""
+    def top_pair_site(self) -> tuple:
+        """Where the leaves n and n' hang, read off this tree alone: the first
+        half of :meth:`delete_top_pair`.  ("edge", labels) is already a place
+        of the smaller tree's edge order; ("trunk-edge", (side, side)) and
+        ("endpoint", branch labels of the next trunk vertex) still need the
+        smaller tree, see :meth:`place_of_site`.  No label set holds n or n'."""
         k = self.n
         if k < 2:
             raise MalformedTreeError("nothing to delete below n=2")
         x, xp = self.pos(k), self.pos(-k)
         leaves = self.leaf_vertices()
-        place: tuple
-        endpoint_branch_labels: Optional[frozenset] = None
         if x == xp:
             others = [w for w in self.adj[x] if w not in leaves]
             if len(others) == 1:
                 u = others[0]
                 trunk = set(self.trunk())
-                endpoint_branch_labels = frozenset().union(
-                    *(self.side_labels(u, w) for w in self.adj[u] if w not in trunk)
+                return (
+                    "endpoint",
+                    frozenset().union(
+                        *(self.side_labels(u, w) for w in self.adj[u] if w not in trunk)
+                    ),
                 )
-                place = ("endpoint",)
-            elif len(others) == 2:
+            if len(others) == 2:
                 u1, u2 = others
-                sides = (self.side_labels(x, u1), self.side_labels(x, u2))
-                place = ("trunk-edge", sides)
-            else:
-                raise MalformedTreeError("unexpected valence at the (n, n') vertex")
-        else:
-            others = [w for w in self.adj[x] if w != self.leaf_vertex[k]]
-            if len(others) != 2:
-                raise MalformedTreeError("leaf n must sit at a trivalent vertex")
-            leaf_nbrs = [w for w in others if w in leaves]
-            if leaf_nbrs:
-                partner = self.label_of_vertex()[leaf_nbrs[0]]
-                if partner > 0:
-                    raise MalformedTreeError("same-color cherry at leaf n")
-                place = ("edge", frozenset((partner,)))
-            else:
-                # the side away from n' is the side away from the trunk, hence
-                # away from the canonical endpoint of the smaller tree
-                y1, y2 = others
-                a = self.side_labels(x, y1)
-                if -k in a:
-                    a = self.side_labels(x, y2)
-                place = ("edge", a)
-        smaller = self.delete_leaves({k, -k})
-        if place[0] == "trunk-edge":
-            v0 = smaller.canonical_endpoint()
-            anchor_labels = frozenset().union(
-                *(br.labels for br in smaller.branches() if br.trunk_vertex == v0)
-            )
-            a, b = place[1]
-            place = ("edge", a if not anchor_labels & a else b)
-        if place == ("endpoint",):
-            trunk = smaller.trunk()
-            if len(trunk) == 1:
-                place = ("near",)
-            else:
-                near = smaller.canonical_endpoint()
-                near_labels = frozenset().union(
-                    *(br.labels for br in smaller.branches() if br.trunk_vertex == near)
-                )
-                assert endpoint_branch_labels is not None
-                place = ("near",) if endpoint_branch_labels <= near_labels else ("far",)
-        return smaller, place
+                return ("trunk-edge", (self.side_labels(x, u1), self.side_labels(x, u2)))
+            raise MalformedTreeError("unexpected valence at the (n, n') vertex")
+        others = [w for w in self.adj[x] if w != self.leaf_vertex[k]]
+        if len(others) != 2:
+            raise MalformedTreeError("leaf n must sit at a trivalent vertex")
+        leaf_nbrs = [w for w in others if w in leaves]
+        if leaf_nbrs:
+            partner = self.label_of_vertex()[leaf_nbrs[0]]
+            if partner > 0:
+                raise MalformedTreeError("same-color cherry at leaf n")
+            return ("edge", frozenset((partner,)))
+        # the side away from n' is the side away from the trunk, hence away
+        # from the canonical endpoint of the smaller tree
+        y1, y2 = others
+        a = self.side_labels(x, y1)
+        if -k in a:
+            a = self.side_labels(x, y2)
+        return ("edge", a)
+
+    def place_of_site(self, site: tuple) -> tuple:
+        """The second half of :meth:`delete_top_pair`: the place in this
+        tree's edge order of a site read off a tree one pair larger.  It
+        reads only labels, so any tree of this labelled type resolves a site
+        to the same place.  A trunk edge is named by its side away from the
+        anchor endpoint; a trunk endpoint is near or far."""
+        if site[0] == "edge":
+            return site
+        if site[0] == "endpoint" and len(self.trunk()) == 1:
+            return ("near",)
+        v0 = self.canonical_endpoint()
+        near = frozenset().union(*(br.labels for br in self.branches() if br.trunk_vertex == v0))
+        if site[0] == "endpoint":
+            return ("near",) if site[1] <= near else ("far",)
+        a, b = site[1]
+        return ("edge", a if not near & a else b)
+
+    def delete_top_pair(self) -> tuple["SymbicTree", tuple]:
+        """Delete leaves n and n', returning the smaller tree and the place
+        n was attached at, as an element of the smaller tree's edge order:
+        ("near",), ("far",) or ("edge", edge descriptor)."""
+        site = self.top_pair_site()
+        smaller = self.delete_leaves({self.n, -self.n})
+        return smaller, smaller.place_of_site(site)
 
     def attach_top_pair(self, place: tuple, length: Fraction | int = 1) -> "SymbicTree":
         """Attach a new leaf pair (n+1, (n+1)') at a place descriptor from

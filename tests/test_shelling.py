@@ -1,17 +1,22 @@
+import collections
 import functools
+import hashlib
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbic.counting import enumerate_regular
+from symbic import shelling
+from symbic.counting import cell_sort_key, enumerate_regular
 from symbic.shelling import (
     EdgeOrder,
     TreeComparator,
-    build_complex,
-    compare_trees,
+    _deletion_map,
+    _relabelled_orbits,
+    _twig_map,
     edge_order,
     reduce_by_twig,
     rule_order,
@@ -19,8 +24,9 @@ from symbic.shelling import (
     shelling_order,
     verify_shelling,
 )
-from symbic.trees import MalformedTreeError, tree_of_single_pair
+from symbic.trees import MalformedTreeError, SymbicTree, tree_of_single_pair
 from symbic.acceptance import four_pair_chain_tree
+from test_trees import side_labels_brittle_twig
 
 
 class RecursiveComparator:
@@ -34,7 +40,7 @@ class RecursiveComparator:
     def _tree_info(self, tree):
         key = tree.canonical_key()
         if key not in self._info:
-            twig = tree.brittle_twig() if tree.n >= 2 else None
+            twig = side_labels_brittle_twig(tree) if tree.n >= 2 else None
             if twig is not None:
                 self._info[key] = (twig, reduce_by_twig(tree, twig), None)
             elif tree.n >= 2:
@@ -77,6 +83,27 @@ class RecursiveComparator:
         if verdict == 0:
             raise AssertionError("distinct trees with identical twig reduction")
         return verdict
+
+
+def compare_trees(first, second):
+    return TreeComparator().compare(first, second)
+
+
+class SymbicComplex(NamedTuple):
+    """Pure simplicial complex: vertices are split orbits, maximal cells the
+    orbit sets of regular trees."""
+
+    n: int
+    vertices: frozenset
+    cells: tuple
+
+
+def build_complex(n):
+    cells = tuple(sorted((t.split_orbits() for t in enumerate_regular(n)), key=cell_sort_key))
+    vertices = frozenset().union(*cells) if cells else frozenset()
+    if any(len(c) != n - 1 for c in cells):
+        raise ValueError("complex is not pure")
+    return SymbicComplex(n, vertices, cells)
 
 
 def pairwise_verify(cells):
@@ -126,6 +153,11 @@ def scanning_shelling_order(n):
                     progress = True
     assert not pending
     return placed
+
+
+@functools.cache
+def catalog_of(n):
+    return enumerate_regular(n)
 
 
 @functools.cache
@@ -273,6 +305,62 @@ def test_rule_order_matches_the_recursive_comparison(n):
     ]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_orbit_keys_match_the_rebuilt_trees(n):
+    """The rule keys read smaller types off the split orbits and resolve
+    deletion places against one kept tree per type; the trees that
+    delete_top_pair and reduce_by_twig build are the oracle."""
+    comparator = TreeComparator()
+    for tree in catalog_of(n):
+        comparator.key(tree)
+        twig = side_labels_brittle_twig(tree)
+        if twig is None:
+            smaller, place = tree.delete_top_pair()
+            key = _relabelled_orbits(tree.split_orbits(), _deletion_map(n))
+            assert key == smaller.canonical_key()
+            kept = comparator._trees[(n - 1, key)]
+            assert kept.place_of_site(tree.top_pair_site()) == place
+        else:
+            key = _relabelled_orbits(tree.split_orbits(), _twig_map(n, twig))
+            assert key == reduce_by_twig(tree, twig).canonical_key()
+
+
+def test_rule_keys_build_one_tree_per_type(monkeypatch):
+    """A smaller tree is built once per type, not once per cell: a type is
+    built at most twice, as a kept tree and as the intermediate tree that
+    a twig reduction passes through before it swaps the top pair."""
+    catalog = catalog_of(5)
+    built = []
+    init = SymbicTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.n, self.canonical_key()))
+
+    monkeypatch.setattr(SymbicTree, "__init__", counting_init)
+    rule_order(5, catalog)
+    assert all(n < 5 for n, _ in built)
+    assert max(collections.Counter(built).values()) <= 2
+
+
+@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.long)])
+def test_deferred_cells_are_tested_again_only_when_a_ridge_is_covered(n, monkeypatch):
+    """Each placement test beyond the first test of every cell is a retest
+    of a deferred cell that gained a covered ridge; there are fewer such
+    retests than cells."""
+    catalog = catalog_of(n)
+    tests = []
+    blockers = shelling._PlacedCells.blockers
+
+    def counting_blockers(self, cell):
+        tests.append(cell)
+        return blockers(self, cell)
+
+    monkeypatch.setattr(shelling._PlacedCells, "blockers", counting_blockers)
+    order = shelling_order(n, catalog)
+    assert len(order) < len(tests) <= 2 * len(order)
+
+
 def test_trees_sharing_a_key_are_refused(monkeypatch):
     """Keys that fail to separate two combinatorial types raise, in the
     sort and in the comparison alike."""
@@ -375,9 +463,13 @@ def test_shelling_n5():
 
 @pytest.mark.long
 def test_shelling_n6():
-    counterexample, ordered = shelling_check(6)
+    counterexample, ordered = shelling_check(6, catalog_of(6))
     assert counterexample is None
     assert len(ordered) == 22185
+    cells = repr([cell_sort_key(t.split_orbits()) for t in ordered]).encode()
+    assert hashlib.sha256(cells).hexdigest() == (
+        "789ca83714bbc1bf68347e12979e5f09d8456f4bc3faaabdc9f0ef96b16e3436"
+    )
 
 
 @pytest.mark.long

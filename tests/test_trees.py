@@ -247,6 +247,54 @@ def test_brittle_twig_detection_matches_deletion():
                 assert tree.pos(twig[0]) == tree.pos(-n)
 
 
+def side_labels_brittle_twig(tree):
+    """The brittle twig by a side_labels scan over the internal edges: the
+    oracle of SymbicTree.brittle_twig's one pass over the index masks."""
+    nprime = -tree.n
+    best = None
+    for u, v, _ in tree.internal_edges():
+        side = tree.side_labels(u, v)
+        if nprime not in side:
+            side = tree.side_labels(v, u)
+        exposed = side - {nprime}
+        if len(exposed) >= 2 and all(l > 0 for l in exposed):
+            if best is None or len(exposed) > len(best):
+                best = exposed
+    if best is None:
+        return None
+    anchor = tree.pos(nprime)
+    return tuple(sorted(best, key=lambda l: tree.distance(anchor, tree.pos(l))))
+
+
+def rooted_late(tree):
+    """The same tree with its adjacency in reverse order.  The index is
+    rooted at the first vertex, a trunk vertex in generated trees; this
+    roots it at the last one, often a leaf."""
+    adj, leaves = tree._graph_copy()
+    return SymbicTree(tree.n, dict(reversed(adj.items())), leaves)
+
+
+def test_brittle_twig_matches_the_side_labels_scan():
+    for n in (1, 2, 3, 4, 5):
+        for tree in enumerate_regular(n):
+            expected = side_labels_brittle_twig(tree)
+            assert tree.brittle_twig() == expected
+            assert rooted_late(tree).brittle_twig() == expected
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_brittle_twig_matches_the_side_labels_scan_on_random_trees(n, seed, face, late):
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    if face and n > 1:
+        orbits = sorted(tree.split_orbits(), key=lambda o: sorted(map(sorted, o)))
+        tree = tree.contract_orbit(rng.choice(orbits))
+    if late:
+        tree = rooted_late(tree)
+    assert tree.brittle_twig() == side_labels_brittle_twig(tree)
+
+
 def test_specific_twig_sequences_exist():
     twigs = {t.brittle_twig() for t in enumerate_regular(3)}
     assert (1, 2) in twigs and (2, 1) in twigs
