@@ -27,7 +27,6 @@ from .counting import (
     count_full_trunk,
     count_one_vertex_trunk,
     count_regular,
-    egf_coefficients,
     enumerate_faces,
     enumerate_regular,
     random_regular_tree,
@@ -56,7 +55,6 @@ from .matroid import (
 from .shelling import (
     EdgeOrder,
     TreeComparator,
-    edge_order,
     reduce_by_twig,
     rule_order,
     shelling_check,

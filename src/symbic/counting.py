@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .trees import Orbit, SymbicTree, _mask_labels, _row_bits
+from .tropical import parse_rational
 
 SERIES_ORDER_CAP = 30
 ENUM_CAP = 7
@@ -50,12 +51,13 @@ def count_full_trunk(n: int) -> int:
 
 
 class RationalSeries:
-    """Truncated power series with exact rational coefficients."""
+    """Truncated power series with exact rational coefficients, parsed as
+    matrix entries are: a float or a bool raises ``TropicalError``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[object], order: Optional[int] = None):
-        values = [Fraction(c) for c in coeffs]
+        values = [parse_rational(c) for c in coeffs]
         if order is not None:
             values = values[: order + 1] + [Fraction(0)] * (order + 1 - len(values))
         if not values:
@@ -68,10 +70,7 @@ class RationalSeries:
 
     @classmethod
     def constant(cls, value: object, order: int) -> "RationalSeries":
-        return cls([Fraction(value)], order)
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return cls([value], order)
 
     def egf_count(self, k: int) -> Fraction:
         """k! [x^k] of the series; an integer for counting series."""
@@ -91,12 +90,12 @@ class RationalSeries:
         return RationalSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, factor: object) -> "RationalSeries":
-        f = Fraction(factor)
+        f = parse_rational(factor)
         return RationalSeries([f * a for a in self.coeffs])
 
     def shift_const(self, value: object) -> "RationalSeries":
         out = list(self.coeffs)
-        out[0] += Fraction(value)
+        out[0] += parse_rational(value)
         return RationalSeries(out)
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
@@ -129,16 +128,6 @@ class RationalSeries:
             acc = sum(y[i] * y[k - i] for i in range(1, k))
             y.append((self.coeffs[k] - acc) / 2)
         return RationalSeries(y)
-
-    def compose(self, inner: "RationalSeries") -> "RationalSeries":
-        """self(inner(x)) by Horner's rule; inner constant term must be 0."""
-        self._match(inner)
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition needs inner constant term 0")
-        result = RationalSeries.constant(self.coeffs[self.order], self.order)
-        for k in range(self.order - 1, -1, -1):
-            result = (result * inner).shift_const(self.coeffs[k])
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalSeries) and self.coeffs == other.coeffs
@@ -177,17 +166,6 @@ def series_regular(order: int) -> RationalSeries:
         - root.scale(Fraction(1, 4))
         + root.shift_const(1).reciprocal()
     )
-
-
-def egf_coefficients(which: str, order: int) -> RationalSeries:
-    series = {
-        "E1": series_one_vertex_trunk,
-        "E2": series_full_trunk,
-        "E": series_regular,
-    }
-    if which not in series:
-        raise ValueError("which must be one of E1, E2, E")
-    return series[which](order)
 
 
 def count_regular(n: int, method: str = "recurrence") -> int:

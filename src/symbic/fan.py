@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import getitem, itemgetter, mul
+from operator import getitem, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .correspond import divergences
@@ -23,7 +23,14 @@ from .counting import (
     enumerate_regular,
     orbit_sort_key,
 )
-from .tropical import TropMatrix, TropicalError, _integer_grid, _monomial, parse_rational
+from .tropical import (
+    TropMatrix,
+    TropicalError,
+    _integer_grid,
+    _minor_plan,
+    _monomial,
+    parse_rational,
+)
 from .trees import InvalidMoveError, SymbicTree
 
 FAN_CAP = 5
@@ -140,19 +147,20 @@ def _minor_table(n: int) -> tuple[tuple, tuple]:
     """The permutations of size 3, and per row set R of an n x n matrix
     (1-based, with its 0-based grid rows) the column sets C >= R, each with
     its column picker and the monomial of every permutation of (R, C).
+    The 0-based sets and pickers are the rank scan's plan (``_minor_plan``).
 
     None of this depends on the entries, so it is built once per size and
     shared, immutable, by every signature of that size."""
     perms = tuple(itertools.permutations(range(3)))
-    combos = tuple(itertools.combinations(range(n), 3))
+    combos, pickers, _, _ = _minor_plan(n, 3)
     labels = tuple(tuple(i + 1 for i in c) for c in combos)
     table = tuple(
         (
             rows,
             combos[first],
             tuple(
-                (cols, itemgetter(*ids), tuple(_monomial(rows, cols, p) for p in perms))
-                for cols, ids in zip(labels[first:], combos[first:])
+                (cols, pick, tuple(_monomial(rows, cols, p) for p in perms))
+                for cols, pick in zip(labels[first:], pickers[first:])
             ),
         )
         for first, rows in enumerate(labels)

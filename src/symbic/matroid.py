@@ -11,12 +11,12 @@ rank decisions are fraction-free and exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .correspond import divergences
 from .counting import SizeCapError, TreeCatalog, enumerate_regular
 from .trees import InvalidMoveError, SymbicTree
+from .tropical import parse_rational
 
 GroundPair = tuple[int, int]
 
@@ -95,11 +95,12 @@ def _reduce(
 
 
 def exact_rank(rows: Iterable[Sequence[object]]) -> int:
-    """Rank of a matrix with rational entries: each row is cleared of
+    """Rank of a matrix with rational entries, parsed as matrix entries are
+    (a float or a bool raises ``TropicalError``): each row is cleared of
     denominators and pushed through the integer reducer."""
     echelon: list[tuple[int, tuple[int, ...]]] = []
     for row in rows:
-        scaled = [Fraction(x) for x in row]
+        scaled = [parse_rational(x) for x in row]
         lcm = math.lcm(*(x.denominator for x in scaled))
         step = _reduce([x.numerator * (lcm // x.denominator) for x in scaled], echelon)
         if step is not None:

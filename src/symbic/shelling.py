@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .counting import TreeCatalog, enumerate_regular
-from .trees import MalformedTreeError, SymbicTree, label_key
+from .trees import MalformedTreeError, SymbicTree, _preorder, label_key
 
 VERIFY_CAP = 6
 
@@ -21,38 +21,31 @@ class EdgeOrder:
     """Total order of attachment places of a symbic tree: the anchor trunk
     endpoint first, then every edge (leaf and internal, color-swapped copies
     separately) extending the path partial order from the anchor, then the
-    far trunk endpoint when the trunk has one."""
+    far trunk endpoint when the trunk has one.  The anchor is trunk()[0];
+    one walk from it gives every vertex's depth."""
 
-    __slots__ = ("tree", "anchor", "places", "_index")
+    __slots__ = ("anchor", "places", "_index")
 
-    def __init__(self, tree: SymbicTree, anchor: Optional[int] = None):
-        if anchor is None:
-            anchor = tree.canonical_endpoint()
-        trunk = tree.trunk()
-        if anchor not in (trunk[0], trunk[-1]):
-            raise MalformedTreeError("anchor must be a trunk endpoint")
-        self.tree = tree
-        self.anchor = anchor
+    def __init__(self, tree: SymbicTree):
+        self.anchor = tree.trunk()[0]
+        depth: dict[int, int] = {}
+        for v, parent in _preorder(tree.adj, self.anchor).items():
+            depth[v] = 0 if parent is None else depth[parent] + 1
         keyed = []
         for u, v, _ in tree.edges():
-            near, far = (u, v) if self._closer(u, v, anchor) else (v, u)
+            near, far = (u, v) if depth[u] < depth[v] else (v, u)
             descriptor = tree.edge_descriptor(near, far)
-            far_labels = tree.side_labels(near, far)
-            smallest = min(far_labels, key=label_key)
-            depth = len(tree.path(anchor, near)) - 1
-            keyed.append((label_key(smallest) + (depth,), ("edge", descriptor)))
+            smallest = min(tree.side_labels(near, far), key=label_key)
+            keyed.append((label_key(smallest) + (depth[near],), ("edge", descriptor)))
         keyed.sort(key=lambda kv: kv[0])
         places: list[tuple] = [("near",)]
         places.extend(place for _, place in keyed)
-        if len(trunk) > 1:
+        if len(tree.trunk()) > 1:
             places.append(("far",))
         self.places = places
         self._index = {place: i for i, place in enumerate(places)}
         if len(self._index) != len(places):
             raise AssertionError("edge descriptors collided; order is ambiguous")
-
-    def _closer(self, u: int, v: int, anchor: int) -> bool:
-        return len(self.tree.path(anchor, u)) <= len(self.tree.path(anchor, v))
 
     def index(self, place: tuple) -> int:
         if place == ("far",) and place not in self._index:
@@ -61,10 +54,6 @@ class EdgeOrder:
 
     def __len__(self) -> int:
         return len(self.places)
-
-
-def edge_order(tree: SymbicTree, anchor: Optional[int] = None) -> EdgeOrder:
-    return EdgeOrder(tree, anchor)
 
 
 def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:

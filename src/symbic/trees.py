@@ -83,10 +83,6 @@ def _vertex_id(value: object) -> int:
     return value
 
 
-def swap_split(side: frozenset) -> frozenset:
-    return frozenset(-l for l in side)
-
-
 class Branch(NamedTuple):
     trunk_vertex: int
     root: int  # first vertex off the trunk (may be a leaf vertex)
@@ -307,9 +303,6 @@ class SymbicTree:
                 side ^= self._index().mask[0]
             out[frozenset((u, v))] = _mask_labels(side)
         return out
-
-    def split_set(self) -> frozenset:
-        return frozenset(self.splits().values())
 
     def split_orbits(self) -> frozenset:
         """Splits grouped into orbits of the involution; one element per
@@ -789,23 +782,6 @@ class SymbicTree:
         if expand not in options:
             raise InvalidMoveError("expansion choice does not yield a symbic tree")
         return options[expand]
-
-    def with_orbit_lengths(self, lengths: dict[Orbit, object]) -> "SymbicTree":
-        """Reassign internal edge lengths: every edge of an orbit gets the
-        orbit's value (the midpoint normal form keeps halves symmetric by
-        construction since both halves belong to the same orbit)."""
-        adj, leaf_vertex = self._graph_copy()
-        sigma = self.involution()
-        for edge, orbit in self._edge_orbits().items():
-            if orbit not in lengths:
-                raise InvalidMoveError("missing length for an orbit")
-            value = parse_rational(lengths[orbit])
-            if value <= 0:
-                raise InvalidMoveError("orbit lengths must be positive")
-            u, v = tuple(edge)
-            adj[u][v] = value
-            adj[v][u] = value
-        return SymbicTree(self.n, adj, leaf_vertex, involution_hint=sigma)
 
     # -- serialization ---------------------------------------------------------
 

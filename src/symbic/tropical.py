@@ -103,12 +103,6 @@ class TropMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i - 1][j - 1]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i - 1]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j - 1] for row in self.rows)
-
     def is_symmetric(self) -> bool:
         return all(
             self.rows[i][j] == self.rows[j][i]
@@ -120,9 +114,6 @@ class TropMatrix:
         if not self.is_symmetric():
             raise TropicalError("symmetric matrix required")
         return self
-
-    def transpose(self) -> "TropMatrix":
-        return TropMatrix(zip(*self.rows))
 
     def add(self, other: "TropMatrix") -> "TropMatrix":
         """Entrywise (classical) sum; used for lineality shifts."""

@@ -1,8 +1,11 @@
 """Acceptance suite: runs every criterion at its stated (exact) tolerance
 and prints one pass/fail line per criterion."""
 
+import types
+
 import pytest
 
+import symbic
 import symbic.fan
 from symbic import acceptance
 
@@ -125,3 +128,56 @@ def test_run_all_hands_each_criterion_its_arguments(monkeypatch):
     acceptance.run_all()
     assert dict(calls)["shelling"] == {"include_long": False}
     assert dict(calls)["round_trips"] == {"seed": 0}
+
+
+def _public(namespace):
+    return sorted(
+        name
+        for name, value in vars(namespace).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+
+
+def test_public_surface_is_pinned():
+    """The names the package exports, and the public members of its four
+    core classes.  A name joins or leaves here on purpose; oracle-only
+    helpers live in the tests."""
+    assert _public(symbic) == [
+        "Branch", "CayleyMatrix", "EdgeOrder", "InvalidMoveError", "LeafMetric",
+        "MalformedTreeError", "MinorSizeError", "NotRankTwoError", "RankOneMatrixError",
+        "RationalSeries", "ReconstructionError", "SizeCapError", "SymbicTree",
+        "TreeCatalog", "TreeComparator", "TropMatrix", "TropicalError", "Violation",
+        "base_point", "basis_transition_check", "canonicalize_mod_lineality",
+        "cayley_matrix", "coarse_cell_count", "conjecture_scan", "count_full_trunk",
+        "count_one_vertex_trunk", "count_regular", "enumerate_faces", "enumerate_regular",
+        "exact_rank", "ground_set", "hilbert_distance", "leaf_distances",
+        "leaf_metric_from_matrix", "lineality_identity_check",
+        "matrices_agree_mod_lineality", "matrix_from_tree", "matroid_bases",
+        "path_matrix_from_tree", "random_regular_tree", "rank_one_matrix",
+        "reduce_by_twig", "refinement_check", "render_conjecture_report", "rule_order",
+        "sample_interior", "series_full_trunk", "series_one_vertex_trunk",
+        "series_regular", "shelling_check", "shelling_order", "signature", "star_tree",
+        "subdivision_witness", "sym_trop_rank", "tree_from_matrix", "tree_of_single_pair",
+        "trop_rank", "union_bases", "verify_shelling",
+    ]
+    assert _public(symbic.TropMatrix) == [
+        "add", "entry", "from_json_dict", "is_symmetric", "n", "require_symmetric",
+        "rows", "sub", "to_json_dict",
+    ]
+    assert _public(symbic.SymbicTree) == [
+        "adj", "attach_top_pair", "branch_vertices", "branches", "brittle_twig",
+        "canonical_endpoint", "canonical_key", "cherries", "contract_orbit",
+        "delete_leaves", "delete_top_pair", "distance", "divergence_vertex",
+        "edge_descriptor", "edges", "edges_of_orbit", "endpoint_min_row", "expansions",
+        "fixed_vertices", "from_json_dict", "has_caterpillar_branches", "has_involution",
+        "internal_edges", "internal_vertices", "involution", "is_caterpillar",
+        "is_regular", "label_of_vertex", "labels", "leaf_vertex", "leaf_vertices", "n",
+        "path", "place_of_site", "pos", "relabel", "side_labels", "split_orbits",
+        "splits", "to_dot", "to_json_dict", "top_pair_site", "transition", "trunk",
+        "validate", "vertices",
+    ]
+    assert _public(symbic.RationalSeries) == [
+        "coeffs", "constant", "egf_count", "order", "reciprocal", "scale",
+        "shift_const", "sqrt",
+    ]
+    assert _public(symbic.EdgeOrder) == ["anchor", "index", "places"]

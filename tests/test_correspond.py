@@ -32,6 +32,8 @@ from symbic.tropical import (
     rank_one_matrix,
     sym_trop_rank,
 )
+from test_trees import split_set
+from test_tropical import column
 
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
@@ -211,14 +213,14 @@ def test_principal_submatrices_give_induced_subtrees():
             retracted += 1
             bicolored = {
                 side
-                for side in induced.split_set()
+                for side in split_set(induced)
                 if any(l > 0 for l in side) and any(l < 0 for l in side)
                 and not (
                     all(l > 0 for l in _complement(induced, side))
                     or all(l < 0 for l in _complement(induced, side))
                 )
             }
-            assert subtree.split_set() == bicolored
+            assert split_set(subtree) == bicolored
         done += 1
     assert retracted > 0  # the interesting branch was exercised
 
@@ -272,7 +274,7 @@ def fraction_leaf_metric(matrix):
     n = matrix.n
     position = {}
     for i in range(1, n + 1):
-        position[i] = matrix.column(i)
+        position[i] = column(matrix, i)
         position[-i] = tuple(
             min(matrix.entry(k, l) - matrix.entry(i, l) for l in range(1, n + 1))
             for k in range(1, n + 1)

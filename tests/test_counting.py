@@ -7,6 +7,7 @@ import pytest
 
 from symbic.counting import (
     FACE_CAP,
+    SERIES_ORDER_CAP,
     RationalSeries,
     SizeCapError,
     _assemble_tree,
@@ -16,7 +17,6 @@ from symbic.counting import (
     count_full_trunk,
     count_one_vertex_trunk,
     count_regular,
-    egf_coefficients,
     enumerate_faces,
     enumerate_regular,
     orbit_sort_key,
@@ -26,6 +26,7 @@ from symbic.counting import (
     series_regular,
     set_partitions,
 )
+from symbic.tropical import TropicalError
 
 REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
 
@@ -51,6 +52,18 @@ def face_catalog(n: int) -> dict:
                         face = face.contract_orbit(orbit)
                 faces[key] = face
     return faces
+
+
+def compose(outer: RationalSeries, inner: RationalSeries) -> RationalSeries:
+    """outer(inner(x)) by Horner's rule; inner's constant term must be 0.
+    The oracle of the identity E = E2(E1)."""
+    order = outer._match(inner)
+    if inner.coeffs[0] != 0:
+        raise ValueError("composition needs inner constant term 0")
+    result = RationalSeries.constant(outer.coeffs[order], order)
+    for k in range(order - 1, -1, -1):
+        result = (result * inner).shift_const(outer.coeffs[k])
+    return result
 
 
 def test_one_vertex_trunk_recurrence():
@@ -79,7 +92,7 @@ def test_series_arithmetic():
 def test_series_composition_needs_zero_constant():
     outer = RationalSeries([1, 1, 1], 6)
     with pytest.raises(ValueError):
-        outer.compose(RationalSeries([1, 1], 6))
+        compose(outer, RationalSeries([1, 1], 6))
 
 
 def test_egf_values():
@@ -92,23 +105,33 @@ def test_egf_values():
         assert e2.egf_count(n) == count_full_trunk(n)
     e = series_regular(8)
     assert [int(e.egf_count(n)) for n in range(6)] == REGULAR_COUNTS
-    assert e.coefficient(0) == 1
+    assert e.coeffs[0] == 1
 
 
 def test_composition_identity():
     """The full generating function is the trunk arrangement series composed
     with the one-vertex-trunk series."""
     order = 14
-    composed = series_full_trunk(order).compose(series_one_vertex_trunk(order))
+    composed = compose(series_full_trunk(order), series_one_vertex_trunk(order))
     assert composed == series_regular(order)
 
 
-def test_egf_coefficients_dispatch():
-    assert egf_coefficients("E", 6) == series_regular(6)
-    with pytest.raises(ValueError):
-        egf_coefficients("nope", 6)
+@pytest.mark.parametrize(
+    "series",
+    [series_one_vertex_trunk, series_full_trunk, series_regular],
+    ids=lambda series: series.__name__,
+)
+def test_series_order_cap(series):
+    assert series(SERIES_ORDER_CAP).order == SERIES_ORDER_CAP
     with pytest.raises(SizeCapError):
-        egf_coefficients("E", 99)
+        series(SERIES_ORDER_CAP + 1)
+
+
+def test_series_coefficients_refuse_floats_and_bools():
+    assert RationalSeries(["1/10", 3], 2).coeffs == (Fraction(1, 10), 3, 0)
+    for bad in (0.1, True):
+        with pytest.raises(TropicalError):
+            RationalSeries([1, bad])
 
 
 def test_counting_methods_agree():

@@ -25,6 +25,7 @@ from symbic.tropical import (
     sym_trop_rank,
 )
 from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree
+from test_trees import with_orbit_lengths
 from test_tropical import (
     Minor,
     all_minors,
@@ -79,7 +80,7 @@ def oracle_sample(tree, lengths):
     """The tree rebuild that ``sample_interior`` replaced: a new tree at the
     given orbit lengths, its matrix read off in ``Fraction``, canonicalized."""
     orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
-    sampled = tree.with_orbit_lengths(dict(zip(orbits, lengths)))
+    sampled = with_orbit_lengths(tree, dict(zip(orbits, lengths)))
     return canonicalize_mod_lineality(matrix_from_tree(sampled))
 
 

@@ -24,6 +24,8 @@ from symbic.matroid import (
     union_bases,
 )
 from symbic.trees import InvalidMoveError, star_tree, tree_of_single_pair
+from symbic.tropical import TropicalError
+from test_trees import with_orbit_lengths
 
 
 def oracle_bases(tree, base=None):
@@ -88,6 +90,16 @@ def test_exact_rank():
     assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([]) == 0
+    assert exact_rank([["1/10", "3/10"], [1, 3]]) == 1
+
+
+def test_exact_rank_refuses_floats_and_bools():
+    # Fraction(0.1) is the binary float, not 1/10: these rows as written are
+    # proportional, yet the float reading would give rank 2
+    with pytest.raises(TropicalError):
+        exact_rank([[0.1, 0.3], [1, 3]])
+    with pytest.raises(TropicalError):
+        exact_rank([[True, 0], [0, 1]])
 
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -186,11 +198,11 @@ def test_cayley_column_space_matches_edge_impulses():
         pairs = ground_set(tree.n)
         impulse_rows = []
         base_m = matrix_from_tree(
-            tree.with_orbit_lengths({orbit: Fraction(2) for orbit in orbits})
+            with_orbit_lengths(tree, {orbit: Fraction(2) for orbit in orbits})
         )
         for target in orbits:
             lengths = {orbit: Fraction(1 if orbit == target else 2) for orbit in orbits}
-            bumped_m = matrix_from_tree(tree.with_orbit_lengths(lengths))
+            bumped_m = matrix_from_tree(with_orbit_lengths(tree, lengths))
             impulse_rows.append(
                 [base_m.entry(i, j) - bumped_m.entry(i, j) for i, j in pairs]
             )

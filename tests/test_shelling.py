@@ -17,14 +17,13 @@ from symbic.shelling import (
     _deletion_map,
     _relabelled_orbits,
     _twig_map,
-    edge_order,
     reduce_by_twig,
     rule_order,
     shelling_check,
     shelling_order,
     verify_shelling,
 )
-from symbic.trees import MalformedTreeError, SymbicTree, tree_of_single_pair
+from symbic.trees import SymbicTree, label_key, tree_of_single_pair
 from symbic.acceptance import four_pair_chain_tree
 from test_trees import side_labels_brittle_twig
 
@@ -170,7 +169,7 @@ def cell_orders(n):
 
 
 def test_edge_order_of_single_pair_tree():
-    order = edge_order(tree_of_single_pair())
+    order = EdgeOrder(tree_of_single_pair())
     assert order.places[0] == ("near",)
     assert order.places[1:] == [
         ("edge", frozenset({1})),
@@ -193,11 +192,30 @@ def test_edge_order_extends_path_partial_order():
             assert order.index(("edge", earlier)) <= order.index(("edge", descriptor))
 
 
-def test_edge_order_anchor_must_be_endpoint():
-    tree = four_pair_chain_tree(1, 2, 3)
-    middle = tree.trunk()[1]
-    with pytest.raises(MalformedTreeError):
-        EdgeOrder(tree, middle)
+def path_walk_places(tree):
+    """The places of EdgeOrder as first written: each edge's near end and
+    depth measured by path walks from the anchor, three per edge.  The
+    oracle of the one-walk depth table."""
+    anchor = tree.canonical_endpoint()
+    keyed = []
+    for u, v, _ in tree.edges():
+        closer = len(tree.path(anchor, u)) <= len(tree.path(anchor, v))
+        near, far = (u, v) if closer else (v, u)
+        smallest = min(tree.side_labels(near, far), key=label_key)
+        depth = len(tree.path(anchor, near)) - 1
+        keyed.append((label_key(smallest) + (depth,), ("edge", tree.edge_descriptor(near, far))))
+    keyed.sort(key=lambda kv: kv[0])
+    far_end = [("far",)] if len(tree.trunk()) > 1 else []
+    return [("near",)] + [place for _, place in keyed] + far_end
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_edge_order_matches_the_path_walks(n):
+    for tree in catalog_of(n):
+        for t in (tree, tree.delete_leaves({n, -n})):
+            order = EdgeOrder(t)
+            assert order.anchor == t.trunk()[0]
+            assert order.places == path_walk_places(t)
 
 
 def test_n2_order():

@@ -17,9 +17,9 @@ from symbic.trees import (
     format_label,
     parse_label,
     star_tree,
-    swap_split,
     tree_of_single_pair,
 )
+from symbic.tropical import parse_rational
 
 
 def build(n, edges, leaves):
@@ -29,6 +29,28 @@ def build(n, edges, leaves):
         adj.setdefault(u, {})[v] = value
         adj.setdefault(v, {})[u] = value
     return SymbicTree(n, adj, dict(leaves))
+
+
+def split_set(tree):
+    """Every split of the tree, each stored by its side without +1."""
+    return frozenset(tree.splits().values())
+
+
+def with_orbit_lengths(tree, lengths):
+    """The tree with every edge of an orbit at the orbit's length, rebuilt
+    through the constructor with the involution handed down: the oracle of
+    ``fan.sample_interior``, which reads the matrix off a linear form
+    instead of building this tree."""
+    adj, leaf_vertex = tree._graph_copy()
+    for edge, orbit in tree._edge_orbits().items():
+        if orbit not in lengths:
+            raise InvalidMoveError("missing length for an orbit")
+        value = parse_rational(lengths[orbit])
+        if value <= 0:
+            raise InvalidMoveError("orbit lengths must be positive")
+        u, v = tuple(edge)
+        adj[u][v] = adj[v][u] = value
+    return SymbicTree(tree.n, adj, leaf_vertex, involution_hint=tree.involution())
 
 
 def identity_matrix_tree():
@@ -175,7 +197,6 @@ def test_splits_and_orbits_of_small_trees():
     # both halves of the subdivided pair carry the same partition, stored by
     # the side not holding leaf 1
     assert orbit == frozenset({frozenset({-1, 2})})
-    assert swap_split(frozenset({1, -2})) == frozenset({-1, 2})
 
 
 def test_trunk_and_branches():
@@ -409,7 +430,7 @@ def test_regular_catalog_invariants():
             assert tree.validate() is None
             assert tree.is_regular()
             assert len(tree.split_orbits()) == n - 1
-            for side in tree.split_set():
+            for side in split_set(tree):
                 assert any(l > 0 for l in side) and any(l < 0 for l in side)
 
 
@@ -575,7 +596,7 @@ def test_hinted_involutions_match_the_search(monkeypatch):
                 tree,
                 tree.relabel({1: 3, 2: 1, 3: 4, 4: 2}),
                 tree.delete_leaves({4, -4}),
-                tree.with_orbit_lengths({o: 2 for o in tree.split_orbits()}),
+                with_orbit_lengths(tree, {o: 2 for o in tree.split_orbits()}),
             ]
             twig = tree.brittle_twig()
             if twig is not None:

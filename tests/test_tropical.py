@@ -26,6 +26,11 @@ from symbic.tropical import (
     trop_rank,
 )
 
+def column(m: TropMatrix, j: int) -> tuple[Fraction, ...]:
+    """Column j (1-based) of the matrix, read off its rows."""
+    return tuple(row[j - 1] for row in m.rows)
+
+
 # -- the Fraction oracle: minors and tropical determinants by definition -----
 #
 # The library evaluates minors only on the integer grid (``_integer_grid``).
@@ -274,7 +279,7 @@ def test_hilbert_examples():
     assert hilbert_distance([1, 0, 0], [0, 1, 0]) == 2
     # two columns of the worked 4x4 matrix at a=1, b=2, c=3
     a = TropMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 5]])
-    assert hilbert_distance(a.column(1), a.column(2)) == 2
+    assert hilbert_distance(column(a, 1), column(a, 2)) == 2
     with pytest.raises(TropicalError):
         hilbert_distance([1], [1, 2])
 
