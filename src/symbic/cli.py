@@ -19,6 +19,7 @@ from .counting import count_regular, enumerate_regular, orbit_sort_key
 from .fan import FAN_CAP, coarse_cell_count, refinement_check, subdivision_witness
 from .matroid import (
     BASES_CAP,
+    TRANSITION_CAP,
     basis_transition_check,
     conjecture_scan,
     render_conjecture_report,
@@ -173,11 +174,13 @@ def cmd_shelling(args) -> int:
 def cmd_matroid(args) -> int:
     which = {"all": "all", "catbranch": "caterpillar_branches",
              "caterpillar": "full_caterpillar"}[args.filter]
-    # past the cap union_bases reports the size error before any enumeration
-    catalog = enumerate_regular(args.n) if args.n <= BASES_CAP else None
+    # past its cap (the smaller transition cap with --verify) the first
+    # library call reports the size error before any enumeration
+    cap = TRANSITION_CAP if args.verify else BASES_CAP
+    catalog = enumerate_regular(args.n) if args.n <= cap else None
+    transition = basis_transition_check(args.n, catalog) if args.verify else None
     bases = union_bases(args.n, which, catalog)
     print(f"n={args.n} filter={args.filter}: {len(bases)} bases")
-    transition = basis_transition_check(args.n, catalog) if args.verify else None
     if args.verify:
         print("basis transitions:", "Ok" if transition is None else f"FAIL {transition}")
     _write(

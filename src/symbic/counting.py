@@ -409,6 +409,16 @@ def enumerate_regular(n: int) -> TreeCatalog:
     return TreeCatalog(n, trees)
 
 
+def _catalog_for(n: int, catalog: Optional[TreeCatalog]) -> TreeCatalog:
+    """The n+n catalog a whole-catalog call sweeps: enumerated when none is
+    given, refused when the one given is for another n."""
+    if catalog is None:
+        return enumerate_regular(n)
+    if catalog.n != n:
+        raise ValueError(f"catalog is for n={catalog.n}, not n={n}")
+    return catalog
+
+
 def random_regular_tree(n: int, rng: random.Random) -> SymbicTree:
     """A random regular n+n symbic tree with random positive rational
     lengths (every shape reachable; uniformity not promised)."""

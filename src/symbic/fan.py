@@ -19,8 +19,8 @@ from .correspond import divergences
 from .counting import (
     SizeCapError,
     TreeCatalog,
+    _catalog_for,
     cell_sort_key,
-    enumerate_regular,
     orbit_sort_key,
 )
 from .tropical import (
@@ -189,10 +189,8 @@ def refinement_check(
         raise ValueError("a refinement check compares at least 2 samples per tree")
     if n > FAN_CAP:
         raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
-    if catalog is None:
-        catalog = enumerate_regular(n)
     tuples = generic_length_tuples(samples_per_tree, n - 1)
-    for key, tree in catalog.items():
+    for key, tree in _catalog_for(n, catalog).items():
         seen = None
         for lengths in tuples:
             sig = signature(sampler(tree, lengths))
@@ -208,12 +206,10 @@ def signature_by_tree(
 ) -> dict[frozenset, Signature]:
     if n > FAN_CAP:
         raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
-    if catalog is None:
-        catalog = enumerate_regular(n)
     lengths = generic_length_tuples(1, n - 1)[0]
     return {
         key: signature(sample_interior(tree, lengths))
-        for key, tree in catalog.items()
+        for key, tree in _catalog_for(n, catalog).items()
     }
 
 

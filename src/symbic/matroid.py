@@ -14,7 +14,7 @@ import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .correspond import divergences
-from .counting import SizeCapError, TreeCatalog, enumerate_regular
+from .counting import SizeCapError, TreeCatalog, _catalog_for
 from .trees import InvalidMoveError, SymbicTree
 from .tropical import parse_rational
 
@@ -146,14 +146,14 @@ _FILTERS = {
 
 def _catalog_bases(
     n: int, catalog: Optional[TreeCatalog], keep=_FILTERS["all"]
-) -> dict[frozenset, frozenset]:
-    """One sweep over the catalog: tree key -> bases, for the trees ``keep``
+) -> tuple[TreeCatalog, dict[frozenset, frozenset]]:
+    """One sweep over the n+n catalog, enumerated after the cap check when
+    none is given: the catalog, and tree key -> bases for the trees ``keep``
     accepts.  Equal Cayley matrices have equal matroids, so bases are
     computed once per distinct matrix; the memo lives only for this sweep."""
     if n > BASES_CAP:
         raise SizeCapError(f"n={n} exceeds basis enumeration cap {BASES_CAP}")
-    if catalog is None:
-        catalog = enumerate_regular(n)
+    catalog = _catalog_for(n, catalog)
     memo: dict[tuple, frozenset] = {}
     out: dict[frozenset, frozenset] = {}
     for key, tree in catalog.items():
@@ -162,7 +162,7 @@ def _catalog_bases(
             if cm.rows not in memo:
                 memo[cm.rows] = _bases(cm)
             out[key] = memo[cm.rows]
-    return out
+    return catalog, out
 
 
 def union_bases(
@@ -172,7 +172,7 @@ def union_bases(
     restricted to trees with caterpillar branches or full caterpillars."""
     if which not in _FILTERS:
         raise ValueError("which must be all, caterpillar_branches, or full_caterpillar")
-    return frozenset().union(*_catalog_bases(n, catalog, _FILTERS[which]).values())
+    return frozenset().union(*_catalog_bases(n, catalog, _FILTERS[which])[1].values())
 
 
 class TransitionCounterExample(NamedTuple):
@@ -186,7 +186,7 @@ def basis_transition_table(n: int, catalog: Optional[TreeCatalog] = None):
     faces of the complex; n=2 uses the empty face shared by every cell."""
     if n > TRANSITION_CAP:
         raise SizeCapError(f"n={n} exceeds transition check cap {TRANSITION_CAP}")
-    bases = _catalog_bases(n, catalog)
+    _, bases = _catalog_bases(n, catalog)
     faces: dict[frozenset, list[frozenset]] = {}
     if n == 2:
         faces[frozenset()] = list(bases)
@@ -232,9 +232,7 @@ class ConjectureReport(NamedTuple):
 def conjecture_scan(n: int, catalog: Optional[TreeCatalog] = None) -> ConjectureReport:
     """Compare the full basis union against full-caterpillar trees only.
     Reports data; asserts nothing (the equality is an open question)."""
-    if catalog is None:
-        catalog = enumerate_regular(n)
-    bases = _catalog_bases(n, catalog)
+    catalog, bases = _catalog_bases(n, catalog)
     union_all = frozenset().union(*bases.values())
     union_cat = frozenset().union(
         *(bases[key] for key, tree in catalog.items() if tree.is_caterpillar())

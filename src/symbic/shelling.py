@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .counting import TreeCatalog, enumerate_regular
+from .counting import TreeCatalog, _catalog_for
 from .trees import MalformedTreeError, SymbicTree, _preorder, label_key
 
 VERIFY_CAP = 6
@@ -60,20 +60,12 @@ def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
     """Collapse the brittle twig: the caterpillar holding leaf n (n with the
     primed twig leaves) becomes the single leaf n', and mirror-wise on the
     twig branch.  Deleting the twig's index pairs leaves n at the old
-    attachment point, so the surviving top pair swaps colors afterwards."""
-    doomed = set()
-    for idx in twig:
-        doomed.add(idx)
-        doomed.add(-idx)
-    reduced = tree.delete_leaves(doomed)
-    top = reduced.n
-    adj, leaf_vertex = reduced._graph_copy()
-    leaf_vertex[top], leaf_vertex[-top] = leaf_vertex[-top], leaf_vertex[top]
-    # swapping the labels of one pair of leaf vertices keeps the involution
-    swapped = SymbicTree(reduced.n, adj, leaf_vertex, involution_hint=reduced.involution())
-    if swapped.validate() is not None:
+    attachment point, so the label map of :func:`_twig_map` also swaps the
+    colors of the surviving top pair."""
+    reduced = tree._relabelled(_twig_map(tree.n, twig))
+    if reduced.validate() is not None:
         raise MalformedTreeError("twig reduction did not yield a symbic tree")
-    return swapped
+    return reduced
 
 
 def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
@@ -105,8 +97,8 @@ def _deletion_map(n: int) -> dict:
 
 
 def _twig_map(n: int, twig: Sequence[int]) -> dict:
-    """reduce_by_twig as a label map: drop the twig's indices, renumber the
-    survivors in order, and swap the colors of the top survivor."""
+    """The label map of reduce_by_twig: drop the twig's indices, renumber
+    the survivors in order, and swap the colors of the top survivor."""
     survivors = [i for i in range(1, n + 1) if i not in twig]
     label_map = {s * i: s * j for j, i in enumerate(survivors, start=1) for s in (1, -1)}
     top = survivors[-1]
@@ -182,9 +174,7 @@ class TreeComparator:
 
 def rule_order(n: int, catalog: Optional[TreeCatalog] = None) -> list[SymbicTree]:
     """All regular n+n trees sorted by the recursive comparison alone."""
-    if catalog is None:
-        catalog = enumerate_regular(n)
-    return sorted(catalog, key=TreeComparator().key)
+    return sorted(_catalog_for(n, catalog), key=TreeComparator().key)
 
 
 class _PlacedCells:

@@ -179,9 +179,6 @@ class SymbicTree:
         leaves = self.leaf_vertices()
         return sorted(v for v in self.adj if v not in leaves)
 
-    def label_of_vertex(self) -> dict[int, Label]:
-        return {v: l for l, v in self.leaf_vertex.items()}
-
     def pos(self, label: Label) -> int:
         """Attachment vertex of a leaf: the unique neighbor of its leaf vertex."""
         lv = self.leaf_vertex[label]
@@ -189,25 +186,14 @@ class SymbicTree:
         return att
 
     def internal_edges(self) -> list[tuple[int, int, Fraction]]:
-        leaves = self.leaf_vertices()
-        out = []
-        for u in self.adj:
-            if u in leaves:
-                continue
-            for v, length in self.adj[u].items():
-                if v in leaves or v < u:
-                    continue
-                out.append((u, v, length))
-        return sorted(out)
+        """The edges that carry a length: exactly those between internal vertices."""
+        return [e for e in self.edges() if e[2] is not None]
 
     def edges(self) -> list[tuple[int, int, Optional[Fraction]]]:
-        out = []
-        for u in self.adj:
-            for v, length in self.adj[u].items():
-                if v < u:
-                    continue
-                out.append((u, v, length))
-        return sorted(out, key=lambda e: (e[0], e[1]))
+        # sorted by (u, v): no two edges share both ends, so lengths never compare
+        return sorted(
+            (u, v, length) for u, nbrs in self.adj.items() for v, length in nbrs.items() if u <= v
+        )
 
     # -- metric ------------------------------------------------------------
 
@@ -324,9 +310,6 @@ class SymbicTree:
         """Equal keys iff equal combinatorial type; blind to lengths/ids."""
         return self.split_orbits()
 
-    def edges_of_orbit(self, orbit: Orbit) -> list[frozenset]:
-        return [e for e, s in self.splits().items() if s in orbit]
-
     # -- involution and validation ------------------------------------------
 
     def involution(self) -> dict[int, int]:
@@ -334,13 +317,6 @@ class SymbicTree:
         if sigma is None:
             raise MalformedTreeError("no length-preserving color-swapping symmetry")
         return sigma
-
-    def has_involution(self) -> bool:
-        try:
-            self.involution()
-            return True
-        except MalformedTreeError:
-            return False
 
     def fixed_vertices(self) -> set[int]:
         sigma = self.involution()
@@ -362,7 +338,7 @@ class SymbicTree:
         for u, v, length in self.internal_edges():
             if length <= 0:
                 return Violation(2, "nonpositive internal edge length", (u, v))
-        if not self.has_involution():
+        if self._cache["sigma"] is None:
             return Violation(3, "no length-preserving color-swapping symmetry")
         fixed = self.fixed_vertices()
         if not fixed:
@@ -390,26 +366,21 @@ class SymbicTree:
             ends = [v for v in fixed if deg[v] <= 1]
             if len(ends) != 2:
                 raise MalformedTreeError("fixed set is not a path")
-            start = self._trunk_anchor(ends, fixed)
+
+            def min_row(v: int) -> int:  # the smallest row index on the branches at v
+                rows = (l for w in self.adj[v] if w not in fixed for l in self.side_labels(v, w))
+                return min((l for l in rows if l > 0), default=self.n + 1)
+
+            # the anchor endpoint is the one whose branches carry the *larger*
+            # smallest row index; anchoring at the smaller one breaks the
+            # shelling (the two trunk-extension cells of a smaller tree share
+            # the {n, n'} split, and only this orientation yields an earlier
+            # one-swap neighbor for the later of them)
+            start = max(ends, key=lambda v: (min_row(v), -v))
             (end,) = set(ends) - {start}
             path = tuple(self.path(start, end))
         self._cache["trunk"] = path
         return path
-
-    def endpoint_min_row(self, v: int, fixed: set[int]) -> int:
-        """Smallest row index carried by the branches at a trunk vertex."""
-        rows = [
-            l for w in self.adj[v] if w not in fixed for l in self.side_labels(v, w) if l > 0
-        ]
-        return min(rows, default=self.n + 1)
-
-    def _trunk_anchor(self, ends: list[int], fixed: set[int]) -> int:
-        # the anchor endpoint is the one whose branches carry the *larger*
-        # smallest row index; anchoring at the smaller one breaks the
-        # shelling (the two trunk-extension cells of a smaller tree share
-        # the {n, n'} split, and only this orientation yields an earlier
-        # one-swap neighbor for the later of them)
-        return max(ends, key=lambda v: (self.endpoint_min_row(v, fixed), -v))
 
     def canonical_endpoint(self) -> int:
         """The anchor trunk endpoint (single trunk vertex when the trunk is
@@ -529,35 +500,39 @@ class SymbicTree:
             dict(self.leaf_vertex),
         )
 
+    def _relabelled(self, label_map: dict[Label, Label]) -> "SymbicTree":
+        """The one move behind relabelling, leaf deletion and twig reduction:
+        rename each leaf by a signed label map and remove the leaves of the
+        labels it does not map.  The involution goes down as the hint; it
+        stays valid when the map deletes whole index pairs and sends each
+        surviving pair i, i' to a pair j, j' or j', j."""
+        adj, _ = self._graph_copy()
+        leaf_vertex = {}
+        for label, lv in self.leaf_vertex.items():
+            if label in label_map:
+                leaf_vertex[label_map[label]] = lv
+            else:
+                (att,) = adj.pop(lv)
+                del adj[att][lv]
+        return SymbicTree(len(leaf_vertex) // 2, adj, leaf_vertex, self._cache.get("sigma"))
+
     def relabel(self, index_map: dict[int, int]) -> "SymbicTree":
         """Rename leaf indices; ``index_map`` must send the surviving indices
         bijectively onto 1..m."""
-        new_leaves = {}
-        for label, lv in self.leaf_vertex.items():
-            idx = index_map[abs(label)]
-            new_leaves[idx if label > 0 else -idx] = lv
-        adj, _ = self._graph_copy()
-        return SymbicTree(len(new_leaves) // 2, adj, new_leaves, self._cache.get("sigma"))
+        return self._relabelled(
+            {s * i: s * index_map[i] for i in range(1, self.n + 1) for s in (1, -1)}
+        )
 
     def delete_leaves(self, labels: Iterable[Label]) -> "SymbicTree":
         """Drop leaf labels (both colors of each index) and renumber the
         survivors to 1..m preserving order."""
         doomed = set(labels)
-        if {abs(l) for l in doomed} != {l for l in doomed if l > 0}:
+        if doomed - self.leaf_vertex.keys() or any(-l not in doomed for l in doomed):
             raise MalformedTreeError("deletion must remove index pairs i, i'")
-        adj, leaf_vertex = self._graph_copy()
-        for label in doomed:
-            lv = leaf_vertex.pop(label)
-            (att,) = adj[lv]
-            del adj[att][lv]
-            del adj[lv]
-        remaining = sorted({abs(l) for l in leaf_vertex})
-        index_map = {old: new for new, old in enumerate(remaining, start=1)}
-        leaf_vertex = {
-            (index_map[abs(l)] if l > 0 else -index_map[abs(l)]): v
-            for l, v in leaf_vertex.items()
-        }
-        return SymbicTree(len(remaining), adj, leaf_vertex, self._cache.get("sigma"))
+        survivors = [i for i in range(1, self.n + 1) if i not in doomed]
+        return self._relabelled(
+            {s * i: s * j for j, i in enumerate(survivors, start=1) for s in (1, -1)}
+        )
 
     def top_pair_site(self) -> tuple:
         """Where the leaves n and n' hang, read off this tree alone: the first
@@ -590,7 +565,7 @@ class SymbicTree:
             raise MalformedTreeError("leaf n must sit at a trivalent vertex")
         leaf_nbrs = [w for w in others if w in leaves]
         if leaf_nbrs:
-            partner = self.label_of_vertex()[leaf_nbrs[0]]
+            partner = next(l for l, lv in self.leaf_vertex.items() if lv == leaf_nbrs[0])
             if partner > 0:
                 raise MalformedTreeError("same-color cherry at leaf n")
             return ("edge", frozenset((partner,)))
@@ -707,7 +682,7 @@ class SymbicTree:
     def contract_orbit(self, orbit: Orbit) -> "SymbicTree":
         """Contract the edge(s) of one split orbit; the singular type is
         represented as the honest smaller-orbit tree."""
-        edges = self.edges_of_orbit(orbit)
+        edges = [e for e, s in self.splits().items() if s in orbit]
         if not edges:
             raise InvalidMoveError("orbit not present in this tree")
         adj, leaf_vertex = self._graph_copy()
@@ -835,7 +810,7 @@ class SymbicTree:
 
     def to_dot(self) -> str:
         """DOT export: row leaves blue, column leaves red, trunk edges bold."""
-        label_of = self.label_of_vertex()
+        label_of = {v: l for l, v in self.leaf_vertex.items()}
         try:
             trunk = set(self.trunk())
         except MalformedTreeError:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbic.cli
+import symbic.counting
 import symbic.fan
-import symbic.matroid
 from symbic.cli import main
 from symbic.counting import random_regular_tree
 
@@ -281,7 +281,7 @@ def test_matroid_verify_enumerates_once(monkeypatch, capsys):
         return original(n)
 
     monkeypatch.setattr(symbic.cli, "enumerate_regular", counted)
-    monkeypatch.setattr(symbic.matroid, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.counting, "enumerate_regular", counted)
     assert main(["matroid", "--n", "3", "--verify"]) == 0
     assert calls == [3]
     assert capsys.readouterr().out == "n=3 filter=all: 6 bases\nbasis transitions: Ok\n"
@@ -296,7 +296,7 @@ def test_fan_enumerates_once(monkeypatch, capsys):
         return original(n)
 
     monkeypatch.setattr(symbic.cli, "enumerate_regular", counted)
-    monkeypatch.setattr(symbic.fan, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.counting, "enumerate_regular", counted)
     assert main(["fan", "--n", "3"]) == 0
     assert calls == [3]
     assert capsys.readouterr().out == "n=3 refinement: Ok\ncoarse cells: 9 over 12 tree cones\n"
@@ -304,6 +304,29 @@ def test_fan_enumerates_once(monkeypatch, capsys):
     assert main(["fan", "--n", "6"]) == 1
     assert calls == [3]
     assert "exceeds fan cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["matroid", "--n", "5", "--verify"], "transition check cap 4"),
+        (["conjecture", "--n", "6"], "basis enumeration cap 5"),
+    ],
+)
+def test_size_caps_refuse_before_any_enumeration(monkeypatch, capsys, argv, cap):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(symbic.cli, "enumerate_regular", counted)
+    monkeypatch.setattr(symbic.counting, "enumerate_regular", counted)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert f"exceeds {cap}" in json.loads(captured.err)["error"]["message"]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -75,8 +75,12 @@ def min_row_end(tree):
     trunk = tree.trunk()
     if len(trunk) == 1:
         return trunk[0]
-    fixed = tree.fixed_vertices()
-    return min((trunk[0], trunk[-1]), key=lambda v: (tree.endpoint_min_row(v, fixed), v))
+
+    def min_row(v):
+        rows = (l for br in tree.branches() if br.trunk_vertex == v for l in br.labels if l > 0)
+        return min(rows, default=tree.n + 1)
+
+    return min((trunk[0], trunk[-1]), key=lambda v: (min_row(v), v))
 
 
 def test_default_base_point_is_the_min_row_end():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symbic import fan, matroid, shelling
 from symbic.counting import (
     FACE_CAP,
     SERIES_ORDER_CAP,
@@ -288,3 +289,29 @@ def test_catalog_n6_count_and_orbits():
         assert len(key) == 5
     code_keys = {_code_orbits(6, seq, combo) for seq, combo in _regular_codes(6)}
     assert code_keys == set(catalog.trees)
+
+
+@pytest.fixture(scope="module")
+def catalog4():
+    return enumerate_regular(4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: shelling.rule_order(3, c),
+        lambda c: shelling.shelling_check(3, c),
+        lambda c: matroid.union_bases(3, "all", c),
+        lambda c: matroid.basis_transition_check(3, c),
+        lambda c: matroid.conjecture_scan(3, c),
+        lambda c: fan.refinement_check(3, 3, c),
+        lambda c: fan.signature_by_tree(3, c),
+    ],
+    ids=[
+        "rule_order", "shelling_check", "union_bases", "basis_transition_check",
+        "conjecture_scan", "refinement_check", "signature_by_tree",
+    ],
+)
+def test_whole_catalog_calls_refuse_a_catalog_of_another_size(catalog4, call):
+    with pytest.raises(ValueError, match="catalog is for n=4, not n=3"):
+        call(catalog4)

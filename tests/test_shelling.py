@@ -292,6 +292,22 @@ def test_twig_reduction_is_symbic_and_injective():
         assert len(trees) == 1  # same twig + same reduction => same tree
 
 
+def test_twig_reduction_builds_one_tree(monkeypatch):
+    twiggy = [t for n in (3, 4, 5) for t in catalog_of(n) if t.brittle_twig() is not None]
+    built = []
+    init = SymbicTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymbicTree, "__init__", counting_init)
+    for tree in twiggy:
+        built.clear()
+        reduce_by_twig(tree, tree.brittle_twig())
+        assert len(built) == 1
+
+
 def test_total_order_laws():
     for n in (2, 3, 4):
         catalog = list(enumerate_regular(n))

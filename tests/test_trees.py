@@ -170,9 +170,8 @@ def test_missing_involution_is_searched_once(monkeypatch):
     asymmetric = SymbicTree(4, adj, leaves)
     for _ in range(2):
         assert asymmetric.validate().condition == 3
-        assert not asymmetric.has_involution()
-    with pytest.raises(MalformedTreeError):
-        asymmetric.involution()
+        with pytest.raises(MalformedTreeError):
+            asymmetric.involution()
     assert len(calls) == 1
 
 
@@ -479,6 +478,107 @@ def test_relabel():
     assert one.relabel({1: 2, 2: 1}).canonical_key() == one.canonical_key()
 
 
+# -- copy-and-rename oracles of the label-map move ------------------------------
+
+
+def oracle_relabel(tree, index_map):
+    """Relabelling as its own copy-and-rename body: an oracle of the
+    label-map move behind SymbicTree.relabel."""
+    new_leaves = {}
+    for label, lv in tree.leaf_vertex.items():
+        idx = index_map[abs(label)]
+        new_leaves[idx if label > 0 else -idx] = lv
+    adj, _ = tree._graph_copy()
+    return SymbicTree(len(new_leaves) // 2, adj, new_leaves, tree._cache.get("sigma"))
+
+
+def oracle_delete_leaves(tree, labels):
+    """Deletion as its own body: pop the doomed leaves from a copy, then
+    renumber the survivors."""
+    adj, leaf_vertex = tree._graph_copy()
+    for label in set(labels):
+        lv = leaf_vertex.pop(label)
+        (att,) = adj[lv]
+        del adj[att][lv]
+        del adj[lv]
+    remaining = sorted({abs(l) for l in leaf_vertex})
+    index_map = {old: new for new, old in enumerate(remaining, start=1)}
+    leaf_vertex = {
+        (index_map[abs(l)] if l > 0 else -index_map[abs(l)]): v
+        for l, v in leaf_vertex.items()
+    }
+    return SymbicTree(len(remaining), adj, leaf_vertex, tree._cache.get("sigma"))
+
+
+def oracle_reduce_by_twig(tree, twig):
+    """Twig reduction in two constructions: delete the twig's index pairs,
+    then build the tree again with the surviving top pair's colors swapped."""
+    reduced = oracle_delete_leaves(tree, {s * i for i in twig for s in (1, -1)})
+    top = reduced.n
+    adj, leaf_vertex = reduced._graph_copy()
+    leaf_vertex[top], leaf_vertex[-top] = leaf_vertex[-top], leaf_vertex[top]
+    swapped = SymbicTree(reduced.n, adj, leaf_vertex, involution_hint=reduced.involution())
+    if swapped.validate() is not None:
+        raise MalformedTreeError("twig reduction did not yield a symbic tree")
+    return swapped
+
+
+def moved(build):
+    """(ordered adjacency, leaf map, sigma) of the tree a move builds, read
+    as ``normalized`` reads them, or (exception class, message)."""
+    try:
+        tree = build()
+    except Exception as exc:  # the same failure, class and message
+        return type(exc), str(exc)
+    return (
+        [(u, list(nbrs.items())) for u, nbrs in tree.adj.items()],
+        tree.leaf_vertex,
+        tree._cache["sigma"],
+    )
+
+
+def check_label_map_moves(tree, rng):
+    """Relabel by a random permutation, delete the top pair and a random set
+    of pairs, and reduce the brittle twig if there is one, each against its
+    oracle.  Returns whether the tree has a twig."""
+    n = tree.n
+    perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    assert moved(lambda: tree.relabel(perm)) == moved(lambda: oracle_relabel(tree, perm))
+    dropped = rng.sample(range(1, n + 1), rng.randint(1, max(n - 1, 1)))
+    for doomed in ({n, -n}, {s * i for i in dropped for s in (1, -1)}):
+        assert moved(lambda: tree.delete_leaves(doomed)) == moved(
+            lambda: oracle_delete_leaves(tree, doomed)
+        )
+    twig = tree.brittle_twig()
+    if twig is not None:
+        assert moved(lambda: reduce_by_twig(tree, twig)) == moved(
+            lambda: oracle_reduce_by_twig(tree, twig)
+        )
+    return twig is not None
+
+
+def test_label_map_moves_match_the_oracles_on_the_catalogs():
+    rng = random.Random(14)
+    twigs = sum(
+        check_label_map_moves(tree, rng) for n in range(1, 6) for tree in enumerate_regular(n)
+    )
+    assert twigs > 100
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_label_map_moves_match_the_oracles_on_random_trees(n, seed):
+    rng = random.Random(seed)
+    check_label_map_moves(random_regular_tree(n, rng), rng)
+
+
+def test_deletion_refuses_half_pairs_and_absent_labels():
+    tree = one_vertex_trunk_pair_tree()
+    for doomed in ({2}, {-2}, {3, -3}):
+        with pytest.raises(MalformedTreeError, match="index pairs"):
+            tree.delete_leaves(doomed)
+
+
 # -- breadth-first oracle for the tree index ------------------------------------
 
 
@@ -513,7 +613,7 @@ def bfs_component(tree, u, v):
 
 
 def bfs_side_labels(tree, u, v):
-    label_of = tree.label_of_vertex()
+    label_of = {v: l for l, v in tree.leaf_vertex.items()}
     return frozenset(label_of[w] for w in bfs_component(tree, u, v) if w in label_of)
 
 
