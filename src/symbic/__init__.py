@@ -34,13 +34,7 @@ from .counting import (
     series_one_vertex_trunk,
     series_regular,
 )
-from .fan import (
-    coarse_cell_count,
-    refinement_check,
-    sample_interior,
-    signature,
-    subdivision_witness,
-)
+from .fan import coarse_cells, refinement_check, sample_interior, signature
 from .matroid import (
     CayleyMatrix,
     basis_transition_check,

@@ -27,7 +27,7 @@ from .counting import (
     enumerate_regular,
     random_regular_tree,
 )
-from .fan import refinement_check, signature, subdivision_witness
+from .fan import coarse_cells, signature
 from .matroid import (
     basis_transition_check,
     cayley_matrix,
@@ -244,16 +244,13 @@ def criterion_shelling(include_long: bool = False) -> CriterionResult:
 
 def criterion_fan() -> CriterionResult:
     t0 = time.perf_counter()
-    catalogs = {}
+    groups = {}
     for n in (3, 4):
-        catalogs[n] = enumerate_regular(n)
-        bad = refinement_check(n, 3, catalogs[n])
+        bad, groups[n] = coarse_cells(n, 3)
         if bad is not None:
             return CriterionResult(6, "fan refinement", False, f"n={n}: {bad}")
-    groups = subdivision_witness(3, catalogs[3])
-    count = len(groups)
-    sizes = sorted(len(keys) for _, keys in groups)
-    ok = count == 9 and sizes == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    sizes = sorted(len(keys) for _, keys in groups[3])
+    ok = len(groups[3]) == 9 and sizes == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     return CriterionResult(
         6,
         "fan refinement",

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import acceptance
 from .correspond import matrix_from_tree, tree_from_matrix
 from .counting import count_regular, enumerate_regular, orbit_sort_key
-from .fan import FAN_CAP, coarse_cell_count, refinement_check, subdivision_witness
+from .fan import coarse_cells
 from .matroid import (
     BASES_CAP,
     TRANSITION_CAP,
@@ -208,9 +208,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_fan(args) -> int:
-    # past the cap refinement_check reports the size error before any enumeration
-    catalog = enumerate_regular(args.n) if args.n <= FAN_CAP else None
-    bad = refinement_check(args.n, samples_per_tree=3, catalog=catalog)
+    bad, groups = coarse_cells(args.n, samples_per_tree=3)
     refined = "Ok" if bad is None else f"COUNTEREXAMPLE {bad}"
     print(f"n={args.n} refinement: {refined}")
     lines = [
@@ -219,13 +217,10 @@ def cmd_fan(args) -> int:
         f"- refinement check (3 generic samples per tree): {refined}",
     ]
     if bad is None:
-        # at n = 3 the signature groups are reported too; their count is the cell count
-        groups = subdivision_witness(3, catalog) if args.n == 3 else None
-        cells = coarse_cell_count(args.n, catalog) if groups is None else len(groups)
         total = count_regular(args.n)
-        print(f"coarse cells: {cells} over {total} tree cones")
-        lines.append(f"- distinct coarse signatures: {cells} over {total} tree cones")
-        if groups is not None:
+        print(f"coarse cells: {len(groups)} over {total} tree cones")
+        lines.append(f"- distinct coarse signatures: {len(groups)} over {total} tree cones")
+        if args.n == 3:
             sizes = sorted(len(keys) for _, keys in groups)
             lines += ["", "Signature group sizes: " + str(sizes), ""]
             for i, (_, keys) in enumerate(groups, start=1):

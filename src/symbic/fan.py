@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import getitem, mul
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .correspond import divergences
@@ -27,7 +27,7 @@ from .tropical import (
     TropMatrix,
     TropicalError,
     _integer_grid,
-    _minor_plan,
+    _minor_sums,
     _monomial,
     parse_rational,
 )
@@ -119,51 +119,38 @@ def signature(matrix: TropMatrix) -> Signature:
     """Argmin monomial sets of every 3x3 minor (all row/column index pairs)
     of a symmetric matrix, computed on its integer grid.
 
-    Only the minors (R, C) with C >= R are evaluated.  The transpose (C, R)
-    of a symmetric matrix has the same monomial set, by the argument of the
-    symmetric rank scan, and enters the signature with that set.
+    The symmetric minor sweep (``_minor_sums``) evaluates only the minors
+    (R, C) with C >= R; the transpose (C, R) has the same monomial set and
+    enters the signature with it.
     """
     if matrix.n < 3:
         raise TropicalError("signatures need n >= 3")
     matrix.require_symmetric()
-    grid = _integer_grid(matrix)
     perms, table = _minor_table(matrix.n)
     out = []
-    for rows, row_ids, columns in table:
-        sub = [grid[r] for r in row_ids]
-        for cols, pick, monomials in columns:
-            block = [pick(row) for row in sub]
-            totals = [sum(map(getitem, block, p)) for p in perms]
-            best = min(totals)
-            argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
-            out.append((rows, cols, argmin))
-            if cols != rows:
-                out.append((cols, rows, argmin))
+    sweep = _minor_sums(_integer_grid(matrix), 3, True, perms)
+    for (rows, cols, monomials), (_, _, totals) in zip(table, sweep):
+        best = min(totals)
+        argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
+        out.append((rows, cols, argmin))
+        if cols != rows:
+            out.append((cols, rows, argmin))
     return frozenset(out)
 
 
 @functools.lru_cache(maxsize=None)
 def _minor_table(n: int) -> tuple[tuple, tuple]:
-    """The permutations of size 3, and per row set R of an n x n matrix
-    (1-based, with its 0-based grid rows) the column sets C >= R, each with
-    its column picker and the monomial of every permutation of (R, C).
-    The 0-based sets and pickers are the rank scan's plan (``_minor_plan``).
+    """The permutations of size 3, and per 3x3 minor (R, C) with C >= R of
+    an n x n matrix, in the order of the symmetric minor sweep, its 1-based
+    row and column sets and the monomial of every permutation.
 
     None of this depends on the entries, so it is built once per size and
     shared, immutable, by every signature of that size."""
     perms = tuple(itertools.permutations(range(3)))
-    combos, pickers, _, _ = _minor_plan(n, 3)
-    labels = tuple(tuple(i + 1 for i in c) for c in combos)
+    labels = [tuple(i + 1 for i in c) for c in itertools.combinations(range(n), 3)]
     table = tuple(
-        (
-            rows,
-            combos[first],
-            tuple(
-                (cols, pick, tuple(_monomial(rows, cols, p) for p in perms))
-                for cols, pick in zip(labels[first:], pickers[first:])
-            ),
-        )
-        for first, rows in enumerate(labels)
+        (rows, cols, tuple(_monomial(rows, cols, p) for p in perms))
+        for rows, cols in itertools.combinations_with_replacement(labels, 2)
     )
     return perms, table
 
@@ -175,62 +162,39 @@ class RefinementCounterExample(NamedTuple):
 
 
 def refinement_check(
-    n: int,
-    samples_per_tree: int = 3,
-    catalog: Optional[TreeCatalog] = None,
-    sampler=sample_interior,
+    n: int, samples_per_tree: int = 3, catalog: Optional[TreeCatalog] = None
 ) -> Optional[RefinementCounterExample]:
     """Within each tree's cone, generic samples must share their signature
-    (the tree fan refines the coarse 3x3-minor fan).  Sampling-based: two
-    independent generic samples agreeing is the practical test, so fewer
-    than two samples per tree are refused.  ``sampler`` exists for fault
-    injection in tests."""
+    (the tree fan refines the coarse 3x3-minor fan): the counterexample of
+    :func:`coarse_cells`, or None."""
+    return coarse_cells(n, samples_per_tree, catalog)[0]
+
+
+def coarse_cells(
+    n: int, samples_per_tree: int = 3, catalog: Optional[TreeCatalog] = None
+) -> tuple[Optional[RefinementCounterExample], list[tuple[Signature, tuple]]]:
+    """One signing pass over the catalog: each tree is signed once per
+    generic sample.  Returns the first tree whose samples disagree, with
+    no groups, or None and the trees grouped by the signature of their
+    first sample, one group per coarse cell (at n=3 the 12 symbic cones
+    fall onto 9 coarse cells, three of which split into two cones each).
+
+    Sampling-based: two independent generic samples agreeing is the
+    practical test, so fewer than two samples per tree are refused.  The
+    size checks come before any enumeration."""
     if samples_per_tree < 2:
         raise ValueError("a refinement check compares at least 2 samples per tree")
     if n > FAN_CAP:
         raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
-    tuples = generic_length_tuples(samples_per_tree, n - 1)
-    for key, tree in _catalog_for(n, catalog).items():
-        seen = None
-        for lengths in tuples:
-            sig = signature(sampler(tree, lengths))
-            if seen is None:
-                seen = (sig, lengths)
-            elif sig != seen[0]:
-                return RefinementCounterExample(key, seen[1], lengths)
-    return None
-
-
-def signature_by_tree(
-    n: int, catalog: Optional[TreeCatalog] = None
-) -> dict[frozenset, Signature]:
-    if n > FAN_CAP:
-        raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
-    lengths = generic_length_tuples(1, n - 1)[0]
-    return {
-        key: signature(sample_interior(tree, lengths))
-        for key, tree in _catalog_for(n, catalog).items()
-    }
-
-
-def coarse_cell_count(n: int, catalog: Optional[TreeCatalog] = None) -> int:
-    """Number of distinct coarse-fan signatures over the catalog."""
-    return len(set(signature_by_tree(n, catalog).values()))
-
-
-def subdivision_witness(
-    n: int = 3, catalog: Optional[TreeCatalog] = None
-) -> list[tuple[Signature, tuple]]:
-    """Group trees by coarse signature; at n=3 the 12 symbic cones fall onto
-    9 coarse cells, three of which split into two cones each."""
+    if n < 3:
+        raise TropicalError("signatures need n >= 3")
+    first, *others = generic_length_tuples(samples_per_tree, n - 1)
     groups: dict[Signature, list] = {}
-    for key, sig in signature_by_tree(n, catalog).items():
+    for key, tree in _catalog_for(n, catalog).items():
+        sig = signature(sample_interior(tree, first))
+        for lengths in others:
+            if signature(sample_interior(tree, lengths)) != sig:
+                return RefinementCounterExample(key, first, lengths), []
         groups.setdefault(sig, []).append(key)
-    return [
-        (sig, tuple(sorted(keys, key=cell_sort_key)))
-        for sig, keys in sorted(groups.items(), key=lambda kv: _group_sort(kv[1]))
-    ]
-
-
-def _group_sort(keys: list) -> tuple:
-    return (len(keys), tuple(sorted(cell_sort_key(k) for k in keys)))
+    cells = [(sig, tuple(sorted(keys, key=cell_sort_key))) for sig, keys in groups.items()]
+    return None, sorted(cells, key=lambda cell: (len(cell[1]), list(map(cell_sort_key, cell[1]))))

@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import getitem, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # 9! = 362880 permutations per minor; enough for desk-scale matrices.
 MAX_MINOR_SIZE = 9
@@ -155,8 +155,8 @@ class TropMatrix:
         except (TypeError, KeyError) as exc:
             raise TropicalError("matrix JSON needs an 'entries' field") from exc
         mat = cls(entries)
-        if "n" in data and data["n"] != mat.n:
-            raise TropicalError("declared n does not match entry grid")
+        if "n" in data and (type(data["n"]) is not int or data["n"] != mat.n):
+            raise TropicalError("declared n must be the integer size of the entry grid")
         return mat
 
 
@@ -225,39 +225,54 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     (``symmetric``: as a polynomial in the x_{ij}, i <= j); stops at the
     first minor that is not.
 
-    The symmetric scan visits a minor (R, C) only when C >= R.  On a
+    A symmetric minor is degenerate iff its argmin permutations fall into
+    at least two of its monomial classes (see :func:`_monomial_classes`),
+    which are computed on the minor's first tied argmin and kept for later
+    scans (a table of all minors built up front takes about 1 s at n = 8,
+    some 20 scans of a random 8 x 8 matrix).
+
+    The k! permutations are listed once per call, not generated per minor
+    (15-20 % slower), and not kept between calls, so that no 9!-sized list
+    (about 50 MB) stays resident.
+    """
+    combos, _, classes_of, interned = _minor_plan(len(grid), k)
+    perms = list(itertools.permutations(range(k)))
+    for first, second, totals in _minor_sums(grid, k, symmetric, perms):
+        best = min(totals)
+        if totals.count(best) < 2:
+            return False
+        if symmetric:
+            classes = classes_of.get((first, second))
+            if classes is None:
+                classes = _monomial_classes(combos[first], combos[second], perms)
+                classes = classes_of[first, second] = interned.setdefault(classes, classes)
+            if len({c for c, total in zip(classes, totals) if total == best}) < 2:
+                return False
+    return True
+
+
+def _minor_sums(
+    grid: list[list[int]], k: int, symmetric: bool, perms: Sequence[Permutation]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Per k x k minor of the integer grid, the indices of its row set and
+    column set in the scan order of :func:`_minor_plan`, and its entry sum
+    under each permutation, in ``perms`` order.  Row sets come in order,
+    and per row set its column sets.
+
+    The ``symmetric`` sweep visits a minor (R, C) only when C >= R.  On a
     symmetric grid the transpose minor (C, R) has the same entry sums, its
     argmin permutations are the inverses, and a permutation and its inverse
-    pick the same unordered pairs {r, c}: the same monomial set.  A minor
-    is then degenerate iff its argmin permutations fall into at least two
-    of its monomial classes (see :func:`_monomial_classes`), which are
-    computed on the minor's first tied argmin and kept for later scans (a
-    table of all minors built up front takes about 1 s at n = 8, some 20
-    scans of a random 8 x 8 matrix).
-
-    The column sets and their pickers are cached per (n, k).  The k!
-    permutations are listed per call, so that no 9!-sized list (about
-    50 MB) stays resident; a generator per minor would be 15-20 % slower.
+    pick the same unordered pairs {r, c}: the same argmin monomial set, and
+    the same symmetric degeneracy.  The symmetric rank scan and the fan
+    signatures (``symbic.fan``) both read this sweep.
     """
-    combos, pickers, classes_of, interned = _minor_plan(len(grid), k)
-    perms = list(itertools.permutations(range(k)))
+    combos, pickers, _, _ = _minor_plan(len(grid), k)
     for first, rows in enumerate(combos):
         sub = [grid[r] for r in rows]
         for second in range(first if symmetric else 0, len(combos)):
             pick = pickers[second]
             block = [pick(row) for row in sub]
-            totals = [sum(map(getitem, block, p)) for p in perms]
-            best = min(totals)
-            if totals.count(best) < 2:
-                return False
-            if symmetric:
-                classes = classes_of.get((first, second))
-                if classes is None:
-                    classes = _monomial_classes(rows, combos[second], perms)
-                    classes = classes_of[first, second] = interned.setdefault(classes, classes)
-                if len({c for c, total in zip(classes, totals) if total == best}) < 2:
-                    return False
-    return True
+            yield first, second, [sum(map(getitem, block, p)) for p in perms]
 
 
 @functools.lru_cache(maxsize=None)

@@ -73,17 +73,19 @@ def test_criterion_6_enumerates_each_catalog_once(monkeypatch):
     assert calls == [3, 4]
 
 
-def test_criterion_6_signs_the_n3_catalog_once_past_the_refinement(monkeypatch):
+def test_criterion_6_signs_each_tree_once_per_sample(monkeypatch):
+    """Three generic samples for each of the 12 trees at n = 3 and the 111
+    at n = 4; the signature groups come from the same pass."""
     calls = []
-    original = symbic.fan.signature_by_tree
+    original = symbic.fan.signature
 
-    def counted(n, catalog=None):
-        calls.append(n)
-        return original(n, catalog)
+    def counted(matrix):
+        calls.append(matrix.n)
+        return original(matrix)
 
-    monkeypatch.setattr(symbic.fan, "signature_by_tree", counted)
+    monkeypatch.setattr(symbic.fan, "signature", counted)
     assert acceptance.criterion_fan().passed
-    assert calls == [3]
+    assert calls == [3] * 36 + [4] * 333
 
 
 def test_criterion_7_matroid():
@@ -149,7 +151,7 @@ def test_public_surface_is_pinned():
         "RationalSeries", "ReconstructionError", "SizeCapError", "SymbicTree",
         "TreeCatalog", "TreeComparator", "TropMatrix", "TropicalError", "Violation",
         "base_point", "basis_transition_check", "canonicalize_mod_lineality",
-        "cayley_matrix", "coarse_cell_count", "conjecture_scan", "count_full_trunk",
+        "cayley_matrix", "coarse_cells", "conjecture_scan", "count_full_trunk",
         "count_one_vertex_trunk", "count_regular", "enumerate_faces", "enumerate_regular",
         "exact_rank", "ground_set", "hilbert_distance", "leaf_distances",
         "leaf_metric_from_matrix", "lineality_identity_check",
@@ -158,7 +160,7 @@ def test_public_surface_is_pinned():
         "reduce_by_twig", "refinement_check", "render_conjecture_report", "rule_order",
         "sample_interior", "series_full_trunk", "series_one_vertex_trunk",
         "series_regular", "shelling_check", "shelling_order", "signature", "star_tree",
-        "subdivision_witness", "sym_trop_rank", "tree_from_matrix", "tree_of_single_pair",
+        "sym_trop_rank", "tree_from_matrix", "tree_of_single_pair",
         "trop_rank", "union_bases", "verify_shelling",
     ]
     assert _public(symbic.TropMatrix) == [

@@ -101,6 +101,9 @@ def test_bad_input_gives_structured_error(tmp_path, capsys):
         {"entries": [5, 6]},
         {"entries": [[True, 0], [0, 1]]},
         {"entries": [["1e1000000", "0"], ["0", "1"]]},
+        {"n": True, "entries": [["0"]]},
+        {"n": 1.0, "entries": [["0"]]},
+        {"n": "1", "entries": [["0"]]},
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
@@ -300,10 +303,17 @@ def test_fan_enumerates_once(monkeypatch, capsys):
     assert main(["fan", "--n", "3"]) == 0
     assert calls == [3]
     assert capsys.readouterr().out == "n=3 refinement: Ok\ncoarse cells: 9 over 12 tree cones\n"
-    # past the cap the size error comes before any enumeration
+    # past the cap, and below n = 3, the size error comes before any enumeration
     assert main(["fan", "--n", "6"]) == 1
     assert calls == [3]
     assert "exceeds fan cap 5" in capsys.readouterr().err
+    assert main(["fan", "--n", "2"]) == 1
+    assert calls == [3]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"kind": "invalid", "message": "signatures need n >= 3"}
+    }
 
 
 @pytest.mark.parametrize(
@@ -329,20 +339,21 @@ def test_size_caps_refuse_before_any_enumeration(monkeypatch, capsys, argv, cap)
     assert f"exceeds {cap}" in json.loads(captured.err)["error"]["message"]
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_fan_signs_the_catalog_once_past_the_refinement(monkeypatch, n):
-    """The coarse cell count and, at n = 3, the signature groups come from
-    one signing of the catalog at the first generic sample."""
+@pytest.mark.parametrize("n, signed", [(3, 36), (4, 333)], ids=["3", "4"])
+def test_fan_signs_each_tree_once_per_sample(monkeypatch, n, signed):
+    """The refinement check, the coarse cell count and, at n = 3, the
+    signature groups come from one signing pass: three generic samples
+    for each of the 12 or 111 trees."""
     calls = []
-    original = symbic.fan.signature_by_tree
+    original = symbic.fan.signature
 
-    def counted(n, catalog=None):
-        calls.append(n)
-        return original(n, catalog)
+    def counted(matrix):
+        calls.append(matrix.n)
+        return original(matrix)
 
-    monkeypatch.setattr(symbic.fan, "signature_by_tree", counted)
+    monkeypatch.setattr(symbic.fan, "signature", counted)
     assert main(["fan", "--n", str(n)]) == 0
-    assert calls == [n]
+    assert calls == [n] * signed
 
 
 # -- fuzzing the loaders --------------------------------------------------------

@@ -305,11 +305,11 @@ def catalog4():
         lambda c: matroid.basis_transition_check(3, c),
         lambda c: matroid.conjecture_scan(3, c),
         lambda c: fan.refinement_check(3, 3, c),
-        lambda c: fan.signature_by_tree(3, c),
+        lambda c: fan.coarse_cells(3, 3, c),
     ],
     ids=[
         "rule_order", "shelling_check", "union_bases", "basis_transition_check",
-        "conjecture_scan", "refinement_check", "signature_by_tree",
+        "conjecture_scan", "refinement_check", "coarse_cells",
     ],
 )
 def test_whole_catalog_calls_refuse_a_catalog_of_another_size(catalog4, call):

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symbic.counting
+import symbic.fan
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
 from symbic.counting import enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
-    coarse_cell_count,
+    coarse_cells,
     generic_length_tuples,
     refinement_check,
     sample_interior,
     signature,
-    subdivision_witness,
 )
 from symbic.tropical import (
     TropMatrix,
@@ -158,9 +159,19 @@ def test_signature_of_zero_matrix_has_every_monomial():
         assert monomials == frozenset(every)
 
 
-def test_signature_needs_n_at_least_3():
+def test_signature_needs_n_at_least_3(monkeypatch):
     with pytest.raises(TropicalError):
         signature(TropMatrix([[0, 0], [0, 0]]))
+
+    def enumerate_nothing(n):
+        raise AssertionError("enumerated a catalog too small to sign")
+
+    # the whole-catalog calls refuse before any enumeration
+    monkeypatch.setattr(symbic.counting, "enumerate_regular", enumerate_nothing)
+    for n in (2, 1, 0, -1):
+        for call in (coarse_cells, refinement_check):
+            with pytest.raises(TropicalError, match="signatures need n >= 3"):
+                call(n)
 
 
 def test_signature_refuses_asymmetric_input():
@@ -242,10 +253,11 @@ def test_refinement_check_needs_two_samples():
             refinement_check(3, samples_per_tree=samples)
 
 
-def test_refinement_check_catches_mixed_samples():
+def test_refinement_check_catches_mixed_samples(monkeypatch):
     catalog = enumerate_regular(3)
     trees = list(catalog)
     calls = []
+    honest_sampler = symbic.fan.sample_interior
 
     def corrupted_sampler(tree, lengths):
         # first call per tree answers honestly, later calls sample a
@@ -253,28 +265,33 @@ def test_refinement_check_catches_mixed_samples():
         calls.append(tree)
         bait = trees[0] if tree.canonical_key() != trees[0].canonical_key() else trees[1]
         honest = calls.count(tree) == 1
-        return sample_interior(tree if honest else bait, lengths)
+        return honest_sampler(tree if honest else bait, lengths)
 
-    bad = refinement_check(3, samples_per_tree=2, sampler=corrupted_sampler)
+    monkeypatch.setattr(symbic.fan, "sample_interior", corrupted_sampler)
+    bad = refinement_check(3, samples_per_tree=2)
     assert isinstance(bad, RefinementCounterExample)
+    assert bad.lengths_a == generic_length_tuples(2, 2)[0]
+    assert coarse_cells(3, 2) == (bad, [])
 
 
 def test_coarse_cells_n3():
-    assert coarse_cell_count(3) == 9
-    groups = subdivision_witness(3)
+    bad, groups = coarse_cells(3)
+    assert bad is None and len(groups) == 9
     assert sorted(len(keys) for _, keys in groups) == [1, 1, 1, 1, 1, 1, 2, 2, 2]
     assert sum(len(keys) for _, keys in groups) == 12
 
 
 def test_coarse_cells_n4_bounded_by_catalog():
-    count = coarse_cell_count(4)
-    assert count <= 111
-    assert count == 75  # computed value; no published expectation
+    bad, groups = coarse_cells(4)
+    assert bad is None
+    assert len(groups) <= 111
+    assert len(groups) == 75  # computed value; no published expectation
 
 
 def test_refinement_and_coarse_cells_n5():
     catalog = enumerate_regular(5)
-    assert refinement_check(5, 3, catalog=catalog) is None
+    bad, groups = coarse_cells(5, 3, catalog=catalog)
+    assert bad is None
     # computed value, equal to the count over the Fraction oracle's
     # signatures; no published expectation
-    assert coarse_cell_count(5, catalog) == 855
+    assert len(groups) == 855

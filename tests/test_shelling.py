@@ -360,9 +360,7 @@ def test_orbit_keys_match_the_rebuilt_trees(n):
 
 
 def test_rule_keys_build_one_tree_per_type(monkeypatch):
-    """A smaller tree is built once per type, not once per cell: a type is
-    built at most twice, as a kept tree and as the intermediate tree that
-    a twig reduction passes through before it swaps the top pair."""
+    """A smaller tree is built once per type, not once per cell."""
     catalog = catalog_of(5)
     built = []
     init = SymbicTree.__init__
@@ -374,7 +372,7 @@ def test_rule_keys_build_one_tree_per_type(monkeypatch):
     monkeypatch.setattr(SymbicTree, "__init__", counting_init)
     rule_order(5, catalog)
     assert all(n < 5 for n, _ in built)
-    assert max(collections.Counter(built).values()) <= 2
+    assert max(collections.Counter(built).values()) == 1
 
 
 @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.long)])

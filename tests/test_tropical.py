@@ -334,6 +334,12 @@ def test_matrix_json_round_trip():
     assert again == m
     with pytest.raises(TropicalError):
         TropMatrix.from_json_dict({"n": 3, "entries": [["0"]]})
+    for declared in (True, 1.0, 2.0, "1", None, [1]):
+        with pytest.raises(TropicalError, match="declared n"):
+            TropMatrix.from_json_dict({"n": declared, "entries": [["0"]]})
+    with pytest.raises(TropicalError, match="declared n"):
+        TropMatrix.from_json_dict({"n": 2.0, "entries": [["0", "1"], ["1", "0"]]})
+    assert TropMatrix.from_json_dict({"n": 1, "entries": [["0"]]}).n == 1
     for entries in (5, None, "12", [5, 6], ["12", "34"], [[0, 1], 2], {"a": [0]}):
         with pytest.raises(TropicalError):
             TropMatrix.from_json_dict({"entries": entries})
