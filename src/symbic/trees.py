@@ -806,6 +806,8 @@ class SymbicTree:
         n = len(indices)
         if indices != list(range(1, n + 1)) or len(leaf_vertex) != 2 * n:
             raise MalformedTreeError("leaves must be exactly 1..n and 1'..n'")
+        if "n" in data and (type(data["n"]) is not int or data["n"] != n):
+            raise MalformedTreeError("declared n must be the integer count of leaf pairs")
         return cls(n, adj, leaf_vertex)
 
     def to_dot(self) -> str:

@@ -128,8 +128,14 @@ def test_bad_input_gives_structured_error(tmp_path, capsys):
         path.write_text(json.dumps(body))
         assert main(["matrix-from-tree", "--tree", str(path)]) == 1
         assert "error" in json.loads(capsys.readouterr().err)
-    path.write_text(json.dumps(good))
-    assert main(["matrix-from-tree", "--tree", str(path)]) == 0
+    for declared in (7, True, "1"):
+        path.write_text(json.dumps({**good, "n": declared}))
+        assert main(["matrix-from-tree", "--tree", str(path)]) == 1
+        error = structured_error(capsys)
+        assert error["kind"] == "bad-input" and "declared n" in error["message"]
+    for body in (good, {**good, "n": 1}):
+        path.write_text(json.dumps(body))
+        assert main(["matrix-from-tree", "--tree", str(path)]) == 0
 
 
 def structured_error(capsys):
@@ -216,6 +222,8 @@ def test_unknown_flags_rejected():
          "aaccac5604780635e2150a3a79962a61c35c13c7c86b26ef005f5a9bc88d6c9b"),
         (["shelling", "--n", "5", "--verify"],
          "7293ed932cfad6f2211668fa606492498be3b4b009041432238f079a4b89b710"),
+        (["matroid", "--n", "4", "--filter", "all", "--verify"],
+         "e661b22950c1ce2f7f45d42e9e9d076bbe6468971be8a8466c1bccff6f41a397"),
     ],
 )
 def test_outputs_are_pinned(tmp_path, argv, digest):
@@ -224,6 +232,17 @@ def test_outputs_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.long
+def test_matroid_n5_output_is_pinned(tmp_path):
+    """The 3655 bases of the n = 5 union; the bytes must not move when the
+    basis search changes."""
+    out = tmp_path / "out.json"
+    assert main(["matroid", "--n", "5", "--filter", "all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f79a8db4aeb28399c0f0560c0e003c6ac6df20750d38d11d1b18d173943ef13a"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,9 @@ from symbic.acceptance import four_pair_double_cherry_tree
 from symbic.correspond import matrix_from_tree
 from symbic.counting import SizeCapError, enumerate_regular, random_regular_tree
 from symbic.matroid import (
+    CayleyMatrix,
+    _bases,
+    _kernel,
     _reduce,
     basis_transition_table,
     basis_transition_check,
@@ -58,6 +61,27 @@ def oracle_bases(tree, base=None):
             if step is None:
                 continue
             extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
+
+    extend(0, [], [])
+    return frozenset(results)
+
+
+def primal_bases(cm):
+    """The integer basis search the dual replaced: depth-first over the
+    columns of the matrix itself, one reducer step per candidate column."""
+    pairs = cm.columns
+    vectors = list(zip(*cm.rows))
+    target = len(cm.rows)
+    results = []
+
+    def extend(start, chosen, echelon):
+        if len(chosen) == target:
+            results.append(frozenset(chosen))
+            return
+        for idx in range(start, len(pairs) - (target - len(chosen)) + 1):
+            step = _reduce(vectors[idx], echelon)
+            if step is not None:
+                extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
 
     extend(0, [], [])
     return frozenset(results)
@@ -241,6 +265,81 @@ def test_bases_independent_of_base_point():
 def test_bases_match_fraction_oracle(n, seed):
     tree = random_regular_tree(n, random.Random(seed))
     assert matroid_bases(tree) == oracle_bases(tree)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small int matrices, r <= 5 rows and m <= 9 columns, sometimes square,
+    with integer combinations of earlier rows and zero columns mixed in."""
+    r = draw(st.integers(1, 5))
+    m = r if draw(st.booleans()) else draw(st.integers(0, 9))
+    zero_columns = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    rows = []
+    for _ in range(r):
+        if rows and draw(st.integers(0, 3)) == 0:
+            coefficients = [draw(st.integers(-2, 2)) for _ in rows]
+            rows.append(tuple(sum(c * row[k] for c, row in zip(coefficients, rows)) for k in range(m)))
+        else:
+            rows.append(tuple(
+                0 if k in zero_columns else draw(st.integers(-3, 3)) for k in range(m)
+            ))
+    return CayleyMatrix(0, 0, tuple(range(m)), tuple(rows))
+
+
+def assert_kernel(rows, width):
+    """A K^T = 0 and rank K = m - r for independent rows; None otherwise."""
+    kernel = _kernel(rows, width)
+    if exact_rank(rows) < len(rows):
+        assert kernel is None
+        return
+    assert len(kernel) == width - len(rows) == exact_rank(kernel)
+    for row in rows:
+        for vec in kernel:
+            assert len(vec) == width
+            assert sum(a * x for a, x in zip(row, vec)) == 0
+
+
+@given(integer_matrices())
+@example(CayleyMatrix(0, 0, (0, 1, 2), ((1, 2, 3), (2, 4, 6))))  # dependent rows
+@example(CayleyMatrix(0, 0, (0, 1, 2), ((0, 1, 0), (0, 0, 2), (3, 0, 0))))  # m == r
+@example(CayleyMatrix(0, 0, (0, 1, 2, 3), ((0, 2, 0, 4), (0, 1, 1, 0))))  # a zero column
+@example(CayleyMatrix(0, 0, (0, 1), ((1, 1), (1, -1), (0, 1))))  # m < r
+@settings(max_examples=300, deadline=None)
+def test_bases_match_the_primal_search(cm):
+    assert_kernel(cm.rows, len(cm.columns))
+    assert _bases(cm) == primal_bases(cm)
+
+
+def distinct_cayley_matrices(n):
+    return {cm.rows: cm for cm in map(cayley_matrix, enumerate_regular(n))}.values()
+
+
+def test_bases_match_the_primal_search_on_every_cayley_matrix():
+    for n in (1, 2, 3, 4):
+        for cm in distinct_cayley_matrices(n):
+            assert_kernel(cm.rows, len(cm.columns))
+            bases = _bases(cm)
+            assert bases == primal_bases(cm)
+            assert bases and all(len(b) == 2 * n - 1 for b in bases)
+
+
+@pytest.mark.long
+def test_bases_match_the_primal_search_on_every_cayley_matrix_n5():
+    matrices = list(distinct_cayley_matrices(5))
+    assert len(matrices) == 690
+    for cm in matrices:
+        assert_kernel(cm.rows, len(cm.columns))
+        assert _bases(cm) == primal_bases(cm)
+
+
+def test_kernel_of_a_worked_matrix():
+    # back-substitution clears column 1 from the first row, (2, 0, -3, 1);
+    # the pivot entries are 2 and 1, so L = 2 on the free columns 2 and 3
+    rows = ((2, 1, 0, 1), (0, 1, 3, 0))
+    assert _kernel(rows, 4) == [[3, -6, 2, 0], [-1, 0, 0, 2]]
+    assert _kernel(((1, 2), (2, 4)), 2) is None
+    assert _kernel(((1, 0), (0, 1)), 2) == []
+    assert_kernel(rows, 4)
 
 
 @pytest.mark.long

@@ -446,6 +446,16 @@ def test_json_round_trip_and_dot():
     assert dot.count("style=bold") == 1  # one trunk edge
 
 
+def test_json_declared_n_must_match_the_leaves():
+    data = {"edges": [{"u": 0, "v": 1, "len": None}, {"u": 0, "v": 2, "len": None}],
+            "leaves": {"1": 1, "1p": 2}}
+    assert SymbicTree.from_json_dict(data).n == 1
+    assert SymbicTree.from_json_dict({**data, "n": 1}).n == 1
+    for declared in (7, True, "1", 1.0):
+        with pytest.raises(MalformedTreeError, match="declared n"):
+            SymbicTree.from_json_dict({**data, "n": declared})
+
+
 def test_malformed_inputs_raise():
     with pytest.raises(MalformedTreeError):
         build(1, [(0, 1, None)], {1: 1, -1: 1})  # shared leaf vertex
