@@ -153,11 +153,20 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
     translation under simultaneous tropical row/column scaling, so every
     pairwise distance is invariant on the matrix's lineality class.
 
-    Positions and distances are computed on the matrix scaled once to its
-    integer grid (see :func:`symbic.tropical._integer_grid`): a distance
-    there is L times the rational one, with L the lcm of the entries'
-    denominators, and becomes a ``Fraction`` only at the end.
+    The distances are those of :func:`_integer_leaf_metric`, divided by its
+    scale L as ``Fraction``s.
     """
+    labels, dist, scale = _integer_leaf_metric(matrix)
+    return LeafMetric(labels, {pair: Fraction(d, scale) for pair, d in dist.items()})
+
+
+def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], dict[tuple[int, int], int], int]:
+    """The leaf metric of :func:`leaf_metric_from_matrix` on the matrix's
+    integer grid (see :func:`symbic.tropical._integer_grid`): the labels
+    1, 1', 2, 2', ..., n, n' in that order, the distance of every label
+    pair (x, y) with x before y times L, as an int, and L, the lcm of the
+    entries' denominators.  Refuses a matrix of symmetric tropical rank
+    above 2."""
     rank = sym_trop_rank(matrix)
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
@@ -172,29 +181,30 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
     dist = {}
     for x, y in itertools.combinations(labels, 2):
         diffs = list(map(sub, position[x], position[y]))
-        dist[(x, y)] = Fraction(max(diffs) - min(diffs), scale)
-    return LeafMetric(labels, dist)
+        dist[x, y] = max(diffs) - min(diffs)
+    return labels, dist, scale
 
 
-def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
+def _steiner_tree(
+    labels: Sequence[int], metric: dict[tuple[int, int], int], scale: int
+) -> tuple[dict, dict]:
     """Exact sequential insertion of labeled points into a metric tree.
 
-    Returns (adjacency of internal vertices with Fraction lengths,
+    ``metric`` holds the distance of every label pair (x, y), x before y
+    in ``labels``, times ``scale``, as an int; the labels are inserted in
+    order.  Returns (adjacency of internal vertices with Fraction lengths,
     position vertex of every label).  Labels may share positions.  Every
     walk starts at vertex 0, the position of the first label, so the tree
     keeps parent pointers toward it.
 
-    The walk runs on integers: every distance times twice the lcm of the
-    metric's denominators, which makes each Gromov product gamma integral.
-    Edge lengths become ``Fraction``s once, on return.
+    The walk runs on the distances doubled, which makes each Gromov
+    product gamma integral.  Edge lengths become ``Fraction``s over
+    2 * ``scale`` once, on return.
     """
-    labels = list(metric.labels)
     x0 = labels[0]
-    scale = 2 * math.lcm(*(d.denominator for d in metric.dist.values()))
     dist: dict[tuple[int, int], int] = {(x0, x0): 0}
-    for x, y in itertools.combinations(labels, 2):
-        d = metric.distance(x, y)
-        dist[x, y] = dist[y, x] = d.numerator * (scale // d.denominator)
+    for (x, y), d in metric.items():
+        dist[x, y] = dist[y, x] = 2 * d
     adj: dict[int, dict[int, int]] = {0: {}}
     up: dict[int, int] = {}
     pos: dict[int, int] = {x0: 0}
@@ -252,7 +262,8 @@ def _steiner_tree(metric: LeafMetric) -> tuple[dict, dict]:
             up[w] = attach
             pos[z] = w
         placed.append(z)
-    return {u: {v: Fraction(l, scale) for v, l in nb.items()} for u, nb in adj.items()}, pos
+    half = 2 * scale
+    return {u: {v: Fraction(l, half) for v, l in nb.items()} for u, nb in adj.items()}, pos
 
 
 def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
@@ -263,6 +274,14 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
     :class:`RankOneMatrixError` rather than returned; the 1x1 case is the
     honest single-pair tree.  The rebuilt tree must fit every leaf distance
     exactly: that fit certifies the leaf metric as a tree metric.
+
+    The leaf metric stays on the integer grid from the matrix through the
+    Steiner insertion to the fit, which compares integers: the tree's
+    vertex depths times the lcm S of L and their denominators against the
+    metric times S / L.  The fit reads the normalized tree, not the Steiner
+    adjacency: normalization moves a leaf off a pendant stub and drops the
+    stub's length, so a metric that places a leaf on a stub is refused
+    only by the tree as built.
     """
     if matrix.n == 1:
         return tree_of_single_pair()
@@ -273,8 +292,8 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
         raise RankOneMatrixError(
             "rank-one matrix: the tree degenerates to a star"
         )
-    metric = leaf_metric_from_matrix(matrix)
-    adj, pos = _steiner_tree(metric)
+    labels, metric, scale = _integer_leaf_metric(matrix)
+    adj, pos = _steiner_tree(labels, metric, scale)
     # attach explicit leaf vertices
     leaf_vertex = {}
     nxt = max(adj) + 1
@@ -284,11 +303,19 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
         leaf_vertex[label] = nxt
         nxt += 1
     tree = SymbicTree(matrix.n, adj, leaf_vertex)
-    for x, y in itertools.combinations(tree.labels(), 2):
-        fitted, wanted = tree.distance(tree.pos(x), tree.pos(y)), metric.distance(x, y)
-        if fitted != wanted:
+    index = tree._index()
+    common = math.lcm(scale, *(d.denominator for d in index.dist))
+    depth = [d.numerator * (common // d.denominator) for d in index.dist]
+    unit = common // scale
+    slot = {label: index.slot[v] for label, v in tree.leaf_vertex.items()}
+    for (x, y), wanted in metric.items():
+        i, j = slot[x], slot[y]
+        fitted = depth[i] + depth[j] - 2 * depth[index.meet(i, j)]
+        if fitted != wanted * unit:
             pair = f"({format_label(x)}, {format_label(y)})"
-            raise ReconstructionError(f"tree distance {fitted} at {pair}, metric {wanted}")
+            raise ReconstructionError(
+                f"tree distance {Fraction(fitted, common)} at {pair}, metric {Fraction(wanted, scale)}"
+            )
     violation = tree.validate()
     if violation is not None:
         raise ReconstructionError(f"reconstruction is not symbic: {violation}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .correspond import divergences
+from .correspond import base_point, divergences
 from .counting import SizeCapError, TreeCatalog, _catalog_for
 from .trees import InvalidMoveError, SymbicTree
 from .tropical import parse_rational
@@ -50,9 +50,15 @@ class CayleyMatrix(NamedTuple):
 
 
 def cayley_matrix(tree: SymbicTree, base: Optional[int] = None) -> CayleyMatrix:
+    """The Cayley matrix of a regular tree's cone at the base point O;
+    cached on the tree per O, as the tree is immutable by convention."""
     if not tree.is_regular():
         raise InvalidMoveError("Cayley matrix wants a regular tree")
-    o, table = divergences(tree, base)
+    o = base_point(tree, base)
+    cached = tree._cache.get(("cayley", o))
+    if cached is not None:
+        return cached
+    o, table = divergences(tree, o)
     sigma = tree.involution()
     n = tree.n
     pairs = ground_set(n)
@@ -74,7 +80,8 @@ def cayley_matrix(tree: SymbicTree, base: Optional[int] = None) -> CayleyMatrix:
         rows.append(
             tuple((i == coordinate) + (j == coordinate) for i, j in pairs)
         )
-    return CayleyMatrix(n, len(node_orbits), pairs, tuple(rows))
+    cached = tree._cache["cayley", o] = CayleyMatrix(n, len(node_orbits), pairs, tuple(rows))
+    return cached
 
 
 def _reduce(

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -243,13 +244,33 @@ def test_reconstructions_always_have_path_fixed_sets():
         assert rebuilt.validate() is None
 
 
+def fraction_metric(labels, dist, scale):
+    """The ``LeafMetric`` of an integer leaf metric (labels, distances
+    times ``scale``, ``scale``)."""
+    return LeafMetric(labels, {pair: Fraction(d, scale) for pair, d in dist.items()})
+
+
+def integer_metric(metric):
+    """A ``LeafMetric`` as ``_steiner_tree`` reads it: its labels, each
+    distance times the lcm L of their denominators, and L."""
+    scale = math.lcm(*(d.denominator for d in metric.dist.values()))
+    dist = {pair: d.numerator * (scale // d.denominator) for pair, d in metric.dist.items()}
+    return list(metric.labels), dist, scale
+
+
+def cook(monkeypatch, labels, dist, scale):
+    """Hand ``tree_from_matrix`` the given integer leaf metric, whatever
+    the matrix."""
+    monkeypatch.setattr(correspond, "_integer_leaf_metric", lambda matrix: (labels, dist, scale))
+
+
 def test_reconstruction_error_on_cooked_metric(monkeypatch):
     # a symmetric matrix passing the rank test cannot fail the four-point
     # condition, so hand the reconstruction a cooked metric directly
-    metric = leaf_metric_from_matrix(PERMUTED)
-    metric.dist[(1, -2)] = Fraction(99)
-    assert metric.four_point_violation() is not None
-    monkeypatch.setattr(correspond, "leaf_metric_from_matrix", lambda matrix: metric)
+    labels, dist, scale = correspond._integer_leaf_metric(PERMUTED)
+    dist[1, -2] = 99 * scale
+    assert fraction_metric(labels, dist, scale).four_point_violation() is not None
+    cook(monkeypatch, labels, dist, scale)
     with pytest.raises(ReconstructionError, match=r"\(\d+p?, \d+p?\)"):
         tree_from_matrix(PERMUTED)
 
@@ -257,11 +278,82 @@ def test_reconstruction_error_on_cooked_metric(monkeypatch):
 def test_fit_check_names_its_witness(monkeypatch):
     """A metric that Steiner insertion places but the rebuilt tree does not
     fit is refused at the first mismatching pair, with both distances."""
-    metric = leaf_metric_from_matrix(PERMUTED)
-    metric.dist[(-1, -2)] = Fraction(99)
-    monkeypatch.setattr(correspond, "leaf_metric_from_matrix", lambda matrix: metric)
+    labels, dist, scale = correspond._integer_leaf_metric(PERMUTED)
+    dist[-1, -2] = 99 * scale
+    cook(monkeypatch, labels, dist, scale)
     with pytest.raises(ReconstructionError, match=r"^tree distance 2 at \(1p, 2p\), metric 99$"):
         tree_from_matrix(PERMUTED)
+
+
+def test_fit_reads_the_normalized_tree(monkeypatch):
+    """Every distance to the last label, 4', raised by 1 makes Steiner
+    insertion hang 4' on a pendant stub of length 1.  Normalization moves
+    the leaf off the stub and drops its length, so the tree as built puts
+    4' at distance 0 from 1, and the fit refuses the metric; a fit of the
+    Steiner adjacency would not."""
+    matrix = matrix_from_tree(random_regular_tree(4, random.Random(2)))
+    labels, dist, scale = correspond._integer_leaf_metric(matrix)
+    for pair in dist:
+        if labels[-1] in pair:
+            dist[pair] += scale
+    cook(monkeypatch, labels, dist, scale)
+    with pytest.raises(ReconstructionError, match=r"^tree distance 0 at \(1, 4p\), metric 1$"):
+        tree_from_matrix(matrix)
+
+
+def fraction_fit_tree(n, metric):
+    """The steps of ``tree_from_matrix`` after the leaf metric, as they were
+    before the fit moved to the integer grid: Steiner insertion, the tree
+    built, and every leaf distance of the tree compared with the metric in
+    ``Fraction``s, then ``validate``."""
+    adj, pos = fraction_steiner_tree(metric)
+    leaf_vertex = {}
+    nxt = max(adj) + 1
+    for label, vertex in pos.items():
+        adj[nxt] = {vertex: None}
+        adj[vertex][nxt] = None
+        leaf_vertex[label] = nxt
+        nxt += 1
+    tree = SymbicTree(n, adj, leaf_vertex)
+    for x, y in itertools.combinations(tree.labels(), 2):
+        fitted, wanted = tree.distance(tree.pos(x), tree.pos(y)), metric.distance(x, y)
+        if fitted != wanted:
+            pair = f"({format_label(x)}, {format_label(y)})"
+            raise ReconstructionError(f"tree distance {fitted} at {pair}, metric {wanted}")
+    violation = tree.validate()
+    if violation is not None:
+        raise ReconstructionError(f"reconstruction is not symbic: {violation}")
+    return tree
+
+
+@given(
+    st.integers(2, 7),
+    st.randoms(use_true_random=False),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=7, max_size=7),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_fit_matches_the_fraction_fit_on_cooked_metrics(n, rng, shift, data):
+    """On the leaf metric of a shifted tree matrix, unchanged, with one
+    distance moved, or with every distance to one label moved alike (a
+    pendant stub when raised), ``tree_from_matrix`` gives the tree or the
+    error of the ``Fraction`` fit."""
+    matrix = matrix_from_tree(random_regular_tree(n, rng)).add(rank_one_matrix(shift[:n]))
+    labels, dist, scale = correspond._integer_leaf_metric(matrix)
+    moved = data.draw(st.sampled_from(["none", "one pair", "one label"]))
+    delta = data.draw(st.integers(-2 * scale, 3 * scale))
+    if moved == "one pair":
+        dist[data.draw(st.sampled_from(sorted(dist)))] += delta
+    elif moved == "one label":
+        label = data.draw(st.sampled_from(labels))
+        for pair in dist:
+            if label in pair:
+                dist[pair] += delta
+    oracle = fraction_metric(labels, dist, scale)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cook(monkeypatch, labels, dist, scale)
+        got = reconstruction_outcome(tree_from_matrix, matrix)
+    assert got == reconstruction_outcome(lambda m: fraction_fit_tree(m.n, oracle), matrix)
 
 
 # -- the reconstruction as it was, in Fraction arithmetic with the four-point ---
@@ -480,7 +572,8 @@ def test_integer_reconstruction_matches_the_fraction_oracle(matrix, shift, data)
     pair = data.draw(st.sampled_from(sorted(p for p in metric.dist if metric.labels[-1] in p)))
     cooked.dist[pair] += data.draw(st.fractions(min_value=-1, max_value=3, max_denominator=6))
     for m in (metric, cooked):
-        got, want = outcome(_steiner_tree, m), outcome(fraction_steiner_tree, m)
+        got = outcome(lambda m: _steiner_tree(*integer_metric(m)), m)
+        want = outcome(fraction_steiner_tree, m)
         if isinstance(want, str):
             assert got == want
         else:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symbic import matroid
 from symbic.acceptance import four_pair_double_cherry_tree
-from symbic.correspond import matrix_from_tree
+from symbic.correspond import divergences, matrix_from_tree
 from symbic.counting import SizeCapError, enumerate_regular, random_regular_tree
 from symbic.matroid import (
     CayleyMatrix,
@@ -257,6 +258,26 @@ def test_bases_independent_of_base_point():
             if len(trunk) < 2:
                 continue
             assert matroid_bases(tree, trunk[0]) == matroid_bases(tree, trunk[-1])
+
+
+
+def test_cayley_matrix_is_built_once_per_tree_and_base(monkeypatch):
+    """``matroid_bases`` reads the Cayley matrix that ``cayley_matrix`` has
+    just built on the same tree; another base point gets its own."""
+    calls = []
+
+    def counted(tree, base=None):
+        calls.append(base)
+        return divergences(tree, base)
+
+    monkeypatch.setattr(matroid, "divergences", counted)
+    tree = random_regular_tree(4, random.Random(3))
+    cm = cayley_matrix(tree)
+    assert matroid_bases(tree) == _bases(cm)
+    assert cayley_matrix(tree, tree.trunk()[-1]) is cm
+    assert len(calls) == 1
+    assert cayley_matrix(tree, tree.trunk()[0]) is not cm  # a two-vertex trunk
+    assert len(calls) == 2
 
 
 @given(st.integers(2, 4), st.integers(0, 2**32))

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
 import pytest
@@ -16,6 +17,7 @@ from symbic.tropical import (
     TropMatrix,
     TropicalError,
     _minor_plan,
+    _minor_sums,
     _monomial,
     _monomial_classes,
     canonicalize_mod_lineality,
@@ -469,7 +471,7 @@ def random_symmetric(n, rng, high):
 
 def memoized_classes(n):
     """The monomial classes memoized for n x n matrices, one entry per minor."""
-    return sum(len(_minor_plan(n, k)[2]) for k in range(2, n + 1))
+    return sum(len(_minor_plan(n, k)[3]) for k in range(2, n + 1))
 
 
 def test_monomial_classes_are_computed_lazily():
@@ -495,7 +497,42 @@ def test_equal_monomial_classes_are_shared():
     for _ in range(20):
         sym_trop_rank(random_symmetric(5, rng, 2))
     for k in range(2, 6):
-        _, _, classes_of, interned = _minor_plan(5, k)
+        _, _, _, classes_of, interned = _minor_plan(5, k)
         assert set(map(id, classes_of.values())) == set(map(id, interned.values()))
         assert len(interned) <= len(classes_of)
-    assert len(_minor_plan(5, 3)[3]) < len(_minor_plan(5, 3)[2])
+    assert len(_minor_plan(5, 3)[4]) < len(_minor_plan(5, 3)[3])
+
+
+def picked_minor_sums(grid, k, symmetric, perms):
+    """``_minor_sums`` before the term getters: every minor's columns
+    picked row by row, and each permutation's terms summed."""
+    combos = list(itertools.combinations(range(len(grid)), k))
+    pickers = [itemgetter(*cols) for cols in combos]
+    for first, rows in enumerate(combos):
+        sub = [grid[r] for r in rows]
+        for second in range(first if symmetric else 0, len(combos)):
+            pick = pickers[second]
+            block = [pick(row) for row in sub]
+            yield first, second, [sum(map(getitem, block, p)) for p in perms]
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 7))),
+    st.booleans(),
+    st.sampled_from([(0, 3), (-50, 50)]),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
+    """Each grid swept twice: term getters built on a second visit within
+    a sweep, and getters kept from earlier sweeps of that size, give the
+    sums the picked minors give."""
+    k, n = size
+    grid = [[rng.randint(*bounds) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        grid = [[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    perms = list(itertools.permutations(range(k)))
+    want = list(picked_minor_sums(grid, k, symmetric, perms))
+    _minor_plan.cache_clear()
+    for _ in range(2):
+        assert list(_minor_sums(grid, k, symmetric, perms)) == want
