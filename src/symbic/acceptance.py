@@ -163,10 +163,14 @@ def criterion_rank_examples() -> CriterionResult:
     )
 
 
-def criterion_round_trips(rounds: int = 500, seed: int = 0) -> CriterionResult:
+# Random trees, n <= 6, sent through matrix_from_tree and back.
+_ROUND_TRIPS = 500
+
+
+def criterion_round_trips(seed: int = 0) -> CriterionResult:
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    for i in range(rounds):
+    for i in range(_ROUND_TRIPS):
         n = rng.randint(1, 6)
         tree = random_regular_tree(n, rng)
         matrix = matrix_from_tree(tree)
@@ -181,7 +185,7 @@ def criterion_round_trips(rounds: int = 500, seed: int = 0) -> CriterionResult:
             return CriterionResult(3, "round trips", False, f"matrix mismatch at trial {i}")
     elapsed = time.perf_counter() - t0
     return CriterionResult(
-        3, "round trips", True, f"{rounds} random trees, n <= 6 ({elapsed:.1f}s)"
+        3, "round trips", True, f"{_ROUND_TRIPS} random trees, n <= 6 ({elapsed:.1f}s)"
     )
 
 

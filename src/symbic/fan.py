@@ -126,10 +126,9 @@ def signature(matrix: TropMatrix) -> Signature:
     if matrix.n < 3:
         raise TropicalError("signatures need n >= 3")
     matrix.require_symmetric()
-    perms, table = _minor_table(matrix.n)
     out = []
-    sweep = _minor_sums(_integer_grid(matrix), 3, True, perms)
-    for (rows, cols, monomials), (_, _, totals) in zip(table, sweep):
+    sweep = _minor_sums(_integer_grid(matrix), 3, True)
+    for (rows, cols, monomials), (_, _, totals) in zip(_minor_table(matrix.n), sweep):
         best = min(totals)
         argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
         out.append((rows, cols, argmin))
@@ -139,20 +138,21 @@ def signature(matrix: TropMatrix) -> Signature:
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_table(n: int) -> tuple[tuple, tuple]:
-    """The permutations of size 3, and per 3x3 minor (R, C) with C >= R of
-    an n x n matrix, in the order of the symmetric minor sweep, its 1-based
-    row and column sets and the monomial of every permutation.
+def _minor_table(n: int) -> tuple:
+    """Per 3x3 minor (R, C) with C >= R of an n x n matrix, in the order of
+    the symmetric minor sweep, its 1-based row and column sets and the
+    monomial of every permutation, in the order of the sweep's sums.
 
     None of this depends on the entries, so it is built once per size and
     shared, immutable, by every signature of that size."""
+    # itertools.permutations order is the order of the term pattern that
+    # the sweep sums by (tropical._term_pattern)
     perms = tuple(itertools.permutations(range(3)))
     labels = [tuple(i + 1 for i in c) for c in itertools.combinations(range(n), 3)]
-    table = tuple(
+    return tuple(
         (rows, cols, tuple(_monomial(rows, cols, p) for p in perms))
         for rows, cols in itertools.combinations_with_replacement(labels, 2)
     )
-    return perms, table
 
 
 class RefinementCounterExample(NamedTuple):

@@ -797,6 +797,8 @@ class SymbicTree:
             if not isinstance(e, dict) or "u" not in e or "v" not in e:
                 raise MalformedTreeError("every tree edge needs 'u' and 'v'")
             u, v = _vertex_id(e["u"]), _vertex_id(e["v"])
+            if v in adj.get(u, ()):
+                raise MalformedTreeError(f"edge ({u}, {v}) is listed twice")
             raw = e.get("len")
             length = None if raw is None else parse_rational(raw)
             adj.setdefault(u, {})[v] = length
@@ -872,6 +874,8 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     has_zero = False
     for u, nbrs in adj.items():
         for v, length in nbrs.items():
+            if v == u:
+                raise MalformedTreeError(f"self-loop at vertex {u}")
             back = adj.get(v, {}).get(u, "missing")
             if back is not length and back != length:
                 raise MalformedTreeError("asymmetric adjacency")

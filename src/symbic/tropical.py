@@ -7,6 +7,11 @@ integer grid (see :func:`_integer_grid`), and ``Fraction``s are made again
 only for their results.  The "minimum attained twice" predicates that
 define tropical rank are not robust under floating point, so no float ever
 enters these computations.
+
+Every permutation sum of a minor, of grid entries or of monomial codes, is
+one pattern (:func:`_term_pattern`) applied to the minor's k x k block in
+row-major order and summed in runs of k; the minor sweep
+(:func:`_minor_sums`) reads each block with one cell getter per column set.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 # 9! = 362880 permutations per minor; enough for desk-scale matrices.
@@ -235,22 +240,19 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     from one entry each), the memo keeps the empty tuple instead: two tied
     permutations are then two classes, so the tie count decides and no
     class set is built.
-
-    The k! permutations are listed once per call, not generated per minor
-    (15-20 % slower), and not kept between calls, so that no 9!-sized list
-    (about 50 MB) stays resident.
     """
-    combos, _, _, classes_of, interned = _minor_plan(len(grid), k)
-    perms = list(itertools.permutations(range(k)))
-    for first, second, totals in _minor_sums(grid, k, symmetric, perms):
+    combos, _, classes_of, interned = _minor_plan(len(grid), k)
+    # classes are numbered by first appearance: the last is k! - 1 only when all differ
+    distinct = math.factorial(k) - 1
+    for first, second, totals in _minor_sums(grid, k, symmetric):
         best = min(totals)
         if totals.count(best) < 2:
             return False
         if symmetric:
             classes = classes_of.get((first, second))
             if classes is None:
-                classes = _monomial_classes(combos[first], combos[second], perms)
-                if classes[-1] == len(perms) - 1:  # numbered by first appearance
+                classes = _monomial_classes(combos[first], combos[second])
+                if classes[-1] == distinct:
                     classes = ()
                 classes = classes_of[first, second] = interned.setdefault(classes, classes)
             if classes and len({c for c, total in zip(classes, totals) if total == best}) < 2:
@@ -259,23 +261,17 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
 
 
 def _minor_sums(
-    grid: list[list[int]], k: int, symmetric: bool, perms: Sequence[Permutation]
+    grid: list[list[int]], k: int, symmetric: bool
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Per k x k minor of the integer grid, the indices of its row set and
     column set in the scan order of :func:`_minor_plan`, and its entry sum
-    under each permutation, in ``perms`` order.  Row sets come in order,
-    and per row set its column sets.  ``perms`` must list the permutations
-    of range(k) in ``itertools.permutations`` order, which the term getters
-    of the plan are built for.
+    under each permutation, in the order of :func:`_term_pattern`.  Row
+    sets come in order, and per row set its column sets.
 
-    The first time a sweep meets a column set it picks the minor's columns
-    row by row and sums each permutation's terms.  The second time it
-    builds the column set's term getter (see :func:`_minor_plan`), which
-    every later minor on those columns, in this sweep and in later sweeps
-    of the same size, reads at once from its k rows concatenated.  Waiting
-    for a second visit keeps the plan free of getters no sweep reuses: the
-    one k x k minor of a k x k matrix would need a getter of k * k!
-    indices, 3.3 million at k = 9, to be read once.
+    Every minor is read the same way: its k rows of the grid concatenated,
+    the column set's cell getter takes the minor's k x k block in row-major
+    order, the term pattern lists each permutation's k terms in turn, and
+    the sums of those runs of k are the permutation sums.
 
     The ``symmetric`` sweep visits a minor (R, C) only when C >= R.  On a
     symmetric grid the transpose minor (C, R) has the same entry sums, its
@@ -284,72 +280,60 @@ def _minor_sums(
     the same symmetric degeneracy.  The symmetric rank scan and the fan
     signatures (``symbic.fan``) both read this sweep.
     """
-    n = len(grid)
-    combos, pickers, getters, _, _ = _minor_plan(n, k)
-    met = bytearray(len(combos))
+    combos, cells, _, _ = _minor_plan(len(grid), k)
+    terms = _term_pattern(k)
     for first, rows in enumerate(combos):
-        sub = [grid[r] for r in rows]
-        flat = [x for row in sub for x in row]
+        flat = [x for r in rows for x in grid[r]]
         for second in range(first if symmetric else 0, len(combos)):
-            getter = getters[second]
-            if getter is None:
-                if not met[second]:
-                    met[second] = 1
-                    pick = pickers[second]
-                    block = [pick(row) for row in sub]
-                    yield first, second, [sum(map(getitem, block, p)) for p in perms]
-                    continue
-                cells = [r * n + c for r in range(k) for c in combos[second]]
-                getter = getters[second] = itemgetter(*_term_pattern(k)(cells))
-            yield first, second, list(map(sum, zip(*[iter(getter(flat))] * k)))
+            yield first, second, list(map(sum, zip(*[iter(terms(cells[second](flat)))] * k)))
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, list, dict, dict]:
-    """The k-subsets of range(n) in scan order, a column picker for each,
-    a slot per column set for its term getter (None until built), and two
-    dicts that the symmetric scan fills: the monomial classes of a minor by
-    its (row set, column set) indices, or () where its monomials are
-    pairwise distinct, and one shared copy of each distinct classes tuple
-    (the 3 x 3 minors have two).  A term getter fetches, from k rows of
-    the grid concatenated, the k terms of each permutation in turn (see
-    :func:`_minor_sums`).  None of it depends on matrix entries, so every
-    scan of an n x n matrix may share it."""
+def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict, dict]:
+    """The k-subsets of range(n) in scan order; per column set, an
+    itemgetter of its k * k cell positions in k rows of an n x n grid
+    concatenated (the minor's block, row-major); and two dicts that the
+    symmetric scan fills: the monomial classes of a minor by its (row set,
+    column set) indices, or () where its monomials are pairwise distinct,
+    and one shared copy of each distinct classes tuple (the 3 x 3 minors
+    have two).  Nothing here depends on matrix entries, so every scan of
+    an n x n matrix may share it, and no sweep changes the first two."""
     combos = tuple(itertools.combinations(range(n), k))
-    pickers = tuple(itemgetter(*cols) for cols in combos)
-    return combos, pickers, [None] * len(combos), {}, {}
+    cells = tuple(itemgetter(*[r * n + c for r in range(k) for c in cols]) for cols in combos)
+    return combos, cells, {}, {}
 
 
 @functools.lru_cache(maxsize=None)
 def _term_pattern(k: int) -> itemgetter:
-    """An itemgetter of the indices r * k + p[r], r = 0..k-1, for each
-    permutation p of range(k) in ``itertools.permutations`` order: applied
-    to the positions of a k x k minor's cells in row-major order, it gives
-    those of each permutation's terms in turn.  A term getter made from it
-    takes two passes in C, about a seventh of the time of a Python loop
-    over the k! permutations (2 ms against 13 ms at k = 8, CPython 3.11 on
-    a 2-core x86-64 host)."""
+    """The one encoding of permutations: an itemgetter of the indices
+    r * k + p[r], r = 0..k-1, for each permutation p of range(k) in
+    ``itertools.permutations`` order.  Applied to a k x k block in
+    row-major order, it gives each permutation's k terms in turn, so the
+    sums of its runs of k are the permutation sums (see
+    :func:`_minor_sums`).  The cell getter, the pattern and the run sums of
+    an 8 x 8 minor take 4.0 ms against 7.2 ms for a Python loop over its
+    k! permutations (CPython 3.11 on a 2-core x86-64 host)."""
     terms = itertools.chain.from_iterable(itertools.permutations(range(k)))
     return itemgetter(*map(add, terms, itertools.cycle(range(0, k * k, k))))
 
 
-def _monomial_classes(
-    rows: Sequence[int], cols: Sequence[int], perms: Sequence[Permutation]
-) -> tuple[int, ...]:
-    """Per permutation of the minor (rows, cols), in ``perms`` order, the
-    index of its monomial (see :func:`_monomial`) among the minor's distinct
-    monomials, numbered in order of first appearance.
+def _monomial_classes(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, ...]:
+    """Per permutation of the minor (rows, cols), in the order of
+    :func:`_term_pattern`, the index of its monomial (see :func:`_monomial`)
+    among the minor's distinct monomials, numbered in order of first
+    appearance.
 
     A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
     (c, r), so it is coded without sorting as a sum of 2-bit digits, one
-    place per pair: no digit carries, and equal codes are equal monomials.
+    place per pair: the term pattern sums them like the entries of a minor.
+    No digit carries, and equal codes are equal monomials.
     """
+    k = len(rows)
     places: dict[tuple[int, int], int] = {}
     block = [
-        [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
-        for r in rows
+        1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for r in rows for c in cols
     ]
-    codes = [sum(map(getitem, block, p)) for p in perms]
+    codes = list(map(sum, zip(*[iter(_term_pattern(k)(block))] * k)))
     index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
     return tuple(map(index.__getitem__, codes))
 

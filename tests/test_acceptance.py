@@ -29,7 +29,7 @@ def test_criterion_2_rank_examples():
 
 
 def test_criterion_3_round_trips():
-    result = acceptance.criterion_round_trips(rounds=500, seed=0)
+    result = acceptance.criterion_round_trips(seed=0)
     _report(result)
     assert result.passed, result.detail
 

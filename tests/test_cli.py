@@ -180,6 +180,28 @@ def test_file_system_errors_give_structured_error(tmp_path, capsys):
     assert structured_error(capsys)["kind"] == "io"
 
 
+def test_self_loops_and_repeated_edges_are_bad_input(tmp_path, capsys):
+    """A self-loop of any length, or an edge listed twice in either
+    orientation, is a bad input file, never a traceback or a tree."""
+    edges = [{"u": 0, "v": 1, "len": None}, {"u": 0, "v": 2, "len": None},
+             {"u": 0, "v": 3, "len": "1"}, {"u": 3, "v": 4, "len": None},
+             {"u": 3, "v": 5, "len": None}]
+    leaves = {"1": 1, "1p": 2, "2": 4, "2p": 5}
+    path = tmp_path / "tree.json"
+    for extra, message in (
+        ({"u": 0, "v": 0, "len": "0"}, "self-loop"),
+        ({"u": 0, "v": 0, "len": "1"}, "self-loop"),
+        ({"u": 0, "v": 3, "len": "1"}, "listed twice"),
+        ({"u": 3, "v": 0, "len": "5"}, "listed twice"),
+    ):
+        path.write_text(json.dumps({"edges": edges + [extra], "leaves": leaves}))
+        assert main(["matrix-from-tree", "--tree", str(path)]) == 1
+        error = structured_error(capsys)
+        assert error["kind"] == "bad-input" and message in error["message"]
+    path.write_text(json.dumps({"edges": edges, "leaves": leaves}))
+    assert main(["matrix-from-tree", "--tree", str(path)]) == 0
+
+
 def test_csv_and_json_parse_errors_share_a_kind(tmp_path, capsys):
     for rows in ([["1", "x"], ["0", "1"]], [["1", "0"], ["0"]], [["1/0", "0"], ["0", "1"]]):
         table = tmp_path / "m.csv"
@@ -401,7 +423,7 @@ def tree_documents(draw):
     doc = random_regular_tree(draw(st.integers(1, 4)), rng).to_json_dict()
     edges, leaves = doc["edges"], doc["leaves"]
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["drop", "add", "move", "field", "leaf"]))
+        edit = draw(st.sampled_from(["drop", "add", "move", "field", "leaf", "loop", "twice"]))
         if edit == "drop" and edges:
             edges.pop(draw(st.integers(0, len(edges) - 1)))
         elif edit == "add":
@@ -411,6 +433,15 @@ def tree_documents(draw):
             # rewiring an internal edge can leave a cycle beside a detached part
             edge = draw(st.sampled_from([e for e in edges if e["len"] is not None]))
             edge[draw(st.sampled_from(["u", "v"]))] = draw(st.sampled_from(doc["vertices"]))
+        elif edit == "loop":
+            # a zero length once reached the zero-edge contraction
+            w = draw(st.sampled_from(doc["vertices"]))
+            edges.append({"u": w, "v": w, "len": draw(st.sampled_from(["0", "1"]) | SCALARS)})
+        elif edit == "twice" and edges:
+            # the same edge again, either way round, with any length
+            edge = edges[draw(st.integers(0, len(edges) - 1))]
+            ends = draw(st.sampled_from([("u", "v"), ("v", "u")]))
+            edges.append({"u": edge[ends[0]], "v": edge[ends[1]], "len": draw(SCALARS)})
         elif edit == "field" and edges:
             edge = edges[draw(st.integers(0, len(edges) - 1))]
             edge[draw(st.sampled_from(["u", "v", "len"]))] = draw(SCALARS)

@@ -476,6 +476,18 @@ def test_malformed_inputs_raise():
             [(0, 1, None), (0, 2, None), (0, 3, -1), (3, 4, None), (3, 5, None)],
             {1: 1, -1: 2},
         )
+    cherries = [(0, 1, None), (0, 2, None), (0, 3, 1), (3, 4, None), (3, 5, None)]
+    pairs = {1: 1, -1: 2, 2: 4, -2: 5}
+    for length in (0, 1):
+        # a zero-length self-loop once deleted the vertex it hangs on
+        with pytest.raises(MalformedTreeError, match="self-loop"):
+            build(2, cherries + [(0, 0, length)], pairs)
+    edges = [{"u": u, "v": v, "len": None if L is None else str(L)} for u, v, L in cherries]
+    leaves = {format_label(label): v for label, v in pairs.items()}
+    for repeat in ({"u": 0, "v": 3, "len": "1"}, {"u": 3, "v": 0, "len": "5"}):
+        with pytest.raises(MalformedTreeError, match="listed twice"):
+            SymbicTree.from_json_dict({"edges": edges + [repeat], "leaves": leaves})
+    assert SymbicTree.from_json_dict({"edges": edges, "leaves": leaves}).n == 2
 
 
 def test_relabel():

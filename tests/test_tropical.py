@@ -455,7 +455,7 @@ def test_monomial_classes_number_the_sorted_monomials(k):
     perms = list(itertools.permutations(range(k)))
     combos = list(itertools.combinations(range(1, 7), k))
     for rows, cols in itertools.product(combos, repeat=2):
-        classes = _monomial_classes(rows, cols, perms)
+        classes = _monomial_classes(rows, cols)
         first_seen = {}
         for p, c in zip(perms, classes):
             assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
@@ -471,7 +471,7 @@ def random_symmetric(n, rng, high):
 
 def memoized_classes(n):
     """The monomial classes memoized for n x n matrices, one entry per minor."""
-    return sum(len(_minor_plan(n, k)[3]) for k in range(2, n + 1))
+    return sum(len(_minor_plan(n, k)[2]) for k in range(2, n + 1))
 
 
 def test_monomial_classes_are_computed_lazily():
@@ -497,10 +497,10 @@ def test_equal_monomial_classes_are_shared():
     for _ in range(20):
         sym_trop_rank(random_symmetric(5, rng, 2))
     for k in range(2, 6):
-        _, _, _, classes_of, interned = _minor_plan(5, k)
+        _, _, classes_of, interned = _minor_plan(5, k)
         assert set(map(id, classes_of.values())) == set(map(id, interned.values()))
         assert len(interned) <= len(classes_of)
-    assert len(_minor_plan(5, 3)[4]) < len(_minor_plan(5, 3)[3])
+    assert len(_minor_plan(5, 3)[3]) < len(_minor_plan(5, 3)[2])
 
 
 def picked_minor_sums(grid, k, symmetric, perms):
@@ -524,9 +524,9 @@ def picked_minor_sums(grid, k, symmetric, perms):
 )
 @settings(max_examples=100, deadline=None)
 def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
-    """Each grid swept twice: term getters built on a second visit within
-    a sweep, and getters kept from earlier sweeps of that size, give the
-    sums the picked minors give."""
+    """Each grid swept twice, on a fresh plan and on the plan the first
+    sweep left: the cell getters and the term pattern give the sums the
+    picked minors give, in ``itertools.permutations`` order."""
     k, n = size
     grid = [[rng.randint(*bounds) for _ in range(n)] for _ in range(n)]
     if symmetric:
@@ -535,4 +535,30 @@ def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
     want = list(picked_minor_sums(grid, k, symmetric, perms))
     _minor_plan.cache_clear()
     for _ in range(2):
-        assert list(_minor_sums(grid, k, symmetric, perms)) == want
+        assert list(_minor_sums(grid, k, symmetric)) == want
+
+
+@pytest.mark.long
+def test_term_pattern_matches_the_picked_sums_up_to_the_cap():
+    """The tier-1 oracles stop at k = 6.  On one tie-heavy 9 x 9 grid, both
+    sweeps at k = 7, 8 and 9 give the picked sums, and the monomial classes
+    of a few 7 x 7 and 8 x 8 minors number the sorted monomials."""
+    grid = [[int(x) for x in row] for row in random_symmetric(9, random.Random(2), 3).rows]
+    done = object()
+    for k in (7, 8, 9):
+        perms = list(itertools.permutations(range(k)))
+        for symmetric in (False, True):
+            want = picked_minor_sums(grid, k, symmetric, perms)
+            got = _minor_sums(grid, k, symmetric)
+            for pair in itertools.zip_longest(got, want, fillvalue=done):
+                assert pair[0] == pair[1]
+    for k in (7, 8):
+        perms = list(itertools.permutations(range(k)))
+        combos = list(itertools.combinations(range(1, 10), k))
+        minors = [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]
+        for rows, cols in minors:
+            classes = _monomial_classes(rows, cols)
+            assert classes[-1] < len(perms) - 1  # shared indices: some monomials repeat
+            first_seen = {}
+            for p, c in zip(perms, classes):
+                assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
