@@ -853,13 +853,19 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     docstring in place, and record the involution (or None) in
     ``_cache["sigma"]``.
 
-    The normal form is reached by rescanning the vertices after each single
-    change: contract a zero-length edge into the scanned vertex, drop a
-    degree-1 internal vertex, smooth a degree-2 vertex with two lengths, or
-    move a leaf edge off a stub.  The validation pass notes whether any
-    length is zero; when none is, the rescans skip the zero-edge test,
-    since smoothing sums positive lengths and the other moves make no new
-    length.  A valid ``involution_hint`` replaces the search."""
+    The normal form is reached by one scan over the internal vertices in
+    adjacency order, making each single change where it is found: contract
+    a zero-length edge into the scanned vertex, drop a degree-1 internal
+    vertex, smooth a degree-2 vertex with two lengths, or move a leaf edge
+    off a stub.  Only two changes can make an already scanned vertex
+    changeable again: a contraction changes the scanned vertex's own
+    edges, so it is tested again, and dropping a degree-1 vertex lowers its
+    neighbour's degree, so the scan goes back to that neighbour.  The
+    changes are thus those of a rescan from the first vertex after each
+    one.  The validation pass notes whether any length is zero; when none
+    is, the scan skips the zero-edge test, since smoothing sums positive
+    lengths and the other moves make no new length.  A valid
+    ``involution_hint`` replaces the search."""
     adj, leaf_vertex = tree.adj, tree.leaf_vertex
     n = tree.n
     expected = {s * i for i in range(1, n + 1) for s in (1, -1)}
@@ -891,54 +897,52 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     if len(_preorder(adj, next(iter(adj)))) != len(adj):
         raise MalformedTreeError("not a tree (disconnected)")
 
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in leaves or v not in adj:
-                continue
-            nbrs = adj[v]
-            zero = has_zero and [w for w, L in nbrs.items() if L is not None and L == 0]
-            if zero:
-                w = zero[0]
-                for t, L in list(adj[w].items()):
-                    if t == v:
-                        continue
-                    del adj[t][w]
-                    adj[v][t] = L
-                    adj[t][v] = L
-                adj[v].pop(w, None)
-                del adj[w]
-                changed = True
-                break
-            if len(nbrs) == 0:
-                raise MalformedTreeError("isolated internal vertex")
-            if len(nbrs) == 1:
-                (u,) = nbrs
-                del adj[u][v]
+    internal = [v for v in adj if v not in leaves]
+    i = 0
+    while i < len(internal):
+        v = internal[i]
+        i += 1
+        nbrs = adj.get(v)
+        if nbrs is None:
+            continue
+        zero = has_zero and [w for w, L in nbrs.items() if L is not None and L == 0]
+        if zero:
+            w = zero[0]
+            for t, L in list(adj[w].items()):
+                if t == v:
+                    continue
+                del adj[t][w]
+                adj[v][t] = L
+                adj[t][v] = L
+            adj[v].pop(w, None)
+            del adj[w]
+            i -= 1  # v took w's edges: test it again
+            continue
+        if len(nbrs) == 0:
+            raise MalformedTreeError("isolated internal vertex")
+        if len(nbrs) == 1:
+            (u,) = nbrs
+            del adj[u][v]
+            del adj[v]
+            if u not in leaves:  # u lost an edge: rewind to it
+                i = min(i, internal.index(u))
+            continue
+        if len(nbrs) == 2:
+            (a, la), (b, lb) = nbrs.items()
+            if la is not None and lb is not None:
+                del adj[a][v]
+                del adj[b][v]
                 del adj[v]
-                changed = True
-                break
-            if len(nbrs) == 2:
-                (a, la), (b, lb) = nbrs.items()
-                if la is not None and lb is not None:
-                    del adj[a][v]
-                    del adj[b][v]
-                    del adj[v]
-                    adj[a][b] = la + lb
-                    adj[b][a] = la + lb
-                    changed = True
-                    break
-                if (la is None) != (lb is None):
-                    # a stub under a leaf edge carries no information: the
-                    # leaf re-attaches at the inner endpoint
-                    leaf_side, inner = (a, b) if la is None else (b, a)
-                    del adj[inner][v]
-                    del adj[v]
-                    adj[leaf_side] = {inner: None}
-                    adj[inner][leaf_side] = None
-                    changed = True
-                    break
+                adj[a][b] = la + lb
+                adj[b][a] = la + lb
+            elif (la is None) != (lb is None):
+                # a stub under a leaf edge carries no information: the
+                # leaf re-attaches at the inner endpoint
+                leaf_side, inner = (a, b) if la is None else (b, a)
+                del adj[inner][v]
+                del adj[v]
+                adj[leaf_side] = {inner: None}
+                adj[inner][leaf_side] = None
     if not any(v not in leaves for v in adj):
         raise MalformedTreeError("tree has no internal vertex")
 

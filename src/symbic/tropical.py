@@ -12,6 +12,9 @@ Every permutation sum of a minor, of grid entries or of monomial codes, is
 one pattern (:func:`_term_pattern`) applied to the minor's k x k block in
 row-major order and summed in runs of k; the minor sweep
 (:func:`_minor_sums`) reads each block with one cell getter per column set.
+The symmetric scan decides a tied minor by one count: its ties form a
+single monomial exactly when they are as many as that monomial's
+permutations (:func:`_monomial_class_sizes`).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -230,32 +234,29 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     (``symmetric``: as a polynomial in the x_{ij}, i <= j); stops at the
     first minor that is not.
 
-    A symmetric minor is degenerate iff its argmin permutations fall into
-    at least two of its monomial classes (see :func:`_monomial_classes`),
-    which are computed on the minor's first tied argmin and kept for later
-    scans (a table of all minors built up front takes about 1 s at n = 8,
-    some 20 scans of a random 8 x 8 matrix).  When the k! monomials of a
-    minor are pairwise distinct, as they are whenever its row and column
-    sets share at most two indices (all pairs {r, c} but one then come
-    from one entry each), the memo keeps the empty tuple instead: two tied
-    permutations are then two classes, so the tie count decides and no
-    class set is built.
+    On a symmetric grid the permutations of one monomial pick the same
+    entries up to transposition, so they have the same sum: a minor's
+    argmin set is a union of whole monomial classes.  It is a single class,
+    and the minor not degenerate, exactly when the tie count equals the
+    class size of one argmin permutation (see
+    :func:`_monomial_class_sizes`).  The sizes are computed on a minor's
+    first tied argmin and kept for later scans (a table of all minors built
+    up front takes about 1 s at n = 8, some 20 scans of a random 8 x 8
+    matrix).
     """
-    combos, _, classes_of, interned = _minor_plan(len(grid), k)
-    # classes are numbered by first appearance: the last is k! - 1 only when all differ
-    distinct = math.factorial(k) - 1
+    combos, _, sizes_of = _minor_plan(len(grid), k)
     for first, second, totals in _minor_sums(grid, k, symmetric):
         best = min(totals)
-        if totals.count(best) < 2:
+        ties = totals.count(best)
+        if ties < 2:
             return False
         if symmetric:
-            classes = classes_of.get((first, second))
-            if classes is None:
-                classes = _monomial_classes(combos[first], combos[second])
-                if classes[-1] == distinct:
-                    classes = ()
-                classes = classes_of[first, second] = interned.setdefault(classes, classes)
-            if classes and len({c for c, total in zip(classes, totals) if total == best}) < 2:
+            sizes = sizes_of.get((first, second))
+            if sizes is None:
+                sizes = sizes_of[first, second] = _monomial_class_sizes(
+                    combos[first], combos[second]
+                )
+            if ties == sizes[totals.index(best)]:
                 return False
     return True
 
@@ -280,7 +281,7 @@ def _minor_sums(
     the same symmetric degeneracy.  The symmetric rank scan and the fan
     signatures (``symbic.fan``) both read this sweep.
     """
-    combos, cells, _, _ = _minor_plan(len(grid), k)
+    combos, cells, _ = _minor_plan(len(grid), k)
     terms = _term_pattern(k)
     for first, rows in enumerate(combos):
         flat = [x for r in rows for x in grid[r]]
@@ -289,18 +290,17 @@ def _minor_sums(
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict, dict]:
+def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict]:
     """The k-subsets of range(n) in scan order; per column set, an
     itemgetter of its k * k cell positions in k rows of an n x n grid
-    concatenated (the minor's block, row-major); and two dicts that the
-    symmetric scan fills: the monomial classes of a minor by its (row set,
-    column set) indices, or () where its monomials are pairwise distinct,
-    and one shared copy of each distinct classes tuple (the 3 x 3 minors
-    have two).  Nothing here depends on matrix entries, so every scan of
-    an n x n matrix may share it, and no sweep changes the first two."""
+    concatenated (the minor's block, row-major); and a dict that the
+    symmetric scan fills: the monomial class sizes of a minor by its
+    (row set, column set) indices.  Nothing here depends on matrix entries,
+    so every scan of an n x n matrix may share it, and no sweep changes the
+    first two."""
     combos = tuple(itertools.combinations(range(n), k))
     cells = tuple(itemgetter(*[r * n + c for r in range(k) for c in cols]) for cols in combos)
-    return combos, cells, {}, {}
+    return combos, cells, {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,16 +317,18 @@ def _term_pattern(k: int) -> itemgetter:
     return itemgetter(*map(add, terms, itertools.cycle(range(0, k * k, k))))
 
 
-def _monomial_classes(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, ...]:
+def _monomial_class_sizes(rows: Sequence[int], cols: Sequence[int]) -> bytes:
     """Per permutation of the minor (rows, cols), in the order of
-    :func:`_term_pattern`, the index of its monomial (see :func:`_monomial`)
-    among the minor's distinct monomials, numbered in order of first
-    appearance.
+    :func:`_term_pattern`, how many permutations of the minor pick its
+    monomial (see :func:`_monomial`).
 
     A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
     (c, r), so it is coded without sorting as a sum of 2-bit digits, one
     place per pair: the term pattern sums them like the entries of a minor.
-    No digit carries, and equal codes are equal monomials.
+    No digit carries, and equal codes are equal monomials.  A class holds
+    at most 2^(k // 3) permutations (in a principal minor, one per choice
+    of direction of each cycle of length >= 3; checked over every minor of
+    a 9 x 9 grid), so 8 at the cap k = 9, and a byte holds each size.
     """
     k = len(rows)
     places: dict[tuple[int, int], int] = {}
@@ -334,8 +336,8 @@ def _monomial_classes(rows: Sequence[int], cols: Sequence[int]) -> tuple[int, ..
         1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for r in rows for c in cols
     ]
     codes = list(map(sum, zip(*[iter(_term_pattern(k)(block))] * k)))
-    index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
-    return tuple(map(index.__getitem__, codes))
+    counts = Counter(codes)
+    return bytes(map(counts.__getitem__, codes))
 
 
 def hilbert_distance(x: Sequence[object], y: Sequence[object]) -> Fraction:

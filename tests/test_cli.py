@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symbic.cli
@@ -475,11 +475,23 @@ def run_cli(argv):
     return code
 
 
+def with_edge(u, v, length):
+    """A valid n = 2 tree document (internal vertices 0 and 1, joined by an
+    edge of length 8/7) with one more edge: its only edit."""
+    doc = random_regular_tree(2, random.Random(0)).to_json_dict()
+    doc["edges"].append({"u": u, "v": v, "len": length})
+    return doc
+
+
 @given(
     tree_documents(),
     JSON | st.fixed_dictionaries({"entries": cells() | symmetric_grids()}),
     cells() | symmetric_grids(),
 )
+# the generated documents rarely carry one of these edits alone, where no
+# other edit is refused before it
+@example(with_edge(0, 0, "0"), {"entries": [[0]]}, [[0]])  # a zero-length self-loop
+@example(with_edge(1, 0, "3"), {"entries": [[0]]}, [[0]])  # the internal edge again
 @settings(max_examples=200, deadline=None)
 def test_loaders_never_raise(tree_doc, matrix_doc, csv_rows):
     """Malformed tree, matrix and CSV files give exit 1 with a JSON error on

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator
@@ -19,7 +20,7 @@ from symbic.tropical import (
     _minor_plan,
     _minor_sums,
     _monomial,
-    _monomial_classes,
+    _monomial_class_sizes,
     canonicalize_mod_lineality,
     hilbert_distance,
     parse_rational,
@@ -447,6 +448,23 @@ def test_rank_scans_match_the_definition(m):
             sym_trop_rank(m)
 
 
+def monomial_classes(rows, cols):
+    """The symmetric scan's class test before the class sizes: per
+    permutation of the minor (rows, cols), in ``itertools.permutations``
+    order, the index of its monomial among the minor's distinct monomials,
+    numbered in order of first appearance.  Kept as the oracle of
+    :func:`class_number_sym_rank`."""
+    k = len(rows)
+    places = {}
+    block = [
+        1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for r in rows for c in cols
+    ]
+    perms = itertools.permutations(range(k))
+    codes = [sum(block[r * k + c] for r, c in enumerate(p)) for p in perms]
+    index = {code: i for i, code in enumerate(dict.fromkeys(codes))}
+    return tuple(map(index.__getitem__, codes))
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_monomial_classes_number_the_sorted_monomials(k):
     """Two permutations of a minor share a class iff ``_monomial`` gives
@@ -455,10 +473,32 @@ def test_monomial_classes_number_the_sorted_monomials(k):
     perms = list(itertools.permutations(range(k)))
     combos = list(itertools.combinations(range(1, 7), k))
     for rows, cols in itertools.product(combos, repeat=2):
-        classes = _monomial_classes(rows, cols)
+        classes = monomial_classes(rows, cols)
         first_seen = {}
         for p, c in zip(perms, classes):
             assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
+
+
+def assert_sizes_count_the_monomials(rows, cols, perms):
+    monomials = [_monomial(rows, cols, p) for p in perms]
+    counts = Counter(monomials)
+    sizes = _monomial_class_sizes(rows, cols)
+    assert list(sizes) == [counts[m] for m in monomials]
+    return sizes
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_monomial_class_sizes_count_the_sorted_monomials(k):
+    """Each permutation's class size is the number of permutations to
+    which ``_monomial`` gives its sorted monomial, for every minor of a
+    7 x 7 grid.  The largest class has 2^(k // 3) permutations, at most 4
+    for k <= 6, one per direction of each 3-cycle of a principal minor."""
+    perms = list(itertools.permutations(range(k)))
+    combos = list(itertools.combinations(range(1, 8), k))
+    largest = 0
+    for rows, cols in itertools.product(combos, repeat=2):
+        largest = max(largest, *assert_sizes_count_the_monomials(rows, cols, perms))
+    assert largest == 2 ** (k // 3) <= 4
 
 
 def random_symmetric(n, rng, high):
@@ -470,7 +510,8 @@ def random_symmetric(n, rng, high):
 
 
 def memoized_classes(n):
-    """The monomial classes memoized for n x n matrices, one entry per minor."""
+    """The monomial class sizes memoized for n x n matrices, one entry per
+    minor."""
     return sum(len(_minor_plan(n, k)[2]) for k in range(2, n + 1))
 
 
@@ -491,16 +532,52 @@ def test_monomial_classes_are_computed_lazily():
     assert memoized_classes(8) == before
 
 
-def test_equal_monomial_classes_are_shared():
-    _minor_plan.cache_clear()
-    rng = random.Random(5)
-    for _ in range(20):
-        sym_trop_rank(random_symmetric(5, rng, 2))
-    for k in range(2, 6):
-        _, _, classes_of, interned = _minor_plan(5, k)
-        assert set(map(id, classes_of.values())) == set(map(id, interned.values()))
-        assert len(interned) <= len(classes_of)
-    assert len(_minor_plan(5, 3)[3]) < len(_minor_plan(5, 3)[2])
+def class_number_sym_rank(m):
+    """``sym_trop_rank`` with the class test before the class sizes: a tied
+    minor is degenerate iff its argmin permutations carry at least two
+    class numbers of :func:`monomial_classes`."""
+    grid = [[int(x) for x in row] for row in m.rows]
+
+    def degenerate(rows, cols, totals):
+        best = min(totals)
+        classes = monomial_classes(rows, cols)
+        return len({c for c, total in zip(classes, totals) if total == best}) >= 2
+
+    for r in range(1, m.n):
+        combos = list(itertools.combinations(range(m.n), r + 1))
+        if all(
+            degenerate(combos[a], combos[b], totals)
+            for a, b, totals in _minor_sums(grid, r + 1, True)
+        ):
+            return r
+    return m.n
+
+
+@st.composite
+def tie_heavy_symmetric(draw, sizes):
+    """Symmetric integer matrices of a size from ``sizes``, entries in
+    [0, 1] or [0, 3], the diagonal raised by 4 or not.  A raised diagonal
+    makes minors whose only argmin permutations are a 3-cycle and its
+    inverse, one monomial: about a third of these matrices then have a
+    symmetric rank above their ordinary rank."""
+    n = draw(st.sampled_from(sizes))
+    high = draw(st.sampled_from([1, 3]))
+    lift = draw(st.sampled_from([0, 4]))
+    m = random_symmetric(n, draw(st.randoms(use_true_random=False)), high)
+    return m.add(TropMatrix([[lift * (i == j) for j in range(n)] for i in range(n)]))
+
+
+@given(tie_heavy_symmetric([6]))
+@settings(max_examples=100, deadline=None)
+def test_class_sizes_match_the_class_numbers(m):
+    assert sym_trop_rank(m) == class_number_sym_rank(m)
+
+
+@pytest.mark.long
+@given(tie_heavy_symmetric([7, 8]))
+@settings(max_examples=50, deadline=None)
+def test_class_sizes_match_the_class_numbers_up_to_8(m):
+    assert sym_trop_rank(m) == class_number_sym_rank(m)
 
 
 def picked_minor_sums(grid, k, symmetric, perms):
@@ -541,8 +618,8 @@ def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
 @pytest.mark.long
 def test_term_pattern_matches_the_picked_sums_up_to_the_cap():
     """The tier-1 oracles stop at k = 6.  On one tie-heavy 9 x 9 grid, both
-    sweeps at k = 7, 8 and 9 give the picked sums, and the monomial classes
-    of a few 7 x 7 and 8 x 8 minors number the sorted monomials."""
+    sweeps at k = 7, 8 and 9 give the picked sums, and the monomial class
+    sizes of a few 7 x 7 and 8 x 8 minors count the sorted monomials."""
     grid = [[int(x) for x in row] for row in random_symmetric(9, random.Random(2), 3).rows]
     done = object()
     for k in (7, 8, 9):
@@ -557,8 +634,5 @@ def test_term_pattern_matches_the_picked_sums_up_to_the_cap():
         combos = list(itertools.combinations(range(1, 10), k))
         minors = [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]
         for rows, cols in minors:
-            classes = _monomial_classes(rows, cols)
-            assert classes[-1] < len(perms) - 1  # shared indices: some monomials repeat
-            first_seen = {}
-            for p, c in zip(perms, classes):
-                assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
+            sizes = assert_sizes_count_the_monomials(rows, cols, perms)
+            assert max(sizes) > 1  # shared indices: some monomials repeat
