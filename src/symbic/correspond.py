@@ -276,12 +276,13 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
     exactly: that fit certifies the leaf metric as a tree metric.
 
     The leaf metric stays on the integer grid from the matrix through the
-    Steiner insertion to the fit, which compares integers: the tree's
-    vertex depths times the lcm S of L and their denominators against the
-    metric times S / L.  The fit reads the normalized tree, not the Steiner
-    adjacency: normalization moves a leaf off a pendant stub and drops the
-    stub's length, so a metric that places a leaf on a stub is refused
-    only by the tree as built.
+    Steiner insertion to the fit, which compares integers: the tree
+    index's integer depths, brought from the tree's length scale to the
+    lcm S of L and that scale, against the metric times S / L.  The fit
+    reads the normalized tree, not the Steiner adjacency: normalization
+    moves a leaf off a pendant stub and drops the stub's length, so a
+    metric that places a leaf on a stub is refused only by the tree as
+    built.
     """
     if matrix.n == 1:
         return tree_of_single_pair()
@@ -304,8 +305,8 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
         nxt += 1
     tree = SymbicTree(matrix.n, adj, leaf_vertex)
     index = tree._index()
-    common = math.lcm(scale, *(d.denominator for d in index.dist))
-    depth = [d.numerator * (common // d.denominator) for d in index.dist]
+    common = math.lcm(scale, index.scale)
+    depth = [d * (common // index.scale) for d in index.dist]
     unit = common // scale
     slot = {label: index.slot[v] for label, v in tree.leaf_vertex.items()}
     for (x, y), wanted in metric.items():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -101,17 +102,28 @@ def _mask_labels(mask: int) -> frozenset:
     )
 
 
+_NO_EDGES: dict = {}  # the neighbours of a vertex missing from a graph
+_MISSING = object()  # the length of a missing edge: equal to no length
+
+
 def _row_bits(n: int) -> int:
     """The label-mask bits of the row leaves 1, 2, ..., n."""
     return (4**n - 1) // 3
+
+
+def _label_bit(label: Label) -> int:
+    """The label-mask bit of a signed label: 2i - 2 for i, 2i - 1 for i'."""
+    return 2 * label - 2 if label > 0 else -2 * label - 1
 
 
 class _TreeIndex(NamedTuple):
     """One depth-first walk of a tree from an arbitrary root.  Vertices are
     numbered in preorder, so the subtree of position i is the run i..last[i].
     Per position: the parent's position (-1 at the root), the internal path
-    length from the root, and the mask of the leaf labels in the subtree
-    (bits 0, 1, 2, 3, ... for labels 1, 1', 2, 2', ...)."""
+    length from the root as an integer depth over ``scale`` (the lcm of the
+    internal lengths' denominators, so a depth d is the length d / scale),
+    and the mask of the leaf labels in the subtree (bits 0, 1, 2, 3, ...
+    for labels 1, 1', 2, 2', ...)."""
 
     slot: dict  # vertex -> preorder position
     order: tuple  # preorder position -> vertex
@@ -119,6 +131,7 @@ class _TreeIndex(NamedTuple):
     last: tuple
     dist: tuple
     mask: tuple
+    scale: int
 
     def meet(self, i: int, j: int) -> int:
         """Position of the lowest common ancestor of positions i and j."""
@@ -130,15 +143,22 @@ class _TreeIndex(NamedTuple):
 
 def _preorder(adj: dict, root: int) -> dict[int, Optional[int]]:
     """Parent pointers (None at the root) of a depth-first walk over root's
-    component, in preorder: every subtree is a contiguous run."""
-    parent: dict[int, Optional[int]] = {}
-    stack: list[tuple[int, Optional[int]]] = [(root, None)]
+    component, in preorder: every subtree is a contiguous run.  The stack
+    holds bare vertices, each marked with its parent when pushed; on a tree
+    a vertex is pushed once, by its parent, so the walk is the one a stack
+    of (vertex, parent) pairs marked when popped would give."""
+    up: dict[int, Optional[int]] = {root: None}
+    walk: dict[int, Optional[int]] = {}
+    stack = [root]
+    pop, push = stack.pop, stack.append
     while stack:
-        a, p = stack.pop()
-        if a not in parent:
-            parent[a] = p
-            stack.extend((b, a) for b in adj[a] if b not in parent)
-    return parent
+        a = pop()
+        walk[a] = up[a]
+        for b in adj[a]:
+            if b not in up:
+                up[b] = a
+                push(b)
+    return walk
 
 
 class SymbicTree:
@@ -206,20 +226,33 @@ class SymbicTree:
             adj = self.adj
             walk = _preorder(adj, next(iter(adj)))
             order = tuple(walk)
+            size = len(order)
             slot = {v: i for i, v in enumerate(order)}
-            parent = tuple(-1 if p is None else slot[p] for p in walk.values())
-            dist = [Fraction(0)] * len(order)
-            for i in range(1, len(order)):
-                length = adj[order[parent[i]]][order[i]]
-                dist[i] = dist[parent[i]] if length is None else dist[parent[i]] + length
-            mask = [0] * len(order)
+            parent = [-1] * size
+            lengths = [None] * size  # of the edge up from each position
+            for i in range(1, size):
+                v = order[i]
+                p = walk[v]
+                parent[i] = slot[p]
+                lengths[i] = adj[p][v]
+            scale = math.lcm(*(x.denominator for x in lengths if x is not None))
+            dist = [0] * size
+            for i in range(1, size):
+                x = lengths[i]
+                up = dist[parent[i]]
+                dist[i] = up if x is None else up + x.numerator * (scale // x.denominator)
+            mask = [0] * size
             for label, lv in self.leaf_vertex.items():
-                mask[slot[lv]] = 1 << (2 * label - 2 if label > 0 else -2 * label - 1)
-            last = list(range(len(order)))
-            for i in range(len(order) - 1, 0, -1):
-                mask[parent[i]] |= mask[i]
-                last[parent[i]] = max(last[parent[i]], last[i])
-            index = _TreeIndex(slot, order, parent, tuple(last), tuple(dist), tuple(mask))
+                mask[slot[lv]] = 1 << _label_bit(label)
+            last = list(range(size))
+            for i in range(size - 1, 0, -1):
+                p = parent[i]
+                mask[p] |= mask[i]
+                if last[p] < last[i]:
+                    last[p] = last[i]
+            index = _TreeIndex(
+                slot, order, tuple(parent), tuple(last), tuple(dist), tuple(mask), scale
+            )
             self._cache["index"] = index
         return index
 
@@ -227,7 +260,8 @@ class SymbicTree:
         """Internal path length between two vertices (leaf edges count 0)."""
         index = self._index()
         i, j = index.slot[u], index.slot[v]
-        return index.dist[i] + index.dist[j] - 2 * index.dist[index.meet(i, j)]
+        dist = index.dist
+        return Fraction(dist[i] + dist[j] - 2 * dist[index.meet(i, j)], index.scale)
 
     def path(self, u: int, v: int) -> list[int]:
         index = self._index()
@@ -279,15 +313,50 @@ class SymbicTree:
             side ^= index.mask[0]
         return _mask_labels(side)
 
+    def _edge_with_descriptor(self, descriptor: object) -> Optional[tuple[int, int]]:
+        """The edge (u, v), u < v, whose :meth:`edge_descriptor` equals
+        ``descriptor``, or None; no two edges share one (see
+        ``EdgeOrder``).  Each edge's descriptor is read off the index as a
+        mask and compared with the descriptor's mask."""
+        if not isinstance(descriptor, (set, frozenset)):
+            return None
+        if not descriptor <= self.leaf_vertex.keys():
+            return None
+        want = sum(1 << _label_bit(label) for label in descriptor)
+        index = self._index()
+        anchor = index.slot[self.canonical_endpoint()]
+        order, parent, last, mask = index.order, index.parent, index.last, index.mask
+        for j in range(1, len(order)):
+            side = mask[j] ^ mask[0] if j <= anchor <= last[j] else mask[j]
+            if side == want:
+                u, v = order[parent[j]], order[j]
+                return (u, v) if u < v else (v, u)
+        return None
+
     def splits(self) -> dict[frozenset, Split]:
-        """Map internal edge {u, v} -> its split side not containing +1.
-        Read off the tree index on every call rather than stored."""
-        out = {}
-        for u, v, _ in self.internal_edges():
-            side = self._side_mask(u, v)
-            if side & 1:  # the bit of label 1
-                side ^= self._index().mask[0]
-            out[frozenset((u, v))] = _mask_labels(side)
+        """Map internal edge {u, v} -> its split side not containing +1, in
+        the order of :meth:`edges`.  Read off the tree index on every call
+        rather than stored."""
+        full = self._index().mask[0]
+        return {
+            frozenset(edge): _mask_labels(side ^ full if side & 1 else side)  # bit 0: label 1
+            for edge, side in self._edge_sides()
+        }
+
+    def _edge_sides(self) -> list[tuple[tuple[int, int], int]]:
+        """Per internal edge (u, v), u < v, in sorted order: the label mask
+        of v's side, read off the index position below the edge."""
+        index = self._index()
+        order, parent, mask = index.order, index.parent, index.mask
+        full = mask[0]
+        leaves = self.leaf_vertices()
+        out = []
+        for i in range(1, len(order)):
+            u, v = order[parent[i]], order[i]  # the subtree of i is v's side
+            if u in leaves or v in leaves:  # a leaf edge
+                continue
+            out.append(((u, v), mask[i]) if u < v else ((v, u), full ^ mask[i]))
+        out.sort()
         return out
 
     def split_orbits(self) -> frozenset:
@@ -298,13 +367,22 @@ class SymbicTree:
         return self._cache["orbits"]
 
     def _edge_orbits(self) -> dict[frozenset, Orbit]:
-        """Map internal edge {u, v} -> the orbit of its split."""
-        sigma = self.involution()
-        by_edge = self.splits()
-        return {
-            edge: frozenset((split, by_edge[frozenset(sigma[w] for w in edge)]))
-            for edge, split in by_edge.items()
-        }
+        """Map internal edge {u, v} -> the orbit of its split.  The
+        involution sends an edge's sides onto its image's sides with the
+        colors swapped, so the image's split is the swapped mask, taken on
+        the side without +1."""
+        self.involution()  # refuses a tree without one
+        rows = _row_bits(self.n)
+        full = self._index().mask[0]
+        out = {}
+        for edge, side in self._edge_sides():
+            if side & 1:
+                side ^= full
+            image = (side & rows) << 1 | side >> 1 & rows
+            if image & 1:
+                image ^= full
+            out[frozenset(edge)] = frozenset((_mask_labels(side), _mask_labels(image)))
+        return out
 
     def canonical_key(self) -> frozenset:
         """Equal keys iff equal combinatorial type; blind to lengths/ids."""
@@ -331,12 +409,14 @@ class SymbicTree:
 
     def _first_violation(self) -> Optional[Violation]:
         rows = _row_bits(self.n)
-        for u, v, _ in self.internal_edges():
-            for side in (self._side_mask(u, v), self._side_mask(v, u)):
-                if not side & rows or not side & (rows << 1):
-                    return Violation(1, "split with one color on a side", _mask_labels(side))
-        for u, v, length in self.internal_edges():
-            if length <= 0:
+        full = self._index().mask[0]
+        sides = self._edge_sides()
+        for _, side in sides:
+            for s in (side, full ^ side):
+                if not s & rows or not s & (rows << 1):
+                    return Violation(1, "split with one color on a side", _mask_labels(s))
+        for (u, v), _ in sides:
+            if self.adj[u][v].numerator <= 0:  # the sign of a rational, read exactly
                 return Violation(2, "nonpositive internal edge length", (u, v))
         if self._cache["sigma"] is None:
             return Violation(3, "no length-preserving color-swapping symmetry")
@@ -368,8 +448,12 @@ class SymbicTree:
                 raise MalformedTreeError("fixed set is not a path")
 
             def min_row(v: int) -> int:  # the smallest row index on the branches at v
-                rows = (l for w in self.adj[v] if w not in fixed for l in self.side_labels(v, w))
-                return min((l for l in rows if l > 0), default=self.n + 1)
+                side = 0
+                for w in self.adj[v]:
+                    if w not in fixed:
+                        side |= self._side_mask(v, w)
+                side &= _row_bits(self.n)  # row i is bit 2i - 2
+                return (side & -side).bit_length() // 2 + 1 if side else self.n + 1
 
             # the anchor endpoint is the one whose branches carry the *larger*
             # smallest row index; anchoring at the smaller one breaks the
@@ -506,7 +590,7 @@ class SymbicTree:
         labels it does not map.  The involution goes down as the hint; it
         stays valid when the map deletes whole index pairs and sends each
         surviving pair i, i' to a pair j, j' or j', j."""
-        adj, _ = self._graph_copy()
+        adj = {u: dict(nbrs) for u, nbrs in self.adj.items()}
         leaf_vertex = {}
         for label, lv in self.leaf_vertex.items():
             if label in label_map:
@@ -585,10 +669,12 @@ class SymbicTree:
         anchor endpoint; a trunk endpoint is near or far."""
         if site[0] == "edge":
             return site
-        if site[0] == "endpoint" and len(self.trunk()) == 1:
+        trunk = self.trunk()
+        if site[0] == "endpoint" and len(trunk) == 1:
             return ("near",)
-        v0 = self.canonical_endpoint()
-        near = frozenset().union(*(br.labels for br in self.branches() if br.trunk_vertex == v0))
+        # the labels on the branches at the anchor: its side of the trunk
+        near = self._side_mask(trunk[1], trunk[0]) if len(trunk) > 1 else self._index().mask[0]
+        near = _mask_labels(near)
         if site[0] == "endpoint":
             return ("near",) if site[1] <= near else ("far",)
         a, b = site[1]
@@ -654,14 +740,9 @@ class SymbicTree:
             adj[v][x] = length
             hang(x, k)
         elif len(place) == 2 and place[0] == "edge":
-            descriptor = place[1]
-            target = None
-            for u, v, _ in self.edges():
-                if self.edge_descriptor(u, v) == descriptor:
-                    target = (u, v)
-                    break
+            target = self._edge_with_descriptor(place[1])
             if target is None:
-                raise InvalidMoveError(f"no edge with descriptor {set(descriptor)}")
+                raise InvalidMoveError(f"no edge with descriptor {set(place[1])}")
             u, v = target
             mirror = (sigma[u], sigma[v])
             x = x2 = subdivide(u, v)
@@ -864,8 +945,12 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     changes are thus those of a rescan from the first vertex after each
     one.  The validation pass notes whether any length is zero; when none
     is, the scan skips the zero-edge test, since smoothing sums positive
-    lengths and the other moves make no new length.  A valid
-    ``involution_hint`` replaces the search."""
+    lengths and the other moves make no new length.  The validation reads
+    each length's sign once, off its numerator, and looks a missing
+    neighbour dict up as a shared empty one, so it allocates nothing per
+    entry.  A valid ``involution_hint`` replaces the search; an edge the
+    involution flips joins a vertex to its image, so it is read off
+    sigma."""
     adj, leaf_vertex = tree.adj, tree.leaf_vertex
     n = tree.n
     expected = {s * i for i in range(1, n + 1) for s in (1, -1)}
@@ -875,22 +960,23 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     if len(leaves) != 2 * n:
         raise MalformedTreeError("leaf vertices must be distinct")
     for lv in leaves:
-        if len(adj.get(lv, {})) != 1 or next(iter(adj[lv].values())) is not None:
+        if len(adj.get(lv, _NO_EDGES)) != 1 or next(iter(adj[lv].values())) is not None:
             raise MalformedTreeError("each leaf needs one lengthless leaf edge")
     has_zero = False
     for u, nbrs in adj.items():
         for v, length in nbrs.items():
             if v == u:
                 raise MalformedTreeError(f"self-loop at vertex {u}")
-            back = adj.get(v, {}).get(u, "missing")
+            back = adj.get(v, _NO_EDGES).get(u, _MISSING)
             if back is not length and back != length:
                 raise MalformedTreeError("asymmetric adjacency")
-            if length is not None:
-                if length < 0:
+            if length is None:
+                if u not in leaves and v not in leaves:
+                    raise MalformedTreeError("lengthless edge between internal vertices")
+            elif length.numerator <= 0:  # the sign of a rational, read exactly
+                if length:
                     raise MalformedTreeError("negative edge length")
-                has_zero = has_zero or not length
-            if length is None and u not in leaves and v not in leaves:
-                raise MalformedTreeError("lengthless edge between internal vertices")
+                has_zero = True
     edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
     if edge_count != len(adj) - 1:
         raise MalformedTreeError("not a tree (wrong edge count)")
@@ -933,8 +1019,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
                 del adj[a][v]
                 del adj[b][v]
                 del adj[v]
-                adj[a][b] = la + lb
-                adj[b][a] = la + lb
+                adj[a][b] = adj[b][a] = la + lb
             elif (la is None) != (lb is None):
                 # a stub under a leaf edge carries no information: the
                 # leaf re-attaches at the inner endpoint
@@ -952,12 +1037,8 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     else:
         sigma = _find_involution(tree)
     if sigma is not None:
-        flipped = [
-            (u, v)
-            for u in adj
-            for v in adj[u]
-            if u < v and sigma.get(u) == v
-        ]
+        # sigma covers every vertex; an edge it flips joins a vertex to its image
+        flipped = [(u, v) for u, v in sigma.items() if u < v and v in adj[u]]
         if flipped:
             ((u, v),) = flipped  # an involution of a tree has a single center
             length = adj[u].pop(v)
@@ -973,17 +1054,20 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
 
 
 def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
+    """Whether sigma is a length-preserving involution of the tree's graph
+    that swaps each leaf i with i'."""
     adj = tree.adj
     if not set(adj) <= set(sigma):
         return False
     for label, lv in tree.leaf_vertex.items():
         if sigma.get(lv) != tree.leaf_vertex.get(-label):
             return False
-    for u in adj:
-        if sigma[u] not in adj or sigma.get(sigma[u]) != u:
+    for u, nbrs in adj.items():
+        image_nbrs = adj.get(sigma[u])
+        if image_nbrs is None or sigma.get(sigma[u]) != u:
             return False
-        for v, length in adj[u].items():
-            image = adj.get(sigma[u], {}).get(sigma[v], "missing")
+        for v, length in nbrs.items():
+            image = image_nbrs.get(sigma[v], _MISSING)
             if image is not length and image != length:
                 return False
     return True
@@ -993,14 +1077,20 @@ def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
     """Reconstruct the color-swapping symmetry from side masks: an internal
     vertex is determined by the label masks of its sides, and its image is
     the vertex whose masks carry the swapped colors (bit 2k-2 <-> 2k-1).
+    The sides are read off the index arrays in one pass: below each
+    non-root position lies its subtree, above it the rest of the labels.
     ``_check_involution`` certifies the lengths."""
     rows = _row_bits(tree.n)
+    index = tree._index()
+    full, parent = index.mask[0], index.parent
+    around: list[list[int]] = [[] for _ in index.order]  # the side masks at each position
+    for j in range(1, len(index.order)):
+        m = index.mask[j]
+        around[parent[j]].append(m)
+        around[j].append(full ^ m)
     leaves = tree.leaf_vertices()
-    by_sides = {
-        frozenset(tree._side_mask(v, w) for w in tree.adj[v]): v
-        for v in tree.adj
-        if v not in leaves
-    }
+    slot = index.slot
+    by_sides = {frozenset(around[slot[v]]): v for v in tree.adj if v not in leaves}
     sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
     for sides, v in by_sides.items():
         w = by_sides.get(frozenset((m & rows) << 1 | m >> 1 & rows for m in sides))

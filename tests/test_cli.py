@@ -246,6 +246,8 @@ def test_unknown_flags_rejected():
          "7293ed932cfad6f2211668fa606492498be3b4b009041432238f079a4b89b710"),
         (["matroid", "--n", "4", "--filter", "all", "--verify"],
          "e661b22950c1ce2f7f45d42e9e9d076bbe6468971be8a8466c1bccff6f41a397"),
+        (["enumerate", "--n", "5"],
+         "e6afa94ea17b32dcf6c700450801b7dde48d55b2c8b86013244dc95aa1af2328"),
     ],
 )
 def test_outputs_are_pinned(tmp_path, argv, digest):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -841,6 +842,19 @@ def test_unhinted_flip_midpoint_gets_an_index_slot():
 # -- the restart-scan normalization as the oracle of _normalize ----------------
 
 
+def oracle_preorder(adj, root):
+    """The walk behind _preorder as a stack of (vertex, parent) pairs, each
+    vertex marked when popped."""
+    parent = {}
+    stack = [(root, None)]
+    while stack:
+        a, p = stack.pop()
+        if a not in parent:
+            parent[a] = p
+            stack.extend((b, a) for b in adj[a] if b not in parent)
+    return parent
+
+
 def oracle_check_involution(tree, sigma):
     adj = tree.adj
     if not set(adj) <= set(sigma):
@@ -900,7 +914,7 @@ def oracle_normalize(tree, involution_hint):
     edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
     if edge_count != len(adj) - 1:
         raise MalformedTreeError("not a tree (wrong edge count)")
-    if len(trees._preorder(adj, next(iter(adj)))) != len(adj):
+    if len(oracle_preorder(adj, next(iter(adj)))) != len(adj):
         raise MalformedTreeError("not a tree (disconnected)")
 
     changed = True
@@ -1106,3 +1120,182 @@ def normalized(n, adj, leaves, hint, oracle):
 def test_normalize_matches_the_restart_scan_oracle(n, seed):
     graph = raw_graph(n, random.Random(seed))
     assert normalized(*graph, oracle=False) == normalized(*graph, oracle=True)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_preorder_matches_the_tuple_stack_walk(n, seed):
+    """From every root, the same ordered parent map on trees.  A raw graph
+    with the edge count of a tree but a cycle is disconnected; there the
+    walks reach the same component, which is all the connectivity check of
+    _normalize reads."""
+    rng = random.Random(seed)
+    _, adj, _, _ = raw_graph(n, rng)
+    graphs = [random_regular_tree(n, rng).adj]
+    if sum(map(len, adj.values())) == 2 * (len(adj) - 1):
+        graphs.append(adj)
+    for graph in graphs:
+        for root in graph:
+            walk, oracle = trees._preorder(graph, root), oracle_preorder(graph, root)
+            if len(oracle) == len(graph):
+                assert list(walk.items()) == list(oracle.items())
+            else:
+                assert walk.keys() == oracle.keys()
+
+
+# -- the Fraction depths as the oracle of the integer index depths -------------
+
+
+def fraction_depths(tree):
+    """The index's root distances summed in Fractions along its walk, as the
+    index held them before it held integer depths."""
+    index = tree._index()
+    dist = [Fraction(0)] * len(index.order)
+    for i in range(1, len(index.order)):
+        length = tree.adj[index.order[index.parent[i]]][index.order[i]]
+        up = dist[index.parent[i]]
+        dist[i] = up if length is None else up + length
+    return dist
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_integer_depths_match_the_fraction_depths(n, seed):
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    adj, leaves = tree._graph_copy()
+    for u, v, _ in tree.internal_edges():
+        adj[u][v] = adj[v][u] = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    for t in (tree, SymbicTree(n, adj, leaves)):
+        index = t._index()
+        assert index.scale == math.lcm(*(x.denominator for _, _, x in t.internal_edges()))
+        dist = fraction_depths(t)
+        for u in t.adj:
+            for v in t.adj:
+                i, j = index.slot[u], index.slot[v]
+                d = t.distance(u, v)
+                assert type(d) is Fraction
+                assert d == dist[i] + dist[j] - 2 * dist[index.meet(i, j)]
+
+
+# -- the per-edge side-mask checks as the oracles of the index-array checks ----
+
+
+def oracle_first_violation(tree):
+    """_first_violation with two _side_mask calls per internal edge, the
+    edges in sorted order."""
+    rows = trees._row_bits(tree.n)
+    for u, v, _ in tree.internal_edges():
+        for side in (tree._side_mask(u, v), tree._side_mask(v, u)):
+            if not side & rows or not side & (rows << 1):
+                labels = trees._mask_labels(side)
+                return trees.Violation(1, "split with one color on a side", labels)
+    for u, v, length in tree.internal_edges():
+        if length <= 0:
+            return trees.Violation(2, "nonpositive internal edge length", (u, v))
+    if tree._cache["sigma"] is None:
+        return trees.Violation(3, "no length-preserving color-swapping symmetry")
+    fixed = tree.fixed_vertices()
+    if not fixed:
+        return trees.Violation(4, "involution has no fixed vertex")
+    fixed_deg = {v: sum(1 for w in tree.adj[v] if w in fixed) for v in fixed}
+    if any(d > 2 for d in fixed_deg.values()):
+        worst = max(fixed_deg, key=lambda v: fixed_deg[v])
+        return trees.Violation(4, "fixed set is not a path", worst)
+    if sum(fixed_deg.values()) // 2 != len(fixed) - 1:
+        return trees.Violation(4, "fixed set is disconnected", fixed)
+    return None
+
+
+def oracle_edge_with_descriptor(tree, descriptor):
+    """The edge search of attach_top_pair: edge_descriptor of every edge."""
+    for u, v, _ in tree.edges():
+        if tree.edge_descriptor(u, v) == descriptor:
+            return u, v
+    return None
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_index_checks_match_the_side_mask_oracles(n, seed):
+    """On raw graphs, broken ones included, and on copies with the leaf
+    labels shuffled (one-colored splits): the same involution and the same
+    violation with the same witness.  Then on lengths set to 0 or below
+    after construction, which only axiom 2 reports."""
+    rng = random.Random(seed)
+    n, adj, leaves, hint = raw_graph(n, rng)
+    shuffled = dict(zip(leaves, rng.sample(sorted(leaves.values()), len(leaves))))
+    for leaf_map in (leaves, shuffled):
+        try:
+            tree = SymbicTree(n, {u: dict(nb) for u, nb in adj.items()}, dict(leaf_map), hint)
+        except MalformedTreeError:
+            continue
+        assert trees._find_involution(tree) == oracle_find_involution(tree)
+        assert tree.validate() == oracle_first_violation(tree)
+        edges = tree.internal_edges()
+        for u, v, _ in rng.sample(edges, min(len(edges), 2)):
+            tree.adj[u][v] = tree.adj[v][u] = Fraction(rng.randint(-2, 0), rng.randint(1, 3))
+        tree._cache.pop("index", None)
+        tree._cache.pop("violation", None)
+        assert tree.validate() == oracle_first_violation(tree)
+
+
+def test_edge_search_matches_the_descriptor_loop():
+    """The mask search behind attach_top_pair finds the edge the loop over
+    edge_descriptor finds, and no edge for descriptors no edge has."""
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for tree in enumerate_regular(n):
+            descriptors = [p[1] for p in EdgeOrder(tree).places if p[0] == "edge"]
+            labels = tree.labels()
+            descriptors += [
+                frozenset(rng.sample(labels, rng.randint(0, len(labels)))),
+                frozenset({n + 1}),
+                frozenset({0}),
+                list(descriptors[0]),
+                set(descriptors[-1]),
+            ]
+            for descriptor in descriptors:
+                expected = oracle_edge_with_descriptor(tree, descriptor)
+                assert tree._edge_with_descriptor(descriptor) == expected
+
+
+def oracle_splits(tree):
+    """splits() with one _side_mask call per internal edge."""
+    out = {}
+    for u, v, _ in tree.internal_edges():
+        side = tree._side_mask(u, v)
+        if side & 1:  # the bit of label 1
+            side ^= tree._index().mask[0]
+        out[frozenset((u, v))] = trees._mask_labels(side)
+    return out
+
+
+def oracle_edge_orbits(tree):
+    """_edge_orbits pairing each edge's split with the split of the edge's
+    image under the involution."""
+    sigma = tree.involution()
+    by_edge = oracle_splits(tree)
+    return {
+        edge: frozenset((split, by_edge[frozenset(sigma[w] for w in edge)]))
+        for edge, split in by_edge.items()
+    }
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_splits_and_orbits_match_the_side_mask_oracles(n, seed):
+    """Regular trees, their faces and copies with no involution: the same
+    splits in the same order, and the same orbits, or the same refusal."""
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    faces = [tree.contract_orbit(orbit) for orbit in tree.split_orbits()]
+    for t in [tree, *faces, *search_variants(tree, rng)[1:]]:
+        assert list(t.splits().items()) == list(oracle_splits(t).items())
+        try:
+            expected = oracle_edge_orbits(t)
+        except MalformedTreeError:
+            with pytest.raises(MalformedTreeError):
+                t._edge_orbits()
+        else:
+            assert t._edge_orbits() == expected
