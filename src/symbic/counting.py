@@ -249,11 +249,50 @@ def _color_of(structure, index: int) -> int:
 class TreeCatalog:
     """All regular n+n symbic trees, keyed by canonical combinatorial type."""
 
-    __slots__ = ("n", "trees")
+    __slots__ = ("n", "trees", "_orbits")
 
     def __init__(self, n: int, trees: dict[frozenset, SymbicTree]):
         self.n = n
         self.trees = trees
+        self._orbits: Optional[dict] = None
+
+    def orbits(self) -> dict[frozenset, dict[frozenset, tuple[int, ...]]]:
+        """The orbits of the keys under renaming the indices 1..n, found on
+        the keys alone from the generators (1 2) and (1 2 ... n):
+        representative -> {member: p}, the representative being the first
+        key of its orbit in catalog order (its own member, p the identity)
+        and p a permutation carrying it onto the member, index i to
+        p[i - 1], as ``tree.relabel({i: p[i - 1]})`` does.  Cached; a
+        catalog not closed under the renamings is refused.  A breadth-first
+        search from each representative: generator g sends member (key, p)
+        to (key renamed by g, g after p)."""
+        if self._orbits is not None:
+            return self._orbits
+        n = self.n
+        generators = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
+        label_maps = [
+            {s * i: s * g[i - 1] for i in range(1, n + 1) for s in (1, -1)} for g in generators
+        ]
+        orbits: dict[frozenset, dict[frozenset, tuple[int, ...]]] = {}
+        seen: set[frozenset] = set()
+        for rep in self.trees:
+            if rep in seen:
+                continue
+            members = {rep: tuple(range(1, n + 1))}
+            queue = [rep]
+            for key in queue:  # the queue grows while it is read
+                p = members[key]
+                for g, label_map in zip(generators, label_maps):
+                    image = _relabelled_orbits(key, label_map)
+                    if image not in members:
+                        if image not in self.trees:
+                            raise ValueError("catalog is not closed under renaming the indices")
+                        members[image] = tuple(g[i - 1] for i in p)
+                        queue.append(image)
+            seen.update(members)
+            orbits[rep] = members
+        self._orbits = orbits
+        return orbits
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -394,15 +433,42 @@ def _code_orbits(
     return frozenset(orbits)
 
 
+def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
+    """Split orbits moved by a signed label map onto the labels it hits:
+    labels outside the map drop out of every split, a split left with fewer
+    than two labels on a side drops out (with its mirror, which has the same
+    sizes), and each split is stored as its side without +1, as
+    SymbicTree.splits stores it.  Deleting leaf pairs from a tree restricts
+    its splits and its involution, so this is the key of the tree with the
+    unmapped leaves deleted and the rest renamed; a map onto every label
+    deletes nothing and only renames."""
+    every = frozenset(label_map.values())
+    most = len(every) - 2
+    out = []
+    for orbit in orbits:
+        moved = []
+        for split in orbit:
+            side = frozenset(label_map[l] for l in split if l in label_map)
+            if not 2 <= len(side) <= most:
+                break
+            moved.append(every - side if 1 in side else side)
+        else:
+            out.append(frozenset(moved))
+    return frozenset(out)
+
+
 def enumerate_regular(n: int) -> TreeCatalog:
     """Constructive catalog of all regular n+n symbic trees: one tree per
-    code of :func:`_regular_codes`, keyed by its canonical key."""
+    code of :func:`_regular_codes`, keyed by its canonical key, which
+    :func:`_code_orbits` reads off the code and seeds the tree's cache
+    with."""
     if n > ENUM_CAP:
         raise SizeCapError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     trees: dict[frozenset, SymbicTree] = {}
     for seq, combo in _regular_codes(n):
         tree = _assemble_tree(n, seq, combo)
-        key = tree.canonical_key()
+        tree.involution()  # refuses a tree without one, as the key would
+        key = tree._cache["orbits"] = _code_orbits(n, seq, combo)
         if key in trees:
             raise AssertionError("duplicate combinatorial type generated")
         trees[key] = tree

@@ -8,11 +8,16 @@ where the paths O -> i and O -> j' diverge, stacked over e_i + e_j.  All
 rank decisions are fraction-free and exact, and all go through one integer
 reducer, ``_reduce``.  The bases are found through the dual matroid, as
 the complements of the bases of the column matroid of an integer kernel
-basis.
+basis.  A whole-catalog sweep searches only one tree per orbit of the
+catalog under renaming the indices 1..n, holds each basis as an int mask
+over the ground pairs, and renames masks through per-permutation byte
+tables; frozensets of pairs are made only for what a caller gets back.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -23,8 +28,8 @@ from .tropical import parse_rational
 
 GroundPair = tuple[int, int]
 
-BASES_CAP = 5
-TRANSITION_CAP = 4
+BASES_CAP = 6
+TRANSITION_CAP = 5
 
 
 def ground_set(n: int) -> tuple[GroundPair, ...]:
@@ -156,9 +161,10 @@ def _kernel(
     return kernel
 
 
-def _bases(cm: CayleyMatrix) -> frozenset:
+def _bases(cm: CayleyMatrix) -> frozenset[int]:
     """All full-rank column subsets of size ``len(cm.rows)`` of a Cayley
-    matrix, none when its rows are dependent.
+    matrix, none when its rows are dependent; each basis is an int mask
+    over the columns, bit k for ``cm.columns[k]``.
 
     By matroid duality B is a basis of the column matroid of A exactly when
     its complement is a basis of the column matroid of K, whose rows span
@@ -169,26 +175,72 @@ def _bases(cm: CayleyMatrix) -> frozenset:
     r = 2n - 1: 1, 3, 6, 10 against 5, 7, 9, 11 for n = 3..6, shorter for
     every n up to ``BASES_CAP`` (the crossover is at n = 7).  An empty
     kernel (n <= 2) leaves the one basis of all columns."""
-    pairs = cm.columns
-    kernel = _kernel(cm.rows, len(pairs))
+    width = len(cm.columns)
+    kernel = _kernel(cm.rows, width)
     if kernel is None:
         return frozenset()
-    everything = frozenset(pairs)
+    everything = (1 << width) - 1
     vectors = list(zip(*kernel))
     target = len(kernel)
-    results: list[frozenset] = []
+    results: list[int] = []
 
-    def extend(start: int, chosen: list[GroundPair], echelon: list) -> None:
-        if len(chosen) == target:
-            results.append(everything - frozenset(chosen))
+    def extend(start: int, chosen: int, echelon: list) -> None:
+        if len(echelon) == target:
+            results.append(everything ^ chosen)
             return
-        for idx in range(start, len(pairs) - (target - len(chosen)) + 1):
+        for idx in range(start, width - (target - len(echelon)) + 1):
             step = _reduce(vectors[idx], echelon)
             if step is not None:
-                extend(idx + 1, chosen + [pairs[idx]], echelon + [step])
+                extend(idx + 1, chosen | 1 << idx, echelon + [step])
 
-    extend(0, [], [])
+    extend(0, 0, [])
     return frozenset(results)
+
+
+def _subset_table(parts: Sequence, empty):
+    """Per mask over ``parts`` (bit k for parts[k]), the union of its parts."""
+    table = [empty]
+    for part in parts:
+        table += [t | part for t in table]
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=BASES_CAP + 1)
+def _pair_tables(n: int) -> tuple[int, tuple, tuple]:
+    """The ground-set masks split in two halves, low bits first, and a
+    subset table of pair frozensets for each."""
+    parts = [frozenset((pair,)) for pair in ground_set(n)]
+    half = (len(parts) + 1) // 2
+    empty: frozenset = frozenset()
+    return half, _subset_table(parts[:half], empty), _subset_table(parts[half:], empty)
+
+
+def _as_pairs(n: int, masks: Iterable[int]) -> frozenset:
+    """Ground-set masks as the frozensets of pairs the API returns: one
+    union of two table entries per mask, which reuses the entries' hashes."""
+    half, low, high = _pair_tables(n)
+    below = (1 << half) - 1
+    return frozenset([low[mask & below] | high[mask >> half] for mask in masks])
+
+
+@functools.lru_cache(maxsize=128)
+def _renaming(n: int, p: tuple[int, ...]) -> tuple:
+    """The byte tables of the map on ground-set masks that renames index i
+    as p[i - 1]: bit (i, j) goes to bit (p[i-1], p[j-1]), sorted.  The
+    cache holds every permutation up to n = 5."""
+    pairs = ground_set(n)
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    images = [bit[min(a, b), max(a, b)] for a, b in ((p[i - 1], p[j - 1]) for i, j in pairs)]
+    return tuple(_subset_table(images[low : low + 8], 0) for low in range(0, len(images), 8))
+
+
+def _renamed(tables: tuple, mask: int) -> int:
+    """The image of a mask under the byte tables of :func:`_renaming`."""
+    image = 0
+    for table in tables:
+        image |= table[mask & 255]
+        mask >>= 8
+    return image
 
 
 def matroid_bases(tree: SymbicTree, base: Optional[int] = None) -> frozenset:
@@ -196,7 +248,7 @@ def matroid_bases(tree: SymbicTree, base: Optional[int] = None) -> frozenset:
     span."""
     if tree.n > BASES_CAP:
         raise SizeCapError(f"n={tree.n} exceeds basis enumeration cap {BASES_CAP}")
-    return _bases(cayley_matrix(tree, base))
+    return _as_pairs(tree.n, _bases(cayley_matrix(tree, base)))
 
 
 _FILTERS = {
@@ -206,25 +258,35 @@ _FILTERS = {
 }
 
 
-def _catalog_bases(
+def _orbit_bases(
     n: int, catalog: Optional[TreeCatalog], keep=_FILTERS["all"]
-) -> tuple[TreeCatalog, dict[frozenset, frozenset]]:
+) -> tuple[TreeCatalog, dict[frozenset, frozenset[int]]]:
     """One sweep over the n+n catalog, enumerated after the cap check when
-    none is given: the catalog, and tree key -> bases for the trees ``keep``
-    accepts.  Equal Cayley matrices have equal matroids, so bases are
-    computed once per distinct matrix; the memo lives only for this sweep."""
+    none is given: the catalog, and orbit representative -> base masks for
+    the representatives ``keep`` accepts.  Renaming the indices permutes
+    the ground pairs and keeps the shape, so the bases of an orbit member
+    are the renamed bases of its representative, and the filters, which
+    read the shape only, take one value on each orbit."""
     if n > BASES_CAP:
         raise SizeCapError(f"n={n} exceeds basis enumeration cap {BASES_CAP}")
     catalog = _catalog_for(n, catalog)
-    memo: dict[tuple, frozenset] = {}
-    out: dict[frozenset, frozenset] = {}
-    for key, tree in catalog.items():
+    out = {}
+    for rep in catalog.orbits():
+        tree = catalog.trees[rep]
         if keep(tree):
-            cm = cayley_matrix(tree)
-            if cm.rows not in memo:
-                memo[cm.rows] = _bases(cm)
-            out[key] = memo[cm.rows]
+            out[rep] = _bases(cayley_matrix(tree))
     return catalog, out
+
+
+def _closure(n: int, masks: Iterable[int]) -> set[int]:
+    """Ground-set masks closed under renaming the indices: each orbit of
+    masks is imaged once, under every permutation."""
+    renamings = [_renaming(n, p) for p in itertools.permutations(range(1, n + 1))]
+    out: set[int] = set()
+    for mask in masks:
+        if mask not in out:
+            out.update([_renamed(tables, mask) for tables in renamings])
+    return out
 
 
 def union_bases(
@@ -234,7 +296,8 @@ def union_bases(
     restricted to trees with caterpillar branches or full caterpillars."""
     if which not in _FILTERS:
         raise ValueError("which must be all, caterpillar_branches, or full_caterpillar")
-    return frozenset().union(*_catalog_bases(n, catalog, _FILTERS[which])[1].values())
+    _, bases = _orbit_bases(n, catalog, _FILTERS[which])
+    return _as_pairs(n, _closure(n, set().union(*bases.values())))
 
 
 class TransitionCounterExample(NamedTuple):
@@ -244,16 +307,22 @@ class TransitionCounterExample(NamedTuple):
 
 
 def basis_transition_table(n: int, catalog: Optional[TreeCatalog] = None):
-    """(face -> cells containing it, cell -> bases) for the codimension-1
-    faces of the complex; n=2 uses the empty face shared by every cell."""
+    """(face -> cells containing it, cell -> base masks) for the
+    codimension-1 faces of the complex; n=2 uses the empty face shared by
+    every cell.  Each cell's masks are its representative's, renamed."""
     if n > TRANSITION_CAP:
         raise SizeCapError(f"n={n} exceeds transition check cap {TRANSITION_CAP}")
-    _, bases = _catalog_bases(n, catalog)
+    catalog, rep_bases = _orbit_bases(n, catalog)
+    bases: dict[frozenset, frozenset[int]] = {}
+    for rep, members in catalog.orbits().items():
+        for key, p in members.items():
+            tables = _renaming(n, p)
+            bases[key] = frozenset([_renamed(tables, mask) for mask in rep_bases[rep]])
     faces: dict[frozenset, list[frozenset]] = {}
     if n == 2:
-        faces[frozenset()] = list(bases)
+        faces[frozenset()] = list(catalog.trees)
     else:
-        for key in bases:
+        for key in catalog.trees:
             for orbit in key:
                 faces.setdefault(key - {orbit}, []).append(key)
     return faces, bases
@@ -263,7 +332,8 @@ def check_basis_transitions(
     faces: dict[frozenset, list[frozenset]], bases: dict[frozenset, frozenset]
 ) -> Optional[TransitionCounterExample]:
     """Every basis of a maximal cone containing a codimension-1 face must be
-    a basis of another maximal cone containing that face."""
+    a basis of another maximal cone containing that face.  The witness
+    carries the basis as the table holds it."""
     for face, cells in faces.items():
         for cell in cells:
             others: frozenset = frozenset()
@@ -279,8 +349,14 @@ def check_basis_transitions(
 def basis_transition_check(
     n: int, catalog: Optional[TreeCatalog] = None
 ) -> Optional[TransitionCounterExample]:
+    """The check on :func:`basis_transition_table`; the witness basis is a
+    frozenset of ground pairs."""
     faces, bases = basis_transition_table(n, catalog)
-    return check_basis_transitions(faces, bases)
+    bad = check_basis_transitions(faces, bases)
+    if bad is None:
+        return None
+    (basis,) = _as_pairs(n, [bad.basis])
+    return bad._replace(basis=basis)
 
 
 class ConjectureReport(NamedTuple):
@@ -294,12 +370,12 @@ class ConjectureReport(NamedTuple):
 def conjecture_scan(n: int, catalog: Optional[TreeCatalog] = None) -> ConjectureReport:
     """Compare the full basis union against full-caterpillar trees only.
     Reports data; asserts nothing (the equality is an open question)."""
-    catalog, bases = _catalog_bases(n, catalog)
-    union_all = frozenset().union(*bases.values())
-    union_cat = frozenset().union(
-        *(bases[key] for key, tree in catalog.items() if tree.is_caterpillar())
+    catalog, bases = _orbit_bases(n, catalog)
+    union_all = _closure(n, set().union(*bases.values()))
+    union_cat = _closure(
+        n, set().union(*(b for rep, b in bases.items() if catalog.trees[rep].is_caterpillar()))
     )
-    missing = tuple(sorted(tuple(sorted(b)) for b in union_all - union_cat))
+    missing = tuple(sorted(tuple(sorted(b)) for b in _as_pairs(n, union_all - union_cat)))
     return ConjectureReport(
         n=n,
         equal=union_all == union_cat,

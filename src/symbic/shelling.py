@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .counting import TreeCatalog, _catalog_for
+from .counting import TreeCatalog, _catalog_for, _relabelled_orbits
 from .trees import MalformedTreeError, SymbicTree, _preorder, label_key
 
 VERIFY_CAP = 6
@@ -66,29 +66,6 @@ def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
     if reduced.validate() is not None:
         raise MalformedTreeError("twig reduction did not yield a symbic tree")
     return reduced
-
-
-def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
-    """Split orbits moved by a signed label map onto the labels it hits:
-    labels outside the map drop out of every split, a split left with fewer
-    than two labels on a side drops out (with its mirror, which has the same
-    sizes), and each split is stored as its side without +1, as
-    SymbicTree.splits stores it.  Deleting leaf pairs from a tree restricts
-    its splits and its involution, so this is the key of the tree with the
-    unmapped leaves deleted and the rest renamed."""
-    every = frozenset(label_map.values())
-    most = len(every) - 2
-    out = []
-    for orbit in orbits:
-        moved = []
-        for split in orbit:
-            side = frozenset(label_map[l] for l in split if l in label_map)
-            if not 2 <= len(side) <= most:
-                break
-            moved.append(every - side if 1 in side else side)
-        else:
-            out.append(frozenset(moved))
-    return frozenset(out)
 
 
 def _deletion_map(n: int) -> dict:

@@ -258,6 +258,21 @@ def test_outputs_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (4, "81484abafdcd85fe27fa8e6f1154a0d89401eddfa35c82834e7a4990bfbf916b"),
+        (5, "77e9cc5fe0dc2b7689ea9916cd17146a5787daccf4c2fd4431e9e8963dbc9932"),
+    ],
+)
+def test_conjecture_outputs_are_pinned(tmp_path, n, digest):
+    """The caterpillar scan's report lists the missing bases; its bytes must
+    not move when the sweep changes."""
+    report = tmp_path / "report.md"
+    assert main(["conjecture", "--n", str(n), "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.long
 def test_matroid_n5_output_is_pinned(tmp_path):
     """The 3655 bases of the n = 5 union; the bytes must not move when the
@@ -362,8 +377,8 @@ def test_fan_enumerates_once(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["matroid", "--n", "5", "--verify"], "transition check cap 4"),
-        (["conjecture", "--n", "6"], "basis enumeration cap 5"),
+        (["matroid", "--n", "6", "--verify"], "transition check cap 5"),
+        (["conjecture", "--n", "7"], "basis enumeration cap 6"),
     ],
 )
 def test_size_caps_refuse_before_any_enumeration(monkeypatch, capsys, argv, cap):

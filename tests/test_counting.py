@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from symbic import fan, matroid, shelling
+from symbic import counting, fan, matroid, shelling
 from symbic.counting import (
     FACE_CAP,
     SERIES_ORDER_CAP,
     RationalSeries,
     SizeCapError,
+    TreeCatalog,
     _assemble_tree,
     _code_orbits,
     _regular_codes,
@@ -27,9 +28,11 @@ from symbic.counting import (
     series_regular,
     set_partitions,
 )
+from symbic.trees import MalformedTreeError, SymbicTree
 from symbic.tropical import TropicalError
 
 REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
+ORBIT_COUNTS = [None, 1, 2, 3, 8, 17, 47]  # S_n orbits of the catalog at n = 1..6
 
 
 def face_catalog(n: int) -> dict:
@@ -289,6 +292,82 @@ def test_catalog_n6_count_and_orbits():
         assert len(key) == 5
     code_keys = {_code_orbits(6, seq, combo) for seq, combo in _regular_codes(6)}
     assert code_keys == set(catalog.trees)
+
+
+def test_enumeration_refuses_a_tree_without_involution(monkeypatch):
+    """The key comes off the code, but a built tree without an involution
+    is still refused, as its own key would refuse it."""
+    assemble = counting._assemble_tree
+
+    def lopsided(n, seq, combo):
+        tree = assemble(n, seq, combo)
+        sigma = tree.involution()
+        moved = [(u, v, length) for u, v, length in tree.internal_edges() if sigma[v] != v]
+        if not moved:
+            return tree
+        u, v, length = moved[0]
+        adj, leaves = tree._graph_copy()
+        adj[u][v] = adj[v][u] = length + 1
+        return SymbicTree(n, adj, leaves)
+
+    monkeypatch.setattr(counting, "_assemble_tree", lopsided)
+    with pytest.raises(MalformedTreeError):
+        enumerate_regular(3)
+
+
+def test_enumeration_refuses_a_repeated_type(monkeypatch):
+    codes = counting._regular_codes
+
+    def twice(n):
+        for code in codes(n):
+            yield code
+            yield code
+
+    monkeypatch.setattr(counting, "_regular_codes", twice)
+    with pytest.raises(AssertionError, match="duplicate combinatorial type"):
+        enumerate_regular(3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_orbits_partition_the_catalog(n):
+    catalog = enumerate_regular(n)
+    orbits = catalog.orbits()
+    assert catalog.orbits() is orbits  # cached on the catalog
+    assert len(orbits) == ORBIT_COUNTS[n]
+    assert sum(map(len, orbits.values())) == len(catalog)
+    position = {key: k for k, key in enumerate(catalog.trees)}
+    identity = tuple(range(1, n + 1))
+    for rep, members in orbits.items():
+        assert members[rep] == identity
+        assert min(members, key=position.get) == rep
+        assert all(sorted(p) == list(identity) for p in members.values())
+    assert set().union(*orbits.values()) == set(catalog.trees)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_members_are_the_relabelled_representatives(n):
+    """Renaming the representative tree itself, and keying the new tree by
+    its own splits, gives each member's key."""
+    catalog = enumerate_regular(n)
+    for rep, members in catalog.orbits().items():
+        tree = catalog.trees[rep]
+        for key, p in members.items():
+            assert tree.relabel(dict(zip(range(1, n + 1), p))).canonical_key() == key
+
+
+def test_orbits_refuse_a_catalog_not_closed_under_renaming():
+    catalog = enumerate_regular(4)
+    part = TreeCatalog(4, dict(list(catalog.items())[:20]))
+    with pytest.raises(ValueError, match="not closed under renaming"):
+        part.orbits()
+
+
+@pytest.mark.long
+def test_catalog_n6_keys_are_the_trees_own_orbits():
+    """The n = 6 keys come off the codes; each equals the orbits read off
+    its tree's own index."""
+    for key, tree in enumerate_regular(6).items():
+        assert frozenset(tree._edge_orbits().values()) == key
 
 
 @pytest.fixture(scope="module")

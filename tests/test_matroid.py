@@ -13,6 +13,7 @@ from symbic.correspond import divergences, matrix_from_tree
 from symbic.counting import SizeCapError, enumerate_regular, random_regular_tree
 from symbic.matroid import (
     CayleyMatrix,
+    ConjectureReport,
     _bases,
     _kernel,
     _reduce,
@@ -65,6 +66,13 @@ def oracle_bases(tree, base=None):
 
     extend(0, [], [])
     return frozenset(results)
+
+
+def as_columns(cm, masks):
+    """Column masks of ``_bases`` as frozensets of columns, bit by bit."""
+    return frozenset(
+        frozenset(c for k, c in enumerate(cm.columns) if mask >> k & 1) for mask in masks
+    )
 
 
 def primal_bases(cm):
@@ -273,7 +281,7 @@ def test_cayley_matrix_is_built_once_per_tree_and_base(monkeypatch):
     monkeypatch.setattr(matroid, "divergences", counted)
     tree = random_regular_tree(4, random.Random(3))
     cm = cayley_matrix(tree)
-    assert matroid_bases(tree) == _bases(cm)
+    assert matroid_bases(tree) == as_columns(cm, _bases(cm))
     assert cayley_matrix(tree, tree.trunk()[-1]) is cm
     assert len(calls) == 1
     assert cayley_matrix(tree, tree.trunk()[0]) is not cm  # a two-vertex trunk
@@ -328,7 +336,7 @@ def assert_kernel(rows, width):
 @settings(max_examples=300, deadline=None)
 def test_bases_match_the_primal_search(cm):
     assert_kernel(cm.rows, len(cm.columns))
-    assert _bases(cm) == primal_bases(cm)
+    assert as_columns(cm, _bases(cm)) == primal_bases(cm)
 
 
 def distinct_cayley_matrices(n):
@@ -339,7 +347,7 @@ def test_bases_match_the_primal_search_on_every_cayley_matrix():
     for n in (1, 2, 3, 4):
         for cm in distinct_cayley_matrices(n):
             assert_kernel(cm.rows, len(cm.columns))
-            bases = _bases(cm)
+            bases = as_columns(cm, _bases(cm))
             assert bases == primal_bases(cm)
             assert bases and all(len(b) == 2 * n - 1 for b in bases)
 
@@ -350,7 +358,7 @@ def test_bases_match_the_primal_search_on_every_cayley_matrix_n5():
     assert len(matrices) == 690
     for cm in matrices:
         assert_kernel(cm.rows, len(cm.columns))
-        assert _bases(cm) == primal_bases(cm)
+        assert as_columns(cm, _bases(cm)) == primal_bases(cm)
 
 
 def test_kernel_of_a_worked_matrix():
@@ -383,11 +391,11 @@ def test_union_bases_filters():
     with pytest.raises(ValueError):
         union_bases(3, "bogus")
     with pytest.raises(SizeCapError):
-        union_bases(6, "all")
+        union_bases(7, "all")
 
 
 def test_transition_checks_pass():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         assert basis_transition_check(n) is None
 
 
@@ -422,3 +430,98 @@ def test_report_lists_missing_bases_when_unequal():
     )
     text = render_conjecture_report(fake)
     assert "(1,1)" in text and "(1,2)" in text
+
+
+
+def test_transition_witness_is_a_set_of_pairs(monkeypatch):
+    """The table holds masks; the witness the check returns holds pairs."""
+    table = basis_transition_table
+
+    def neighbourless(n, catalog=None):
+        faces, bases = table(n, catalog)
+        return {face: cells[:1] for face, cells in faces.items()}, bases
+
+    monkeypatch.setattr(matroid, "basis_transition_table", neighbourless)
+    witness = basis_transition_check(3)
+    assert witness is not None and len(witness.basis) == 5
+    assert witness.basis in matroid_bases(enumerate_regular(3).trees[witness.cell])
+
+
+FILTERS = {
+    "all": lambda t: True,
+    "caterpillar_branches": lambda t: t.has_caterpillar_branches(),
+    "full_caterpillar": lambda t: t.is_caterpillar(),
+}
+
+
+def per_tree_bases(catalog):
+    """The sweep the orbit representatives replaced: every tree of the
+    catalog, bases computed once per distinct Cayley matrix; key -> bases
+    as frozensets of pairs."""
+    memo = {}
+    out = {}
+    for key, tree in catalog.items():
+        cm = cayley_matrix(tree)
+        if cm.rows not in memo:
+            memo[cm.rows] = as_columns(cm, _bases(cm))
+        out[key] = memo[cm.rows]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.long)])
+def test_orbit_sweep_matches_the_per_tree_sweep(n):
+    """Per-key bases, the three unions and the conjecture report, each read
+    off the orbit representatives, equal those of every tree's own bases."""
+    catalog = enumerate_regular(n)
+    expected = per_tree_bases(catalog)
+    cm = cayley_matrix(next(iter(catalog)))
+    if n <= matroid.TRANSITION_CAP:
+        _, table = basis_transition_table(n, catalog)
+        assert {key: as_columns(cm, masks) for key, masks in table.items()} == expected
+    unions = {}
+    for which, keep in FILTERS.items():
+        unions[which] = frozenset().union(
+            *(b for key, b in expected.items() if keep(catalog.trees[key]))
+        )
+        assert union_bases(n, which, catalog) == unions[which]
+    everything, caterpillar = unions["all"], unions["full_caterpillar"]
+    assert conjecture_scan(n, catalog) == ConjectureReport(
+        n,
+        everything == caterpillar,
+        len(everything),
+        len(caterpillar),
+        tuple(sorted(tuple(sorted(b)) for b in everything - caterpillar)),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_filters_are_constant_on_each_orbit(n):
+    catalog = enumerate_regular(n)
+    for rep, members in catalog.orbits().items():
+        for keep in FILTERS.values():
+            assert {keep(catalog.trees[key]) for key in members} == {keep(catalog.trees[rep])}
+
+
+def rename_bases(bases, p):
+    return frozenset(
+        frozenset(tuple(sorted((p[i - 1], p[j - 1]))) for i, j in basis) for basis in bases
+    )
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32))
+@example(5, 7)
+@settings(max_examples=40, deadline=None)
+def test_renaming_a_tree_renames_its_bases(n, seed):
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    p = list(range(1, n + 1))
+    rng.shuffle(p)
+    renamed = tree.relabel(dict(zip(range(1, n + 1), p)))
+    assert matroid_bases(renamed) == rename_bases(matroid_bases(tree), p)
+
+
+@pytest.mark.long
+def test_conjecture_scan_n6():
+    report = conjecture_scan(6)
+    assert (report.union_all_count, report.union_caterpillar_count) == (216648, 215748)
+    assert not report.equal and len(report.missing_bases) == 900

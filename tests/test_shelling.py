@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbic import shelling
-from symbic.counting import cell_sort_key, enumerate_regular
+from symbic.counting import _relabelled_orbits, cell_sort_key, enumerate_regular
 from symbic.shelling import (
     EdgeOrder,
     TreeComparator,
     _deletion_map,
-    _relabelled_orbits,
     _twig_map,
     reduce_by_twig,
     rule_order,
