@@ -60,8 +60,10 @@ def _load_tree(path: str) -> SymbicTree:
 
 
 def _write(path: str | None, payload: dict) -> None:
-    if path:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if path:  # streamed: the indented text of a large payload is never held whole
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def key_to_jsonable(key: frozenset) -> list:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .trees import Orbit, SymbicTree, _mask_labels, _row_bits
+from .trees import Orbit, SymbicTree, _label_bit, _split_orbit
 from .tropical import parse_rational
 
 SERIES_ORDER_CAP = 30
@@ -258,37 +258,32 @@ class TreeCatalog:
 
     def orbits(self) -> dict[frozenset, dict[frozenset, tuple[int, ...]]]:
         """The orbits of the keys under renaming the indices 1..n, found on
-        the keys alone from the generators (1 2) and (1 2 ... n):
-        representative -> {member: p}, the representative being the first
-        key of its orbit in catalog order (its own member, p the identity)
-        and p a permutation carrying it onto the member, index i to
-        p[i - 1], as ``tree.relabel({i: p[i - 1]})`` does.  Cached; a
-        catalog not closed under the renamings is refused.  A breadth-first
-        search from each representative: generator g sends member (key, p)
-        to (key renamed by g, g after p)."""
+        the keys alone: representative -> {member: p}, the representative
+        being the first key of its orbit in catalog order (its own member,
+        p the identity) and p a permutation carrying it onto the member,
+        index i to p[i - 1], as ``tree.relabel({i: p[i - 1]})`` does.
+        Cached; a catalog not closed under the renamings is refused.  One
+        sweep of S_n per representative: its key is renamed by every
+        permutation, in ``itertools.permutations`` order, and each member
+        keeps the first permutation that reaches it."""
         if self._orbits is not None:
             return self._orbits
         n = self.n
-        generators = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
+        perms = list(itertools.permutations(range(1, n + 1)))
         label_maps = [
-            {s * i: s * g[i - 1] for i in range(1, n + 1) for s in (1, -1)} for g in generators
+            {s * i: s * p[i - 1] for i in range(1, n + 1) for s in (1, -1)} for p in perms
         ]
         orbits: dict[frozenset, dict[frozenset, tuple[int, ...]]] = {}
         seen: set[frozenset] = set()
         for rep in self.trees:
             if rep in seen:
                 continue
-            members = {rep: tuple(range(1, n + 1))}
-            queue = [rep]
-            for key in queue:  # the queue grows while it is read
-                p = members[key]
-                for g, label_map in zip(generators, label_maps):
-                    image = _relabelled_orbits(key, label_map)
-                    if image not in members:
-                        if image not in self.trees:
-                            raise ValueError("catalog is not closed under renaming the indices")
-                        members[image] = tuple(g[i - 1] for i in p)
-                        queue.append(image)
+            members: dict[frozenset, tuple[int, ...]] = {}
+            for p, label_map in zip(perms, label_maps):
+                image = _relabelled_orbits(rep, label_map)
+                if image not in self.trees:
+                    raise ValueError("catalog is not closed under renaming the indices")
+                members.setdefault(image, p)
             seen.update(members)
             orbits[rep] = members
         self._orbits = orbits
@@ -403,29 +398,21 @@ def _code_orbits(
     """The split orbits of ``_assemble_tree(n, seq, combo)``, read off the
     code.  A trunk edge is a one-split orbit: the blocks before it, in both
     colors.  A non-leaf subtree S of a branch structure is the orbit
-    {S, swap(S)} of the edge above it and its mirror.  Sides are label
-    masks, normalized as in :meth:`SymbicTree.splits` to the side without
-    +1.  On a one-vertex trunk the two branch edges smooth into one edge
-    with a fixed midpoint, whose split is S | swap(S): the same orbit."""
-    full = (1 << 2 * n) - 1
-    rows = _row_bits(n)
-
-    def split(mask: int) -> frozenset:
-        return _mask_labels(mask ^ full if mask & 1 else mask)
-
+    {S, swap(S)} of the edge above it and its mirror.  On a one-vertex
+    trunk the two branch edges smooth into one edge with a fixed midpoint,
+    whose split is S | swap(S): the same orbit."""
     orbits = []
     before = 0
     for block in seq[:-1]:
         for label in block:
-            before |= 3 << 2 * label - 2
-        orbits.append(frozenset((split(before),)))
+            before |= 1 << _label_bit(label) | 1 << _label_bit(-label)
+        orbits.append(_split_orbit(before, n))
 
     def walk(structure) -> int:
         if isinstance(structure, int):
-            return 1 << (2 * structure - 2 if structure > 0 else -2 * structure - 1)
+            return 1 << _label_bit(structure)
         mask = walk(structure[1]) | walk(structure[2])
-        mirror = (mask & rows) << 1 | mask >> 1 & rows
-        orbits.append(frozenset((split(mask), split(mirror))))
+        orbits.append(_split_orbit(mask, n))
         return mask
 
     for structure in combo:

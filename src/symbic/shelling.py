@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .counting import TreeCatalog, _catalog_for, _relabelled_orbits
-from .trees import MalformedTreeError, SymbicTree, _preorder, label_key
+from .trees import MalformedTreeError, SymbicTree, label_key
 
 VERIFY_CAP = 6
 
@@ -22,21 +22,20 @@ class EdgeOrder:
     endpoint first, then every edge (leaf and internal, color-swapped copies
     separately) extending the path partial order from the anchor, then the
     far trunk endpoint when the trunk has one.  The anchor is trunk()[0];
-    one walk from it gives every vertex's depth."""
+    an edge is named by its far side, the labels away from the anchor, and
+    edges are sorted by the smallest label of the far side, then by the
+    far side's size, largest first.  Edges whose far sides share the
+    smallest label lie on the path from the anchor to that leaf, so their
+    far sides are strictly nested and the larger one is the nearer edge."""
 
     __slots__ = ("anchor", "places", "_index")
 
     def __init__(self, tree: SymbicTree):
         self.anchor = tree.trunk()[0]
-        depth: dict[int, int] = {}
-        for v, parent in _preorder(tree.adj, self.anchor).items():
-            depth[v] = 0 if parent is None else depth[parent] + 1
         keyed = []
         for u, v, _ in tree.edges():
-            near, far = (u, v) if depth[u] < depth[v] else (v, u)
-            descriptor = tree.edge_descriptor(near, far)
-            smallest = min(tree.side_labels(near, far), key=label_key)
-            keyed.append((label_key(smallest) + (depth[near],), ("edge", descriptor)))
+            far = tree.edge_descriptor(u, v)
+            keyed.append(((label_key(min(far, key=label_key)), -len(far)), ("edge", far)))
         keyed.sort(key=lambda kv: kv[0])
         places: list[tuple] = [("near",)]
         places.extend(place for _, place in keyed)

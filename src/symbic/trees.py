@@ -116,6 +116,27 @@ def _label_bit(label: Label) -> int:
     return 2 * label - 2 if label > 0 else -2 * label - 1
 
 
+def _swap(mask: int, n: int) -> int:
+    """A label mask with the colors swapped, i <-> i' for every index: the
+    involution's image of a side."""
+    rows = _row_bits(n)
+    return (mask & rows) << 1 | mask >> 1 & rows
+
+
+def _split(mask: int, n: int) -> Split:
+    """The split of an edge with a side of label mask ``mask``: the side
+    without +1 (bit 0), interned."""
+    return _mask_labels(mask ^ (1 << 2 * n) - 1 if mask & 1 else mask)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _split_orbit(mask: int, n: int) -> Orbit:
+    """The orbit of the split of an edge with a side of label mask
+    ``mask``: the split and its color swap, one split when the swap fixes
+    it (a trunk edge).  Interned, as the splits are."""
+    return frozenset((_split(mask, n), _split(_swap(mask, n), n)))
+
+
 class _TreeIndex(NamedTuple):
     """One depth-first walk of a tree from an arbitrary root.  Vertices are
     numbered in preorder, so the subtree of position i is the run i..last[i].
@@ -337,11 +358,7 @@ class SymbicTree:
         """Map internal edge {u, v} -> its split side not containing +1, in
         the order of :meth:`edges`.  Read off the tree index on every call
         rather than stored."""
-        full = self._index().mask[0]
-        return {
-            frozenset(edge): _mask_labels(side ^ full if side & 1 else side)  # bit 0: label 1
-            for edge, side in self._edge_sides()
-        }
+        return {frozenset(edge): _split(side, self.n) for edge, side in self._edge_sides()}
 
     def _edge_sides(self) -> list[tuple[tuple[int, int], int]]:
         """Per internal edge (u, v), u < v, in sorted order: the label mask
@@ -369,20 +386,9 @@ class SymbicTree:
     def _edge_orbits(self) -> dict[frozenset, Orbit]:
         """Map internal edge {u, v} -> the orbit of its split.  The
         involution sends an edge's sides onto its image's sides with the
-        colors swapped, so the image's split is the swapped mask, taken on
-        the side without +1."""
+        colors swapped, so the image's split is the swapped mask's."""
         self.involution()  # refuses a tree without one
-        rows = _row_bits(self.n)
-        full = self._index().mask[0]
-        out = {}
-        for edge, side in self._edge_sides():
-            if side & 1:
-                side ^= full
-            image = (side & rows) << 1 | side >> 1 & rows
-            if image & 1:
-                image ^= full
-            out[frozenset(edge)] = frozenset((_mask_labels(side), _mask_labels(image)))
-        return out
+        return {frozenset(edge): _split_orbit(side, self.n) for edge, side in self._edge_sides()}
 
     def canonical_key(self) -> frozenset:
         """Equal keys iff equal combinatorial type; blind to lengths/ids."""
@@ -762,33 +768,16 @@ class SymbicTree:
 
     def contract_orbit(self, orbit: Orbit) -> "SymbicTree":
         """Contract the edge(s) of one split orbit; the singular type is
-        represented as the honest smaller-orbit tree."""
+        represented as the honest smaller-orbit tree.  The edges get length
+        0 and the normal form contracts them, mapping the involution
+        handed down through its merges."""
         edges = [e for e, s in self.splits().items() if s in orbit]
         if not edges:
             raise InvalidMoveError("orbit not present in this tree")
         adj, leaf_vertex = self._graph_copy()
-        merged: dict[int, int] = {}
-
-        def find(w: int) -> int:
-            while w in merged:
-                w = merged[w]
-            return w
-
-        for edge in edges:
-            u, v = (find(w) for w in tuple(edge))
-            if u == v:
-                continue
-            for w, length in list(adj[v].items()):
-                if w == u:
-                    continue
-                del adj[w][v]
-                adj[w][u] = length
-                adj[u][w] = length
-            adj[u].pop(v, None)
-            del adj[v]
-            merged[v] = u
-        sigma = self.involution()  # the orbit is closed under it, so are the merges
-        return SymbicTree(self.n, adj, leaf_vertex, {w: find(sigma[w]) for w in adj})
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = Fraction(0)
+        return SymbicTree(self.n, adj, leaf_vertex, self.involution())
 
     def expansions(self, orbit: Orbit) -> dict[Orbit, "SymbicTree"]:
         """All regular symbic trees reachable by contracting ``orbit`` and
@@ -950,7 +939,11 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     neighbour dict up as a shared empty one, so it allocates nothing per
     entry.  A valid ``involution_hint`` replaces the search; an edge the
     involution flips joins a vertex to its image, so it is read off
-    sigma."""
+    sigma.  When zero-length edges were contracted, the hint is first
+    mapped through the merges: if the set of zero edges is closed under
+    the hint, as a contracted orbit is, the hint followed by the merge map
+    is the contracted tree's involution, whichever end of each edge
+    survived."""
     adj, leaf_vertex = tree.adj, tree.leaf_vertex
     n = tree.n
     expected = {s * i for i in range(1, n + 1) for s in (1, -1)}
@@ -984,6 +977,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
         raise MalformedTreeError("not a tree (disconnected)")
 
     internal = [v for v in adj if v not in leaves]
+    merged: dict[int, int] = {}  # a contracted vertex -> the one it went into
     i = 0
     while i < len(internal):
         v = internal[i]
@@ -1002,6 +996,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
                 adj[t][v] = L
             adj[v].pop(w, None)
             del adj[w]
+            merged[w] = v
             i -= 1  # v took w's edges: test it again
             continue
         if len(nbrs) == 0:
@@ -1031,6 +1026,10 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     if not any(v not in leaves for v in adj):
         raise MalformedTreeError("tree has no internal vertex")
 
+    if involution_hint is not None and merged:
+        # a merge target is never merged itself: the scan leaves it with
+        # no zero edge, and no later change gives it one
+        involution_hint = {v: merged.get(w, w) for v, w in involution_hint.items()}
     sigma: Optional[dict[int, int]]
     if involution_hint is not None and _check_involution(tree, involution_hint):
         sigma = {v: involution_hint[v] for v in adj}
@@ -1080,7 +1079,7 @@ def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
     The sides are read off the index arrays in one pass: below each
     non-root position lies its subtree, above it the rest of the labels.
     ``_check_involution`` certifies the lengths."""
-    rows = _row_bits(tree.n)
+    n = tree.n
     index = tree._index()
     full, parent = index.mask[0], index.parent
     around: list[list[int]] = [[] for _ in index.order]  # the side masks at each position
@@ -1093,7 +1092,7 @@ def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
     by_sides = {frozenset(around[slot[v]]): v for v in tree.adj if v not in leaves}
     sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
     for sides, v in by_sides.items():
-        w = by_sides.get(frozenset((m & rows) << 1 | m >> 1 & rows for m in sides))
+        w = by_sides.get(frozenset(_swap(m, n) for m in sides))
         if w is None:
             return None
         sigma[v] = w

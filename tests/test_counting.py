@@ -15,6 +15,7 @@ from symbic.counting import (
     _assemble_tree,
     _code_orbits,
     _regular_codes,
+    _relabelled_orbits,
     colored_branch_shapes,
     count_full_trunk,
     count_one_vertex_trunk,
@@ -353,6 +354,47 @@ def test_orbit_members_are_the_relabelled_representatives(n):
         tree = catalog.trees[rep]
         for key, p in members.items():
             assert tree.relabel(dict(zip(range(1, n + 1), p))).canonical_key() == key
+
+
+def bfs_orbits(catalog):
+    """TreeCatalog.orbits() as a breadth-first search from each
+    representative under the generators (1 2) and (1 2 ... n): generator g
+    sends member (key, p) to (key renamed by g, g after p)."""
+    n = catalog.n
+    generators = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
+    label_maps = [
+        {s * i: s * g[i - 1] for i in range(1, n + 1) for s in (1, -1)} for g in generators
+    ]
+    orbits, seen = {}, set()
+    for rep in catalog.trees:
+        if rep in seen:
+            continue
+        members = {rep: tuple(range(1, n + 1))}
+        queue = [rep]
+        for key in queue:
+            p = members[key]
+            for g, label_map in zip(generators, label_maps):
+                image = _relabelled_orbits(key, label_map)
+                if image not in members:
+                    members[image] = tuple(g[i - 1] for i in p)
+                    queue.append(image)
+        seen.update(members)
+        orbits[rep] = members
+    return orbits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbits_match_the_generator_search(n):
+    """The same representatives in the same order and the same members.
+    A member of an orbit of n! keys is reached by one permutation only, so
+    there the permutations agree too."""
+    catalog = enumerate_regular(n)
+    swept, searched = catalog.orbits(), bfs_orbits(catalog)
+    assert list(swept) == list(searched)
+    for rep, members in swept.items():
+        assert set(members) == set(searched[rep])
+        if len(members) == math.factorial(n):
+            assert members == searched[rep]
 
 
 def test_orbits_refuse_a_catalog_not_closed_under_renaming():

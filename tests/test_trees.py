@@ -745,6 +745,93 @@ def test_hinted_involutions_match_the_search(monkeypatch):
     assert SymbicTree(4, adj, leaves, {v: v for v in adj}).involution() == made[0].involution()
 
 
+# -- union-find oracle for orbit contraction -------------------------------------
+
+
+def oracle_contract_orbit(tree, orbit):
+    """contract_orbit by merging the ends of each edge of the orbit with a
+    union-find, the involution handed down through the merges."""
+    edges = [e for e, s in tree.splits().items() if s in orbit]
+    adj, leaf_vertex = tree._graph_copy()
+    merged = {}
+
+    def find(w):
+        while w in merged:
+            w = merged[w]
+        return w
+
+    for edge in edges:
+        u, v = (find(w) for w in tuple(edge))
+        if u == v:
+            continue
+        for w, length in list(adj[v].items()):
+            if w == u:
+                continue
+            del adj[w][v]
+            adj[w][u] = length
+            adj[u][w] = length
+        adj[u].pop(v, None)
+        del adj[v]
+        merged[v] = u
+    sigma = tree.involution()
+    return SymbicTree(tree.n, adj, leaf_vertex, {w: find(sigma[w]) for w in adj})
+
+
+def contraction_summary(tree):
+    """What two contractions of one orbit share whichever vertices survive:
+    the validity, the key and the length of each split's edge."""
+    lengths = {}
+    for edge, split in tree.splits().items():
+        u, v = tuple(edge)
+        lengths[split] = tree.adj[u][v]
+    return tree.validate() is None, tree.canonical_key(), lengths
+
+
+def sorted_orbits(tree):
+    return sorted(tree.split_orbits(), key=lambda o: sorted(map(sorted, o)))
+
+
+def check_contractions(tree, orbits):
+    """Each contraction in ``orbits`` (pairs of orbits: one contraction,
+    then another) against the union-find oracle, the search switched off
+    while contracting: the handed-down involution is always accepted."""
+    search = trees._find_involution
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_find_involution", None)
+        made = []
+        for first, second in orbits:
+            face = tree.contract_orbit(first)
+            made.append((tree, first, face))
+            if second is not None:
+                made.append((face, second, face.contract_orbit(second)))
+    for source, orbit, face in made:
+        assert contraction_summary(face) == contraction_summary(oracle_contract_orbit(source, orbit))
+        assert face.involution() == search(face)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contractions_match_the_union_find(n):
+    """Every orbit of every catalog tree, and every orbit of each face."""
+    for tree in enumerate_regular(n):
+        pairs = []
+        for orbit in sorted_orbits(tree):
+            rest = sorted_orbits(tree.contract_orbit(orbit)) or [None]
+            pairs += [(orbit, second) for second in rest]
+        check_contractions(tree, pairs)
+
+
+@given(st.integers(2, 7), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_contractions_match_the_union_find_on_random_trees(n, seed):
+    """A random orbit, then a random orbit of the face, on trees with
+    random lengths."""
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    first = rng.choice(sorted_orbits(tree))
+    rest = sorted_orbits(tree.contract_orbit(first))
+    check_contractions(tree, [(first, rng.choice(rest) if rest else None)])
+
+
 # -- distance-vector oracle for the involution search ---------------------------
 
 
