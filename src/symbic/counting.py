@@ -7,13 +7,14 @@ functions, and constructive enumeration of the trees themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .trees import Orbit, SymbicTree, _label_bit, _split_orbit
+from .trees import Orbit, SymbicTree, _label_bit, _orbit_masks, _split_orbit
 from .tropical import parse_rational
 
 SERIES_ORDER_CAP = 30
@@ -264,23 +265,26 @@ class TreeCatalog:
         index i to p[i - 1], as ``tree.relabel({i: p[i - 1]})`` does.
         Cached; a catalog not closed under the renamings is refused.  One
         sweep of S_n per representative: its key is renamed by every
-        permutation, in ``itertools.permutations`` order, and each member
-        keeps the first permutation that reaches it."""
+        permutation, in ``itertools.permutations`` order, one split mask per
+        orbit through the permutation's bit table, and each member keeps
+        the first permutation that reaches it."""
         if self._orbits is not None:
             return self._orbits
         n = self.n
         perms = list(itertools.permutations(range(1, n + 1)))
-        label_maps = [
-            {s * i: s * p[i - 1] for i in range(1, n + 1) for s in (1, -1)} for p in perms
+        tables = [
+            _bit_table(tuple((s * i, s * p[i - 1]) for i in range(1, n + 1) for s in (1, -1)))
+            for p in perms
         ]
         orbits: dict[frozenset, dict[frozenset, tuple[int, ...]]] = {}
         seen: set[frozenset] = set()
         for rep in self.trees:
             if rep in seen:
                 continue
+            masks = [_orbit_masks(orbit)[0] for orbit in rep]
             members: dict[frozenset, tuple[int, ...]] = {}
-            for p, label_map in zip(perms, label_maps):
-                image = _relabelled_orbits(rep, label_map)
+            for p, table in zip(perms, tables):
+                image = _renamed_orbits(masks, table, n)
                 if image not in self.trees:
                     raise ValueError("catalog is not closed under renaming the indices")
                 members.setdefault(image, p)
@@ -420,28 +424,49 @@ def _code_orbits(
     return frozenset(orbits)
 
 
-def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
-    """Split orbits moved by a signed label map onto the labels it hits:
-    labels outside the map drop out of every split, a split left with fewer
-    than two labels on a side drops out (with its mirror, which has the same
-    sizes), and each split is stored as its side without +1, as
-    SymbicTree.splits stores it.  Deleting leaf pairs from a tree restricts
-    its splits and its involution, so this is the key of the tree with the
-    unmapped leaves deleted and the rest renamed; a map onto every label
-    deletes nothing and only renames."""
-    every = frozenset(label_map.values())
-    most = len(every) - 2
+@functools.lru_cache(maxsize=1 << 12)
+def _bit_table(moves: tuple) -> tuple[tuple[int, ...], ...]:
+    """The renaming of label masks by a signed label map, given as its
+    (label, image) pairs: per nibble of a mask (the index pairs 2c + 1 and
+    2c + 2) the 16 images of its values, unmapped labels dropped."""
+    image = {_label_bit(label): 1 << _label_bit(target) for label, target in moves}
+    table = []
+    for start in range(0, max(image, default=-1) + 1, 4):
+        nibble = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            nibble[v] = nibble[v ^ low] | image.get(start + low.bit_length() - 1, 0)
+        table.append(tuple(nibble))
+    return tuple(table)
+
+
+def _renamed_orbits(masks: Sequence[int], table: tuple, m: int) -> frozenset:
+    """The orbits of the split masks, one per orbit, renamed by a bit table
+    onto the index pairs 1..m; a split left with fewer than two labels on a
+    side drops out."""
     out = []
-    for orbit in orbits:
-        moved = []
-        for split in orbit:
-            side = frozenset(label_map[l] for l in split if l in label_map)
-            if not 2 <= len(side) <= most:
-                break
-            moved.append(every - side if 1 in side else side)
-        else:
-            out.append(frozenset(moved))
+    for mask in masks:
+        side = 0
+        for shift, nibble in enumerate(table):
+            side |= nibble[mask >> 4 * shift & 15]
+        if 2 <= side.bit_count() <= 2 * m - 2:
+            out.append(_split_orbit(side, m))
     return frozenset(out)
+
+
+def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
+    """Split orbits moved by a signed label map that sends index pairs onto
+    the pairs 1..m (i, i' to j, j' or to j', j): labels outside the map drop
+    out of every split, a split left with fewer than two labels on a side
+    drops out (with its mirror, which has the same sizes), and each split is
+    stored as its side without +1, as SymbicTree.splits stores it.  Deleting
+    leaf pairs from a tree restricts its splits and its involution, so this
+    is the key of the tree with the unmapped leaves deleted and the rest
+    renamed; a map onto every label deletes nothing and only renames.  Such
+    a map commutes with the color swap, so one split mask per orbit is
+    renamed, through the cached bit table of the map."""
+    masks = [_orbit_masks(orbit)[0] for orbit in orbits]
+    return _renamed_orbits(masks, _bit_table(tuple(label_map.items())), len(label_map) // 2)
 
 
 def enumerate_regular(n: int) -> TreeCatalog:

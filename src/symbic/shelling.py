@@ -4,15 +4,25 @@ Maximal cells are regular n+n trees identified with their split-orbit sets.
 The total order on cells is recursive: delete the top leaf pair and compare
 the smaller trees, falling back to attachment places along a fixed
 topological edge order, with brittle-twig trees sorted after twig-free ones
-by twig sequence and twig-reduced recursion.
+by twig sequence and twig-reduced recursion.  The brittle twig, the site
+of the top pair and the types of the smaller trees are read off each cell's
+split masks; a smaller tree is built once per type.  The shelling works on
+cells and ridges as int bitmasks over orbit ids.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .counting import TreeCatalog, _catalog_for, _relabelled_orbits
-from .trees import MalformedTreeError, SymbicTree, label_key
+from .trees import (
+    MalformedTreeError,
+    SymbicTree,
+    _brittle_twig,
+    _key_masks,
+    _top_pair_site,
+    label_key,
+)
 
 VERIFY_CAP = 6
 
@@ -85,9 +95,11 @@ def _twig_map(n: int, twig: Sequence[int]) -> dict:
 class TreeComparator:
     """Implements the recursive shelling comparison as one sort key per
     combinatorial type, memoized since deletions and twigs only depend on
-    the type.  The type of a deletion or a twig reduction is read off the
-    tree's split orbits, so a smaller tree is built once per type, and a
-    deletion's place is resolved against that one tree."""
+    the type.  The brittle twig and the site of the top pair are read off
+    the split masks of the tree's key, and the type of a deletion or a twig
+    reduction off its split orbits renamed, so a tree of the catalog is
+    never walked: a smaller tree is built once per type, and a deletion's
+    place is resolved against that one tree."""
 
     def __init__(self) -> None:
         self._keys: dict = {}
@@ -120,9 +132,10 @@ class TreeComparator:
         memo = (n, orbits)
         key = self._keys.get(memo)
         if key is None:
+            splits = _key_masks(orbits)
             if n < 2:
                 key = ()
-            elif (twig := tree.brittle_twig()) is not None:
+            elif (twig := _brittle_twig(n, splits)) is not None:
                 reduced = self._tree_of(
                     (n - len(twig), _relabelled_orbits(orbits, _twig_map(n, twig))),
                     lambda: reduce_by_twig(tree, twig),
@@ -133,7 +146,7 @@ class TreeComparator:
                     (n - 1, _relabelled_orbits(orbits, _deletion_map(n))),
                     lambda: tree.delete_leaves({n, -n}),
                 )
-                place = smaller.place_of_site(tree.top_pair_site())
+                place = smaller.place_of_site(_top_pair_site(n, splits))
                 key = (0, self.key(smaller), self._order_of(smaller).index(place))
             if self._types.setdefault(key, memo) != memo:
                 raise AssertionError("distinct trees share a shelling key")
@@ -153,34 +166,54 @@ def rule_order(n: int, catalog: Optional[TreeCatalog] = None) -> list[SymbicTree
     return sorted(_catalog_for(n, catalog), key=TreeComparator().key)
 
 
-class _PlacedCells:
-    """The cells laid down so far: every ridge (cell minus one vertex) they
-    have, and per vertex the int bitset of the placed cells holding it."""
+def _vertices(cell: int) -> Iterator[int]:
+    """The vertices of a cell bitmask, each as its own bit."""
+    while cell:
+        x = cell & -cell
+        yield x
+        cell ^= x
 
-    __slots__ = ("count", "ridges", "holders")
+
+class _PlacedCells:
+    """The cells laid down so far, as int bitmasks over orbit ids numbered
+    in order of first sight: every ridge (cell minus one vertex) they have,
+    and per vertex bit the int bitset of the placed cells holding it."""
+
+    __slots__ = ("count", "ridges", "holders", "ids")
 
     def __init__(self) -> None:
         self.count = 0
-        self.ridges: set[frozenset] = set()
-        self.holders: dict = {}
+        self.ridges: set[int] = set()
+        self.holders: dict[int, int] = {}
+        self.ids: dict = {}  # orbit -> its bit
 
-    def blockers(self, cell: frozenset) -> int:
+    def code(self, cell: frozenset) -> int:
+        """The bitmask of a cell's orbits."""
+        ids, out = self.ids, 0
+        for orbit in cell:
+            bit = ids.get(orbit)
+            if bit is None:
+                bit = ids[orbit] = 1 << len(ids)
+            out |= bit
+        return out
+
+    def blockers(self, cell: int) -> int:
         """Bitset of the placed cells C' for which the pair (C', cell) fails
         the shelling condition: C' holds every covered vertex x of cell,
         one whose ridge cell - {x} some placed cell already has."""
         common = (1 << self.count) - 1
-        for x in cell:
-            if common and cell - {x} in self.ridges:
+        for x in _vertices(cell):
+            if common and cell ^ x in self.ridges:
                 common &= self.holders.get(x, 0)
         return common
 
-    def add(self, cell: frozenset) -> list[frozenset]:
+    def add(self, cell: int) -> list[int]:
         """Lay the cell down; returns those of its ridges that no placed
         cell had."""
         bit = 1 << self.count
         new = []
-        for x in cell:
-            ridge = cell - {x}
+        for x in _vertices(cell):
+            ridge = cell ^ x
             if ridge not in self.ridges:
                 self.ridges.add(ridge)
                 new.append(ridge)
@@ -212,11 +245,11 @@ def shelling_order(
     ordered = rule_order(n, catalog)
     placed: list[SymbicTree] = []
     shell = _PlacedCells()
-    pending: dict[SymbicTree, frozenset] = {}  # deferred tree -> cell, in deferral order
-    waiting: dict[frozenset, list[SymbicTree]] = {}  # uncovered ridge -> deferred trees
+    pending: dict[SymbicTree, int] = {}  # deferred tree -> cell, in deferral order
+    waiting: dict[int, list[SymbicTree]] = {}  # uncovered ridge -> deferred trees
     dirty: set[SymbicTree] = set()  # deferred trees with a newly covered ridge
 
-    def try_place(tree: SymbicTree, cell: frozenset) -> bool:
+    def try_place(tree: SymbicTree, cell: int) -> bool:
         if shell.blockers(cell):
             return False
         for ridge in shell.add(cell):
@@ -225,11 +258,11 @@ def shelling_order(
         return True
 
     for tree in ordered:
-        cell = tree.split_orbits()
+        cell = shell.code(tree.split_orbits())
         if not try_place(tree, cell):
             pending[tree] = cell
-            for x in cell:
-                ridge = cell - {x}
+            for x in _vertices(cell):
+                ridge = cell ^ x
                 if ridge not in shell.ridges:
                     waiting.setdefault(ridge, []).append(tree)
             continue
@@ -266,7 +299,8 @@ def verify_shelling(
         raise ValueError("complex is not pure")
     shell = _PlacedCells()
     for cell in cells:
-        blockers = shell.blockers(cell)
+        code = shell.code(cell)
+        blockers = shell.blockers(code)
         if blockers:
             j = (blockers & -blockers).bit_length() - 1  # the lowest set bit
             return ShellingCounterExample(
@@ -275,7 +309,7 @@ def verify_shelling(
                 "no earlier cell differs from C in exactly one vertex "
                 "while containing the intersection",
             )
-        shell.add(cell)
+        shell.add(code)
     return None
 
 

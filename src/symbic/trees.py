@@ -137,6 +137,91 @@ def _split_orbit(mask: int, n: int) -> Orbit:
     return frozenset((_split(mask, n), _split(_swap(mask, n), n)))
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _orbit_masks(orbit: Orbit) -> tuple[int, ...]:
+    """The label masks of the splits of an orbit, one per split."""
+    return tuple(sum(1 << _label_bit(label) for label in split) for split in orbit)
+
+
+def _key_masks(key: frozenset) -> list[int]:
+    """The split masks of a canonical key: one label mask per split."""
+    return [mask for orbit in key for mask in _orbit_masks(orbit)]
+
+
+def _brittle_twig(n: int, splits: list[int]) -> Optional[tuple[int, ...]]:
+    """The brittle twig of a tree read off its split masks, one label mask
+    per split, either side: the largest side holding n' whose other labels
+    are two or more row leaves and no column leaf.  A split inside that side
+    would cut off a one-colored side, so its labels hang along one path from
+    pos(n'); they are ordered by the number of splits that separate each from
+    n', ties (a shared vertex) ascending."""
+    shift = 2 * n - 1  # n' is label-mask bit 2n - 1
+    nprime = 1 << shift
+    full = (1 << 2 * n) - 1
+    columns = _row_bits(n) << 1
+    best = 0
+    for side in splits:
+        if not side & nprime:
+            side ^= full
+        exposed = side ^ nprime
+        if not exposed & columns and exposed.bit_count() > max(best.bit_count(), 1):
+            best = exposed
+    if not best:
+        return None
+
+    def hops(label: Label) -> int:
+        bit = _label_bit(label)
+        return sum((side >> bit ^ side >> shift) & 1 for side in splits)
+
+    return tuple(sorted(_mask_labels(best), key=lambda label: (hops(label), label)))
+
+
+def _top_pair_site(n: int, splits: list[int]) -> tuple:
+    """The site of :meth:`SymbicTree.top_pair_site` read off a tree's split
+    masks, one label mask per split, either side.  Turned away from n, the
+    sides are nested or disjoint; the maximal ones are the sides of the
+    internal edges at pos(n), and the labels in none of them hang at pos(n).
+    A swap-invariant side is the side of a trunk edge.  The two sides of a
+    trunk edge come in the order of their lowest label bits."""
+    if n < 2:
+        raise MalformedTreeError("nothing to delete below n=2")
+    leaf_n, nprime = 1 << (2 * n - 2), 1 << (2 * n - 1)
+    full = (1 << 2 * n) - 1
+    away = {side ^ full if side & leaf_n else side for side in splits}
+    around, covered = [], 0
+    for side in sorted(away, key=int.bit_count, reverse=True):
+        if not side & covered:
+            around.append(side)
+            covered |= side
+    at_pos = full ^ covered  # the labels at pos(n), n among them
+    if at_pos & nprime:
+        if len(around) == 1:
+            # the branches at the next trunk vertex: its side less the side
+            # of the trunk edge beyond it, the largest trunk side inside
+            (side,) = around
+            beyond = max(
+                (s for s in away if s != side and s | side == side and _swap(s, n) == s),
+                key=int.bit_count,
+                default=0,
+            )
+            return ("endpoint", _mask_labels(side ^ beyond))
+        if len(around) == 2:
+            a, b = sorted(around, key=lambda side: side & -side)
+            return ("trunk-edge", (_mask_labels(a), _mask_labels(b)))
+        raise MalformedTreeError("unexpected valence at the (n, n') vertex")
+    if len(around) + at_pos.bit_count() != 3:  # n and two more neighbours
+        raise MalformedTreeError("leaf n must sit at a trivalent vertex")
+    partner = at_pos ^ leaf_n
+    if partner:
+        if partner & _row_bits(n):
+            raise MalformedTreeError("same-color cherry at leaf n")
+        return ("edge", _mask_labels(partner))
+    # the side away from n' is the side away from the trunk, hence away
+    # from the canonical endpoint of the smaller tree
+    a, b = around
+    return ("edge", _mask_labels(b if a & nprime else a))
+
+
 class _TreeIndex(NamedTuple):
     """One depth-first walk of a tree from an arbitrary root.  Vertices are
     numbered in preorder, so the subtree of position i is the run i..last[i].
@@ -558,29 +643,9 @@ class SymbicTree:
         """The uni-colored caterpillar (i_1, ..., i_k), k >= 2, exposed by
         removing the column leaf n'; None when deleting n, n' stays symbic.
         i_1 is the cherry partner of n'; the sequence runs along the twig.
-        One pass over the index: the side of each internal edge that holds
-        n' exposes a twig when the rest of it is two or more row leaves."""
-        nprime = 1 << (2 * self.n - 1)  # the label-mask bit of n'
-        columns = _row_bits(self.n) << 1
-        index = self._index()
-        full = index.mask[0]
-        best = 0
-        for side in index.mask[1:]:
-            if not side & nprime:
-                side ^= full
-            exposed = side ^ nprime
-            if (
-                not exposed & columns
-                and exposed.bit_count() > max(best.bit_count(), 1)
-                and (full ^ side).bit_count() >= 2  # an internal edge
-            ):
-                best = exposed
-        if not best:
-            return None
-        anchor = self.pos(-self.n)
-        return tuple(
-            sorted(_mask_labels(best), key=lambda l: self.distance(anchor, self.pos(l)))
-        )
+        Read off the split masks of the internal edges by
+        :func:`_brittle_twig`."""
+        return _brittle_twig(self.n, [side for _, side in self._edge_sides()])
 
     # -- surgery --------------------------------------------------------------
 
@@ -629,43 +694,10 @@ class SymbicTree:
         half of :meth:`delete_top_pair`.  ("edge", labels) is already a place
         of the smaller tree's edge order; ("trunk-edge", (side, side)) and
         ("endpoint", branch labels of the next trunk vertex) still need the
-        smaller tree, see :meth:`place_of_site`.  No label set holds n or n'."""
-        k = self.n
-        if k < 2:
-            raise MalformedTreeError("nothing to delete below n=2")
-        x, xp = self.pos(k), self.pos(-k)
-        leaves = self.leaf_vertices()
-        if x == xp:
-            others = [w for w in self.adj[x] if w not in leaves]
-            if len(others) == 1:
-                u = others[0]
-                trunk = set(self.trunk())
-                return (
-                    "endpoint",
-                    frozenset().union(
-                        *(self.side_labels(u, w) for w in self.adj[u] if w not in trunk)
-                    ),
-                )
-            if len(others) == 2:
-                u1, u2 = others
-                return ("trunk-edge", (self.side_labels(x, u1), self.side_labels(x, u2)))
-            raise MalformedTreeError("unexpected valence at the (n, n') vertex")
-        others = [w for w in self.adj[x] if w != self.leaf_vertex[k]]
-        if len(others) != 2:
-            raise MalformedTreeError("leaf n must sit at a trivalent vertex")
-        leaf_nbrs = [w for w in others if w in leaves]
-        if leaf_nbrs:
-            partner = next(l for l, lv in self.leaf_vertex.items() if lv == leaf_nbrs[0])
-            if partner > 0:
-                raise MalformedTreeError("same-color cherry at leaf n")
-            return ("edge", frozenset((partner,)))
-        # the side away from n' is the side away from the trunk, hence away
-        # from the canonical endpoint of the smaller tree
-        y1, y2 = others
-        a = self.side_labels(x, y1)
-        if -k in a:
-            a = self.side_labels(x, y2)
-        return ("edge", a)
+        smaller tree, see :meth:`place_of_site`.  No label set holds n or n'.
+        Read off the split masks of the internal edges by
+        :func:`_top_pair_site`."""
+        return _top_pair_site(self.n, [side for _, side in self._edge_sides()])
 
     def place_of_site(self, site: tuple) -> tuple:
         """The second half of :meth:`delete_top_pair`: the place in this

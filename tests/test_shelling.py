@@ -374,6 +374,25 @@ def test_rule_keys_build_one_tree_per_type(monkeypatch):
     assert max(collections.Counter(built).values()) == 1
 
 
+def test_rule_keys_build_no_tree_index_per_cell(monkeypatch):
+    """The brittle twig and the top-pair site of a cell are read off its
+    key's split masks: no n = 5 tree gets a tree index.  The smaller trees
+    kept per type still build theirs, for their edge orders and places."""
+    catalog = enumerate_regular(5)
+    built = collections.Counter()
+    index = SymbicTree._index
+
+    def counting_index(self):
+        if "index" not in self._cache:
+            built[self.n] += 1
+        return index(self)
+
+    monkeypatch.setattr(SymbicTree, "_index", counting_index)
+    rule_order(5, catalog)
+    assert built[5] == 0
+    assert set(built) == {1, 2, 3, 4}
+
+
 @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.long)])
 def test_deferred_cells_are_tested_again_only_when_a_ridge_is_covered(n, monkeypatch):
     """Each placement test beyond the first test of every cell is a retest

@@ -270,7 +270,7 @@ def test_brittle_twig_detection_matches_deletion():
 
 def side_labels_brittle_twig(tree):
     """The brittle twig by a side_labels scan over the internal edges: the
-    oracle of SymbicTree.brittle_twig's one pass over the index masks."""
+    oracle of the split-mask reader trees._brittle_twig."""
     nprime = -tree.n
     best = None
     for u, v, _ in tree.internal_edges():
@@ -314,6 +314,120 @@ def test_brittle_twig_matches_the_side_labels_scan_on_random_trees(n, seed, face
     if late:
         tree = rooted_late(tree)
     assert tree.brittle_twig() == side_labels_brittle_twig(tree)
+
+
+def index_walk_top_pair_site(tree):
+    """top_pair_site by a walk around pos(n) on the graph: the oracle of the
+    split-mask reader trees._top_pair_site."""
+    k = tree.n
+    if k < 2:
+        raise MalformedTreeError("nothing to delete below n=2")
+    x, xp = tree.pos(k), tree.pos(-k)
+    leaves = tree.leaf_vertices()
+    if x == xp:
+        others = [w for w in tree.adj[x] if w not in leaves]
+        if len(others) == 1:
+            u = others[0]
+            trunk = set(tree.trunk())
+            return (
+                "endpoint",
+                frozenset().union(
+                    *(tree.side_labels(u, w) for w in tree.adj[u] if w not in trunk)
+                ),
+            )
+        if len(others) == 2:
+            u1, u2 = others
+            return ("trunk-edge", (tree.side_labels(x, u1), tree.side_labels(x, u2)))
+        raise MalformedTreeError("unexpected valence at the (n, n') vertex")
+    others = [w for w in tree.adj[x] if w != tree.leaf_vertex[k]]
+    if len(others) != 2:
+        raise MalformedTreeError("leaf n must sit at a trivalent vertex")
+    leaf_nbrs = [w for w in others if w in leaves]
+    if leaf_nbrs:
+        partner = next(l for l, lv in tree.leaf_vertex.items() if lv == leaf_nbrs[0])
+        if partner > 0:
+            raise MalformedTreeError("same-color cherry at leaf n")
+        return ("edge", frozenset((partner,)))
+    y1, y2 = others
+    a = tree.side_labels(x, y1)
+    if -k in a:
+        a = tree.side_labels(x, y2)
+    return ("edge", a)
+
+
+def site_or_error(find, tree):
+    """A site with the two sides of a trunk edge as a set (the walk lists
+    them in adjacency order), or the class and message of the refusal."""
+    try:
+        site = find(tree)
+    except MalformedTreeError as exc:
+        return type(exc), str(exc)
+    return (site[0], frozenset(site[1])) if site[0] == "trunk-edge" else site
+
+
+def test_key_masks_give_the_twig_and_site_of_the_oracles_on_the_catalog():
+    """The shelling keys read the twig and the site off a cell's key, one
+    mask per split, where the tree's own readers have one per edge."""
+    for n in (1, 2, 3, 4, 5):
+        for tree in enumerate_regular(n):
+            masks = trees._key_masks(tree.canonical_key())
+            assert trees._brittle_twig(n, masks) == side_labels_brittle_twig(tree)
+            expected = site_or_error(index_walk_top_pair_site, tree)
+            assert site_or_error(SymbicTree.top_pair_site, tree) == expected
+            assert site_or_error(lambda _: trees._top_pair_site(n, masks), tree) == expected
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_top_pair_site_matches_the_index_walk_on_random_trees(n, seed):
+    """Regular trees, every face of one orbit contracted, and copies of both
+    rooted at their last vertex: the same site, or the same refusal.  The
+    split masks of the key give the same site, and the same twig, as the
+    edges' own masks."""
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    faces = [tree.contract_orbit(orbit) for orbit in tree.split_orbits()]
+    for t in [tree, *faces]:
+        for copy in (t, rooted_late(t)):
+            expected = site_or_error(index_walk_top_pair_site, copy)
+            assert site_or_error(SymbicTree.top_pair_site, copy) == expected
+            masks = trees._key_masks(copy.canonical_key())
+            assert site_or_error(lambda _: trees._top_pair_site(copy.n, masks), copy) == expected
+            assert trees._brittle_twig(copy.n, masks) == side_labels_brittle_twig(copy)
+
+
+def test_top_pair_site_refusals_match_the_index_walk():
+    """The three refusals, on faces and on trees whose leaf n has a row
+    leaf for a cherry partner: the same class and message, as below n = 2."""
+    messages = set()
+    for n in (2, 3, 4):
+        for tree in enumerate_regular(n):
+            for orbit in tree.split_orbits():
+                face = tree.contract_orbit(orbit)
+                expected = site_or_error(index_walk_top_pair_site, face)
+                assert site_or_error(SymbicTree.top_pair_site, face) == expected
+                if expected[0] is MalformedTreeError:
+                    messages.add(expected[1])
+        # the cherry partner k' of n swapped with the row leaf k
+        for tree in enumerate_regular(n):
+            site = tree.top_pair_site()
+            if site[0] == "edge" and len(site[1]) == 1:
+                (partner,) = site[1]
+                adj, leaves = tree._graph_copy()
+                leaves[partner], leaves[-partner] = leaves[-partner], leaves[partner]
+                swapped = SymbicTree(n, adj, leaves)
+                expected = site_or_error(index_walk_top_pair_site, swapped)
+                assert site_or_error(SymbicTree.top_pair_site, swapped) == expected
+                messages.add(expected[1])
+    assert messages == {
+        "unexpected valence at the (n, n') vertex",
+        "leaf n must sit at a trivalent vertex",
+        "same-color cherry at leaf n",
+    }
+    small = tree_of_single_pair()
+    assert site_or_error(SymbicTree.top_pair_site, small) == site_or_error(
+        index_walk_top_pair_site, small
+    ) == (MalformedTreeError, "nothing to delete below n=2")
 
 
 def test_specific_twig_sequences_exist():
