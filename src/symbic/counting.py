@@ -424,20 +424,37 @@ def _code_orbits(
     return frozenset(orbits)
 
 
+def _subset_table(parts: Sequence, empty):
+    """Per mask over ``parts`` (bit k for parts[k]), the union of its parts."""
+    table = [empty]
+    for part in parts:
+        table += [t | part for t in table]
+    return tuple(table)
+
+
+def _byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The renaming of bit masks that sends bit k to the mask images[k]: a
+    subset table per byte, the last padded to 8 images with 0, so that
+    bits past the images drop out."""
+    padded = list(images) + [0] * (-len(images) % 8)
+    return tuple(_subset_table(padded[low : low + 8], 0) for low in range(0, len(padded), 8))
+
+
+def _renamed_mask(tables: tuple, mask: int) -> int:
+    """The image of a mask under the byte tables of :func:`_byte_tables`."""
+    image = 0
+    for table in tables:
+        image |= table[mask & 255]
+        mask >>= 8
+    return image
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _bit_table(moves: tuple) -> tuple[tuple[int, ...], ...]:
-    """The renaming of label masks by a signed label map, given as its
-    (label, image) pairs: per nibble of a mask (the index pairs 2c + 1 and
-    2c + 2) the 16 images of its values, unmapped labels dropped."""
+    """The byte tables renaming label masks by a signed label map, given as
+    its (label, image) pairs; unmapped labels drop out."""
     image = {_label_bit(label): 1 << _label_bit(target) for label, target in moves}
-    table = []
-    for start in range(0, max(image, default=-1) + 1, 4):
-        nibble = [0] * 16
-        for v in range(1, 16):
-            low = v & -v
-            nibble[v] = nibble[v ^ low] | image.get(start + low.bit_length() - 1, 0)
-        table.append(tuple(nibble))
-    return tuple(table)
+    return _byte_tables([image.get(k, 0) for k in range(max(image, default=-1) + 1)])
 
 
 def _renamed_orbits(masks: Sequence[int], table: tuple, m: int) -> frozenset:
@@ -446,9 +463,7 @@ def _renamed_orbits(masks: Sequence[int], table: tuple, m: int) -> frozenset:
     side drops out."""
     out = []
     for mask in masks:
-        side = 0
-        for shift, nibble in enumerate(table):
-            side |= nibble[mask >> 4 * shift & 15]
+        side = _renamed_mask(table, mask)
         if 2 <= side.bit_count() <= 2 * m - 2:
             out.append(_split_orbit(side, m))
     return frozenset(out)

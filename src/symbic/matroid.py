@@ -22,7 +22,14 @@ import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .correspond import base_point, divergences
-from .counting import SizeCapError, TreeCatalog, _catalog_for
+from .counting import (
+    SizeCapError,
+    TreeCatalog,
+    _byte_tables,
+    _catalog_for,
+    _renamed_mask,
+    _subset_table,
+)
 from .trees import InvalidMoveError, SymbicTree
 from .tropical import parse_rational
 
@@ -197,14 +204,6 @@ def _bases(cm: CayleyMatrix) -> frozenset[int]:
     return frozenset(results)
 
 
-def _subset_table(parts: Sequence, empty):
-    """Per mask over ``parts`` (bit k for parts[k]), the union of its parts."""
-    table = [empty]
-    for part in parts:
-        table += [t | part for t in table]
-    return tuple(table)
-
-
 @functools.lru_cache(maxsize=BASES_CAP + 1)
 def _pair_tables(n: int) -> tuple[int, tuple, tuple]:
     """The ground-set masks split in two halves, low bits first, and a
@@ -231,16 +230,7 @@ def _renaming(n: int, p: tuple[int, ...]) -> tuple:
     pairs = ground_set(n)
     bit = {pair: 1 << k for k, pair in enumerate(pairs)}
     images = [bit[min(a, b), max(a, b)] for a, b in ((p[i - 1], p[j - 1]) for i, j in pairs)]
-    return tuple(_subset_table(images[low : low + 8], 0) for low in range(0, len(images), 8))
-
-
-def _renamed(tables: tuple, mask: int) -> int:
-    """The image of a mask under the byte tables of :func:`_renaming`."""
-    image = 0
-    for table in tables:
-        image |= table[mask & 255]
-        mask >>= 8
-    return image
+    return _byte_tables(images)
 
 
 def matroid_bases(tree: SymbicTree, base: Optional[int] = None) -> frozenset:
@@ -285,7 +275,7 @@ def _closure(n: int, masks: Iterable[int]) -> set[int]:
     out: set[int] = set()
     for mask in masks:
         if mask not in out:
-            out.update([_renamed(tables, mask) for tables in renamings])
+            out.update([_renamed_mask(tables, mask) for tables in renamings])
     return out
 
 
@@ -317,7 +307,7 @@ def basis_transition_table(n: int, catalog: Optional[TreeCatalog] = None):
     for rep, members in catalog.orbits().items():
         for key, p in members.items():
             tables = _renaming(n, p)
-            bases[key] = frozenset([_renamed(tables, mask) for mask in rep_bases[rep]])
+            bases[key] = frozenset([_renamed_mask(tables, mask) for mask in rep_bases[rep]])
     faces: dict[frozenset, list[frozenset]] = {}
     if n == 2:
         faces[frozenset()] = list(catalog.trees)

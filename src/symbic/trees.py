@@ -411,6 +411,8 @@ class SymbicTree:
         on the side not containing the canonical trunk endpoint.  Unlike the
         split, this distinguishes the two color-swapped halves of a
         midpoint-subdivided edge (they yield different attachments)."""
+        if v not in self.adj[u]:
+            raise MalformedTreeError(f"({u}, {v}) is not an edge")
         index = self._index()
         i, j = index.slot[u], index.slot[v]
         below = j if index.parent[j] == i else i
@@ -598,25 +600,18 @@ class SymbicTree:
         return frozenset(found)
 
     def is_regular(self) -> bool:
-        """n-1 split orbits, positive lengths, trivalent branches, and every
-        trunk vertex carrying exactly one color-swapped branch pair."""
-        if self.validate() is not None:
-            return False
-        if len(self.split_orbits()) != self.n - 1:
-            return False
-        sigma = self.involution()
-        trunk = set(self.trunk())
-        by_vertex: dict[int, list[Branch]] = {}
-        for br in self.branches():
-            by_vertex.setdefault(br.trunk_vertex, []).append(br)
-        for t in trunk:
-            brs = by_vertex.get(t, [])
-            if len(brs) != 2 or sigma[brs[0].root] != brs[1].root:
-                return False
-        for v in self.internal_vertices():
-            if v not in trunk and len(self.adj[v]) != 3:
-                return False
-        return True
+        """A valid tree with n-1 split orbits, the most a valid tree has: the
+        regular trees are the maximal cells.  In normal form, with t trunk
+        vertices, the orbits are the t-1 trunk edges and one per swapped pair
+        of off-trunk internal edges.  Branches come in swapped pairs (a branch
+        mapped to itself would fix its root, which would lie on the trunk);
+        one branch of each pair gives n labels in all.  A branch on k labels
+        has at most k-1 internal edges, with equality iff it is trivalent.
+        Every trunk vertex carries a branch pair, or its degree is at most 2
+        and the normal form removes it.  So there are at most (t-1) + (n-t) =
+        n-1 orbits, with equality iff every trunk vertex carries exactly one
+        branch pair and every branch is trivalent."""
+        return self.validate() is None and len(self.split_orbits()) == self.n - 1
 
     def is_caterpillar(self) -> bool:
         """Single-vertex trunk and internal vertices forming a path."""
@@ -840,9 +835,7 @@ class SymbicTree:
         for r in range(2, len(incident) - 1):
             for group in itertools.combinations(incident, r):
                 candidate = _expand_vertex(singular, f, group)
-                if candidate is None or candidate.validate() is not None:
-                    continue
-                if not candidate.is_regular():
+                if candidate is None or not candidate.is_regular():
                     continue
                 new_orbits = candidate.split_orbits() - singular.split_orbits()
                 if len(new_orbits) != 1:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbic import counting, fan, matroid, shelling
 from symbic.counting import (
@@ -13,9 +15,11 @@ from symbic.counting import (
     SizeCapError,
     TreeCatalog,
     _assemble_tree,
+    _byte_tables,
     _code_orbits,
     _regular_codes,
     _relabelled_orbits,
+    _renamed_mask,
     colored_branch_shapes,
     count_full_trunk,
     count_one_vertex_trunk,
@@ -436,3 +440,20 @@ def catalog4():
 def test_whole_catalog_calls_refuse_a_catalog_of_another_size(catalog4, call):
     with pytest.raises(ValueError, match="catalog is for n=4, not n=3"):
         call(catalog4)
+
+
+@given(
+    st.lists(st.integers(0, 2**24 - 1), max_size=24),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_byte_tables_rename_bit_by_bit(images, masks):
+    """Each bit of a mask goes to its image, bits past the images drop
+    out: those in the padding of the last table and those past it."""
+    tables = _byte_tables(images)
+    for mask in masks:
+        expected = 0
+        for k, image in enumerate(images):
+            if mask >> k & 1:
+                expected |= image
+        assert _renamed_mask(tables, mask) == expected

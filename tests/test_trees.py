@@ -1,4 +1,5 @@
 import json
+import itertools
 import math
 import random
 from collections import deque
@@ -1500,3 +1501,119 @@ def test_splits_and_orbits_match_the_side_mask_oracles(n, seed):
                 t._edge_orbits()
         else:
             assert t._edge_orbits() == expected
+
+
+# -- regularity by the orbit count ----------------------------------------------
+
+def walk_is_regular(tree):
+    """Regularity by the trunk and branch walk: n-1 split orbits, positive
+    lengths, trivalent branches, and every trunk vertex carrying exactly
+    one color-swapped branch pair."""
+    if tree.validate() is not None:
+        return False
+    if len(tree.split_orbits()) != tree.n - 1:
+        return False
+    sigma = tree.involution()
+    trunk = set(tree.trunk())
+    by_vertex = {}
+    for br in tree.branches():
+        by_vertex.setdefault(br.trunk_vertex, []).append(br)
+    for t in trunk:
+        brs = by_vertex.get(t, [])
+        if len(brs) != 2 or sigma[brs[0].root] != brs[1].root:
+            return False
+    for v in tree.internal_vertices():
+        if v not in trunk and len(tree.adj[v]) != 3:
+            return False
+    return True
+
+
+def check_regularity(tree):
+    """The orbit count agrees with the walk, and no valid tree has more
+    than n-1 orbits."""
+    assert tree.is_regular() == walk_is_regular(tree)
+    if tree.validate() is None:
+        assert len(tree.split_orbits()) <= tree.n - 1
+
+
+def faces_and_candidates(tree):
+    """Every face of the tree (one contraction per nonempty orbit subset),
+    and every re-expansion of a vertex of degree 4 or more of a one-orbit
+    contraction that ``_expand_vertex`` builds."""
+    faces = {tree.canonical_key(): tree}
+    for orbit in sorted_orbits(tree):
+        for face in list(faces.values()):
+            if orbit in face.split_orbits():
+                smaller = face.contract_orbit(orbit)
+                faces.setdefault(smaller.canonical_key(), smaller)
+    out = list(faces.values())
+    for orbit in sorted_orbits(tree):
+        singular = tree.contract_orbit(orbit)
+        for v in singular.internal_vertices():
+            incident = sorted(singular.adj[v])
+            for r in range(2, len(incident) - 1):
+                for group in itertools.combinations(incident, r):
+                    candidate = trees._expand_vertex(singular, v, group)
+                    if candidate is not None:
+                        out.append(candidate)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regularity_by_orbit_count_matches_the_walk_on_the_catalogs(n):
+    for tree in enumerate_regular(n):
+        for t in faces_and_candidates(tree):
+            check_regularity(t)
+
+
+@pytest.mark.long
+def test_regularity_by_orbit_count_matches_the_walk_on_the_n5_catalog():
+    for tree in enumerate_regular(5):
+        for t in faces_and_candidates(tree):
+            check_regularity(t)
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_regularity_by_orbit_count_matches_the_walk_on_random_trees(n, seed):
+    """A random tree, each one-orbit contraction, and a contraction of a
+    random orbit subset."""
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    orbits = sorted_orbits(tree)
+    face = tree
+    for orbit in orbits:
+        if rng.random() < 0.5:
+            face = face.contract_orbit(orbit)
+    for t in [tree, face, *(tree.contract_orbit(orbit) for orbit in orbits)]:
+        check_regularity(t)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_regularity_by_orbit_count_matches_the_walk_on_raw_graphs(n, seed):
+    """Messy and broken graphs, on the ones that construct."""
+    n, adj, leaves, hint = raw_graph(n, random.Random(seed))
+    try:
+        tree = SymbicTree(n, adj, leaves, involution_hint=hint)
+    except MalformedTreeError:
+        return
+    check_regularity(tree)
+
+
+def test_regularity_by_orbit_count_matches_the_walk_on_stars():
+    for tree in [tree_of_single_pair(), *(star_tree(n) for n in range(1, 7))]:
+        check_regularity(tree)
+
+
+def test_edge_descriptor_refuses_a_non_edge():
+    tree = random_regular_tree(4, random.Random(3))
+    with pytest.raises(MalformedTreeError, match=r"^\(0, 4\) is not an edge$"):
+        tree.side_labels(0, 4)
+    with pytest.raises(MalformedTreeError, match=r"^\(0, 4\) is not an edge$"):
+        tree.edge_descriptor(0, 4)
+    for u in tree.adj:
+        for v in tree.adj:
+            if u != v and v not in tree.adj[u]:
+                with pytest.raises(MalformedTreeError, match="is not an edge"):
+                    tree.edge_descriptor(u, v)
