@@ -8,10 +8,12 @@ where the paths O -> i and O -> j' diverge, stacked over e_i + e_j.  All
 rank decisions are fraction-free and exact, and all go through one integer
 reducer, ``_reduce``.  The bases are found through the dual matroid, as
 the complements of the bases of the column matroid of an integer kernel
-basis.  A whole-catalog sweep searches only one tree per orbit of the
-catalog under renaming the indices 1..n, holds each basis as an int mask
-over the ground pairs, and renames masks through per-permutation byte
-tables; frozensets of pairs are made only for what a caller gets back.
+basis, by a depth-first search whose nodes carry the later kernel columns
+already reduced against the chosen ones.  A whole-catalog sweep searches
+only one tree per orbit of the catalog under renaming the indices 1..n,
+holds each basis as an int mask over the ground pairs, and renames masks
+through per-permutation byte tables; frozensets of pairs are made only for
+what a caller gets back.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .correspond import base_point, divergences
@@ -108,12 +111,12 @@ def _reduce(
         vp = vec[p]
         if vp:
             bp = b[p]
-            vec = [bp * x - vp * y for x, y in zip(vec, b)]
+            vec = list(map(sub, map(bp.__mul__, vec), map(vp.__mul__, b)))
     g = math.gcd(*vec)
     if not g:
         return None
-    row = tuple(x // g for x in vec)
-    return next(i for i, x in enumerate(row) if x), row
+    row = tuple(vec) if g == 1 else tuple(map(g.__rfloordiv__, vec))
+    return row.index(next(filter(None, row))), row
 
 
 def _echelon(rows: Iterable[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
@@ -146,15 +149,18 @@ def _kernel(
     given width, or None when the rows are dependent.
 
     After the forward pass, a back-substitution clears each pivot column
-    from the rows above it, each of which keeps its own pivot, so every row
-    e is zero at every pivot but its own p.  Free column f then gives the
-    kernel row with x_f = L, x_p = -(L / e[p]) e[f] at each pivot p and 0
-    elsewhere, L the lcm of the pivot entries."""
+    from the rows above it that are nonzero there, each of which keeps its
+    own pivot, so every row e is zero at every pivot but its own p.  Free
+    column f then gives the kernel row with x_f = L, x_p = -(L / e[p]) e[f]
+    at each pivot p and 0 elsewhere, L the lcm of the pivot entries."""
     echelon = _echelon(rows)
     if len(echelon) < len(rows):
         return None
     for k, step in enumerate(echelon):
-        echelon[:k] = [(q, _reduce(b, (step,))[1]) for q, b in echelon[:k]]
+        p = step[0]
+        for i, (q, b) in enumerate(echelon[:k]):
+            if b[p]:
+                echelon[i] = q, _reduce(b, (step,))[1]
     pivots = {p for p, _ in echelon}
     lcm = math.lcm(*(e[p] for p, e in echelon))
     kernel = []
@@ -176,31 +182,58 @@ def _bases(cm: CayleyMatrix) -> frozenset[int]:
     By matroid duality B is a basis of the column matroid of A exactly when
     its complement is a basis of the column matroid of K, whose rows span
     ker A (Oxley, Matroid Theory, 2nd ed., section 2.2).  So a depth-first
-    search over the columns of K in order, one reducer step per candidate
-    column, picks the cobases, and each basis is a complement.  With m
-    columns and rank r the search is m - r = (n-1)(n-2)/2 deep instead of
-    r = 2n - 1: 1, 3, 6, 10 against 5, 7, 9, 11 for n = 3..6, shorter for
-    every n up to ``BASES_CAP`` (the crossover is at n = 7).  An empty
-    kernel (n <= 2) leaves the one basis of all columns."""
+    search over the columns of K in order picks the cobases, and each basis
+    is a complement.  With m columns and rank r the search is
+    m - r = (n-1)(n-2)/2 deep instead of r = 2n - 1: 1, 3, 6, 10 against
+    5, 7, 9, 11 for n = 3..6, shorter for every n up to ``BASES_CAP`` (the
+    crossover is at n = 7).  An empty kernel (n <= 2) leaves the one basis
+    of all columns.
+
+    The search is incremental: each node holds its later columns already
+    reduced against the chosen ones, as primitive rows zero at every chosen
+    pivot, so choosing column s costs one single-step ``_reduce`` per later
+    column, and a column that reduces to zero is dropped for the whole
+    subtree.  The last choice needs no reduction.  A nonzero combination
+    of echelon rows is nonzero at the pivot of the first row it uses, so a
+    vector of the chosen span that is zero at every chosen pivot is zero.
+    When one column is still needed after s, a later column c, zero at
+    every chosen pivot as s is, is dependent on the chosen ones and s
+    exactly when c - a s is such a vector for some rational a, that is
+    when c = a s; both rows are primitive and nonzero, so a = 1 or -1.
+    Column c completes a cobasis exactly when its row is neither s nor -s."""
     width = len(cm.columns)
     kernel = _kernel(cm.rows, width)
     if kernel is None:
         return frozenset()
     everything = (1 << width) - 1
-    vectors = list(zip(*kernel))
-    target = len(kernel)
+    if not kernel:
+        return frozenset((everything,))
     results: list[int] = []
 
-    def extend(start: int, chosen: int, echelon: list) -> None:
-        if len(echelon) == target:
-            results.append(everything ^ chosen)
-            return
-        for idx in range(start, width - (target - len(echelon)) + 1):
-            step = _reduce(vectors[idx], echelon)
-            if step is not None:
-                extend(idx + 1, chosen | 1 << idx, echelon + [step])
+    def extend(chosen: int, later: list, need: int) -> None:
+        for k in range(len(later) - need + 1):
+            idx, step = later[k]
+            mask = chosen | 1 << idx
+            if need == 1:
+                results.append(everything ^ mask)
+            elif need == 2:
+                s = step[1]
+                minus = tuple(map(neg, s))
+                results.extend([
+                    everything ^ mask ^ 1 << j
+                    for j, (_, row) in later[k + 1:]
+                    if row != s and row != minus
+                ])
+            else:
+                echelon = (step,)
+                extend(mask, [
+                    (j, reduced)
+                    for j, (_, row) in later[k + 1:]
+                    if (reduced := _reduce(row, echelon))
+                ], need - 1)
 
-    extend(0, 0, [])
+    columns = enumerate(zip(*kernel))
+    extend(0, [(j, step) for j, col in columns if (step := _reduce(col, ()))], len(kernel))
     return frozenset(results)
 
 

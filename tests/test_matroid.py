@@ -15,6 +15,7 @@ from symbic.matroid import (
     CayleyMatrix,
     ConjectureReport,
     _bases,
+    _echelon,
     _kernel,
     _reduce,
     basis_transition_table,
@@ -94,6 +95,47 @@ def primal_bases(cm):
 
     extend(0, [], [])
     return frozenset(results)
+
+
+def full_reduction_bases(cm):
+    """The dual search the incremental one replaced: depth-first over the
+    kernel columns in order, every candidate reduced against the whole
+    chosen echelon from scratch, leaves included; complements as masks."""
+    width = len(cm.columns)
+    kernel = _kernel(cm.rows, width)
+    if kernel is None:
+        return frozenset()
+    everything = (1 << width) - 1
+    vectors = list(zip(*kernel))
+    target = len(kernel)
+    results = []
+
+    def extend(start, chosen, echelon):
+        if len(echelon) == target:
+            results.append(everything ^ chosen)
+            return
+        for idx in range(start, width - (target - len(echelon)) + 1):
+            step = _reduce(vectors[idx], echelon)
+            if step is not None:
+                extend(idx + 1, chosen | 1 << idx, echelon + [step])
+
+    extend(0, 0, [])
+    return frozenset(results)
+
+
+def reference_reduce(vec, echelon):
+    """The reducer as first written, with a generator per row operation, a
+    division by every gcd and a scan for the pivot."""
+    for p, b in echelon:
+        vp = vec[p]
+        if vp:
+            bp = b[p]
+            vec = [bp * x - vp * y for x, y in zip(vec, b)]
+    g = math.gcd(*vec)
+    if not g:
+        return None
+    row = tuple(x // g for x in vec)
+    return next(i for i, x in enumerate(row) if x), row
 
 
 def oracle_rank(rows):
@@ -181,6 +223,33 @@ def test_reducer_keeps_a_primitive_echelon(vectors):
         echelon.append(step)
     pushed = [b for _, b in echelon]
     assert oracle_rank(pushed) == len(echelon) == oracle_rank(pushed + vectors)
+
+
+int_vectors = st.lists(st.integers(-9, 9), min_size=5, max_size=5)
+
+
+@given(st.lists(int_vectors, max_size=5), int_vectors, st.integers(-4, 4))
+@example([], [0, 0, 0, 0, 0], 1)  # a zero vector
+@example([[2, 4, 0, 6, 2], [0, 3, 3, 0, -6]], [1, 1, 1, 1, 1], -3)  # gcd > 1 both ways
+@example([[0, -1, 2, 0, 1]], [0, 2, -4, 0, -2], 1)  # lies in the span
+@settings(max_examples=300, deadline=None)
+def test_reducer_matches_the_reference(rows, vec, scale):
+    """Against every prefix of an ``_echelon``-built echelon, and against
+    the echelon the reference builds, the reducer returns the reference's
+    (pivot, row) pair, row a tuple, or None."""
+    echelon = _echelon(rows)
+    reference = []
+    for row in rows:
+        step = reference_reduce(row, reference)
+        if step is not None:
+            reference.append(step)
+    assert echelon == reference
+    vec = [scale * x for x in vec]
+    for k in range(len(echelon) + 1):
+        step = _reduce(vec, echelon[:k])
+        assert step == reference_reduce(vec, echelon[:k])
+        assert step is None or type(step[1]) is tuple
+        assert _reduce(tuple(vec), echelon[:k]) == step
 
 
 def test_cayley_of_single_pair_tree():
@@ -315,6 +384,16 @@ def integer_matrices(draw):
     return CayleyMatrix(0, 0, tuple(range(m)), tuple(rows))
 
 
+def identity_beside(block):
+    """The matrix [I | B] for the rows of B.  Its kernel rows are
+    [-B^T | I], so kernel column i is row i of B negated: rows of B equal
+    up to sign or scale give dependent kernel columns, and a zero row of B
+    gives a zero kernel column, a coloop of [I | B]."""
+    r, k = len(block), len(block[0])
+    rows = tuple(tuple(int(i == j) for j in range(r)) + tuple(b) for i, b in enumerate(block))
+    return CayleyMatrix(0, 0, tuple(range(r + k)), rows)
+
+
 def assert_kernel(rows, width):
     """A K^T = 0 and rank K = m - r for independent rows; None otherwise."""
     kernel = _kernel(rows, width)
@@ -333,10 +412,16 @@ def assert_kernel(rows, width):
 @example(CayleyMatrix(0, 0, (0, 1, 2), ((0, 1, 0), (0, 0, 2), (3, 0, 0))))  # m == r
 @example(CayleyMatrix(0, 0, (0, 1, 2, 3), ((0, 2, 0, 4), (0, 1, 1, 0))))  # a zero column
 @example(CayleyMatrix(0, 0, (0, 1), ((1, 1), (1, -1), (0, 1))))  # m < r
+# last-level kernel columns equal, opposite and scaled, and a zero column
+@example(identity_beside([(1, 2), (-1, -2), (2, 4), (0, 0)]))
+# the same after the first choice, and a multiple of that column reduces to zero
+@example(identity_beside([(1, 0, 0), (0, 1, 1), (1, 1, 1), (1, -1, -1), (3, 2, 2), (2, 0, 0), (0, 0, 0)]))
 @settings(max_examples=300, deadline=None)
 def test_bases_match_the_primal_search(cm):
     assert_kernel(cm.rows, len(cm.columns))
-    assert as_columns(cm, _bases(cm)) == primal_bases(cm)
+    bases = _bases(cm)
+    assert bases == full_reduction_bases(cm)
+    assert as_columns(cm, bases) == primal_bases(cm)
 
 
 def distinct_cayley_matrices(n):
@@ -347,7 +432,9 @@ def test_bases_match_the_primal_search_on_every_cayley_matrix():
     for n in (1, 2, 3, 4):
         for cm in distinct_cayley_matrices(n):
             assert_kernel(cm.rows, len(cm.columns))
-            bases = as_columns(cm, _bases(cm))
+            masks = _bases(cm)
+            assert masks == full_reduction_bases(cm)
+            bases = as_columns(cm, masks)
             assert bases == primal_bases(cm)
             assert bases and all(len(b) == 2 * n - 1 for b in bases)
 
@@ -358,7 +445,9 @@ def test_bases_match_the_primal_search_on_every_cayley_matrix_n5():
     assert len(matrices) == 690
     for cm in matrices:
         assert_kernel(cm.rows, len(cm.columns))
-        assert as_columns(cm, _bases(cm)) == primal_bases(cm)
+        masks = _bases(cm)
+        assert masks == full_reduction_bases(cm)
+        assert as_columns(cm, masks) == primal_bases(cm)
 
 
 def test_kernel_of_a_worked_matrix():
