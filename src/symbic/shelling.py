@@ -5,64 +5,83 @@ The total order on cells is recursive: delete the top leaf pair and compare
 the smaller trees, falling back to attachment places along a fixed
 topological edge order, with brittle-twig trees sorted after twig-free ones
 by twig sequence and twig-reduced recursion.  The brittle twig, the site
-of the top pair and the types of the smaller trees are read off each cell's
-split masks; a smaller tree is built once per type.  The shelling works on
+of the top pair, the types of the smaller trees and their edge orders are
+read off split masks: the comparison builds no tree.  The shelling works on
 cells and ridges as int bitmasks over orbit ids.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .counting import TreeCatalog, _catalog_for, _relabelled_orbits
 from .trees import (
     MalformedTreeError,
     SymbicTree,
+    _anchor_side,
     _brittle_twig,
     _key_masks,
+    _mask_labels,
+    _place_of_site,
+    _swap,
     _top_pair_site,
-    label_key,
 )
 
 VERIFY_CAP = 6
 
 
 class EdgeOrder:
-    """Total order of attachment places of a symbic tree: the anchor trunk
-    endpoint first, then every edge (leaf and internal, color-swapped copies
-    separately) extending the path partial order from the anchor, then the
-    far trunk endpoint when the trunk has one.  The anchor is trunk()[0];
-    an edge is named by its far side, the labels away from the anchor, and
-    edges are sorted by the smallest label of the far side, then by the
-    far side's size, largest first.  Edges whose far sides share the
-    smallest label lie on the path from the anchor to that leaf, so their
-    far sides are strictly nested and the larger one is the nearer edge."""
+    """Total order of attachment places of the symbic trees of type
+    (n, key): the anchor trunk endpoint first, then every edge (leaf and
+    internal, color-swapped copies separately) extending the path partial
+    order from the anchor, then the far trunk endpoint when the trunk has
+    one.  The anchor is trunk()[0]; an edge is named by its far side, the
+    labels away from the anchor, and edges are sorted by the smallest label
+    of the far side, then by the far side's size, largest first.  Edges
+    whose far sides share the smallest label lie on the path from the anchor
+    to that leaf, so their far sides are strictly nested and the larger one
+    is the nearer edge.
 
-    __slots__ = ("anchor", "places", "_index")
+    The far sides are read off the key's split masks.  A leaf edge's far
+    side is its label.  A swap-invariant split is a trunk edge, whose far
+    side misses the anchor's block.  A split whose swap is its complement is
+    the flipped edge of a one-vertex trunk, and the midpoint cuts it into
+    two halves with far sides S and swap(S): unlike the split, the far side
+    tells the two color-swapped halves apart (they yield different
+    attachments).  Any other edge lies off the trunk, and its far side is
+    the side disjoint from its own swap."""
 
-    def __init__(self, tree: SymbicTree):
-        self.anchor = tree.trunk()[0]
-        keyed = []
-        for u, v, _ in tree.edges():
-            far = tree.edge_descriptor(u, v)
-            keyed.append(((label_key(min(far, key=label_key)), -len(far)), ("edge", far)))
-        keyed.sort(key=lambda kv: kv[0])
+    __slots__ = ("places", "_index", "_near")
+
+    def __init__(self, n: int, key: frozenset):
+        splits = _key_masks(key)
+        full = (1 << 2 * n) - 1
+        near = _anchor_side(n, splits)
+        far = [1 << bit for bit in range(2 * n)]
+        for s in splits:
+            swapped = _swap(s, n)
+            if swapped == s:
+                far.append(s ^ full if s & near else s)
+            elif swapped == s ^ full:
+                far += (s, swapped)
+            else:
+                far.append(s ^ full if s & swapped else s)
+        far.sort(key=lambda side: (side & -side, -side.bit_count()))
         places: list[tuple] = [("near",)]
-        places.extend(place for _, place in keyed)
-        if len(tree.trunk()) > 1:
+        places.extend(("edge", _mask_labels(side)) for side in far)
+        if near:
             places.append(("far",))
         self.places = places
         self._index = {place: i for i, place in enumerate(places)}
         if len(self._index) != len(places):
             raise AssertionError("edge descriptors collided; order is ambiguous")
+        self._near = _mask_labels(near or full)  # all labels for a one-vertex trunk
 
     def index(self, place: tuple) -> int:
-        if place == ("far",) and place not in self._index:
-            raise MalformedTreeError("one-vertex trunk has no far endpoint")
-        return self._index[place]
-
-    def __len__(self) -> int:
-        return len(self.places)
+        try:
+            return self._index[place]
+        except (KeyError, TypeError):
+            raise MalformedTreeError(f"{place!r} is not a place of this edge order") from None
 
 
 def reduce_by_twig(tree: SymbicTree, twig: Sequence[int]) -> SymbicTree:
@@ -94,41 +113,25 @@ def _twig_map(n: int, twig: Sequence[int]) -> dict:
 
 class TreeComparator:
     """Implements the recursive shelling comparison as one sort key per
-    combinatorial type, memoized since deletions and twigs only depend on
-    the type.  The brittle twig and the site of the top pair are read off
-    the split masks of the tree's key, and the type of a deletion or a twig
-    reduction off its split orbits renamed, so a tree of the catalog is
-    never walked: a smaller tree is built once per type, and a deletion's
-    place is resolved against that one tree."""
+    combinatorial type (n, key), memoized since deletions and twigs only
+    depend on the type.  The brittle twig and the site of the top pair are
+    read off the split masks of the key, the type of a deletion or a twig
+    reduction off its split orbits renamed, and a deletion's place off the
+    smaller type's edge order, so no tree is built or walked."""
 
     def __init__(self) -> None:
         self._keys: dict = {}
         self._types: dict = {}
         self._orders: dict = {}
-        self._trees: dict = {}
-
-    def _order_of(self, tree: SymbicTree) -> EdgeOrder:
-        key = tree.canonical_key()
-        if key not in self._orders:
-            self._orders[key] = EdgeOrder(tree)
-        return self._orders[key]
-
-    def _tree_of(self, memo: tuple, build: Callable[[], SymbicTree]) -> SymbicTree:
-        """The one tree kept for the type (n, key), built on first need."""
-        tree = self._trees.get(memo)
-        if tree is None:
-            tree = build()
-            if (tree.n, tree.canonical_key()) != memo:
-                raise AssertionError("relabelled orbits disagree with the built tree")
-            self._trees[memo] = tree
-        return tree
 
     def key(self, tree: SymbicTree) -> tuple:
         """() for n <= 1; (0, key of the smaller tree, index of the deletion
         place in its edge order) when deleting n, n' leaves a symbic tree;
         (1, twig, key of the twig reduction) otherwise.  Twig-free trees
         therefore sort first, twigs lexicographically with prefixes first."""
-        n, orbits = tree.n, tree.canonical_key()
+        return self._key(tree.n, tree.canonical_key())
+
+    def _key(self, n: int, orbits: frozenset) -> tuple:
         memo = (n, orbits)
         key = self._keys.get(memo)
         if key is None:
@@ -136,18 +139,15 @@ class TreeComparator:
             if n < 2:
                 key = ()
             elif (twig := _brittle_twig(n, splits)) is not None:
-                reduced = self._tree_of(
-                    (n - len(twig), _relabelled_orbits(orbits, _twig_map(n, twig))),
-                    lambda: reduce_by_twig(tree, twig),
-                )
-                key = (1, twig, self.key(reduced))
+                reduced = _relabelled_orbits(orbits, _twig_map(n, twig))
+                key = (1, twig, self._key(n - len(twig), reduced))
             else:
-                smaller = self._tree_of(
-                    (n - 1, _relabelled_orbits(orbits, _deletion_map(n))),
-                    lambda: tree.delete_leaves({n, -n}),
-                )
-                place = smaller.place_of_site(_top_pair_site(n, splits))
-                key = (0, self.key(smaller), self._order_of(smaller).index(place))
+                smaller = (n - 1, _relabelled_orbits(orbits, _deletion_map(n)))
+                order = self._orders.get(smaller)
+                if order is None:
+                    order = self._orders[smaller] = EdgeOrder(*smaller)
+                place = _place_of_site(_top_pair_site(n, splits), order._near)
+                key = (0, self._key(*smaller), order.index(place))
             if self._types.setdefault(key, memo) != memo:
                 raise AssertionError("distinct trees share a shelling key")
             self._keys[memo] = key

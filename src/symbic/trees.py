@@ -222,6 +222,41 @@ def _top_pair_site(n: int, splits: list[int]) -> tuple:
     return ("edge", _mask_labels(b if a & nprime else a))
 
 
+def _anchor_rank(side: int) -> int:
+    """The sort key of a trunk end by its side of the trunk edge at it: the
+    lowest bit, a row bit since the side is swap-invariant.  The anchor is
+    the end of larger rank, whose branches carry the *larger* smallest row
+    index; anchoring at the smaller one breaks the shelling (the two
+    trunk-extension cells of a smaller tree share the {n, n'} split, and
+    only this orientation yields an earlier one-swap neighbor for the later
+    of them)."""
+    return side & -side
+
+
+def _anchor_side(n: int, splits: list[int]) -> int:
+    """The labels on the anchor's branches read off a tree's split masks,
+    one label mask per split, either side; 0 for a one-vertex trunk.  The
+    trunk edges are the swap-invariant splits, and the trunk's end blocks
+    are the oriented sides of trunk edges that hold no other such side."""
+    full = (1 << 2 * n) - 1
+    sides = {x for s in splits if _swap(s, n) == s for x in (s, s ^ full)}
+    ends = [x for x in sides if not any(y != x and y | x == x for y in sides)]
+    return max(ends, key=_anchor_rank, default=0)
+
+
+def _place_of_site(site: tuple, near: frozenset) -> tuple:
+    """The place in a tree's edge order of a site read off a tree one pair
+    larger, given ``near``, the labels on the branches at the anchor (every
+    label for a one-vertex trunk).  A trunk edge is named by its side away
+    from the anchor endpoint; a trunk endpoint is near or far."""
+    if site[0] == "edge":
+        return site
+    if site[0] == "endpoint":
+        return ("near",) if site[1] <= near else ("far",)
+    a, b = site[1]
+    return ("edge", a if not near & a else b)
+
+
 class _TreeIndex(NamedTuple):
     """One depth-first walk of a tree from an arbitrary root.  Vertices are
     numbered in preorder, so the subtree of position i is the run i..last[i].
@@ -406,26 +441,12 @@ class SymbicTree:
         """Labels in the component of v when the edge (u, v) is removed."""
         return _mask_labels(self._side_mask(u, v))
 
-    def edge_descriptor(self, u: int, v: int) -> Split:
-        """Canonical identity of an edge across isomorphic copies: the labels
-        on the side not containing the canonical trunk endpoint.  Unlike the
-        split, this distinguishes the two color-swapped halves of a
-        midpoint-subdivided edge (they yield different attachments)."""
-        if v not in self.adj[u]:
-            raise MalformedTreeError(f"({u}, {v}) is not an edge")
-        index = self._index()
-        i, j = index.slot[u], index.slot[v]
-        below = j if index.parent[j] == i else i
-        side = index.mask[below]
-        if below <= index.slot[self.canonical_endpoint()] <= index.last[below]:
-            side ^= index.mask[0]
-        return _mask_labels(side)
-
     def _edge_with_descriptor(self, descriptor: object) -> Optional[tuple[int, int]]:
-        """The edge (u, v), u < v, whose :meth:`edge_descriptor` equals
-        ``descriptor``, or None; no two edges share one (see
-        ``EdgeOrder``).  Each edge's descriptor is read off the index as a
-        mask and compared with the descriptor's mask."""
+        """The edge (u, v), u < v, whose far side, the labels on the side
+        not containing the canonical trunk endpoint, equals ``descriptor``,
+        or None; no two edges share one (see ``EdgeOrder``).  Each edge's
+        far side is read off the index as a mask and compared with the
+        descriptor's mask."""
         if not isinstance(descriptor, (set, frozenset)):
             return None
         if not descriptor <= self.leaf_vertex.keys():
@@ -528,7 +549,8 @@ class SymbicTree:
     # -- trunk, branches, shape predicates -----------------------------------
 
     def trunk(self) -> tuple[int, ...]:
-        """The fixed path, ordered; starts at the canonical endpoint."""
+        """The fixed path, ordered; starts at the canonical endpoint, the
+        end of larger :func:`_anchor_rank`."""
         if "trunk" in self._cache:
             return self._cache["trunk"]
         fixed = self.fixed_vertices()
@@ -539,23 +561,10 @@ class SymbicTree:
             ends = [v for v in fixed if deg[v] <= 1]
             if len(ends) != 2:
                 raise MalformedTreeError("fixed set is not a path")
-
-            def min_row(v: int) -> int:  # the smallest row index on the branches at v
-                side = 0
-                for w in self.adj[v]:
-                    if w not in fixed:
-                        side |= self._side_mask(v, w)
-                side &= _row_bits(self.n)  # row i is bit 2i - 2
-                return (side & -side).bit_length() // 2 + 1 if side else self.n + 1
-
-            # the anchor endpoint is the one whose branches carry the *larger*
-            # smallest row index; anchoring at the smaller one breaks the
-            # shelling (the two trunk-extension cells of a smaller tree share
-            # the {n, n'} split, and only this orientation yields an earlier
-            # one-swap neighbor for the later of them)
-            start = max(ends, key=lambda v: (min_row(v), -v))
-            (end,) = set(ends) - {start}
-            path = tuple(self.path(start, end))
+            path = tuple(self.path(*ends))
+            first, last = self._side_mask(path[1], path[0]), self._side_mask(path[-2], path[-1])
+            if _anchor_rank(last) > _anchor_rank(first):
+                path = path[::-1]
         self._cache["trunk"] = path
         return path
 
@@ -689,29 +698,19 @@ class SymbicTree:
         half of :meth:`delete_top_pair`.  ("edge", labels) is already a place
         of the smaller tree's edge order; ("trunk-edge", (side, side)) and
         ("endpoint", branch labels of the next trunk vertex) still need the
-        smaller tree, see :meth:`place_of_site`.  No label set holds n or n'.
-        Read off the split masks of the internal edges by
+        smaller tree's anchor, see :meth:`place_of_site`.  No label set
+        holds n or n'.  Read off the split masks of the internal edges by
         :func:`_top_pair_site`."""
         return _top_pair_site(self.n, [side for _, side in self._edge_sides()])
 
     def place_of_site(self, site: tuple) -> tuple:
         """The second half of :meth:`delete_top_pair`: the place in this
-        tree's edge order of a site read off a tree one pair larger.  It
-        reads only labels, so any tree of this labelled type resolves a site
-        to the same place.  A trunk edge is named by its side away from the
-        anchor endpoint; a trunk endpoint is near or far."""
-        if site[0] == "edge":
-            return site
+        tree's edge order of a site read off a tree one pair larger, by
+        :func:`_place_of_site` with the labels on the branches at this
+        tree's anchor, its side of the trunk."""
         trunk = self.trunk()
-        if site[0] == "endpoint" and len(trunk) == 1:
-            return ("near",)
-        # the labels on the branches at the anchor: its side of the trunk
         near = self._side_mask(trunk[1], trunk[0]) if len(trunk) > 1 else self._index().mask[0]
-        near = _mask_labels(near)
-        if site[0] == "endpoint":
-            return ("near",) if site[1] <= near else ("far",)
-        a, b = site[1]
-        return ("edge", a if not near & a else b)
+        return _place_of_site(site, _mask_labels(near))
 
     def delete_top_pair(self) -> tuple["SymbicTree", tuple]:
         """Delete leaves n and n', returning the smaller tree and the place

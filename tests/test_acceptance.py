@@ -171,7 +171,7 @@ def test_public_surface_is_pinned():
         "adj", "attach_top_pair", "branch_vertices", "branches", "brittle_twig",
         "canonical_endpoint", "canonical_key", "cherries", "contract_orbit",
         "delete_leaves", "delete_top_pair", "distance", "divergence_vertex",
-        "edge_descriptor", "edges", "expansions", "fixed_vertices", "from_json_dict",
+        "edges", "expansions", "fixed_vertices", "from_json_dict",
         "has_caterpillar_branches", "internal_edges", "internal_vertices", "involution",
         "is_caterpillar", "is_regular", "labels", "leaf_vertex", "leaf_vertices", "n",
         "path", "place_of_site", "pos", "relabel", "side_labels", "split_orbits",
@@ -182,4 +182,4 @@ def test_public_surface_is_pinned():
         "coeffs", "constant", "egf_count", "order", "reciprocal", "scale",
         "shift_const", "sqrt",
     ]
-    assert _public(symbic.EdgeOrder) == ["anchor", "index", "places"]
+    assert _public(symbic.EdgeOrder) == ["index", "places"]

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbic import shelling
-from symbic.counting import _relabelled_orbits, cell_sort_key, enumerate_regular
+from symbic.counting import (
+    _code_orbits,
+    _regular_codes,
+    _relabelled_orbits,
+    cell_sort_key,
+    enumerate_regular,
+    random_regular_tree,
+)
 from symbic.shelling import (
     EdgeOrder,
     TreeComparator,
@@ -22,9 +29,17 @@ from symbic.shelling import (
     shelling_order,
     verify_shelling,
 )
-from symbic.trees import SymbicTree, label_key, tree_of_single_pair
+from symbic.trees import (
+    MalformedTreeError,
+    SymbicTree,
+    _anchor_side,
+    _key_masks,
+    label_key,
+    star_tree,
+    tree_of_single_pair,
+)
 from symbic.acceptance import four_pair_chain_tree
-from test_trees import side_labels_brittle_twig
+from test_trees import edge_descriptor, oracle_trunk, side_labels_brittle_twig
 
 
 class RecursiveComparator:
@@ -51,7 +66,7 @@ class RecursiveComparator:
     def _order_of(self, tree):
         key = tree.canonical_key()
         if key not in self._orders:
-            self._orders[key] = EdgeOrder(tree)
+            self._orders[key] = descriptor_places(tree)
         return self._orders[key]
 
     def compare(self, first, second):
@@ -167,8 +182,24 @@ def cell_orders(n):
     )
 
 
+def descriptor_places(tree):
+    """The places of EdgeOrder read off the tree: each edge named by the
+    far side that ``edge_descriptor`` finds on the tree index."""
+    keyed = []
+    for u, v, _ in tree.edges():
+        far = edge_descriptor(tree, u, v)
+        keyed.append(((label_key(min(far, key=label_key)), -len(far)), ("edge", far)))
+    keyed.sort(key=lambda kv: kv[0])
+    places = [("near",)] + [place for _, place in keyed]
+    return places + [("far",)] if len(oracle_trunk(tree)) > 1 else places
+
+
+def order_of(tree):
+    return EdgeOrder(tree.n, tree.canonical_key())
+
+
 def test_edge_order_of_single_pair_tree():
-    order = EdgeOrder(tree_of_single_pair())
+    order = order_of(tree_of_single_pair())
     assert order.places[0] == ("near",)
     assert order.places[1:] == [
         ("edge", frozenset({1})),
@@ -179,15 +210,15 @@ def test_edge_order_of_single_pair_tree():
 
 def test_edge_order_extends_path_partial_order():
     tree = four_pair_chain_tree(1, 2, 3)
-    order = EdgeOrder(tree)
-    anchor = order.anchor
+    order = order_of(tree)
+    anchor = tree.trunk()[0]
     for u, v, _ in tree.edges():
         nearer = u if len(tree.path(anchor, u)) < len(tree.path(anchor, v)) else v
-        descriptor = tree.edge_descriptor(u, v)
+        descriptor = edge_descriptor(tree, u, v)
         # every edge on the path from the anchor to this edge comes earlier
         path = tree.path(anchor, nearer)
         for a, b in zip(path, path[1:]):
-            earlier = tree.edge_descriptor(a, b)
+            earlier = edge_descriptor(tree, a, b)
             assert order.index(("edge", earlier)) <= order.index(("edge", descriptor))
 
 
@@ -202,7 +233,7 @@ def path_walk_places(tree):
         near, far = (u, v) if closer else (v, u)
         smallest = min(tree.side_labels(near, far), key=label_key)
         depth = len(tree.path(anchor, near)) - 1
-        keyed.append((label_key(smallest) + (depth,), ("edge", tree.edge_descriptor(near, far))))
+        keyed.append((label_key(smallest) + (depth,), ("edge", edge_descriptor(tree, near, far))))
     keyed.sort(key=lambda kv: kv[0])
     far_end = [("far",)] if len(tree.trunk()) > 1 else []
     return [("near",)] + [place for _, place in keyed] + far_end
@@ -212,9 +243,51 @@ def path_walk_places(tree):
 def test_edge_order_matches_the_path_walks(n):
     for tree in catalog_of(n):
         for t in (tree, tree.delete_leaves({n, -n})):
-            order = EdgeOrder(t)
-            assert order.anchor == t.trunk()[0]
-            assert order.places == path_walk_places(t)
+            assert order_of(t).places == path_walk_places(t)
+
+
+def check_edge_order(tree):
+    """EdgeOrder and _anchor_side, read off the tree's split masks, against
+    the tree walks: the far sides on the index, and the anchor of the trunk
+    found vertex by vertex, whose side of the trunk holds the anchor's
+    branch labels."""
+    trunk = oracle_trunk(tree)
+    assert tree.trunk() == trunk
+    near = tree._side_mask(trunk[1], trunk[0]) if len(trunk) > 1 else 0
+    assert _anchor_side(tree.n, _key_masks(tree.canonical_key())) == near
+    assert _anchor_side(tree.n, [side for _, side in tree._edge_sides()]) == near
+    assert order_of(tree).places == descriptor_places(tree)
+
+
+def test_edge_orders_match_the_tree_walks():
+    """Catalogs with their one- and two-orbit contractions, and stars."""
+    for n in range(1, 5):
+        for tree in catalog_of(n):
+            check_edge_order(tree)
+            for orbit in tree.split_orbits():
+                check_edge_order(tree.contract_orbit(orbit))
+            for a, b in itertools.combinations(tree.split_orbits(), 2):
+                check_edge_order(tree.contract_orbit(a).contract_orbit(b))
+    for tree in [tree_of_single_pair(), *(star_tree(n) for n in range(1, 7))]:
+        check_edge_order(tree)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_edge_orders_match_the_tree_walks_on_random_trees(n, seed):
+    rng = random.Random(seed)
+    tree = random_regular_tree(n, rng)
+    check_edge_order(tree)
+    orbits = sorted(tree.split_orbits(), key=lambda o: sorted(map(sorted, o)))
+    if orbits:
+        check_edge_order(tree.contract_orbit(rng.choice(orbits)))
+
+
+def test_edge_order_refuses_unknown_places():
+    order = order_of(tree_of_single_pair())
+    for place in [("edge", frozenset({99})), ("far",), ("edge",), ("edge", {1})]:
+        with pytest.raises(MalformedTreeError, match="is not a place of this edge order"):
+            order.index(place)
 
 
 def test_n2_order():
@@ -293,14 +366,7 @@ def test_twig_reduction_is_symbic_and_injective():
 
 def test_twig_reduction_builds_one_tree(monkeypatch):
     twiggy = [t for n in (3, 4, 5) for t in catalog_of(n) if t.brittle_twig() is not None]
-    built = []
-    init = SymbicTree.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SymbicTree, "__init__", counting_init)
+    built = counted_constructions(monkeypatch)
     for tree in twiggy:
         built.clear()
         reduce_by_twig(tree, tree.brittle_twig())
@@ -325,7 +391,8 @@ def test_deletion_places_live_in_the_edge_order():
         if tree.brittle_twig() is not None:
             continue
         smaller, place = tree.delete_top_pair()
-        order = comparator._order_of(smaller)
+        comparator.key(tree)
+        order = comparator._orders[(smaller.n, smaller.canonical_key())]
         assert order.index(place) >= 0
 
 
@@ -341,43 +408,51 @@ def test_rule_order_matches_the_recursive_comparison(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
 def test_orbit_keys_match_the_rebuilt_trees(n):
     """The rule keys read smaller types off the split orbits and resolve
-    deletion places against one kept tree per type; the trees that
-    delete_top_pair and reduce_by_twig build are the oracle."""
+    deletion places against the smaller type's edge order; the trees that
+    delete_top_pair and reduce_by_twig build are the oracle.  An edge order
+    names each place once, so equal indices are equal places."""
     comparator = TreeComparator()
     for tree in catalog_of(n):
-        comparator.key(tree)
+        key = comparator.key(tree)
         twig = side_labels_brittle_twig(tree)
         if twig is None:
             smaller, place = tree.delete_top_pair()
-            key = _relabelled_orbits(tree.split_orbits(), _deletion_map(n))
-            assert key == smaller.canonical_key()
-            kept = comparator._trees[(n - 1, key)]
-            assert kept.place_of_site(tree.top_pair_site()) == place
+            orbits = _relabelled_orbits(tree.split_orbits(), _deletion_map(n))
+            assert orbits == smaller.canonical_key()
+            order = comparator._orders[(n - 1, orbits)]
+            assert order.places == descriptor_places(smaller)
+            assert key[2] == order.index(place)
         else:
-            key = _relabelled_orbits(tree.split_orbits(), _twig_map(n, twig))
-            assert key == reduce_by_twig(tree, twig).canonical_key()
+            orbits = _relabelled_orbits(tree.split_orbits(), _twig_map(n, twig))
+            assert orbits == reduce_by_twig(tree, twig).canonical_key()
 
 
-def test_rule_keys_build_one_tree_per_type(monkeypatch):
-    """A smaller tree is built once per type, not once per cell."""
-    catalog = catalog_of(5)
+def counted_constructions(monkeypatch):
+    """The list every SymbicTree construction appends its tree to."""
     built = []
     init = SymbicTree.__init__
 
     def counting_init(self, *args, **kwargs):
+        built.append(self)
         init(self, *args, **kwargs)
-        built.append((self.n, self.canonical_key()))
 
     monkeypatch.setattr(SymbicTree, "__init__", counting_init)
-    rule_order(5, catalog)
-    assert all(n < 5 for n, _ in built)
-    assert max(collections.Counter(built).values()) == 1
+    return built
+
+
+def test_rule_keys_build_no_tree(monkeypatch):
+    """Smaller types, their edge orders and deletion places are read off
+    split masks: the rule order builds no tree."""
+    catalog = catalog_of(5)
+    built = counted_constructions(monkeypatch)
+    assert len(rule_order(5, catalog)) == 1395
+    assert built == []
 
 
 def test_rule_keys_build_no_tree_index_per_cell(monkeypatch):
     """The brittle twig and the top-pair site of a cell are read off its
-    key's split masks: no n = 5 tree gets a tree index.  The smaller trees
-    kept per type still build theirs, for their edge orders and places."""
+    key's split masks, and so are the edge orders of the smaller types: no
+    tree gets a tree index."""
     catalog = enumerate_regular(5)
     built = collections.Counter()
     index = SymbicTree._index
@@ -389,8 +464,18 @@ def test_rule_keys_build_no_tree_index_per_cell(monkeypatch):
 
     monkeypatch.setattr(SymbicTree, "_index", counting_index)
     rule_order(5, catalog)
-    assert built[5] == 0
-    assert set(built) == {1, 2, 3, 4}
+    assert not built
+
+
+@pytest.mark.long
+def test_rule_keys_at_n7_build_no_tree(monkeypatch):
+    """The rule keys of every n = 7 catalog code, read off the code's
+    orbits: pairwise distinct, and no tree built."""
+    built = counted_constructions(monkeypatch)
+    comparator = TreeComparator()
+    keys = {comparator._key(7, _code_orbits(7, *code)) for code in _regular_codes(7)}
+    assert len(keys) == 427140
+    assert built == []
 
 
 @pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.long)])
