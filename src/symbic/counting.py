@@ -19,7 +19,7 @@ from .tropical import parse_rational
 
 SERIES_ORDER_CAP = 30
 ENUM_CAP = 7
-FACE_CAP = 5
+FACE_CAP = 6
 
 
 class SizeCapError(ValueError):
@@ -367,6 +367,32 @@ def _assemble_tree(
     return SymbicTree(n, adj, leaf_vertex, involution_hint=sigma)
 
 
+class _CatalogTree(SymbicTree):
+    """A catalog tree holding its code and key.  The key answers
+    :meth:`split_orbits`; any other use reads an unset slot, which builds
+    the tree once with :func:`_assemble_tree` (the same ids, lengths and
+    involution), refuses it without an involution, as the key would, and
+    adopts its graph and cache."""
+
+    __slots__ = ("_code", "_key")
+
+    def __init__(self, n: int, code: tuple, key: frozenset):
+        self.n = n
+        self._code = code
+        self._key = key
+
+    def split_orbits(self) -> frozenset:
+        return self._key
+
+    def __getattr__(self, name: str):
+        if name not in ("adj", "leaf_vertex", "_cache"):
+            raise AttributeError(name)
+        tree = _assemble_tree(self.n, *self._code)
+        tree.involution()
+        self.adj, self.leaf_vertex, self._cache = tree.adj, tree.leaf_vertex, tree._cache
+        return getattr(self, name)
+
+
 def _regular_codes(n: int) -> Iterator[tuple[tuple, tuple]]:
     """Every regular n+n cell as the (block sequence, branch structures) code
     that :func:`_assemble_tree` consumes: set partitions into trunk blocks
@@ -485,20 +511,17 @@ def _relabelled_orbits(orbits: frozenset, label_map: dict) -> frozenset:
 
 
 def enumerate_regular(n: int) -> TreeCatalog:
-    """Constructive catalog of all regular n+n symbic trees: one tree per
-    code of :func:`_regular_codes`, keyed by its canonical key, which
-    :func:`_code_orbits` reads off the code and seeds the tree's cache
-    with."""
+    """Constructive catalog of all regular n+n symbic trees: one catalog
+    tree per code of :func:`_regular_codes`, keyed by the key that
+    :func:`_code_orbits` reads off the code and built on first use."""
     if n > ENUM_CAP:
         raise SizeCapError(f"n={n} exceeds enumeration cap {ENUM_CAP}")
     trees: dict[frozenset, SymbicTree] = {}
-    for seq, combo in _regular_codes(n):
-        tree = _assemble_tree(n, seq, combo)
-        tree.involution()  # refuses a tree without one, as the key would
-        key = tree._cache["orbits"] = _code_orbits(n, seq, combo)
+    for code in _regular_codes(n):
+        key = _code_orbits(n, *code)
         if key in trees:
             raise AssertionError("duplicate combinatorial type generated")
-        trees[key] = tree
+        trees[key] = _CatalogTree(n, code, key)
     return TreeCatalog(n, trees)
 
 

@@ -35,6 +35,7 @@ from symbic.counting import (
 )
 from symbic.trees import MalformedTreeError, SymbicTree
 from symbic.tropical import TropicalError
+from test_shelling import counted_constructions
 
 REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
 ORBIT_COUNTS = [None, 1, 2, 3, 8, 17, 47]  # S_n orbits of the catalog at n = 1..6
@@ -274,10 +275,21 @@ def test_faces_match_the_face_catalog(n):
 
 
 def test_face_enumeration_caps():
-    with pytest.raises(SizeCapError, match="n=6 exceeds face enumeration cap 5"):
-        enumerate_faces(6)
+    with pytest.raises(SizeCapError, match="n=7 exceeds face enumeration cap 6"):
+        enumerate_faces(7)
     with pytest.raises(ValueError, match=r"n must be >= 1 \(n=0 counts"):
         enumerate_faces(0)
+
+
+@pytest.mark.long
+def test_faces_at_n6():
+    """The f-vector of the n = 6 complex, and the face catalog oracle."""
+    by_dim = enumerate_faces(6)
+    assert [len(by_dim[d]) for d in sorted(by_dim)] == [332, 5520, 24825, 40875, 22185]
+    expected: dict = {}
+    for key in face_catalog(6):
+        expected.setdefault(len(key), set()).add(key)
+    assert by_dim == expected
 
 
 def test_faces_are_downward_closed():
@@ -300,8 +312,9 @@ def test_catalog_n6_count_and_orbits():
 
 
 def test_enumeration_refuses_a_tree_without_involution(monkeypatch):
-    """The key comes off the code, but a built tree without an involution
-    is still refused, as its own key would refuse it."""
+    """The key comes off the code and the tree is built on first use; a
+    built tree without an involution is refused then, as its own key would
+    refuse it."""
     assemble = counting._assemble_tree
 
     def lopsided(n, seq, combo):
@@ -316,8 +329,55 @@ def test_enumeration_refuses_a_tree_without_involution(monkeypatch):
         return SymbicTree(n, adj, leaves)
 
     monkeypatch.setattr(counting, "_assemble_tree", lopsided)
+    catalog = enumerate_regular(3)
     with pytest.raises(MalformedTreeError):
-        enumerate_regular(3)
+        for tree in catalog:
+            tree.edges()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_every_code_builds_a_regular_symbic_tree(n):
+    """The oracle of the lazy catalog: every code, built at once, is a
+    regular symbic tree whose own split orbits are the key read off the
+    code, and the catalog tree of that key builds the same tree on first
+    use."""
+    catalog = enumerate_regular(n)
+    for seq, combo in _regular_codes(n):
+        tree = _assemble_tree(n, seq, combo)
+        key = _code_orbits(n, seq, combo)
+        sigma = tree.involution()
+        assert tree.validate() is None
+        assert tree.is_regular()
+        assert frozenset(tree._edge_orbits().values()) == key
+        lazy = catalog.trees[key]
+        assert lazy.to_json_dict() == tree.to_json_dict()
+        assert lazy.involution() == sigma
+
+
+@pytest.mark.parametrize(
+    "sweep, built_trees",
+    [
+        pytest.param(lambda: shelling.shelling_check(5), 0, id="shelling_check(5)"),
+        pytest.param(
+            lambda: shelling.shelling_check(6), 0, id="shelling_check(6)", marks=pytest.mark.long
+        ),
+        pytest.param(lambda: enumerate_regular(6).orbits(), 0, id="orbits(6)"),
+        pytest.param(lambda: matroid.union_bases(5, "all"), 17, id="union_bases(5)"),
+        pytest.param(lambda: fan.refinement_check(4, 3), 111, id="refinement_check(4)"),
+    ],
+)
+def test_catalog_sweeps_build_only_the_trees_they_read(sweep, built_trees, monkeypatch):
+    """The shelling, its check and the orbits read keys alone; the matroid
+    builds one tree per S_n orbit representative and the fan signs every
+    tree."""
+    built = counted_constructions(monkeypatch)
+    sweep()
+    assert len(built) == built_trees
+
+
+@pytest.mark.long
+def test_constructive_count_at_n7():
+    assert count_regular(7, "constructive") == 427140
 
 
 def test_enumeration_refuses_a_repeated_type(monkeypatch):
