@@ -1,9 +1,11 @@
 """Relating the symbic-tree fan to the coarse fan cut out by 3x3 minors.
 
 A cone of the coarse fan is determined by which monomials attain the minimum
-in every 3x3 minor.  Sampling a tree's cone at generic (distinct prime based)
-edge lengths and comparing those argmin-monomial signatures tests that the
-tree fan refines the coarse fan and counts coarse cells.
+in every 3x3 minor.  One exact sweep over a tree's integer length forms
+certifies that these argmin-monomial signatures are constant on the tree's
+open cone, which shows that the tree fan refines the coarse fan there and
+counts coarse cells; a tree the sweep cannot certify is sampled at generic
+(distinct prime based) edge lengths instead.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import and_, lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .correspond import divergences
@@ -117,24 +119,63 @@ def _sampling_form(tree: SymbicTree) -> tuple[list, tuple]:
 
 def signature(matrix: TropMatrix) -> Signature:
     """Argmin monomial sets of every 3x3 minor (all row/column index pairs)
-    of a symmetric matrix, computed on its integer grid.
+    of a symmetric matrix, computed on its integer grid by
+    :func:`_grid_signature`."""
+    if matrix.n < 3:
+        raise TropicalError("signatures need n >= 3")
+    matrix.require_symmetric()
+    return _grid_signature(_integer_grid(matrix))
+
+
+def _grid_signature(grid: list[list[int]], guard: int = 0) -> Optional[Signature]:
+    """The signature of a symmetric integer grid: per 3x3 minor, the
+    monomials of its least permutation sums.
 
     The symmetric minor sweep (``_minor_sums``) evaluates only the minors
     (R, C) with C >= R; the transpose (C, R) has the same monomial set and
     enters the signature with it.
-    """
-    if matrix.n < 3:
-        raise TropicalError("signatures need n >= 3")
-    matrix.require_symmetric()
+
+    With a ``guard``, the grid holds packed linear forms (see
+    :func:`_certified_signature`), each sum is a form, and a minor's least
+    form must be coefficientwise <= every other: its guard bits must
+    survive in every sum less the least one plus ``guard``.  The first
+    minor where they do not gives None."""
     out = []
-    sweep = _minor_sums(_integer_grid(matrix), 3, True)
-    for (rows, cols, monomials), (_, _, totals) in zip(_minor_table(matrix.n), sweep):
+    sweep = _minor_sums(grid, 3, True)
+    for (rows, cols, monomials), (_, _, totals) in zip(_minor_table(len(grid)), sweep):
         best = min(totals)
+        if guard and functools.reduce(and_, [t - best + guard for t in totals]) & guard != guard:
+            return None
         argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
         out.append((rows, cols, argmin))
         if cols != rows:
             out.append((cols, rows, argmin))
     return frozenset(out)
+
+
+def _certified_signature(form: tuple) -> Optional[Signature]:
+    """The signature of every point of a tree's open cone, from its
+    sampling form (:func:`_sampling_form`), or None when the sweep cannot
+    certify one.
+
+    Each permutation sum of a minor is an integer linear form in the orbit
+    lengths.  When one form f is coefficientwise <= every other, a positive
+    length vector gives f the least value, and every other form a larger
+    one unless it equals f: the argmin set is the forms equal to f on the
+    whole cone, so it is every sample's.  Packing puts coefficient k of an
+    entry in field k of one int, w bits per field.  A difference of two
+    sums has fields of size at most 6 M, M the largest |coefficient|, so
+    with guard bit G = 2^(w-1) > 6 M, field k of t - f + G is the
+    coefficient difference plus G, in [0, 2 G): no borrow crosses a field,
+    and G survives iff t >= f there.  Packed sums of equal forms are equal
+    ints, and a dominating form is the least int, so ``min`` finds it.  No
+    offset is needed: only differences of sums are read."""
+    bound = 6 * max(abs(c) for row in form for coeffs in row for c in coeffs)
+    width = bound.bit_length() + 1
+    shifts = range(0, width * len(form[0][0]), width)
+    guard = sum(1 << shift + width - 1 for shift in shifts)
+    grid = [[sum(map(lshift, coeffs, shifts)) for coeffs in row] for row in form]
+    return _grid_signature(grid, guard)
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,15 +214,19 @@ def refinement_check(
 def coarse_cells(
     n: int, samples_per_tree: int = 3, catalog: Optional[TreeCatalog] = None
 ) -> tuple[Optional[RefinementCounterExample], list[tuple[Signature, tuple]]]:
-    """One signing pass over the catalog: each tree is signed once per
-    generic sample.  Returns the first tree whose samples disagree, with
-    no groups, or None and the trees grouped by the signature of their
-    first sample, one group per coarse cell (at n=3 the 12 symbic cones
-    fall onto 9 coarse cells, three of which split into two cones each).
+    """One signing pass over the catalog.  Returns the first tree whose
+    generic samples disagree, with no groups, or None and the trees
+    grouped by the signature of their first sample, one group per coarse
+    cell (at n=3 the 12 symbic cones fall onto 9 coarse cells, three of
+    which split into two cones each).
 
-    Sampling-based: two independent generic samples agreeing is the
-    practical test, so fewer than two samples per tree are refused.  The
-    size checks come before any enumeration."""
+    Each tree is first signed once, exactly, on its whole cone
+    (:func:`_certified_signature`): then every sample has that signature,
+    the samples agree and none is taken.  A tree the sweep cannot certify,
+    or whose orbit count is not the sample length, is signed once per
+    generic sample; two independent samples agreeing is the practical
+    test there, so fewer than two samples per tree are refused.  The size
+    checks come before any enumeration."""
     if samples_per_tree < 2:
         raise ValueError("a refinement check compares at least 2 samples per tree")
     if n > FAN_CAP:
@@ -191,10 +236,13 @@ def coarse_cells(
     first, *others = generic_length_tuples(samples_per_tree, n - 1)
     groups: dict[Signature, list] = {}
     for key, tree in _catalog_for(n, catalog).items():
-        sig = signature(sample_interior(tree, first))
-        for lengths in others:
-            if signature(sample_interior(tree, lengths)) != sig:
-                return RefinementCounterExample(key, first, lengths), []
+        orbits, form = _sampling_form(tree)
+        sig = _certified_signature(form) if len(orbits) == len(first) else None
+        if sig is None:
+            sig = signature(sample_interior(tree, first))
+            for lengths in others:
+                if signature(sample_interior(tree, lengths)) != sig:
+                    return RefinementCounterExample(key, first, lengths), []
         groups.setdefault(sig, []).append(key)
     cells = [(sig, tuple(sorted(keys, key=cell_sort_key))) for sig, keys in groups.items()]
     return None, sorted(cells, key=lambda cell: (len(cell[1]), list(map(cell_sort_key, cell[1]))))

@@ -182,7 +182,8 @@ def _top_pair_site(n: int, splits: list[int]) -> tuple:
     sides are nested or disjoint; the maximal ones are the sides of the
     internal edges at pos(n), and the labels in none of them hang at pos(n).
     A swap-invariant side is the side of a trunk edge.  The two sides of a
-    trunk edge come in the order of their lowest label bits."""
+    trunk edge come in the order of their lowest label bits.  Two sides that
+    swap into each other are two branches of a one-vertex trunk."""
     if n < 2:
         raise MalformedTreeError("nothing to delete below n=2")
     leaf_n, nprime = 1 << (2 * n - 2), 1 << (2 * n - 1)
@@ -207,6 +208,8 @@ def _top_pair_site(n: int, splits: list[int]) -> tuple:
             return ("endpoint", _mask_labels(side ^ beyond))
         if len(around) == 2:
             a, b = sorted(around, key=lambda side: side & -side)
+            if _swap(a, n) == b:
+                return ("vertex",)
             return ("trunk-edge", (_mask_labels(a), _mask_labels(b)))
         raise MalformedTreeError("unexpected valence at the (n, n') vertex")
     if len(around) + at_pos.bit_count() != 3:  # n and two more neighbours
@@ -248,8 +251,9 @@ def _place_of_site(site: tuple, near: frozenset) -> tuple:
     """The place in a tree's edge order of a site read off a tree one pair
     larger, given ``near``, the labels on the branches at the anchor (every
     label for a one-vertex trunk).  A trunk edge is named by its side away
-    from the anchor endpoint; a trunk endpoint is near or far."""
-    if site[0] == "edge":
+    from the anchor endpoint; a trunk endpoint is near or far; an edge and
+    the vertex of a one-vertex trunk are places already."""
+    if site[0] in ("edge", "vertex"):
         return site
     if site[0] == "endpoint":
         return ("near",) if site[1] <= near else ("far",)
@@ -696,11 +700,13 @@ class SymbicTree:
     def top_pair_site(self) -> tuple:
         """Where the leaves n and n' hang, read off this tree alone: the first
         half of :meth:`delete_top_pair`.  ("edge", labels) is already a place
-        of the smaller tree's edge order; ("trunk-edge", (side, side)) and
-        ("endpoint", branch labels of the next trunk vertex) still need the
-        smaller tree's anchor, see :meth:`place_of_site`.  No label set
-        holds n or n'.  Read off the split masks of the internal edges by
-        :func:`_top_pair_site`."""
+        of the smaller tree's edge order.  ("vertex",), where n and n' hang
+        at a one-vertex trunk between two swapped branches, is already a
+        place of the smaller tree, whose trunk is that vertex.
+        ("trunk-edge", (side, side)) and ("endpoint", branch labels of the
+        next trunk vertex) still need the smaller tree's anchor, see
+        :meth:`place_of_site`.  No label set holds n or n'.  Read off the
+        split masks of the internal edges by :func:`_top_pair_site`."""
         return _top_pair_site(self.n, [side for _, side in self._edge_sides()])
 
     def place_of_site(self, site: tuple) -> tuple:
@@ -715,15 +721,20 @@ class SymbicTree:
     def delete_top_pair(self) -> tuple["SymbicTree", tuple]:
         """Delete leaves n and n', returning the smaller tree and the place
         n was attached at, as an element of the smaller tree's edge order:
-        ("near",), ("far",) or ("edge", edge descriptor)."""
+        ("near",), ("far",) or ("edge", edge descriptor); or ("vertex",),
+        the vertex of a one-vertex trunk, which no edge order lists (n and n'
+        hung there between two swapped branches, so the tree is not
+        regular)."""
         site = self.top_pair_site()
         smaller = self.delete_leaves({self.n, -self.n})
         return smaller, smaller.place_of_site(site)
 
     def attach_top_pair(self, place: tuple, length: Fraction | int = 1) -> "SymbicTree":
         """Attach a new leaf pair (n+1, (n+1)') at a place descriptor from
-        :meth:`delete_top_pair` / the shelling edge order.  Raises
-        :class:`InvalidMoveError` when the result is not symbic."""
+        :meth:`delete_top_pair` / the shelling edge order; at ("vertex",)
+        both leaves hang at the vertex of a one-vertex trunk, and ``length``
+        is not used.  Raises :class:`InvalidMoveError` when the result is
+        not symbic."""
         k = self.n + 1
         length = parse_rational(length)
         if length <= 0:
@@ -755,7 +766,7 @@ class SymbicTree:
                 adj[leafv][x] = None
                 adj[att][x] = length
             else:
-                half = old / 2
+                half = Fraction(old, 2)
                 adj[x] = {a: half, b: half}
                 adj[a][x] = half
                 adj[b][x] = half
@@ -770,6 +781,12 @@ class SymbicTree:
             x = x2 = new_vertex()
             adj[x] = {v: length}
             adj[v][x] = length
+            hang(x, k)
+        elif place == ("vertex",):
+            trunk = self.trunk()
+            if len(trunk) != 1:
+                raise InvalidMoveError("only a one-vertex trunk takes a pair at its vertex")
+            x = x2 = trunk[0]
             hang(x, k)
         elif len(place) == 2 and place[0] == "edge":
             target = self._edge_with_descriptor(place[1])
@@ -1067,7 +1084,7 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
             length = adj[u].pop(v)
             del adj[v][u]
             m = max(adj) + 1
-            half = length / 2
+            half = Fraction(length, 2)
             adj[m] = {u: half, v: half}
             adj[u][m] = half
             adj[v][m] = half

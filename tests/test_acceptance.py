@@ -7,8 +7,8 @@ import pytest
 
 import symbic
 import symbic.counting
-import symbic.fan
 from symbic import acceptance
+from test_fan import counted_signings
 
 
 def _report(result):
@@ -74,18 +74,13 @@ def test_criterion_6_enumerates_each_catalog_once(monkeypatch):
 
 
 def test_criterion_6_signs_each_tree_once_per_sample(monkeypatch):
-    """Three generic samples for each of the 12 trees at n = 3 and the 111
-    at n = 4; the signature groups come from the same pass."""
-    calls = []
-    original = symbic.fan.signature
-
-    def counted(matrix):
-        calls.append(matrix.n)
-        return original(matrix)
-
-    monkeypatch.setattr(symbic.fan, "signature", counted)
+    """One certified sweep for each of the 12 trees at n = 3 and the 111
+    at n = 4, and no generic sample; the signature groups come from the
+    same pass."""
+    sweeps, sampled = counted_signings(monkeypatch)
     assert acceptance.criterion_fan().passed
-    assert calls == [3] * 36 + [4] * 333
+    assert sweeps == [3] * 12 + [4] * 111
+    assert sampled == []
 
 
 def test_criterion_7_matroid():

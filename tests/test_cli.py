@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import symbic.cli
 import symbic.counting
-import symbic.fan
 from symbic.cli import main
 from symbic.counting import random_regular_tree
+from test_fan import counted_signings
 
 
 def write_matrix(path, entries):
@@ -322,6 +322,7 @@ def test_tree_from_matrix_outputs_are_pinned(tmp_path, entries, tree_digest, dot
     [
         (3, "ef380dbd45fd7830f817a48d38cc17c08e1a932c87d01f871603c3be30d5095b"),
         (4, "bb15cf9808c7e05304a46a572bfe44be769f47578e1995112cd4562fe84b9e4c"),
+        (5, "da6cdd1f72d3ad6ed3fc977e51b4a782e9ca194ce31ff2a07a4d1e6a8fc5214a"),
     ],
 )
 def test_fan_report_is_pinned(tmp_path, n, digest):
@@ -397,21 +398,16 @@ def test_size_caps_refuse_before_any_enumeration(monkeypatch, capsys, argv, cap)
     assert f"exceeds {cap}" in json.loads(captured.err)["error"]["message"]
 
 
-@pytest.mark.parametrize("n, signed", [(3, 36), (4, 333)], ids=["3", "4"])
+@pytest.mark.parametrize("n, signed", [(3, 12), (4, 111)], ids=["3", "4"])
 def test_fan_signs_each_tree_once_per_sample(monkeypatch, n, signed):
     """The refinement check, the coarse cell count and, at n = 3, the
-    signature groups come from one signing pass: three generic samples
-    for each of the 12 or 111 trees."""
-    calls = []
-    original = symbic.fan.signature
-
-    def counted(matrix):
-        calls.append(matrix.n)
-        return original(matrix)
-
-    monkeypatch.setattr(symbic.fan, "signature", counted)
+    signature groups come from one signing pass: one certified sweep for
+    each of the 12 or 111 trees, and no generic sample, since every tree
+    is certified."""
+    sweeps, sampled = counted_signings(monkeypatch)
     assert main(["fan", "--n", str(n)]) == 0
-    assert calls == [n] * signed
+    assert sweeps == [n] * signed
+    assert sampled == []
 
 
 # -- fuzzing the loaders --------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -41,27 +42,32 @@ REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
 ORBIT_COUNTS = [None, 1, 2, 3, 8, 17, 47]  # S_n orbits of the catalog at n = 1..6
 
 
-def face_catalog(n: int) -> dict:
+def contracted_faces(n: int) -> Iterator[tuple[frozenset, SymbicTree]]:
     """Every face (nonempty orbit subset of a maximal cell) of the complex
-    of n+n symbic trees, with a representative contracted tree.  The empty
-    face is the lineality class and is excluded.  The oracle of
-    enumerate_faces: its keys come from contracted trees."""
+    of n+n symbic trees, once, with a representative contracted tree.  The
+    empty face is the lineality class and is excluded."""
     if n > FACE_CAP:
         raise SizeCapError(f"n={n} exceeds face enumeration cap {FACE_CAP}")
-    faces: dict = {}
+    seen: set = set()
     for tree in enumerate_regular(n):
         orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
         for r in range(1, len(orbits) + 1):
             for keep in itertools.combinations(orbits, r):
                 key = frozenset(keep)
-                if key in faces:
+                if key in seen:
                     continue
+                seen.add(key)
                 face = tree
                 for orbit in orbits:
                     if orbit not in key:
                         face = face.contract_orbit(orbit)
-                faces[key] = face
-    return faces
+                yield key, face
+
+
+def face_keys(n: int) -> set:
+    """The oracle of enumerate_faces: the keys of the contracted face
+    trees, each tree dropped once its key is read."""
+    return {face.split_orbits() for _, face in contracted_faces(n)}
 
 
 def compose(outer: RationalSeries, inner: RationalSeries) -> RationalSeries:
@@ -257,7 +263,7 @@ def test_faces_of_n3():
     # halvings like {1,3,2'}|{1',3',2} (the coarse fan's 6 rays plus the 3
     # subdivision rays)
     assert len(by_dim[1]) == 9
-    for key, face in face_catalog(3).items():
+    for key, face in contracted_faces(3):
         assert face.validate() is None
         assert face.split_orbits() == key
 
@@ -269,7 +275,7 @@ def test_faces_match_the_face_catalog(n):
     """enumerate_faces reads the orbit subsets off the cells; the oracle
     groups the keys of the contracted face trees by size."""
     expected: dict = {}
-    for key in face_catalog(n):
+    for key in face_keys(n):
         expected.setdefault(len(key), set()).add(key)
     assert enumerate_faces(n) == expected
 
@@ -287,13 +293,13 @@ def test_faces_at_n6():
     by_dim = enumerate_faces(6)
     assert [len(by_dim[d]) for d in sorted(by_dim)] == [332, 5520, 24825, 40875, 22185]
     expected: dict = {}
-    for key in face_catalog(6):
+    for key in face_keys(6):
         expected.setdefault(len(key), set()).add(key)
     assert by_dim == expected
 
 
 def test_faces_are_downward_closed():
-    faces = set(face_catalog(4))
+    faces = face_keys(4)
     for key in faces:
         for orbit in key:
             smaller = key - {orbit}

@@ -9,9 +9,12 @@ import symbic.counting
 import symbic.fan
 from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
-from symbic.counting import enumerate_regular, orbit_sort_key, random_regular_tree
+from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
+    _certified_signature,
+    _grid_signature,
+    _sampling_form,
     coarse_cells,
     generic_length_tuples,
     refinement_check,
@@ -268,6 +271,9 @@ def test_refinement_check_catches_mixed_samples(monkeypatch):
         return honest_sampler(tree if honest else bait, lengths)
 
     monkeypatch.setattr(symbic.fan, "sample_interior", corrupted_sampler)
+    # every catalog tree is certified; refusing the certificate reaches the
+    # sampled loop and its corrupted sampler
+    monkeypatch.setattr(symbic.fan, "_certified_signature", lambda form: None)
     bad = refinement_check(3, samples_per_tree=2)
     assert isinstance(bad, RefinementCounterExample)
     assert bad.lengths_a == generic_length_tuples(2, 2)[0]
@@ -288,10 +294,144 @@ def test_coarse_cells_n4_bounded_by_catalog():
     assert len(groups) == 75  # computed value; no published expectation
 
 
+def sampled_coarse_cells(n, samples_per_tree=3, catalog=None):
+    """The sampled signing pass that ``coarse_cells`` runs only on trees
+    it cannot certify, here on every tree: each tree signed at every
+    generic sample, grouped by its first sample's signature."""
+    first, *others = generic_length_tuples(samples_per_tree, n - 1)
+    groups = {}
+    for key, tree in (catalog or enumerate_regular(n)).items():
+        sig = signature(sample_interior(tree, first))
+        for lengths in others:
+            if signature(sample_interior(tree, lengths)) != sig:
+                return RefinementCounterExample(key, first, lengths), []
+        groups.setdefault(sig, []).append(key)
+    cells = [(sig, tuple(sorted(keys, key=cell_sort_key))) for sig, keys in groups.items()]
+    return None, sorted(cells, key=lambda cell: (len(cell[1]), list(map(cell_sort_key, cell[1]))))
+
+
+def test_coarse_cells_match_the_sampled_pass():
+    for n in (3, 4):
+        assert coarse_cells(n) == sampled_coarse_cells(n)
+
+
 def test_refinement_and_coarse_cells_n5():
     catalog = enumerate_regular(5)
-    bad, groups = coarse_cells(5, 3, catalog=catalog)
+    cells = coarse_cells(5, 3, catalog=catalog)
+    bad, groups = cells
     assert bad is None
     # computed value, equal to the count over the Fraction oracle's
     # signatures; no published expectation
     assert len(groups) == 855
+    assert cells == sampled_coarse_cells(5, 3, catalog)
+
+
+def test_every_catalog_tree_is_certified():
+    for n in (3, 4, 5):
+        for tree in enumerate_regular(n):
+            assert _certified_signature(_sampling_form(tree)[1]) is not None
+
+
+def counted_signings(monkeypatch):
+    """Record the size of every certified sweep and every sampled
+    signature that ``symbic.fan`` makes from now on."""
+    sweeps, sampled = [], []
+    certify, sign = symbic.fan._certified_signature, symbic.fan.signature
+
+    def counted_sweep(form):
+        sweeps.append(len(form))
+        return certify(form)
+
+    def counted_signature(matrix):
+        sampled.append(matrix.n)
+        return sign(matrix)
+
+    monkeypatch.setattr(symbic.fan, "_certified_signature", counted_sweep)
+    monkeypatch.setattr(symbic.fan, "signature", counted_signature)
+    return sweeps, sampled
+
+
+@given(
+    st.integers(min_value=3, max_value=6),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_certified_signature_is_every_samples_signature(n, rng, data):
+    tree = random_regular_tree(n, rng)
+    certified = _certified_signature(_sampling_form(tree)[1])
+    assert certified is not None
+    lengths = st.lists(POSITIVE_LENGTHS, min_size=n - 1, max_size=n - 1, unique=True)
+    for _ in range(2):
+        assert signature(sample_interior(tree, data.draw(lengths))) == certified
+
+
+def test_incomparable_minimal_forms_are_refused():
+    """A 3x3 grid of forms in two lengths whose identity term (2, 0) and
+    transposition (1 2) term (0, 2) are both minimal and incomparable: the
+    argmin moves inside the cone, (1, 2) and (2, 1) sign differently."""
+    big = (5, 5)
+
+    def form_with(corner):
+        entries = {(0, 0): corner, (0, 1): (0, 1), (0, 2): big, (1, 2): big}
+        return tuple(
+            tuple(entries.get((min(i, j), max(i, j)), (0, 0)) for j in range(3))
+            for i in range(3)
+        )
+
+    # packed by hand: coefficient k in bits 8k..8k+7, guard bit 7 of each
+    def pack(form):
+        return [[a + (b << 8) for a, b in row] for row in form]
+
+    def signed_at(form, x, y):
+        return signature(TropMatrix([[a * x + b * y for a, b in row] for row in form]))
+
+    guard = 1 << 7 | 1 << 15
+    incomparable = form_with((2, 0))
+    assert _grid_signature(pack(incomparable), guard) is None
+    assert _certified_signature(incomparable) is None
+    assert signed_at(incomparable, 1, 2) != signed_at(incomparable, 2, 1)
+    # with a dominated corner (0, 0) the identity term wins on the whole cone
+    dominated = form_with((0, 0))
+    certified = _grid_signature(pack(dominated), guard)
+    assert certified is not None and certified == _certified_signature(dominated)
+    for x, y in ((1, 2), (2, 1), (7, 3)):
+        assert signed_at(dominated, x, y) == certified
+
+
+def renamed_signature(sig, perm):
+    """A signature with every index i renamed perm[i]."""
+
+    def pair(i, j):
+        return (perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
+
+    return frozenset(
+        (
+            tuple(sorted(perm[i] for i in rows)),
+            tuple(sorted(perm[j] for j in cols)),
+            frozenset(tuple(sorted(pair(i, j) for i, j in monomial)) for monomial in monomials),
+        )
+        for rows, cols, monomials in sig
+    )
+
+
+@st.composite
+def permuted_matrices(draw):
+    """A symmetric matrix from ``fan_matrices`` and a permutation of its
+    indices, 1-based."""
+    m = draw(fan_matrices())
+    images = draw(st.permutations(range(1, m.n + 1)))
+    return m, dict(zip(range(1, m.n + 1), images))
+
+
+@given(permuted_matrices())
+@settings(max_examples=100, deadline=None)
+def test_signature_is_equivariant(case):
+    """Renaming a symmetric matrix's indices, rows and columns together,
+    renames the rows, columns and monomials of its signature."""
+    m, perm = case
+    renamed = [[None] * m.n for _ in range(m.n)]
+    for i in range(m.n):
+        for j in range(m.n):
+            renamed[perm[i + 1] - 1][perm[j + 1] - 1] = m.rows[i][j]
+    assert signature(TropMatrix(renamed)) == renamed_signature(signature(m), perm)

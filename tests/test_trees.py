@@ -338,7 +338,10 @@ def index_walk_top_pair_site(tree):
             )
         if len(others) == 2:
             u1, u2 = others
-            return ("trunk-edge", (tree.side_labels(x, u1), tree.side_labels(x, u2)))
+            a, b = tree.side_labels(x, u1), tree.side_labels(x, u2)
+            if b == frozenset(-label for label in a):
+                return ("vertex",)
+            return ("trunk-edge", (a, b))
         raise MalformedTreeError("unexpected valence at the (n, n') vertex")
     others = [w for w in tree.adj[x] if w != tree.leaf_vertex[k]]
     if len(others) != 2:
@@ -449,6 +452,52 @@ def test_delete_and_reattach_round_trip():
         back = smaller.attach_top_pair(place)
         assert back.canonical_key() == tree.canonical_key()
         done += 1
+
+
+def lengths_by_split(tree):
+    return {split: tree.adj[u][v] for (u, v), split in tree.splits().items()}
+
+
+def test_pair_between_swapped_branches_round_trips():
+    """n = 3 at a one-vertex trunk with unit edges to the cherries {1, 2'}
+    and {1', 2}: deleting the pair leaves the flip midpoint as the trunk,
+    and the pair comes back at that vertex, not on an edge."""
+    leaf_vertex = {3: 10, -3: 11, 1: 12, -2: 13, -1: 14, 2: 15}
+    adj = {0: {1: Fraction(1), 2: Fraction(1), 10: None, 11: None}}
+    adj[1] = {0: Fraction(1), 12: None, 13: None}
+    adj[2] = {0: Fraction(1), 14: None, 15: None}
+    for v in (1, 2, 0):
+        for w in adj[v]:
+            adj.setdefault(w, {})[v] = adj[v][w]
+    tree = SymbicTree(3, adj, leaf_vertex)
+    assert tree.validate() is None and not tree.is_regular()
+    assert tree.top_pair_site() == index_walk_top_pair_site(tree) == ("vertex",)
+    smaller, place = tree.delete_top_pair()
+    assert place == ("vertex",) and len(smaller.trunk()) == 1
+    back = smaller.attach_top_pair(place)
+    assert back.canonical_key() == tree.canonical_key()
+    assert lengths_by_split(back) == lengths_by_split(tree)
+    with pytest.raises(InvalidMoveError, match="one-vertex trunk"):
+        two_vertex_trunk_pair_tree().attach_top_pair(("vertex",))
+
+
+def test_int_lengths_are_halved_exactly():
+    """An int length on the edge the involution flips, and on a trunk edge
+    that an attachment subdivides, is halved as a Fraction, never a float."""
+
+    def cherries(leaf_vertex):
+        adj = {0: {1: 1, 10: None, 11: None}, 1: {0: 1, 12: None, 13: None}}
+        for u in (0, 1):
+            for w, length in adj[u].items():
+                adj.setdefault(w, {})[u] = length
+        return SymbicTree(2, adj, leaf_vertex)
+
+    flip = cherries({1: 10, -2: 11, -1: 12, 2: 13})
+    assert [length for _, _, length in flip.internal_edges()] == [Fraction(1, 2)] * 2
+    trunk = cherries({1: 10, -1: 11, 2: 12, -2: 13})
+    wider = trunk.attach_top_pair(("edge", frozenset({1, -1})), 3)
+    for tree in (flip, wider):
+        assert all(type(length) is Fraction for _, _, length in tree.internal_edges())
 
 
 def test_attach_rejects_row_leaf_edges():
