@@ -14,10 +14,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import and_, lshift, mul
+from operator import add, and_, lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .correspond import divergences
 from .counting import (
     SizeCapError,
     TreeCatalog,
@@ -33,7 +32,7 @@ from .tropical import (
     _monomial,
     parse_rational,
 )
-from .trees import InvalidMoveError, SymbicTree
+from .trees import InvalidMoveError, SymbicTree, _orbit_masks, _swap
 
 FAN_CAP = 5
 
@@ -64,8 +63,14 @@ def sample_interior(tree: SymbicTree, lengths: Sequence[object]) -> TropMatrix:
     split orbits in a fixed deterministic order, are parsed exactly (floats
     and bools are refused) and must be positive and pairwise distinct.
     Entry (i, j) is the tree's form (i, j) dotted with the lengths scaled
-    to a common denominator L, over 2L."""
-    orbits, form = _sampling_form(tree)
+    to a common denominator L, over 2L.  The form is cached on the tree,
+    which is immutable by convention; a tree without an involution or whose
+    fixed set is not a path is refused first."""
+    cached = tree._cache.get("sampling_form")
+    if cached is None:
+        tree.trunk()
+        cached = tree._cache["sampling_form"] = _sampling_form(tree.n, tree.canonical_key())
+    orbits, form = cached
     values = [parse_rational(v) for v in lengths]
     if len(values) != len(orbits):
         raise InvalidMoveError("need exactly one length per split orbit")
@@ -81,40 +86,35 @@ def sample_interior(tree: SymbicTree, lengths: Sequence[object]) -> TropMatrix:
     )
 
 
-def _sampling_form(tree: SymbicTree) -> tuple[list, tuple]:
-    """The split orbits in sampling order, and per entry (i, j) the integer
-    coefficients, doubled, of the canonicalized matrix in the orbit lengths;
-    cached on the tree, which is immutable by convention.  Entry (i, j) of
-    ``matrix_from_tree`` is the path length from the base point O to the
-    vertex ``divergences`` gives for (i, j), so its coefficients count each
-    orbit's edges on that path, and ``canonicalize_mod_lineality`` is
-    linear in the entries."""
-    cached = tree._cache.get("sampling_form")
-    if cached is not None:
-        return cached
-    edge_orbits = tree._edge_orbits()
-    orbits = sorted(set(edge_orbits.values()), key=orbit_sort_key)
-    column = {orbit: k for k, orbit in enumerate(orbits)}
-    o, table = divergences(tree)
-    counts: dict[int, list[int]] = {}
-    for v in {v for row in table for v in row}:
-        path = tree.path(o, v)  # internal vertices only: no leaf edge on it
-        counts[v] = [0] * len(orbits)
-        for edge in zip(path, path[1:]):
-            counts[v][column[edge_orbits[frozenset(edge)]]] += 1
-    n = tree.n
-    m = [[counts[v] for v in row] for row in table]
-    # canonicalizing subtracts x_i + x_j, where x_1 = m_11 / 2 and
-    # x_j = m_1j - m_11 / 2; doubled, every coefficient stays an integer
-    x = [m[0][0]] + [[2 * a - b for a, b in zip(m[0][j], m[0][0])] for j in range(1, n)]
-    form = tuple(
-        tuple(
-            tuple(2 * a - b - c for a, b, c in zip(m[i][j], x[i], x[j])) for j in range(n)
-        )
-        for i in range(n)
-    )
-    cached = tree._cache["sampling_form"] = (orbits, form)
-    return cached
+def _sampling_form(n: int, key: frozenset) -> tuple[list, tuple]:
+    """The split orbits of the n+n tree with canonical key ``key``, in
+    sampling order, and per entry (i, j) the integer coefficients, doubled,
+    of its canonicalized matrix in the orbit lengths, read off the split
+    masks.  By ``lineality_identity_check``, 2 A + B is in the lineality
+    space, B_ij the internal length of the path from leaf i to leaf j', so
+    A canonicalizes as -B / 2 does: doubled, entry (i, j) is
+    B_1i + B_1j - B_11 - B_ij, whatever the base point.  An orbit's
+    coefficient in B_ij counts its edges that separate i from j'.  A key
+    stores the side without leaf 1 of each split: with r_i, c_j its bits of
+    i and j', the split's share of the entry is c_i - c_1 + r_i (2 c_j - 1).
+    A split whose swap is its complement is the two halves of a flipped
+    edge and counts twice."""
+    orbits = sorted(key, key=orbit_sort_key)
+    full = (1 << 2 * n) - 1
+    indices = range(n)
+    coeffs = []
+    for orbit in orbits:
+        f = [0] * (n * n)
+        for m in _orbit_masks(orbit):
+            w = 2 if _swap(m, n) == full ^ m else 1
+            c = [w * (m >> 2 * j + 1 & 1) for j in indices]
+            share = [
+                c[i] - c[0] + (2 * cj - w if m >> 2 * i & 1 else 0) for i in indices for cj in c
+            ]
+            f = list(map(add, f, share))
+        coeffs.append(f)
+    entries = list(zip(*coeffs)) or [()] * (n * n)  # no orbit: every form is empty
+    return orbits, tuple(tuple(entries[i * n : i * n + n]) for i in indices)
 
 
 def signature(matrix: TropMatrix) -> Signature:
@@ -236,7 +236,7 @@ def coarse_cells(
     first, *others = generic_length_tuples(samples_per_tree, n - 1)
     groups: dict[Signature, list] = {}
     for key, tree in _catalog_for(n, catalog).items():
-        orbits, form = _sampling_form(tree)
+        orbits, form = _sampling_form(n, key)
         sig = _certified_signature(form) if len(orbits) == len(first) else None
         if sig is None:
             sig = signature(sample_interior(tree, first))

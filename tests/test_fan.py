@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import symbic.counting
 import symbic.fan
 from symbic.acceptance import four_pair_chain_tree
-from symbic.correspond import matrix_from_tree
+from symbic.correspond import divergences, matrix_from_tree
 from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
@@ -28,7 +28,8 @@ from symbic.tropical import (
     rank_one_matrix,
     sym_trop_rank,
 )
-from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree
+from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree, _orbit_masks, _swap
+from test_counting import contracted_faces
 from test_trees import with_orbit_lengths
 from test_tropical import (
     Minor,
@@ -137,6 +138,91 @@ def test_sample_interior_raises_what_the_tree_rebuild_raises():
         for sampler in (oracle_sample, sample_interior):
             with pytest.raises(MalformedTreeError, match=message):
                 sampler(tree, (Fraction(1), Fraction(2), Fraction(3)))
+
+
+def path_walk_sampling_form(tree):
+    """The oracle of ``_sampling_form``: the form walked on the built tree.
+    Entry (i, j) of ``matrix_from_tree`` is the path length from the base
+    point O to the vertex ``divergences`` gives for (i, j), so its
+    coefficients count each orbit's edges on that path, and
+    ``canonicalize_mod_lineality`` is linear in the entries."""
+    edge_orbits = tree._edge_orbits()
+    orbits = sorted(set(edge_orbits.values()), key=orbit_sort_key)
+    column = {orbit: k for k, orbit in enumerate(orbits)}
+    o, table = divergences(tree)
+    counts = {}
+    for v in {v for row in table for v in row}:
+        path = tree.path(o, v)  # internal vertices only: no leaf edge on it
+        counts[v] = [0] * len(orbits)
+        for edge in zip(path, path[1:]):
+            counts[v][column[edge_orbits[frozenset(edge)]]] += 1
+    n = tree.n
+    m = [[counts[v] for v in row] for row in table]
+    # canonicalizing subtracts x_i + x_j, where x_1 = m_11 / 2 and
+    # x_j = m_1j - m_11 / 2; doubled, every coefficient stays an integer
+    x = [m[0][0]] + [[2 * a - b for a, b in zip(m[0][j], m[0][0])] for j in range(1, n)]
+    form = tuple(
+        tuple(
+            tuple(2 * a - b - c for a, b, c in zip(m[i][j], x[i], x[j])) for j in range(n)
+        )
+        for i in range(n)
+    )
+    return orbits, form
+
+
+def assert_key_read_form(tree):
+    assert _sampling_form(tree.n, tree.canonical_key()) == path_walk_sampling_form(tree)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_sampling_form_matches_the_path_walk_on_the_catalog(n):
+    for tree in enumerate_regular(n):
+        assert_key_read_form(tree)
+
+
+def has_flipped_edge(tree):
+    full = (1 << 2 * tree.n) - 1
+    return any(
+        _swap(m, tree.n) == full ^ m for orbit in tree.split_orbits() for m in _orbit_masks(orbit)
+    )
+
+
+def test_sampling_form_matches_the_path_walk_on_contracted_faces():
+    flipped = 0
+    for n in (3, 4):
+        for _, face in contracted_faces(n):
+            assert_key_read_form(face)
+            flipped += has_flipped_edge(face)
+    # the two halves of a flipped edge are one split counted twice
+    assert flipped > 0
+    # every orbit contracted: a star, whose form is all empty
+    star = four_pair_chain_tree(1, 2, 3)
+    for orbit in star.split_orbits():
+        star = star.contract_orbit(orbit)
+    assert_key_read_form(star)
+    assert sample_interior(star, ()).rows == oracle_sample(star, ()).rows
+
+
+@given(st.integers(min_value=3, max_value=8), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_sampling_form_matches_the_path_walk_on_random_trees(n, rng):
+    assert_key_read_form(random_regular_tree(n, rng))
+
+
+def test_two_samples_of_one_tree_read_the_form_once(monkeypatch):
+    calls = []
+    read = symbic.fan._sampling_form
+
+    def counted(n, key):
+        calls.append(key)
+        return read(n, key)
+
+    monkeypatch.setattr(symbic.fan, "_sampling_form", counted)
+    tree = four_pair_chain_tree(1, 2, 3)
+    a, b = generic_length_tuples(2, 3)
+    assert sample_interior(tree, a).rows == oracle_sample(tree, a).rows
+    assert sample_interior(tree, b).rows == oracle_sample(tree, b).rows
+    assert calls == [tree.canonical_key()]
 
 
 def test_signature_of_permuted_matrix():
@@ -329,7 +415,7 @@ def test_refinement_and_coarse_cells_n5():
 def test_every_catalog_tree_is_certified():
     for n in (3, 4, 5):
         for tree in enumerate_regular(n):
-            assert _certified_signature(_sampling_form(tree)[1]) is not None
+            assert _certified_signature(_sampling_form(n, tree.canonical_key())[1]) is not None
 
 
 def counted_signings(monkeypatch):
@@ -359,7 +445,7 @@ def counted_signings(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_certified_signature_is_every_samples_signature(n, rng, data):
     tree = random_regular_tree(n, rng)
-    certified = _certified_signature(_sampling_form(tree)[1])
+    certified = _certified_signature(_sampling_form(n, tree.canonical_key())[1])
     assert certified is not None
     lengths = st.lists(POSITIVE_LENGTHS, min_size=n - 1, max_size=n - 1, unique=True)
     for _ in range(2):
