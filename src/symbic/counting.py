@@ -219,9 +219,12 @@ def colored_branch_shapes(labels: tuple[int, ...]) -> list:
     to the color swap (normalized so the smallest index is row-colored).
 
     A structure is a signed index (single leaf) or a pair ("N", left, right);
-    leaves sharing a parent must carry opposite colors.
+    leaves sharing a parent must carry opposite colors.  The structures of
+    each subset are made once per call and shared by every structure that
+    contains them.
     """
 
+    @functools.cache
     def rec(subset: tuple[int, ...]) -> list:
         if len(subset) == 1:
             return [subset[0], -subset[0]]

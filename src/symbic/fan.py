@@ -4,8 +4,12 @@ A cone of the coarse fan is determined by which monomials attain the minimum
 in every 3x3 minor.  One exact sweep over a tree's integer length forms
 certifies that these argmin-monomial signatures are constant on the tree's
 open cone, which shows that the tree fan refines the coarse fan there and
-counts coarse cells; a tree the sweep cannot certify is sampled at generic
-(distinct prime based) edge lengths instead.
+counts coarse cells.  Renaming the indices permutes a tree's forms and
+minors, so the sweep runs once per S_n orbit of the catalog, on its
+representative, and every other member's signature is the
+representative's, renamed.  Within a pass a signature is kept in mask form,
+one byte per minor holding its argmin permutations; a tree the sweep cannot
+certify is sampled at generic (distinct prime based) edge lengths instead.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, and_, lshift, mul
+from operator import add, and_, getitem, lshift, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
     SizeCapError,
     TreeCatalog,
     _catalog_for,
+    _subset_table,
     cell_sort_key,
     orbit_sort_key,
 )
@@ -34,7 +39,7 @@ from .tropical import (
 )
 from .trees import InvalidMoveError, SymbicTree, _orbit_masks, _swap
 
-FAN_CAP = 5
+FAN_CAP = 6
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -42,6 +47,11 @@ _PRIMES = (
 )
 
 Signature = frozenset  # of (rows, cols, frozenset of monomials)
+
+# The permutations of a 3x3 minor, in the order of the term pattern that
+# the minor sweep sums by (tropical._term_pattern), and the mask bit of each.
+_PERMS = tuple(itertools.permutations(range(3)))
+_BITS = (1, 2, 4, 8, 16, 32)
 
 
 def generic_length_tuples(count: int, size: int) -> list[tuple[Fraction, ...]]:
@@ -127,25 +137,17 @@ def signature(matrix: TropMatrix) -> Signature:
     return _grid_signature(_integer_grid(matrix))
 
 
-def _grid_signature(grid: list[list[int]], guard: int = 0) -> Optional[Signature]:
+def _grid_signature(grid: list[list[int]]) -> Signature:
     """The signature of a symmetric integer grid: per 3x3 minor, the
     monomials of its least permutation sums.
 
     The symmetric minor sweep (``_minor_sums``) evaluates only the minors
     (R, C) with C >= R; the transpose (C, R) has the same monomial set and
-    enters the signature with it.
-
-    With a ``guard``, the grid holds packed linear forms (see
-    :func:`_certified_signature`), each sum is a form, and a minor's least
-    form must be coefficientwise <= every other: its guard bits must
-    survive in every sum less the least one plus ``guard``.  The first
-    minor where they do not gives None."""
+    enters the signature with it."""
     out = []
     sweep = _minor_sums(grid, 3, True)
     for (rows, cols, monomials), (_, _, totals) in zip(_minor_table(len(grid)), sweep):
         best = min(totals)
-        if guard and functools.reduce(and_, [t - best + guard for t in totals]) & guard != guard:
-            return None
         argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
         out.append((rows, cols, argmin))
         if cols != rows:
@@ -153,10 +155,27 @@ def _grid_signature(grid: list[list[int]], guard: int = 0) -> Optional[Signature
     return frozenset(out)
 
 
-def _certified_signature(form: tuple) -> Optional[Signature]:
-    """The signature of every point of a tree's open cone, from its
-    sampling form (:func:`_sampling_form`), or None when the sweep cannot
-    certify one.
+def _grid_masks(grid: list[list[int]], guard: int) -> Optional[bytes]:
+    """The mask form of the signature of a grid of packed linear forms (see
+    :func:`_certified_signature`): per 3x3 minor (R, C) with C >= R, in
+    ``_minor_table`` order, one byte whose bit k is set when the k-th
+    permutation sum of the sweep is the least form.  That form must be
+    coefficientwise <= every other: its guard bits must survive in every
+    sum less the least one plus ``guard``.  The first minor where they do
+    not gives None."""
+    masks = []
+    for _, _, totals in _minor_sums(grid, 3, True):
+        best = min(totals)
+        if functools.reduce(and_, [t - best + guard for t in totals]) & guard != guard:
+            return None
+        masks.append(sum(itertools.compress(_BITS, map(best.__eq__, totals))))
+    return bytes(masks)
+
+
+def _certified_signature(form: tuple) -> Optional[bytes]:
+    """The signature of every point of a tree's open cone, in mask form
+    (:func:`_grid_masks`), from its sampling form (:func:`_sampling_form`),
+    or None when the sweep cannot certify one.
 
     Each permutation sum of a minor is an integer linear form in the orbit
     lengths.  When one form f is coefficientwise <= every other, a positive
@@ -169,13 +188,18 @@ def _certified_signature(form: tuple) -> Optional[Signature]:
     coefficient difference plus G, in [0, 2 G): no borrow crosses a field,
     and G survives iff t >= f there.  Packed sums of equal forms are equal
     ints, and a dominating form is the least int, so ``min`` finds it.  No
-    offset is needed: only differences of sums are read."""
+    offset is needed: only differences of sums are read.
+
+    The form is symmetric, so permutations with one monomial have one sum,
+    and a minor's argmin permutations are a union of monomial classes: its
+    mask and its argmin monomial set determine each other
+    (:func:`_signature_masks`, :func:`_mask_signature`)."""
     bound = 6 * max(abs(c) for row in form for coeffs in row for c in coeffs)
     width = bound.bit_length() + 1
     shifts = range(0, width * len(form[0][0]), width)
     guard = sum(1 << shift + width - 1 for shift in shifts)
     grid = [[sum(map(lshift, coeffs, shifts)) for coeffs in row] for row in form]
-    return _grid_signature(grid, guard)
+    return _grid_masks(grid, guard)
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,14 +210,85 @@ def _minor_table(n: int) -> tuple:
 
     None of this depends on the entries, so it is built once per size and
     shared, immutable, by every signature of that size."""
-    # itertools.permutations order is the order of the term pattern that
-    # the sweep sums by (tropical._term_pattern)
-    perms = tuple(itertools.permutations(range(3)))
     labels = [tuple(i + 1 for i in c) for c in itertools.combinations(range(n), 3)]
     return tuple(
-        (rows, cols, tuple(_monomial(rows, cols, p) for p in perms))
+        (rows, cols, tuple(_monomial(rows, cols, p) for p in _PERMS))
         for rows, cols in itertools.combinations_with_replacement(labels, 2)
     )
+
+
+def _signature_masks(n: int, sig: Signature) -> bytes:
+    """A signature of an n x n matrix in mask form: per minor of
+    ``_minor_table(n)``, the permutations whose monomial is in the
+    minor's argmin set."""
+    argmin = {(rows, cols): monomials for rows, cols, monomials in sig}
+    return bytes(
+        sum(itertools.compress(_BITS, map(argmin[rows, cols].__contains__, monomials)))
+        for rows, cols, monomials in _minor_table(n)
+    )
+
+
+def _mask_signature(n: int, masks: bytes, entries: dict) -> Signature:
+    """The signature of a mask form: per minor (R, C) the monomials of its
+    mask's permutations, and the transpose (C, R) with the same set.  The
+    entries of minor k with mask m are made once and kept in ``entries``
+    under 64 k + m."""
+    table = _minor_table(n)
+    slots = list(map(add, range(0, 64 * len(masks), 64), masks))
+    for slot in set(slots).difference(entries):
+        rows, cols, monomials = table[slot >> 6]
+        argmin = frozenset(itertools.compress(monomials, [slot >> b & 1 for b in range(6)]))
+        entries[slot] = ((rows, cols, argmin), (cols, rows, argmin))[: 1 + (cols != rows)]
+    # from a dict, the set's table is sized once: half the memory of a
+    # table grown entry by entry (n = 6: 12555 signatures of 400 entries)
+    return frozenset(dict.fromkeys(itertools.chain.from_iterable(map(entries.__getitem__, slots))))
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_map(a: tuple, b: tuple, transposed: bool) -> tuple[int, ...]:
+    """Per 6-bit mask, its image when permutation s of a minor becomes
+    permutation t with t(a(i)) = b(s(i)), read as the inverse of t when
+    ``transposed``."""
+    images = []
+    for s in _PERMS:
+        t = [0, 0, 0]
+        for i in range(3):
+            t[a[i]] = b[s[i]]
+        if transposed:
+            t = [t.index(k) for k in range(3)]
+        images.append(1 << _PERMS.index(tuple(t)))
+    return _subset_table(images, 0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _mask_renaming(n: int, p: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+    """The renaming of mask forms that renames index i as p[i - 1]: per
+    minor of ``_minor_table(n)``, the index of its source minor and the
+    table carrying the source's mask onto its own.  Permutation s of a
+    source (R, C) picks the pairs (R[i], C[s(i)]); renamed, they are the
+    pairs of the permutation t of (R', C'), R' and C' the sorted images,
+    with t(a(i)) = b(s(i)), a(i) and b(j) the places of the images of R[i]
+    and C[j].  When R' > C', the table holds (C', R') and the same pairs
+    are those of the inverse of t.  The cache holds every permutation up
+    to n = 6."""
+    table = _minor_table(n)
+    index = {(rows, cols): k for k, (rows, cols, _) in enumerate(table)}
+    targets = {}
+    for k, (rows, cols, _) in enumerate(table):
+        new_rows, new_cols = (tuple(sorted(p[i - 1] for i in side)) for side in (rows, cols))
+        a = tuple(new_rows.index(p[i - 1]) for i in rows)
+        b = tuple(new_cols.index(p[j - 1]) for j in cols)
+        transposed = new_rows > new_cols
+        target = (new_cols, new_rows) if transposed else (new_rows, new_cols)
+        targets[index[target]] = k, _mask_map(a, b, transposed)
+    sources, maps = zip(*(targets[k] for k in range(len(table))))
+    return sources, maps
+
+
+def _renamed_masks(n: int, p: tuple[int, ...], masks: bytes) -> bytes:
+    """The mask form of a signature renamed by p, index i to p[i - 1]."""
+    sources, maps = _mask_renaming(n, p)
+    return bytes(map(getitem, maps, map(masks.__getitem__, sources)))
 
 
 class RefinementCounterExample(NamedTuple):
@@ -202,13 +297,59 @@ class RefinementCounterExample(NamedTuple):
     lengths_b: tuple
 
 
+def _sign_orbits(
+    n: int, samples_per_tree: int, catalog: Optional[TreeCatalog]
+) -> tuple[Optional[RefinementCounterExample], TreeCatalog, dict, dict]:
+    """The size checks, then one signing pass over the catalog's S_n
+    orbits: the first counterexample or None, the catalog, representative
+    -> mask form for every representative the sweep certifies, and key ->
+    signature of every tree of the other orbits, signed at the generic
+    samples in catalog order.
+
+    Renaming the indices by p carries a tree K onto p K, and p K's minor
+    (R', C') onto K's (p^-1 R', p^-1 C') (its transpose, when the table
+    holds that one) with the same six forms, up to one lineality form
+    added to all six.  So the certificate holds for every member of an
+    orbit or for none, and the members' argmin permutations are the
+    representative's, renamed.  The orbit count, the sample length, is
+    the same on an orbit too."""
+    if samples_per_tree < 2:
+        raise ValueError("a refinement check compares at least 2 samples per tree")
+    if n > FAN_CAP:
+        raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
+    if n < 3:
+        raise TropicalError("signatures need n >= 3")
+    first, *others = generic_length_tuples(samples_per_tree, n - 1)
+    catalog = _catalog_for(n, catalog)
+    certified, uncertified = {}, set()
+    for rep, members in catalog.orbits().items():
+        orbits, form = _sampling_form(n, rep)
+        masks = _certified_signature(form) if len(orbits) == len(first) else None
+        if masks is None:
+            uncertified.update(members)
+        else:
+            certified[rep] = masks
+    sampled = {}
+    for key, tree in catalog.items():
+        if key in uncertified:
+            sig = signature(sample_interior(tree, first))
+            for lengths in others:
+                if signature(sample_interior(tree, lengths)) != sig:
+                    return RefinementCounterExample(key, first, lengths), catalog, {}, {}
+            sampled[key] = sig
+    return None, catalog, certified, sampled
+
+
 def refinement_check(
     n: int, samples_per_tree: int = 3, catalog: Optional[TreeCatalog] = None
 ) -> Optional[RefinementCounterExample]:
     """Within each tree's cone, generic samples must share their signature
-    (the tree fan refines the coarse 3x3-minor fan): the counterexample of
-    :func:`coarse_cells`, or None."""
-    return coarse_cells(n, samples_per_tree, catalog)[0]
+    (the tree fan refines the coarse 3x3-minor fan): the first tree, in
+    catalog order, whose samples disagree, or None.  One certified sweep
+    per S_n orbit representative; a tree of an orbit the sweep cannot
+    certify, or whose orbit count is not the sample length, is signed once
+    per generic sample, as in :func:`coarse_cells`."""
+    return _sign_orbits(n, samples_per_tree, catalog)[0]
 
 
 def coarse_cells(
@@ -220,29 +361,33 @@ def coarse_cells(
     cell (at n=3 the 12 symbic cones fall onto 9 coarse cells, three of
     which split into two cones each).
 
-    Each tree is first signed once, exactly, on its whole cone
-    (:func:`_certified_signature`): then every sample has that signature,
-    the samples agree and none is taken.  A tree the sweep cannot certify,
-    or whose orbit count is not the sample length, is signed once per
-    generic sample; two independent samples agreeing is the practical
-    test there, so fewer than two samples per tree are refused.  The size
-    checks come before any enumeration."""
-    if samples_per_tree < 2:
-        raise ValueError("a refinement check compares at least 2 samples per tree")
-    if n > FAN_CAP:
-        raise SizeCapError(f"n={n} exceeds fan cap {FAN_CAP}")
-    if n < 3:
-        raise TropicalError("signatures need n >= 3")
-    first, *others = generic_length_tuples(samples_per_tree, n - 1)
-    groups: dict[Signature, list] = {}
-    for key, tree in _catalog_for(n, catalog).items():
-        orbits, form = _sampling_form(n, key)
-        sig = _certified_signature(form) if len(orbits) == len(first) else None
-        if sig is None:
-            sig = signature(sample_interior(tree, first))
-            for lengths in others:
-                if signature(sample_interior(tree, lengths)) != sig:
-                    return RefinementCounterExample(key, first, lengths), []
-        groups.setdefault(sig, []).append(key)
-    cells = [(sig, tuple(sorted(keys, key=cell_sort_key))) for sig, keys in groups.items()]
-    return None, sorted(cells, key=lambda cell: (len(cell[1]), list(map(cell_sort_key, cell[1]))))
+    The pass signs one tree per S_n orbit, the orbit's representative,
+    exactly, on its whole cone (:func:`_certified_signature`): then every
+    sample of every member has the representative's signature renamed, the
+    samples agree and none is taken.  Signatures are kept in mask form, one
+    byte of argmin permutations per minor, and each member's is its
+    representative's, renamed through a cached table
+    (:func:`_mask_renaming`); since a mask and its monomial set determine
+    each other, the members are grouped by mask form, and each group's
+    signature is built once.  The trees of an orbit the sweep cannot
+    certify, or whose orbit count is not the sample length, are signed once
+    per generic sample, in catalog order; two independent samples agreeing
+    is the practical test there, so fewer than two samples per tree are
+    refused.  The size checks come before any enumeration."""
+    bad, catalog, certified, sampled = _sign_orbits(n, samples_per_tree, catalog)
+    if bad is not None:
+        return bad, []
+    orbits = catalog.orbits()
+    groups: dict[bytes, list] = {}
+    for rep, masks in certified.items():
+        for key, p in orbits[rep].items():
+            groups.setdefault(_renamed_masks(n, p, masks), []).append(key)
+    for key, sig in sampled.items():
+        groups.setdefault(_signature_masks(n, sig), []).append(key)
+    order = {key: cell_sort_key(key) for keys in groups.values() for key in keys}
+    entries: dict = {}
+    cells = [
+        (_mask_signature(n, masks, entries), tuple(sorted(keys, key=order.get)))
+        for masks, keys in groups.items()
+    ]
+    return None, sorted(cells, key=lambda cell: (len(cell[1]), list(map(order.get, cell[1]))))

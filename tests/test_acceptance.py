@@ -74,12 +74,12 @@ def test_criterion_6_enumerates_each_catalog_once(monkeypatch):
 
 
 def test_criterion_6_signs_each_tree_once_per_sample(monkeypatch):
-    """One certified sweep for each of the 12 trees at n = 3 and the 111
-    at n = 4, and no generic sample; the signature groups come from the
-    same pass."""
+    """One certified sweep for each S_n orbit representative, 3 of the 12
+    trees at n = 3 and 8 of the 111 at n = 4, and no generic sample; the
+    signature groups come from the same pass."""
     sweeps, sampled = counted_signings(monkeypatch)
     assert acceptance.criterion_fan().passed
-    assert sweeps == [3] * 12 + [4] * 111
+    assert sweeps == [3] * 3 + [4] * 8
     assert sampled == []
 
 

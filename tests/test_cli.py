@@ -363,9 +363,9 @@ def test_fan_enumerates_once(monkeypatch, capsys):
     assert calls == [3]
     assert capsys.readouterr().out == "n=3 refinement: Ok\ncoarse cells: 9 over 12 tree cones\n"
     # past the cap, and below n = 3, the size error comes before any enumeration
-    assert main(["fan", "--n", "6"]) == 1
+    assert main(["fan", "--n", "7"]) == 1
     assert calls == [3]
-    assert "exceeds fan cap 5" in capsys.readouterr().err
+    assert "exceeds fan cap 6" in capsys.readouterr().err
     assert main(["fan", "--n", "2"]) == 1
     assert calls == [3]
     captured = capsys.readouterr()
@@ -398,12 +398,12 @@ def test_size_caps_refuse_before_any_enumeration(monkeypatch, capsys, argv, cap)
     assert f"exceeds {cap}" in json.loads(captured.err)["error"]["message"]
 
 
-@pytest.mark.parametrize("n, signed", [(3, 12), (4, 111)], ids=["3", "4"])
+@pytest.mark.parametrize("n, signed", [(3, 3), (4, 8)], ids=["3", "4"])
 def test_fan_signs_each_tree_once_per_sample(monkeypatch, n, signed):
     """The refinement check, the coarse cell count and, at n = 3, the
     signature groups come from one signing pass: one certified sweep for
-    each of the 12 or 111 trees, and no generic sample, since every tree
-    is certified."""
+    each of the 3 or 8 S_n orbit representatives of the 12 or 111 trees,
+    and no generic sample, since every representative is certified."""
     sweeps, sampled = counted_signings(monkeypatch)
     assert main(["fan", "--n", str(n)]) == 0
     assert sweeps == [n] * signed

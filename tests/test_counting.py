@@ -371,6 +371,9 @@ def test_every_code_builds_a_regular_symbic_tree(n):
         pytest.param(lambda: matroid.union_bases(5, "all"), 17, id="union_bases(5)"),
         pytest.param(lambda: fan.refinement_check(4, 3), 0, id="refinement_check(4)"),
         pytest.param(lambda: fan.coarse_cells(5), 0, id="coarse_cells(5)"),
+        pytest.param(
+            lambda: fan.coarse_cells(6), 0, id="coarse_cells(6)", marks=pytest.mark.long
+        ),
     ],
 )
 def test_catalog_sweeps_build_only_the_trees_they_read(sweep, built_trees, monkeypatch):

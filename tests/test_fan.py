@@ -13,8 +13,11 @@ from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, ra
 from symbic.fan import (
     RefinementCounterExample,
     _certified_signature,
-    _grid_signature,
+    _grid_masks,
+    _minor_table,
+    _renamed_masks,
     _sampling_form,
+    _signature_masks,
     coarse_cells,
     generic_length_tuples,
     refinement_check,
@@ -418,6 +421,82 @@ def test_every_catalog_tree_is_certified():
             assert _certified_signature(_sampling_form(n, tree.canonical_key())[1]) is not None
 
 
+def mask_signature(n, masks):
+    """The signature a mask form stands for, read bit by bit: per minor
+    (R, C) of the sweep, the monomials of its set bits' permutations, and
+    the transpose (C, R) with the same set."""
+    out = set()
+    for (rows, cols, monomials), mask in zip(_minor_table(n), masks, strict=True):
+        argmin = frozenset(m for k, m in enumerate(monomials) if mask >> k & 1)
+        out |= {(rows, cols, argmin), (cols, rows, argmin)}
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.long)])
+def test_each_trees_certificate_is_its_representatives_renamed(n):
+    """The oracle of signing one tree per S_n orbit: every catalog tree,
+    certified on its own form, has its representative's mask form renamed
+    by the orbit's p, and the signature that mask form stands for is the
+    representative's with every index i renamed p[i - 1]."""
+    for rep, members in enumerate_regular(n).orbits().items():
+        masks = _certified_signature(_sampling_form(n, rep)[1])
+        for key, p in members.items():
+            own = _certified_signature(_sampling_form(n, key)[1])
+            assert own == _renamed_masks(n, p, masks)
+            perm = dict(zip(range(1, n + 1), p))
+            assert mask_signature(n, own) == renamed_signature(mask_signature(n, masks), perm)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_orbit_the_certificate_refuses_is_sampled(n, monkeypatch):
+    """Refusing the certificate for one representative sends exactly its
+    orbit through the sampled loop, and the groups stay the sampled
+    pass's; the loop takes that orbit's trees in catalog order, so a
+    sampler that lies on its second call is caught at the orbit's first
+    tree in the catalog."""
+    catalog = enumerate_regular(n)
+    orbits = catalog.orbits()
+    cell_of = {key: k for k, (_, keys) in enumerate(coarse_cells(n)[1]) for key in keys}
+    refused = max(orbits, key=lambda rep: len(orbits[rep]))
+    refused_form = _sampling_form(n, refused)[1]
+    certify = symbic.fan._certified_signature
+    monkeypatch.setattr(
+        symbic.fan,
+        "_certified_signature",
+        lambda form: None if form == refused_form else certify(form),
+    )
+    sweeps, sampled = counted_signings(monkeypatch)
+    assert coarse_cells(n) == sampled_coarse_cells(n)
+    assert len(sweeps) == len(orbits)
+    assert len(sampled) == 3 * len(orbits[refused]) > 3
+
+    honest_sampler = symbic.fan.sample_interior
+    calls = []
+
+    def lying_sampler(tree, lengths):
+        # honest on the first call per tree, then a tree of another cell
+        key = tree.canonical_key()
+        calls.append(key)
+        bait = next(t for k, t in catalog.items() if cell_of[k] != cell_of[key])
+        return honest_sampler(tree if calls.count(key) == 1 else bait, lengths)
+
+    monkeypatch.setattr(symbic.fan, "sample_interior", lying_sampler)
+    first = next(key for key in catalog.trees if key in orbits[refused])
+    bad = refinement_check(n, samples_per_tree=2)
+    assert bad.tree_key == first
+    assert set(calls) == {first}
+
+
+@pytest.mark.long
+def test_coarse_cells_n6():
+    bad, groups = coarse_cells(6)
+    assert bad is None
+    # computed value, equal to the count of a recorded run that certified
+    # every tree on its own; no published expectation
+    assert len(groups) == 12555
+    assert sum(len(keys) for _, keys in groups) == 22185
+
+
 def counted_signings(monkeypatch):
     """Record the size of every certified sweep and every sampled
     signature that ``symbic.fan`` makes from now on."""
@@ -449,7 +528,9 @@ def test_certified_signature_is_every_samples_signature(n, rng, data):
     assert certified is not None
     lengths = st.lists(POSITIVE_LENGTHS, min_size=n - 1, max_size=n - 1, unique=True)
     for _ in range(2):
-        assert signature(sample_interior(tree, data.draw(lengths))) == certified
+        sig = signature(sample_interior(tree, data.draw(lengths)))
+        assert mask_signature(n, certified) == sig
+        assert _signature_masks(n, sig) == certified
 
 
 def test_incomparable_minimal_forms_are_refused():
@@ -474,15 +555,15 @@ def test_incomparable_minimal_forms_are_refused():
 
     guard = 1 << 7 | 1 << 15
     incomparable = form_with((2, 0))
-    assert _grid_signature(pack(incomparable), guard) is None
+    assert _grid_masks(pack(incomparable), guard) is None
     assert _certified_signature(incomparable) is None
     assert signed_at(incomparable, 1, 2) != signed_at(incomparable, 2, 1)
     # with a dominated corner (0, 0) the identity term wins on the whole cone
     dominated = form_with((0, 0))
-    certified = _grid_signature(pack(dominated), guard)
+    certified = _grid_masks(pack(dominated), guard)
     assert certified is not None and certified == _certified_signature(dominated)
     for x, y in ((1, 2), (2, 1), (7, 3)):
-        assert signed_at(dominated, x, y) == certified
+        assert mask_signature(3, certified) == signed_at(dominated, x, y)
 
 
 def renamed_signature(sig, perm):
