@@ -1,8 +1,10 @@
 """The bijection between symmetric tropical rank-2 matrices and symbic trees.
 
-``matrix_from_tree`` reads path divergences off a tree; ``tree_from_matrix``
-rebuilds the tree from the matrix through an exact leaf metric.  Round trips
-are exact: rationals in, rationals out, tolerance zero.
+``matrix_from_tree`` sums, per entry (i, j), the lengths of the edges whose
+side away from the base point holds both i and j', read off the tree index
+(``trees._away_sides``); ``tree_from_matrix`` rebuilds the tree from the
+matrix through an exact leaf metric.  Round trips are exact: rationals in,
+rationals out, tolerance zero.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .tropical import (
 from .trees import (
     MalformedTreeError,
     SymbicTree,
+    _away_sides,
+    _path_form,
     format_label,
     label_key,
     tree_of_single_pair,
@@ -58,24 +62,16 @@ def base_point(tree: SymbicTree, base: Optional[int] = None) -> int:
     return base
 
 
-def divergences(tree: SymbicTree, base: Optional[int] = None) -> tuple[int, list[list[int]]]:
-    """The base point O, and per entry (i, j) the vertex where the paths
-    O -> i and O -> j' part: the vertex that entry (i, j) of the tree's
-    matrix reads."""
-    o = base_point(tree, base)
-    cols = [tree.pos(-j) for j in range(1, tree.n + 1)]
-    table = []
-    for i in range(1, tree.n + 1):
-        pi = tree.pos(i)
-        table.append([tree.divergence_vertex(o, pi, pj) for pj in cols])
-    return o, table
-
-
 def matrix_from_tree(tree: SymbicTree, base: Optional[int] = None) -> TropMatrix:
-    """Entry (i, j): distance from O to the divergence of the paths O -> i
-    and O -> j'; symmetric of symmetric tropical rank <= 2."""
-    o, table = divergences(tree, base)
-    matrix = TropMatrix([[tree.distance(o, v) for v in row] for row in table])
+    """Entry (i, j): distance from O to the vertex where the paths O -> i
+    and O -> j' part, the total length of the edges with i and j' on their
+    side away from O (``trees._path_form``); symmetric of symmetric
+    tropical rank <= 2."""
+    o = base_point(tree, base)
+    n = tree.n
+    scale = tree._index().scale
+    sums = _path_form(n, [(away, length) for _, away, length in _away_sides(n, tree, o)])
+    matrix = TropMatrix([Fraction(x, scale) for x in sums[i : i + n]] for i in range(0, n * n, n))
     assert matrix.is_symmetric(), "tree symmetry must make the matrix symmetric"
     return matrix
 

@@ -37,7 +37,7 @@ from .tropical import (
     _monomial,
     parse_rational,
 )
-from .trees import InvalidMoveError, SymbicTree, _orbit_masks, _swap
+from .trees import InvalidMoveError, SymbicTree, _away_sides
 
 FAN_CAP = 6
 
@@ -100,29 +100,29 @@ def _sampling_form(n: int, key: frozenset) -> tuple[list, tuple]:
     """The split orbits of the n+n tree with canonical key ``key``, in
     sampling order, and per entry (i, j) the integer coefficients, doubled,
     of its canonicalized matrix in the orbit lengths, read off the split
-    masks.  By ``lineality_identity_check``, 2 A + B is in the lineality
-    space, B_ij the internal length of the path from leaf i to leaf j', so
-    A canonicalizes as -B / 2 does: doubled, entry (i, j) is
-    B_1i + B_1j - B_11 - B_ij, whatever the base point.  An orbit's
-    coefficient in B_ij counts its edges that separate i from j'.  A key
-    stores the side without leaf 1 of each split: with r_i, c_j its bits of
-    i and j', the split's share of the entry is c_i - c_1 + r_i (2 c_j - 1).
-    A split whose swap is its complement is the two halves of a flipped
-    edge and counts twice."""
+    masks: 2 (P_ij - P_1i - P_1j + P_11), where orbit k's P_ij is 1 when one
+    of its edges has i and j' on its side away from the base point O
+    (``trees._away_sides``).  Row i of orbit k is 2 P_i. - s_i - s, with
+    s_j = 2 P_1j - P_11."""
     orbits = sorted(key, key=orbit_sort_key)
-    full = (1 << 2 * n) - 1
     indices = range(n)
+    zero = [0] * n
+    doubled = {orbit: [zero] * n for orbit in orbits}  # orbit -> row i -> 2 P_i.
+    for orbit, away, _ in _away_sides(n, key):
+        row = [2 * (away >> 2 * j + 1 & 1) for j in indices]
+        rows = doubled[orbit]
+        for i in indices:
+            if away >> 2 * i & 1:
+                rows[i] = row  # the sides of an orbit's edges are disjoint
     coeffs = []
     for orbit in orbits:
-        f = [0] * (n * n)
-        for m in _orbit_masks(orbit):
-            w = 2 if _swap(m, n) == full ^ m else 1
-            c = [w * (m >> 2 * j + 1 & 1) for j in indices]
-            share = [
-                c[i] - c[0] + (2 * cj - w if m >> 2 * i & 1 else 0) for i in indices for cj in c
-            ]
-            f = list(map(add, f, share))
-        coeffs.append(f)
+        rows = doubled[orbit]
+        if rows[0] is zero:  # s = 0
+            coeffs.append(list(itertools.chain.from_iterable(rows)))
+        else:
+            first = rows[0][0] >> 1
+            s = [x - first for x in rows[0]]
+            coeffs.append([x - si - sj for row, si in zip(rows, s) for x, sj in zip(row, s)])
     entries = list(zip(*coeffs)) or [()] * (n * n)  # no orbit: every form is empty
     return orbits, tuple(tuple(entries[i * n : i * n + n]) for i in indices)
 
@@ -352,6 +352,19 @@ def refinement_check(
     return _sign_orbits(n, samples_per_tree, catalog)[0]
 
 
+def _coarse_groups(n: int, samples_per_tree: int, catalog: Optional[TreeCatalog]) -> tuple:
+    """The pass of :func:`coarse_cells`: its counterexample and no groups,
+    or None and the catalog keys grouped by mask form, one per coarse cell."""
+    bad, catalog, certified, sampled = _sign_orbits(n, samples_per_tree, catalog)
+    orbits, groups = catalog.orbits(), {}
+    for rep, masks in certified.items():
+        for key, p in orbits[rep].items():
+            groups.setdefault(_renamed_masks(n, p, masks), []).append(key)
+    for key, sig in sampled.items():
+        groups.setdefault(_signature_masks(n, sig), []).append(key)
+    return bad, groups
+
+
 def coarse_cells(
     n: int, samples_per_tree: int = 3, catalog: Optional[TreeCatalog] = None
 ) -> tuple[Optional[RefinementCounterExample], list[tuple[Signature, tuple]]]:
@@ -361,29 +374,18 @@ def coarse_cells(
     cell (at n=3 the 12 symbic cones fall onto 9 coarse cells, three of
     which split into two cones each).
 
-    The pass signs one tree per S_n orbit, the orbit's representative,
-    exactly, on its whole cone (:func:`_certified_signature`): then every
-    sample of every member has the representative's signature renamed, the
-    samples agree and none is taken.  Signatures are kept in mask form, one
-    byte of argmin permutations per minor, and each member's is its
-    representative's, renamed through a cached table
-    (:func:`_mask_renaming`); since a mask and its monomial set determine
-    each other, the members are grouped by mask form, and each group's
-    signature is built once.  The trees of an orbit the sweep cannot
-    certify, or whose orbit count is not the sample length, are signed once
-    per generic sample, in catalog order; two independent samples agreeing
-    is the practical test there, so fewer than two samples per tree are
-    refused.  The size checks come before any enumeration."""
-    bad, catalog, certified, sampled = _sign_orbits(n, samples_per_tree, catalog)
+    The pass (:func:`_sign_orbits`) certifies one tree per S_n orbit, the
+    orbit's representative, exactly, on its whole cone, so every member's
+    signature is the representative's, renamed, and no sample is taken;
+    the trees of an orbit it cannot certify, or whose orbit count is not
+    the sample length, are signed at each generic sample, and fewer than
+    two samples per tree are refused.  A mask form and its monomial set
+    determine each other, so the members are grouped by mask form
+    (:func:`_coarse_groups`) and each group's signature is built once.
+    The size checks come before any enumeration."""
+    bad, groups = _coarse_groups(n, samples_per_tree, catalog)
     if bad is not None:
         return bad, []
-    orbits = catalog.orbits()
-    groups: dict[bytes, list] = {}
-    for rep, masks in certified.items():
-        for key, p in orbits[rep].items():
-            groups.setdefault(_renamed_masks(n, p, masks), []).append(key)
-    for key, sig in sampled.items():
-        groups.setdefault(_signature_masks(n, sig), []).append(key)
     order = {key: cell_sort_key(key) for keys in groups.values() for key in keys}
     entries: dict = {}
     cells = [

@@ -4,16 +4,17 @@ The cone of matrices of one tree is parameterized by one coordinate per
 split orbit (node parameters: path distance from the base point O to each
 internal node) plus n simultaneous-scaling directions.  Each symmetric
 matrix coordinate (i, j) then reads off a column: an indicator of the node
-where the paths O -> i and O -> j' diverge, stacked over e_i + e_j.  All
-rank decisions are fraction-free and exact, and all go through one integer
-reducer, ``_reduce``.  The bases are found through the dual matroid, as
+where the paths O -> i and O -> j' part, read off the split sides by
+``_cayley``, stacked over e_i + e_j.  All rank decisions are fraction-free
+and exact, and all go through one integer reducer, ``_reduce``.  The bases are found through the dual matroid, as
 the complements of the bases of the column matroid of an integer kernel
 basis, by a depth-first search whose nodes carry the later kernel columns
 already reduced against the chosen ones.  A whole-catalog sweep searches
-only one tree per orbit of the catalog under renaming the indices 1..n,
-holds each basis as an int mask over the ground pairs, and renames masks
-through per-permutation byte tables; frozensets of pairs are made only for
-what a caller gets back.
+only one key per orbit of the catalog under renaming the indices 1..n and
+reads its Cayley matrix and its caterpillar filters off the key's split
+masks, so it builds no tree.  It holds each basis as an int mask over the
+ground pairs and renames masks through per-permutation byte tables;
+frozensets of pairs are made only for what a caller gets back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from operator import neg, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .correspond import base_point, divergences
+from .correspond import base_point
 from .counting import (
     SizeCapError,
     TreeCatalog,
@@ -33,7 +34,14 @@ from .counting import (
     _renamed_mask,
     _subset_table,
 )
-from .trees import InvalidMoveError, SymbicTree
+from .trees import (
+    InvalidMoveError,
+    SymbicTree,
+    _away_sides,
+    _has_caterpillar_branches,
+    _is_caterpillar,
+    _path_form,
+)
 from .tropical import parse_rational
 
 GroundPair = tuple[int, int]
@@ -71,32 +79,28 @@ def cayley_matrix(tree: SymbicTree, base: Optional[int] = None) -> CayleyMatrix:
         raise InvalidMoveError("Cayley matrix wants a regular tree")
     o = base_point(tree, base)
     cached = tree._cache.get(("cayley", o))
-    if cached is not None:
-        return cached
-    o, table = divergences(tree, o)
-    sigma = tree.involution()
-    n = tree.n
-    pairs = ground_set(n)
-    divergence_orbit: dict[GroundPair, frozenset] = {}
-    for i, j in pairs:
-        v = table[i - 1][j - 1]
-        divergence_orbit[(i, j)] = frozenset((v, sigma[v]))
-    base_orbit = frozenset((o,))
-    node_orbits = sorted(
-        {orb for orb in divergence_orbit.values() if orb != base_orbit},
-        key=lambda orb: min(p for p, o_ in divergence_orbit.items() if o_ == orb),
-    )
-    if len(node_orbits) != n - 1:
-        raise AssertionError("regular tree must have n-1 node-parameter orbits")
-    rows = []
-    for orb in node_orbits:
-        rows.append(tuple(1 if divergence_orbit[p] == orb else 0 for p in pairs))
-    for coordinate in range(1, n + 1):
-        rows.append(
-            tuple((i == coordinate) + (j == coordinate) for i, j in pairs)
-        )
-    cached = tree._cache["cayley", o] = CayleyMatrix(n, len(node_orbits), pairs, tuple(rows))
+    if cached is None:
+        cached = tree._cache["cayley", o] = _cayley(tree.n, _away_sides(tree.n, tree, o))
     return cached
+
+
+def _cayley(n: int, sides: list) -> CayleyMatrix:
+    """The Cayley matrix of a regular tree from its internal edges' split
+    orbits and sides away from O (``trees._away_sides``).  The edges on
+    the path from O to the vertex where O -> i and O -> j' part are those
+    with i and j' on that side; the node rows group the pairs by the
+    orbits of those edges, nonempty away from O, in first-pair order."""
+    ids: dict = {}
+    paths = _path_form(n, [(away, 1 << ids.setdefault(orbit, len(ids))) for orbit, away, _ in sides])
+    pairs = ground_set(n)
+    orbit_sets = [paths[i * n - n + j - 1] for i, j in pairs]
+    node_sets = list(dict.fromkeys(filter(None, orbit_sets)))
+    if len(node_sets) != n - 1:
+        raise AssertionError("regular tree must have n-1 node-parameter orbits")
+    rows = [tuple([int(x == node) for x in orbit_sets]) for node in node_sets]
+    for coordinate in range(1, n + 1):
+        rows.append(tuple((i == coordinate) + (j == coordinate) for i, j in pairs))
+    return CayleyMatrix(n, len(node_sets), pairs, tuple(rows))
 
 
 def _reduce(
@@ -275,9 +279,9 @@ def matroid_bases(tree: SymbicTree, base: Optional[int] = None) -> frozenset:
 
 
 _FILTERS = {
-    "all": lambda t: True,
-    "caterpillar_branches": lambda t: t.has_caterpillar_branches(),
-    "full_caterpillar": lambda t: t.is_caterpillar(),
+    "all": lambda n, key: True,
+    "caterpillar_branches": _has_caterpillar_branches,
+    "full_caterpillar": _is_caterpillar,
 }
 
 
@@ -286,19 +290,19 @@ def _orbit_bases(
 ) -> tuple[TreeCatalog, dict[frozenset, frozenset[int]]]:
     """One sweep over the n+n catalog, enumerated after the cap check when
     none is given: the catalog, and orbit representative -> base masks for
-    the representatives ``keep`` accepts.  Renaming the indices permutes
-    the ground pairs and keeps the shape, so the bases of an orbit member
-    are the renamed bases of its representative, and the filters, which
-    read the shape only, take one value on each orbit."""
+    the representatives whose keys ``keep`` accepts, read off the keys.
+    Renaming the indices permutes the ground pairs and keeps the shape, so
+    the bases of an orbit member are the renamed bases of its
+    representative, and the filters, which read the shape only, take one
+    value on each orbit."""
     if n > BASES_CAP:
         raise SizeCapError(f"n={n} exceeds basis enumeration cap {BASES_CAP}")
     catalog = _catalog_for(n, catalog)
-    out = {}
-    for rep in catalog.orbits():
-        tree = catalog.trees[rep]
-        if keep(tree):
-            out[rep] = _bases(cayley_matrix(tree))
-    return catalog, out
+    return catalog, {
+        rep: _bases(_cayley(n, _away_sides(n, rep)))
+        for rep in catalog.orbits()
+        if keep(n, rep)
+    }
 
 
 def _closure(n: int, masks: Iterable[int]) -> set[int]:
@@ -396,7 +400,7 @@ def conjecture_scan(n: int, catalog: Optional[TreeCatalog] = None) -> Conjecture
     catalog, bases = _orbit_bases(n, catalog)
     union_all = _closure(n, set().union(*bases.values()))
     union_cat = _closure(
-        n, set().union(*(b for rep, b in bases.items() if catalog.trees[rep].is_caterpillar()))
+        n, set().union(*(b for rep, b in bases.items() if _is_caterpillar(n, rep)))
     )
     missing = tuple(sorted(tuple(sorted(b)) for b in _as_pairs(n, union_all - union_cat)))
     return ConjectureReport(

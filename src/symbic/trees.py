@@ -24,6 +24,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import or_
 from typing import Iterable, NamedTuple, Optional
 
 from .tropical import parse_rational
@@ -239,12 +240,93 @@ def _anchor_rank(side: int) -> int:
 def _anchor_side(n: int, splits: list[int]) -> int:
     """The labels on the anchor's branches read off a tree's split masks,
     one label mask per split, either side; 0 for a one-vertex trunk.  The
-    trunk edges are the swap-invariant splits, and the trunk's end blocks
-    are the oriented sides of trunk edges that hold no other such side."""
+    trunk edges are the swap-invariant splits.  Their sides without leaf 1
+    point away from the trunk vertex whose branches hold leaf 1, so those
+    that hold no other are the trunk's end blocks other than leaf 1's,
+    which has the least rank (bit 0) and is never the anchor."""
     full = (1 << 2 * n) - 1
-    sides = {x for s in splits if _swap(s, n) == s for x in (s, s ^ full)}
-    ends = [x for x in sides if not any(y != x and y | x == x for y in sides)]
-    return max(ends, key=_anchor_rank, default=0)
+    sides = {s ^ full if s & 1 else s for s in splits if _swap(s, n) == s}
+    return max(_ends(sides), key=_anchor_rank, default=0)
+
+
+def _ends(sides: set[int]) -> list[int]:
+    """The oriented split sides of a set that hold no other one."""
+    return [x for x in sides if not any(y != x and y | x == x for y in sides)]
+
+
+def _away_sides(
+    n: int, source: "SymbicTree | frozenset", base: Optional[int] = None
+) -> list[tuple[Orbit, int, int]]:
+    """Per internal edge of an n+n tree: its split orbit, the label mask of
+    its side away from the base point O, and its length.  From a tree, off
+    its index, O the trunk vertex ``base``, lengths over the index scale: in
+    normal form only internal edges have (nonzero) lengths.  From a
+    canonical key, off its split masks, O the trunk end opposite the anchor
+    (``correspond.base_point``'s default), lengths 1: a trunk edge (a
+    swap-invariant split) points at the anchor's side, a branch edge at its
+    side disjoint from its swap; a split whose swap is its complement is
+    the two halves of a flipped edge, and both count."""
+    if isinstance(source, SymbicTree):
+        index = source._index()
+        o = index.slot[base]
+        dist, parent, last, mask = index.dist, index.parent, index.last, index.mask
+        return [
+            (_split_orbit(side, n), mask[0] ^ side if i <= o <= last[i] else side, length)
+            for i, side in enumerate(mask)
+            if i and (length := dist[i] - dist[parent[i]])
+        ]
+    full = (1 << 2 * n) - 1
+    edges = [(orbit, side, _swap(side, n)) for orbit in source for side in _orbit_masks(orbit)]
+    trunk = [side for _, side, swapped in edges if swapped == side]
+    anchor = _anchor_side(n, trunk) if trunk else 0
+    out = []
+    for orbit, side, swapped in edges:
+        if swapped == side:
+            out.append((orbit, side if side & anchor else full ^ side, 1))
+        elif swapped == full ^ side:
+            out += [(orbit, side, 1), (orbit, swapped, 1)]
+        else:
+            out.append((orbit, full ^ side if side & swapped else side, 1))
+    return out
+
+
+def _path_form(n: int, weighted: Iterable[tuple[int, int]]) -> list[int]:
+    """Per entry (i, j), row-major, the weights summed over the edges on the
+    path from O to where the paths O -> i and O -> j' part, given (side away
+    from O, weight) per edge: the edges with i and j' on that side."""
+    form = [0] * (n * n)
+    for away, weight in weighted:
+        cols = [j for j in range(n) if away >> 2 * j + 1 & 1]
+        for i in range(n):
+            if away >> 2 * i & 1:
+                for j in cols:
+                    form[i * n + j] += weight
+    return form
+
+
+def _is_caterpillar(n: int, key: frozenset) -> bool:
+    """A single-vertex trunk and internal vertices forming a path, off the
+    split masks of a key: no swap-invariant split (a trunk edge), and at
+    most two oriented sides hold no other, one per end of the path."""
+    full, splits = (1 << 2 * n) - 1, _key_masks(key)
+    if any(_swap(s, n) == s for s in splits):
+        return False
+    return len(_ends({x for s in splits for x in (s, full ^ s)})) <= 2
+
+
+def _has_caterpillar_branches(n: int, key: frozenset) -> bool:
+    """Every branch holds at most one cherry (a vertex with leaves of both
+    colors), off the split masks of a key.  The off-trunk edges' sides away
+    from the trunk are nested or disjoint, one per off-trunk vertex, whose
+    labels are its side less the sides inside it."""
+    rows = _row_bits(n)
+    away = {x for _, x, _ in _away_sides(n, key) if _swap(x, n) != x}
+    cherries = []
+    for x in away:
+        at = x & ~functools.reduce(or_, [y for y in away if y != x and y | x == x], 0)
+        if at & rows and at & rows << 1:
+            cherries.append(x)
+    return all(sum(c | x == x for c in cherries) < 2 for x in away)
 
 
 def _place_of_site(site: tuple, near: frozenset) -> tuple:
@@ -420,16 +502,6 @@ class SymbicTree:
             down.append(index.order[j])
             j = index.parent[j]
         return up + [index.order[m]] + down[::-1]
-
-    def divergence_vertex(self, base: int, u: int, v: int) -> int:
-        """Last common vertex of the paths base->u and base->v: the median of
-        the three, which is the deepest of their pairwise meeting points.  Two
-        of those coincide and the third lies below them, so when the first
-        two differ the deeper of them is the median."""
-        index = self._index()
-        b, i, j = index.slot[base], index.slot[u], index.slot[v]
-        x, y = index.meet(b, i), index.meet(i, j)
-        return index.order[max(x, y) if x != y else index.meet(b, j)]
 
     # -- splits and keys ----------------------------------------------------
 
@@ -627,23 +699,16 @@ class SymbicTree:
         return self.validate() is None and len(self.split_orbits()) == self.n - 1
 
     def is_caterpillar(self) -> bool:
-        """Single-vertex trunk and internal vertices forming a path."""
-        if len(self.trunk()) != 1:
-            return False
-        leaves = self.leaf_vertices()
-        for v in self.internal_vertices():
-            if sum(1 for w in self.adj[v] if w not in leaves) > 2:
-                return False
-        return True
+        """Single-vertex trunk and internal vertices forming a path; a tree
+        without a trunk is refused."""
+        self.trunk()
+        return _is_caterpillar(self.n, self.canonical_key())
 
     def has_caterpillar_branches(self) -> bool:
-        """Every branch contains at most one cherry."""
-        cherry_vertices = {self.pos(i) for i, _ in self.cherries()}
-        for br in self.branches():
-            inside = self.branch_vertices(br)
-            if sum(1 for v in cherry_vertices if v in inside) > 1:
-                return False
-        return True
+        """Every branch contains at most one cherry; a tree without a trunk
+        is refused."""
+        self.trunk()
+        return _has_caterpillar_branches(self.n, self.canonical_key())
 
     # -- brittle twigs -------------------------------------------------------
 

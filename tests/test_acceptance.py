@@ -165,7 +165,7 @@ def test_public_surface_is_pinned():
     assert _public(symbic.SymbicTree) == [
         "adj", "attach_top_pair", "branch_vertices", "branches", "brittle_twig",
         "canonical_endpoint", "canonical_key", "cherries", "contract_orbit",
-        "delete_leaves", "delete_top_pair", "distance", "divergence_vertex",
+        "delete_leaves", "delete_top_pair", "distance",
         "edges", "expansions", "fixed_vertices", "from_json_dict",
         "has_caterpillar_branches", "internal_edges", "internal_vertices", "involution",
         "is_caterpillar", "is_regular", "labels", "leaf_vertex", "leaf_vertices", "n",

@@ -317,6 +317,21 @@ def test_tree_from_matrix_outputs_are_pinned(tmp_path, entries, tree_digest, dot
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
 
 
+def test_matrix_from_tree_outputs_are_pinned(tmp_path):
+    """A seeded n = 6 tree with non-integer lengths and a four-vertex
+    trunk; the matrix's bytes must not move when the way it is read off
+    the tree changes."""
+    tree = random_regular_tree(6, random.Random(2))
+    assert len(tree.trunk()) == 4
+    assert any(length.denominator > 1 for _, _, length in tree.internal_edges())
+    path, out = tmp_path / "tree.json", tmp_path / "matrix.json"
+    path.write_text(json.dumps(tree.to_json_dict()))
+    assert main(["matrix-from-tree", "--tree", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "87460a5863df9fbf094674c84fe0c0edb44987e6019a5def304fe35e25be6cfc"
+    )
+
+
 @pytest.mark.parametrize(
     "n, digest",
     [

@@ -24,7 +24,8 @@ from symbic.correspond import (
     path_matrix_from_tree,
     tree_from_matrix,
 )
-from symbic.counting import enumerate_regular, random_regular_tree
+from symbic.counting import enumerate_regular, orbit_sort_key, random_regular_tree
+from symbic.matroid import CayleyMatrix, cayley_matrix, ground_set
 from symbic.trees import MalformedTreeError, SymbicTree, format_label, tree_of_single_pair
 from symbic.tropical import (
     TropicalError,
@@ -33,10 +34,64 @@ from symbic.tropical import (
     rank_one_matrix,
     sym_trop_rank,
 )
-from test_trees import split_set
+from test_trees import divergence_vertex, split_set, with_orbit_lengths
 from test_tropical import column
 
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def divergences(tree, base=None):
+    """The base point O, and per entry (i, j) the vertex where the paths
+    O -> i and O -> j' part, found by walking the tree: the oracle of the
+    split-side reading behind ``matrix_from_tree`` and ``cayley_matrix``."""
+    o = base_point(tree, base)
+    cols = [tree.pos(-j) for j in range(1, tree.n + 1)]
+    table = []
+    for i in range(1, tree.n + 1):
+        pi = tree.pos(i)
+        table.append([divergence_vertex(tree, o, pi, pj) for pj in cols])
+    return o, table
+
+
+def walk_matrix_from_tree(tree, base=None):
+    """Entry (i, j): the distance from O to the walked divergence vertex."""
+    o, table = divergences(tree, base)
+    return TropMatrix([[tree.distance(o, v) for v in row] for row in table])
+
+
+def walk_cayley_matrix(tree, base=None):
+    """The Cayley matrix with its node rows grouped by the walked
+    divergence vertex's orbit {v, sigma v}, the base point's excluded, in
+    the order of each orbit's first pair."""
+    o, table = divergences(tree, base)
+    sigma = tree.involution()
+    n = tree.n
+    pairs = ground_set(n)
+    orbit = {(i, j): frozenset((table[i - 1][j - 1], sigma[table[i - 1][j - 1]])) for i, j in pairs}
+    nodes = list(dict.fromkeys(orb for orb in orbit.values() if orb != frozenset((o,))))
+    assert len(nodes) == n - 1
+    rows = [tuple(1 if orbit[p] == node else 0 for p in pairs) for node in nodes]
+    rows += [tuple((i == c) + (j == c) for i, j in pairs) for c in range(1, n + 1)]
+    return CayleyMatrix(n, len(nodes), pairs, tuple(rows))
+
+
+@given(st.integers(2, 9), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_split_side_readers_match_the_walk(n, rng):
+    """``matrix_from_tree`` and ``cayley_matrix`` read split sides; the
+    walk to each divergence vertex is the oracle, on random trees with
+    random rational lengths, from every trunk vertex, and on a face with
+    one orbit contracted (a longer trunk or a flipped edge)."""
+    tree = random_regular_tree(n, rng)
+    orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
+    lengths = {orbit: Fraction(rng.randint(1, 60), rng.randint(1, 12)) for orbit in orbits}
+    tree = with_orbit_lengths(tree, lengths)
+    for base in tree.trunk():
+        assert matrix_from_tree(tree, base) == walk_matrix_from_tree(tree, base)
+        assert cayley_matrix(tree, base) == walk_cayley_matrix(tree, base)
+    face = tree.contract_orbit(rng.choice(orbits))
+    for base in face.trunk():
+        assert matrix_from_tree(face, base) == walk_matrix_from_tree(face, base)
 
 
 def test_single_pair_tree_maps_to_zero_matrix():

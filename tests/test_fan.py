@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import symbic.counting
 import symbic.fan
 from symbic.acceptance import four_pair_chain_tree
-from symbic.correspond import divergences, matrix_from_tree
+from symbic.correspond import matrix_from_tree
 from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
@@ -32,6 +32,7 @@ from symbic.tropical import (
     sym_trop_rank,
 )
 from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree, _orbit_masks, _swap
+from test_correspond import divergences
 from test_counting import contracted_faces
 from test_trees import with_orbit_lengths
 from test_tropical import (
@@ -171,6 +172,50 @@ def path_walk_sampling_form(tree):
         for i in range(n)
     )
     return orbits, form
+
+
+def split_mask_sampling_form(n, key):
+    """The sampling form as first read off the split masks, through the
+    path matrix B: by ``lineality_identity_check``, 2 A + B is in the
+    lineality space, B_ij the internal length of the path from leaf i to
+    leaf j', so A canonicalizes as -B / 2 does: doubled, entry (i, j) is
+    B_1i + B_1j - B_11 - B_ij, whatever the base point.  An orbit's
+    coefficient in B_ij counts its edges that separate i from j'.  A key
+    stores the side without leaf 1 of each split: with r_i, c_j its bits of
+    i and j', the split's share of the entry is c_i - c_1 + r_i (2 c_j - 1).
+    A split whose swap is its complement is the two halves of a flipped
+    edge and counts twice."""
+    orbits = sorted(key, key=orbit_sort_key)
+    full = (1 << 2 * n) - 1
+    indices = range(n)
+    coeffs = []
+    for orbit in orbits:
+        f = [0] * (n * n)
+        for m in _orbit_masks(orbit):
+            w = 2 if _swap(m, n) == full ^ m else 1
+            c = [w * (m >> 2 * j + 1 & 1) for j in indices]
+            share = [
+                c[i] - c[0] + (2 * cj - w if m >> 2 * i & 1 else 0) for i in indices for cj in c
+            ]
+            f = [a + b for a, b in zip(f, share)]
+        coeffs.append(f)
+    entries = list(zip(*coeffs)) or [()] * (n * n)
+    return orbits, tuple(tuple(entries[i * n : i * n + n]) for i in indices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_path_form_matches_the_path_matrix_reading_on_the_catalog(n):
+    """The sampling form is the canonicalized path form; its first reading,
+    through the path matrix's split counts, is the oracle on every catalog
+    key."""
+    for key in enumerate_regular(n).trees:
+        assert _sampling_form(n, key) == split_mask_sampling_form(n, key)
+
+
+def test_path_form_matches_the_path_matrix_reading_on_faces():
+    for n in (3, 4):
+        for key, _ in contracted_faces(n):
+            assert _sampling_form(n, key) == split_mask_sampling_form(n, key)
 
 
 def assert_key_read_form(tree):

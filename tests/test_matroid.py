@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from symbic import matroid
 from symbic.acceptance import four_pair_double_cherry_tree
-from symbic.correspond import divergences, matrix_from_tree
+from symbic.correspond import matrix_from_tree
 from symbic.counting import SizeCapError, enumerate_regular, random_regular_tree
 from symbic.matroid import (
     CayleyMatrix,
     ConjectureReport,
     _bases,
+    _cayley,
     _echelon,
     _kernel,
     _reduce,
@@ -29,9 +30,18 @@ from symbic.matroid import (
     render_conjecture_report,
     union_bases,
 )
-from symbic.trees import InvalidMoveError, star_tree, tree_of_single_pair
+from symbic.trees import (
+    InvalidMoveError,
+    _away_sides,
+    _has_caterpillar_branches,
+    _is_caterpillar,
+    star_tree,
+    tree_of_single_pair,
+)
 from symbic.tropical import TropicalError
-from test_trees import with_orbit_lengths
+from test_correspond import walk_cayley_matrix
+from test_counting import contracted_faces
+from test_trees import walk_has_caterpillar_branches, walk_is_caterpillar, with_orbit_lengths
 
 
 def oracle_bases(tree, base=None):
@@ -317,6 +327,40 @@ def test_cayley_column_space_matches_edge_impulses():
         assert exact_rank(impulse_rows) == exact_rank(cm.rows) == exact_rank(stacked)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_key_read_cayley_matrix_matches_the_walk_on_the_catalog(n):
+    """A whole-catalog sweep reads each Cayley matrix off the key alone,
+    for the default base point; the walk over the built tree is the
+    oracle on every catalog key."""
+    for key, tree in enumerate_regular(n).items():
+        assert _cayley(n, _away_sides(n, key)) == walk_cayley_matrix(tree)
+
+
+def assert_caterpillar_filters_match_the_walk(tree):
+    key = tree.canonical_key()
+    assert tree.is_caterpillar() == walk_is_caterpillar(tree)
+    assert _is_caterpillar(tree.n, key) == walk_is_caterpillar(tree)
+    assert tree.has_caterpillar_branches() == walk_has_caterpillar_branches(tree)
+    assert _has_caterpillar_branches(tree.n, key) == walk_has_caterpillar_branches(tree)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.long)])
+def test_caterpillar_filters_read_off_the_key_match_the_walk(n):
+    """The caterpillar filters read split masks (the matroid sweeps pass a
+    key's); the walk over the built tree is the oracle on every catalog
+    tree."""
+    for tree in enumerate_regular(n):
+        assert_caterpillar_filters_match_the_walk(tree)
+
+
+def test_caterpillar_filters_match_the_walk_on_faces():
+    """Contracted trees too: longer trunks, flipped edges and branches
+    with vertices of higher degree."""
+    for n in (3, 4):
+        for _, face in contracted_faces(n):
+            assert_caterpillar_filters_match_the_walk(face)
+
+
 def test_bases_n2_brute_force():
     for tree in enumerate_regular(2):
         cm = cayley_matrix(tree)
@@ -342,12 +386,13 @@ def test_cayley_matrix_is_built_once_per_tree_and_base(monkeypatch):
     """``matroid_bases`` reads the Cayley matrix that ``cayley_matrix`` has
     just built on the same tree; another base point gets its own."""
     calls = []
+    read = matroid._away_sides
 
-    def counted(tree, base=None):
+    def counted(n, source, base=None):
         calls.append(base)
-        return divergences(tree, base)
+        return read(n, source, base)
 
-    monkeypatch.setattr(matroid, "divergences", counted)
+    monkeypatch.setattr(matroid, "_away_sides", counted)
     tree = random_regular_tree(4, random.Random(3))
     cm = cayley_matrix(tree)
     assert matroid_bases(tree) == as_columns(cm, _bases(cm))

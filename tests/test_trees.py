@@ -232,6 +232,29 @@ def test_predicates_on_known_shapes():
     assert one.cherries() == frozenset({(1, 2), (2, 1)})
 
 
+def walk_is_caterpillar(tree):
+    """The oracle of ``SymbicTree.is_caterpillar``: a single-vertex trunk,
+    and every internal vertex with at most two internal neighbours."""
+    if len(tree.trunk()) != 1:
+        return False
+    leaves = tree.leaf_vertices()
+    for v in tree.internal_vertices():
+        if sum(1 for w in tree.adj[v] if w not in leaves) > 2:
+            return False
+    return True
+
+
+def walk_has_caterpillar_branches(tree):
+    """The oracle of ``SymbicTree.has_caterpillar_branches``: the cherry
+    vertices counted inside the vertex set of every branch."""
+    cherry_vertices = {tree.pos(i) for i, _ in tree.cherries()}
+    for br in tree.branches():
+        inside = tree.branch_vertices(br)
+        if sum(1 for v in cherry_vertices if v in inside) > 1:
+            return False
+    return True
+
+
 def test_double_cherry_branch_is_not_caterpillar():
     found = False
     for tree in enumerate_regular(4):
@@ -847,6 +870,19 @@ def bfs_edge_descriptor(tree, u, v):
     return bfs_side_labels(tree, u, v)
 
 
+def divergence_vertex(tree, base, u, v):
+    """Last common vertex of the paths base->u and base->v: the median of
+    the three, which is the deepest of their pairwise meeting points.  Two
+    of those coincide and the third lies below them, so when the first
+    two differ the deeper of them is the median.  The walk behind the
+    ``divergences`` oracle of ``matrix_from_tree`` and ``cayley_matrix``,
+    which read the split sides instead."""
+    index = tree._index()
+    b, i, j = index.slot[base], index.slot[u], index.slot[v]
+    x, y = index.meet(b, i), index.meet(i, j)
+    return index.order[max(x, y) if x != y else index.meet(b, j)]
+
+
 def bfs_divergence_vertex(tree, base, u, v):
     meet = base
     for a, b in zip(bfs_path(tree, base, u), bfs_path(tree, base, v)):
@@ -864,7 +900,7 @@ def check_index_against_bfs(tree, rng):
             assert tree.distance(u, v) == bfs_distance(tree, u, v)
     for _ in range(40):
         base, u, v = (rng.choice(vertices) for _ in range(3))
-        assert tree.divergence_vertex(base, u, v) == bfs_divergence_vertex(tree, base, u, v)
+        assert divergence_vertex(tree, base, u, v) == bfs_divergence_vertex(tree, base, u, v)
     symbic = tree.validate() is None
     for u, v, _ in tree.edges():
         for a, b in ((u, v), (v, u)):
