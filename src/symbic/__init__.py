@@ -56,7 +56,6 @@ from .shelling import (
     verify_shelling,
 )
 from .trees import (
-    Branch,
     InvalidMoveError,
     MalformedTreeError,
     SymbicTree,

@@ -48,8 +48,8 @@ _PRIMES = (
 
 Signature = frozenset  # of (rows, cols, frozenset of monomials)
 
-# The permutations of a 3x3 minor, in the order of the term pattern that
-# the minor sweep sums by (tropical._term_pattern), and the mask bit of each.
+# The permutations of a 3x3 minor, in the order in which the minor sweep
+# (tropical._minor_sums) lists their sums, and the mask bit of each.
 _PERMS = tuple(itertools.permutations(range(3)))
 _BITS = (1, 2, 4, 8, 16, 32)
 

@@ -85,12 +85,6 @@ def _vertex_id(value: object) -> int:
     return value
 
 
-class Branch(NamedTuple):
-    trunk_vertex: int
-    root: int  # first vertex off the trunk (may be a leaf vertex)
-    labels: frozenset
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _mask_labels(mask: int) -> frozenset:
     """The signed labels of a label mask, interned: every split of every tree
@@ -622,7 +616,7 @@ class SymbicTree:
             return Violation(4, "fixed set is disconnected", fixed)
         return None
 
-    # -- trunk, branches, shape predicates -----------------------------------
+    # -- trunk and shape predicates -------------------------------------------
 
     def trunk(self) -> tuple[int, ...]:
         """The fixed path, ordered; starts at the canonical endpoint, the
@@ -649,40 +643,6 @@ class SymbicTree:
         a point): reference point for edge descriptors and the shelling
         order's least element."""
         return self.trunk()[0]
-
-    def branches(self) -> tuple[Branch, ...]:
-        if "branches" in self._cache:
-            return self._cache["branches"]
-        trunk = set(self.trunk())
-        out = []
-        for t in sorted(trunk):
-            for nb in sorted(self.adj[t]):
-                if nb in trunk:
-                    continue
-                out.append(Branch(t, nb, self.side_labels(t, nb)))
-        result = tuple(out)
-        self._cache["branches"] = result
-        return result
-
-    def branch_vertices(self, branch: Branch) -> set[int]:
-        index = self._index()
-        t, r = index.slot[branch.trunk_vertex], index.slot[branch.root]
-        if index.parent[r] == t:
-            return set(index.order[r : index.last[r] + 1])
-        return set(index.order[:t] + index.order[index.last[t] + 1 :])
-
-    def cherries(self) -> frozenset:
-        """Pairs (i, j) such that row leaf i and column leaf j' share an
-        attachment vertex."""
-        at: dict[int, list[Label]] = {}
-        for label in self.leaf_vertex:
-            at.setdefault(self.pos(label), []).append(label)
-        found = set()
-        for labels in at.values():
-            rows = [l for l in labels if l > 0]
-            cols = [-l for l in labels if l < 0]
-            found.update((i, j) for i in rows for j in cols)
-        return frozenset(found)
 
     def is_regular(self) -> bool:
         """A valid tree with n-1 split orbits, the most a valid tree has: the

@@ -8,13 +8,16 @@ only for their results.  The "minimum attained twice" predicates that
 define tropical rank are not robust under floating point, so no float ever
 enters these computations.
 
-Every permutation sum of a minor, of grid entries or of monomial codes, is
-one pattern (:func:`_term_pattern`) applied to the minor's k x k block in
-row-major order and summed in runs of k; the minor sweep
-(:func:`_minor_sums`) reads each block with one cell getter per column set.
-The symmetric scan decides a tied minor by one count: its ties form a
-single monomial exactly when they are as many as that monomial's
-permutations (:func:`_monomial_class_sizes`).
+Every permutation sum of a minor, of grid entries or of monomial codes,
+comes from one kernel, the minor sweep (:func:`_minor_sums`): a Laplace
+expansion along the minor's last row.  Per row set, the sums of its first
+k - 1 rows over every ordered (k - 1)-tuple of distinct columns form a
+prefix table, which row sets sharing those rows reuse; a minor's k! sums
+are one pick from that table plus one pick from its last row, added.  The
+symmetric scan decides a tied minor by one count: its ties form a single
+monomial exactly when they are as many as that monomial's permutations
+(:func:`_monomial_class_sizes`, which sums a minor's monomial codes with
+the same kernel).
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     up front takes about 1 s at n = 8, some 20 scans of a random 8 x 8
     matrix).
     """
-    combos, _, sizes_of = _minor_plan(len(grid), k)
+    combos, _, sizes_of, _ = _minor_plan(len(grid), k)
     for first, second, totals in _minor_sums(grid, k, symmetric):
         best = min(totals)
         ties = totals.count(best)
@@ -266,13 +269,17 @@ def _minor_sums(
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Per k x k minor of the integer grid, the indices of its row set and
     column set in the scan order of :func:`_minor_plan`, and its entry sum
-    under each permutation, in the order of :func:`_term_pattern`.  Row
-    sets come in order, and per row set its column sets.
+    under each permutation of range(k), in ``itertools.permutations``
+    order.  Row sets come in order, and per row set its column sets.
 
-    Every minor is read the same way: its k rows of the grid concatenated,
-    the column set's cell getter takes the minor's k x k block in row-major
-    order, the term pattern lists each permutation's k terms in turn, and
-    the sums of those runs of k are the permutation sums.
+    Every minor is expanded along its last row.  Per row set, a prefix
+    table holds the sums of its first k - 1 rows over every ordered
+    (k - 1)-tuple of distinct grid columns, in ``itertools.permutations``
+    order, built level by level (see :func:`_extend`); the row sets that
+    share a row prefix come one after another and share its levels.  A
+    minor's k! sums are then one pick from the prefix table, at the first
+    k - 1 columns of each permutation, plus one pick from the last row, at
+    the column each leaves over (see :func:`_column_picks`).
 
     The ``symmetric`` sweep visits a minor (R, C) only when C >= R.  On a
     symmetric grid the transpose minor (C, R) has the same entry sums, its
@@ -281,61 +288,98 @@ def _minor_sums(
     the same symmetric degeneracy.  The symmetric rank scan and the fan
     signatures (``symbic.fan``) both read this sweep.
     """
-    combos, cells, _ = _minor_plan(len(grid), k)
-    terms = _term_pattern(k)
+    n = len(grid)
+    combos, shared, _, picks = _minor_plan(n, k)
+    levels: list = []
     for first, rows in enumerate(combos):
-        flat = [x for r in rows for x in grid[r]]
+        for j in range(len(levels), k - 1):
+            row = grid[rows[j]]
+            levels.append(_extend(levels[-1], n - j, _last_columns(n, j + 1)(row)) if j else row)
+        prefix, last = levels[-1], grid[rows[-1]]
+        del levels[shared[first] :]
         for second in range(first if symmetric else 0, len(combos)):
-            yield first, second, list(map(sum, zip(*[iter(terms(cells[second](flat)))] * k)))
+            pick = picks[second]
+            if pick is None:
+                pick = picks[second] = _column_picks(n, combos[second])
+            yield first, second, list(map(add, pick[0](prefix), pick[1](last)))
+
+
+def _extend(parents: Sequence[int], fan_out: int, terms: Iterable[int]) -> list[int]:
+    """The next level of a table over ordered tuples of distinct indices,
+    in ``itertools.permutations`` order: each tuple of ``parents`` has
+    ``fan_out`` extensions by one index, consecutive, so position i adds
+    term i to parent i // fan_out."""
+    return list(map(add, itertools.chain.from_iterable(zip(*[parents] * fan_out)), terms))
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict]:
-    """The k-subsets of range(n) in scan order; per column set, an
-    itemgetter of its k * k cell positions in k rows of an n x n grid
-    concatenated (the minor's block, row-major); and a dict that the
-    symmetric scan fills: the monomial class sizes of a minor by its
-    (row set, column set) indices.  Nothing here depends on matrix entries,
-    so every scan of an n x n matrix may share it, and no sweep changes the
-    first two."""
+def _last_columns(n: int, j: int) -> itemgetter:
+    """An itemgetter of the last index of every ordered j-tuple of distinct
+    indices of range(n), in ``itertools.permutations`` order."""
+    return itemgetter(*map(itemgetter(-1), itertools.permutations(range(n), j)))
+
+
+def _column_picks(n: int, cols: Sequence[int]) -> tuple[itemgetter, itemgetter]:
+    """The two getters by which :func:`_minor_sums` reads the sums of a
+    minor with column set ``cols`` in an n-column grid.  Per permutation p
+    of range(k), k = len(cols), in ``itertools.permutations`` order: the
+    position of (cols[p[0]], ..., cols[p[k-2]]) in the prefix table, and
+    the column cols[p[k-1]] of the last row.
+
+    The positions are built level by level like the table.  A j-tuple's
+    position is its (j - 1)-prefix's times the n - j + 1 extensions of each
+    prefix, plus the rank of its last column c = cols[x] among the columns
+    the prefix leaves unused.  The used columns below c are the cols[y]
+    with y < x among p's first j - 1, so that rank is c - x plus the rank
+    of x among the unused indices of range(k): the place of p's j-prefix
+    among the k - j + 1 extensions of its (j - 1)-prefix.
+    """
+    k = len(cols)
+    gaps = [c - x for x, c in enumerate(cols)]
+    positions = list(cols)
+    for j in range(2, k):
+        ranks = map(add, _last_columns(k, j)(gaps), itertools.cycle(range(k - j + 1)))
+        positions = _extend([p * (n - j + 1) for p in positions], k - j + 1, ranks)
+    return itemgetter(*positions), itemgetter(*_last_columns(k, k)(cols))
+
+
+@functools.lru_cache(maxsize=None)
+def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict, list]:
+    """The k-subsets of range(n) in scan order; per row set, how many of
+    its first k - 1 rows the next row set shares (0 for the last), so the
+    levels of the prefix table built on those rows are kept for it; a dict
+    that the symmetric scan fills: the monomial class sizes of a minor by
+    its (row set, column set) indices; and per column set, its
+    :func:`_column_picks`, filled in by the first sweep that reaches it.
+    Nothing here depends on matrix entries, so every scan of an n x n
+    matrix may share it."""
     combos = tuple(itertools.combinations(range(n), k))
-    cells = tuple(itemgetter(*[r * n + c for r in range(k) for c in cols]) for cols in combos)
-    return combos, cells, {}
-
-
-@functools.lru_cache(maxsize=None)
-def _term_pattern(k: int) -> itemgetter:
-    """The one encoding of permutations: an itemgetter of the indices
-    r * k + p[r], r = 0..k-1, for each permutation p of range(k) in
-    ``itertools.permutations`` order.  Applied to a k x k block in
-    row-major order, it gives each permutation's k terms in turn, so the
-    sums of its runs of k are the permutation sums (see
-    :func:`_minor_sums`).  The cell getter, the pattern and the run sums of
-    an 8 x 8 minor take 4.0 ms against 7.2 ms for a Python loop over its
-    k! permutations (CPython 3.11 on a 2-core x86-64 host)."""
-    terms = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    return itemgetter(*map(add, terms, itertools.cycle(range(0, k * k, k))))
+    shared = tuple(
+        next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
+    )
+    return combos, shared + (0,), {}, [None] * len(combos)
 
 
 def _monomial_class_sizes(rows: Sequence[int], cols: Sequence[int]) -> bytes:
-    """Per permutation of the minor (rows, cols), in the order of
-    :func:`_term_pattern`, how many permutations of the minor pick its
-    monomial (see :func:`_monomial`).
+    """Per permutation of the minor (rows, cols), in ``itertools.permutations``
+    order, how many permutations of the minor pick its monomial (see
+    :func:`_monomial`).
 
     A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
     (c, r), so it is coded without sorting as a sum of 2-bit digits, one
-    place per pair: the term pattern sums them like the entries of a minor.
-    No digit carries, and equal codes are equal monomials.  A class holds
-    at most 2^(k // 3) permutations (in a principal minor, one per choice
-    of direction of each cycle of length >= 3; checked over every minor of
-    a 9 x 9 grid), so 8 at the cap k = 9, and a byte holds each size.
+    place per pair: the minor sweep sums the k x k grid of codes as its one
+    k x k minor, like the entries of a minor.  No digit carries, and equal
+    codes are equal monomials.  A class holds at most 2^(k // 3)
+    permutations (in a principal minor, one per choice of direction of each
+    cycle of length >= 3; checked over every minor of a 9 x 9 grid), so 8 at
+    the cap k = 9, and a byte holds each size.
     """
-    k = len(rows)
     places: dict[tuple[int, int], int] = {}
     block = [
-        1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for r in rows for c in cols
+        [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
+        for r in rows
     ]
-    codes = list(map(sum, zip(*[iter(_term_pattern(k)(block))] * k)))
+    [(_, _, codes)] = _minor_sums(block, len(rows), False)
     counts = Counter(codes)
     return bytes(map(counts.__getitem__, codes))
 

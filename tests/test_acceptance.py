@@ -141,7 +141,7 @@ def test_public_surface_is_pinned():
     core classes.  A name joins or leaves here on purpose; oracle-only
     helpers live in the tests."""
     assert _public(symbic) == [
-        "Branch", "CayleyMatrix", "EdgeOrder", "InvalidMoveError", "LeafMetric",
+        "CayleyMatrix", "EdgeOrder", "InvalidMoveError", "LeafMetric",
         "MalformedTreeError", "MinorSizeError", "NotRankTwoError", "RankOneMatrixError",
         "RationalSeries", "ReconstructionError", "SizeCapError", "SymbicTree",
         "TreeCatalog", "TreeComparator", "TropMatrix", "TropicalError", "Violation",
@@ -163,8 +163,8 @@ def test_public_surface_is_pinned():
         "rows", "sub", "to_json_dict",
     ]
     assert _public(symbic.SymbicTree) == [
-        "adj", "attach_top_pair", "branch_vertices", "branches", "brittle_twig",
-        "canonical_endpoint", "canonical_key", "cherries", "contract_orbit",
+        "adj", "attach_top_pair", "brittle_twig", "canonical_endpoint", "canonical_key",
+        "contract_orbit",
         "delete_leaves", "delete_top_pair", "distance",
         "edges", "expansions", "fixed_vertices", "from_json_dict",
         "has_caterpillar_branches", "internal_edges", "internal_vertices", "involution",

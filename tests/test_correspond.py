@@ -34,7 +34,7 @@ from symbic.tropical import (
     rank_one_matrix,
     sym_trop_rank,
 )
-from test_trees import divergence_vertex, split_set, with_orbit_lengths
+from test_trees import branches, cherries, divergence_vertex, split_set, with_orbit_lengths
 from test_tropical import column
 
 PERMUTED = TropMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -133,7 +133,7 @@ def min_row_end(tree):
         return trunk[0]
 
     def min_row(v):
-        rows = (l for br in tree.branches() if br.trunk_vertex == v for l in br.labels if l > 0)
+        rows = (l for br in branches(tree) if br.trunk_vertex == v for l in br.labels if l > 0)
         return min(rows, default=tree.n + 1)
 
     return min((trunk[0], trunk[-1]), key=lambda v: (min_row(v), v))
@@ -191,7 +191,7 @@ def test_tree_from_matrix_reproduces_known_topology():
     assert tree.validate() is None
     assert tree.is_regular()
     assert len(tree.trunk()) == 2
-    assert tree.cherries() == frozenset({(1, 1), (2, 3), (3, 2)})
+    assert cherries(tree) == frozenset({(1, 1), (2, 3), (3, 2)})
     assert matrices_agree_mod_lineality(matrix_from_tree(tree), PERMUTED)
 
 

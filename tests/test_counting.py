@@ -37,6 +37,7 @@ from symbic.counting import (
 from symbic.trees import MalformedTreeError, SymbicTree
 from symbic.tropical import TropicalError
 from test_shelling import counted_constructions
+from test_trees import branches
 
 REGULAR_COUNTS = [1, 1, 2, 12, 111, 1395]
 ORBIT_COUNTS = [None, 1, 2, 3, 8, 17, 47]  # S_n orbits of the catalog at n = 1..6
@@ -200,7 +201,7 @@ def test_trunk_block_statistics_match_composition_formula():
             for v in trunk:
                 labels = {
                     abs(l)
-                    for br in tree.branches()
+                    for br in branches(tree)
                     if br.trunk_vertex == v
                     for l in br.labels
                 }

@@ -39,7 +39,7 @@ from symbic.trees import (
     tree_of_single_pair,
 )
 from symbic.acceptance import four_pair_chain_tree
-from test_trees import edge_descriptor, oracle_trunk, side_labels_brittle_twig
+from test_trees import branches, cherries, edge_descriptor, oracle_trunk, side_labels_brittle_twig
 
 
 class RecursiveComparator:
@@ -301,14 +301,14 @@ def test_first_cell_is_identity_permutation_tree():
         first = shelling_order(n)[0]
         trunk = first.trunk()
         assert len(trunk) == n
-        assert first.cherries() == frozenset((i, i) for i in range(1, n + 1))
+        assert cherries(first) == frozenset((i, i) for i in range(1, n + 1))
         # blocks run n, n-1, ..., 1 from the anchor end: the identity
         # arrangement read from the far end
         blocks = []
         for v in trunk:
             (labels,) = {
                 frozenset(abs(l) for l in br.labels)
-                for br in first.branches()
+                for br in branches(first)
                 if br.trunk_vertex == v
             }
             blocks.append(min(labels))

@@ -4,6 +4,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,50 @@ def build(n, edges, leaves):
 def split_set(tree):
     """Every split of the tree, each stored by its side without +1."""
     return frozenset(tree.splits().values())
+
+
+# -- the trunk and branch walk ------------------------------------------------
+#
+# The library reads caterpillar shapes and regularity off split masks; these
+# walks over a built tree are their oracles.
+
+
+class Branch(NamedTuple):
+    trunk_vertex: int
+    root: int  # first vertex off the trunk (may be a leaf vertex)
+    labels: frozenset
+
+
+def branches(tree):
+    """Every branch: a trunk vertex, a neighbour off the trunk, and the
+    labels on that neighbour's side, by trunk vertex, then neighbour."""
+    trunk = set(tree.trunk())
+    return tuple(
+        Branch(t, nb, tree.side_labels(t, nb))
+        for t in sorted(trunk)
+        for nb in sorted(tree.adj[t])
+        if nb not in trunk
+    )
+
+
+def branch_vertices(tree, branch):
+    """The vertices of a branch, read off the tree index's preorder."""
+    index = tree._index()
+    t, r = index.slot[branch.trunk_vertex], index.slot[branch.root]
+    if index.parent[r] == t:
+        return set(index.order[r : index.last[r] + 1])
+    return set(index.order[:t] + index.order[index.last[t] + 1 :])
+
+
+def cherries(tree):
+    """Pairs (i, j) such that row leaf i and column leaf j' share an
+    attachment vertex."""
+    at = {}
+    for label in tree.leaf_vertex:
+        at.setdefault(tree.pos(label), []).append(label)
+    return frozenset(
+        (i, -j) for labels in at.values() for i in labels if i > 0 for j in labels if j < 0
+    )
 
 
 def with_orbit_lengths(tree, lengths):
@@ -100,7 +145,7 @@ def test_single_pair_tree():
     assert t.split_orbits() == frozenset()
     assert len(t.trunk()) == 1
     assert t.brittle_twig() is None
-    assert t.cherries() == frozenset({(1, 1)})
+    assert cherries(t) == frozenset({(1, 1)})
 
 
 def test_star_tree_is_singular_but_symbic():
@@ -205,19 +250,19 @@ def test_trunk_and_branches():
     trunk = two.trunk()
     assert len(trunk) == 2
     by_vertex = {}
-    for br in two.branches():
+    for br in branches(two):
         by_vertex.setdefault(br.trunk_vertex, []).append(br.labels)
     assert sorted(map(sorted, by_vertex[trunk[0]])) == [[-2], [2]]
     assert sorted(map(sorted, by_vertex[trunk[1]])) == [[-1], [1]]
     one = one_vertex_trunk_pair_tree()
     assert len(one.trunk()) == 1
-    assert len(one.branches()) == 2
+    assert len(branches(one)) == 2
 
 
 def test_anchor_is_larger_min_row_endpoint():
     two = two_vertex_trunk_pair_tree()
     anchor = two.canonical_endpoint()
-    rows = {l for br in two.branches() if br.trunk_vertex == anchor for l in br.labels if l > 0}
+    rows = {l for br in branches(two) if br.trunk_vertex == anchor for l in br.labels if l > 0}
     assert rows == {2}
 
 
@@ -229,7 +274,7 @@ def test_predicates_on_known_shapes():
     assert not two_vertex_trunk_pair_tree().is_caterpillar()
     assert one.has_caterpillar_branches()
     assert two_vertex_trunk_pair_tree().has_caterpillar_branches()
-    assert one.cherries() == frozenset({(1, 2), (2, 1)})
+    assert cherries(one) == frozenset({(1, 2), (2, 1)})
 
 
 def walk_is_caterpillar(tree):
@@ -247,9 +292,9 @@ def walk_is_caterpillar(tree):
 def walk_has_caterpillar_branches(tree):
     """The oracle of ``SymbicTree.has_caterpillar_branches``: the cherry
     vertices counted inside the vertex set of every branch."""
-    cherry_vertices = {tree.pos(i) for i, _ in tree.cherries()}
-    for br in tree.branches():
-        inside = tree.branch_vertices(br)
+    cherry_vertices = {tree.pos(i) for i, _ in cherries(tree)}
+    for br in branches(tree):
+        inside = branch_vertices(tree, br)
         if sum(1 for v in cherry_vertices if v in inside) > 1:
             return False
     return True
@@ -262,9 +307,9 @@ def test_double_cherry_branch_is_not_caterpillar():
             found = True
             assert not tree.is_caterpillar()
             counts = []
-            for br in tree.branches():
-                inside = tree.branch_vertices(br)
-                cherry_vertices = {tree.pos(i) for i, _ in tree.cherries()}
+            for br in branches(tree):
+                inside = branch_vertices(tree, br)
+                cherry_vertices = {tree.pos(i) for i, _ in cherries(tree)}
                 counts.append(sum(1 for v in cherry_vertices if v in inside))
             assert max(counts) == 2
     assert found
@@ -908,9 +953,9 @@ def check_index_against_bfs(tree, rng):
             if symbic:
                 assert edge_descriptor(tree, a, b) == bfs_edge_descriptor(tree, a, b)
     if symbic:
-        for br in tree.branches():
+        for br in branches(tree):
             expected = bfs_component(tree, br.trunk_vertex, br.root)
-            assert tree.branch_vertices(br) == expected
+            assert branch_vertices(tree, br) == expected
 
 
 @given(st.integers(2, 7), st.integers(0, 2**32), st.booleans())
@@ -1639,7 +1684,7 @@ def walk_is_regular(tree):
     sigma = tree.involution()
     trunk = set(tree.trunk())
     by_vertex = {}
-    for br in tree.branches():
+    for br in branches(tree):
         by_vertex.setdefault(br.trunk_vertex, []).append(br)
     for t in trunk:
         brs = by_vertex.get(t, [])

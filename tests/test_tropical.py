@@ -615,8 +615,65 @@ def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
         assert list(_minor_sums(grid, k, symmetric)) == want
 
 
+@st.composite
+def sweep_specs(draw):
+    """An integer grid, symmetric or not, and a minor size to sweep it at;
+    sizes and grid orders overlap often, so interleaved sweeps share a
+    plan."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 6))
+    symmetric = draw(st.booleans())
+    high = draw(st.sampled_from([3, 50]))
+    rng = draw(st.randoms(use_true_random=False))
+    grid = [[rng.randint(-high, high) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        grid = [[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return grid, k, symmetric
+
+
+@given(
+    st.lists(sweep_specs(), min_size=2, max_size=4),
+    st.lists(st.integers(0, 60), min_size=4, max_size=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_interleaved_and_abandoned_sweeps_match_the_picked_sums(specs, stops, rng):
+    """Sweeps of several grids and sizes advanced in a random interleaving
+    on fresh plans, each abandoned after a random number of minors as an
+    early-exit scan stops: every minor any of them yields is the picked
+    one, although the sweeps fill the shared plans' column getters in turn
+    and the abandoned ones leave them part-filled."""
+    _minor_plan.cache_clear()
+    active = []
+    for (grid, k, symmetric), stop in zip(specs, stops):
+        perms = list(itertools.permutations(range(k)))
+        want = picked_minor_sums(grid, k, symmetric, perms)
+        active.append((_minor_sums(grid, k, symmetric), want, stop))
+    while active:
+        at = rng.randrange(len(active))
+        got, want, stop = active[at]
+        expected = next(want, None)
+        if expected is None:
+            assert next(got, None) is None  # the sweep ends where the oracle does
+        if expected is None or stop == 0:
+            del active[at]
+            continue
+        assert next(got) == expected
+        active[at] = got, want, stop - 1
+
+
+def test_monomial_class_sizes_count_the_sorted_monomials_at_k7():
+    """Class sizes of three 7 x 7 minors of a 9 x 9 grid, a principal one
+    and two with partly shared indices, against the sorted monomials."""
+    perms = list(itertools.permutations(range(7)))
+    combos = list(itertools.combinations(range(1, 10), 7))
+    for rows, cols in [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]:
+        sizes = assert_sizes_count_the_monomials(rows, cols, perms)
+        assert max(sizes) > 1
+
+
 @pytest.mark.long
-def test_term_pattern_matches_the_picked_sums_up_to_the_cap():
+def test_sweeps_and_class_sizes_match_the_oracles_up_to_the_cap():
     """The tier-1 oracles stop at k = 6.  On one tie-heavy 9 x 9 grid, both
     sweeps at k = 7, 8 and 9 give the picked sums, and the monomial class
     sizes of a few 7 x 7 and 8 x 8 minors count the sorted monomials."""
