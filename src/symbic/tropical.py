@@ -25,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 # 9! = 362880 permutations per minor; enough for desk-scale matrices.
@@ -275,7 +276,7 @@ def _minor_sums(
     Every minor is expanded along its last row.  Per row set, a prefix
     table holds the sums of its first k - 1 rows over every ordered
     (k - 1)-tuple of distinct grid columns, in ``itertools.permutations``
-    order, built level by level (see :func:`_extend`); the row sets that
+    order, built level by level (see :func:`_parents`); the row sets that
     share a row prefix come one after another and share its levels.  A
     minor's k! sums are then one pick from the prefix table, at the first
     k - 1 columns of each permutation, plus one pick from the last row, at
@@ -289,42 +290,46 @@ def _minor_sums(
     signatures (``symbic.fan``) both read this sweep.
     """
     n = len(grid)
-    combos, shared, _, picks = _minor_plan(n, k)
+    combos, picks, _, shared = _minor_plan(n, k)
     levels: list = []
     for first, rows in enumerate(combos):
         for j in range(len(levels), k - 1):
             row = grid[rows[j]]
-            levels.append(_extend(levels[-1], n - j, _last_columns(n, j + 1)(row)) if j else row)
+            if j:
+                terms = zip(_parents(levels[-1], n - j), _last_columns(n, j + 1))
+                row = [p + row[c] for p, c in terms]
+            levels.append(row)
         prefix, last = levels[-1], grid[rows[-1]]
         del levels[shared[first] :]
         for second in range(first if symmetric else 0, len(combos)):
             pick = picks[second]
             if pick is None:
                 pick = picks[second] = _column_picks(n, combos[second])
-            yield first, second, list(map(add, pick[0](prefix), pick[1](last)))
+            yield first, second, [prefix[i] + last[c] for i, c in zip(*pick)]
 
 
-def _extend(parents: Sequence[int], fan_out: int, terms: Iterable[int]) -> list[int]:
-    """The next level of a table over ordered tuples of distinct indices,
-    in ``itertools.permutations`` order: each tuple of ``parents`` has
-    ``fan_out`` extensions by one index, consecutive, so position i adds
-    term i to parent i // fan_out."""
-    return list(map(add, itertools.chain.from_iterable(zip(*[parents] * fan_out)), terms))
+def _parents(level: Sequence[int], fan_out: int) -> Iterator[int]:
+    """Each entry of a table level over ordered tuples of distinct indices,
+    in ``itertools.permutations`` order, repeated once per extension of its
+    tuple by one more index: the extensions of a tuple are ``fan_out``
+    consecutive entries of the next level, so entry i of the next level
+    has parent i // fan_out."""
+    return itertools.chain.from_iterable(zip(*[level] * fan_out))
 
 
 @functools.lru_cache(maxsize=None)
-def _last_columns(n: int, j: int) -> itemgetter:
-    """An itemgetter of the last index of every ordered j-tuple of distinct
-    indices of range(n), in ``itertools.permutations`` order."""
-    return itemgetter(*map(itemgetter(-1), itertools.permutations(range(n), j)))
+def _last_columns(n: int, j: int) -> bytes:
+    """The last index of every ordered j-tuple of distinct indices of
+    range(n), in ``itertools.permutations`` order."""
+    return bytes(map(itemgetter(-1), itertools.permutations(range(n), j)))
 
 
-def _column_picks(n: int, cols: Sequence[int]) -> tuple[itemgetter, itemgetter]:
-    """The two getters by which :func:`_minor_sums` reads the sums of a
-    minor with column set ``cols`` in an n-column grid.  Per permutation p
-    of range(k), k = len(cols), in ``itertools.permutations`` order: the
-    position of (cols[p[0]], ..., cols[p[k-2]]) in the prefix table, and
-    the column cols[p[k-1]] of the last row.
+def _column_picks(n: int, cols: Sequence[int]) -> tuple[Sequence[int], bytes]:
+    """The two index sequences by which :func:`_minor_sums` reads the sums
+    of a minor with column set ``cols`` in an n-column grid.  Per
+    permutation p of range(k), k = len(cols), in ``itertools.permutations``
+    order: the position of (cols[p[0]], ..., cols[p[k-2]]) in the prefix
+    table, and the column cols[p[k-1]] of the last row.
 
     The positions are built level by level like the table.  A j-tuple's
     position is its (j - 1)-prefix's times the n - j + 1 extensions of each
@@ -332,32 +337,52 @@ def _column_picks(n: int, cols: Sequence[int]) -> tuple[itemgetter, itemgetter]:
     the prefix leaves unused.  The used columns below c are the cols[y]
     with y < x among p's first j - 1, so that rank is c - x plus the rank
     of x among the unused indices of range(k): the place of p's j-prefix
-    among the k - j + 1 extensions of its (j - 1)-prefix.
+    among the k - j + 1 extensions of its (j - 1)-prefix.  When ``cols`` is
+    all of range(n), the (n - 1)-prefixes are the table's own tuples in its
+    own order, and the positions are range(n!).
+
+    The plan keeps both for the life of the process, so they take 4 bytes
+    and 1 byte per permutation: a 9 x 9 scan up to k = 8 keeps 544320 of
+    each, 2.7 MB, where tuples of int objects would take about 50 bytes
+    per permutation.
     """
     k = len(cols)
+    ends = _relabel(_last_columns(k, k), cols)
+    if k == n:
+        return range(len(ends)), ends
     gaps = [c - x for x, c in enumerate(cols)]
-    positions = list(cols)
+    positions = cols
     for j in range(2, k):
-        ranks = map(add, _last_columns(k, j)(gaps), itertools.cycle(range(k - j + 1)))
-        positions = _extend([p * (n - j + 1) for p in positions], k - j + 1, ranks)
-    return itemgetter(*positions), itemgetter(*_last_columns(k, k)(cols))
+        fan_out = k - j + 1
+        ranks = zip(
+            _parents(positions, fan_out),
+            _relabel(_last_columns(k, j), gaps),
+            itertools.cycle(range(fan_out)),
+        )
+        positions = [p * (n - j + 1) + g + r for p, g, r in ranks]
+    return array("I", positions), ends
+
+
+def _relabel(indices: bytes, labels: Sequence[int]) -> bytes:
+    """labels[i] for each byte i of ``indices``; every label is below 256."""
+    return indices.translate(bytes(labels).ljust(256, b"\0"))
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, dict, list]:
-    """The k-subsets of range(n) in scan order; per row set, how many of
-    its first k - 1 rows the next row set shares (0 for the last), so the
-    levels of the prefix table built on those rows are kept for it; a dict
-    that the symmetric scan fills: the monomial class sizes of a minor by
-    its (row set, column set) indices; and per column set, its
-    :func:`_column_picks`, filled in by the first sweep that reaches it.
+def _minor_plan(n: int, k: int) -> tuple[tuple, list, dict, tuple]:
+    """The k-subsets of range(n) in scan order; per column set, its
+    :func:`_column_picks`, filled in by the first sweep that reaches it; a
+    dict that the symmetric scan fills: the monomial class sizes of a minor
+    by its (row set, column set) indices; and per row set, how many of its
+    first k - 1 rows the next row set shares (0 for the last), so the
+    levels of the prefix table built on those rows are kept for it.
     Nothing here depends on matrix entries, so every scan of an n x n
     matrix may share it."""
     combos = tuple(itertools.combinations(range(n), k))
     shared = tuple(
         next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
     )
-    return combos, shared + (0,), {}, [None] * len(combos)
+    return combos, [None] * len(combos), {}, shared + (0,)
 
 
 def _monomial_class_sizes(rows: Sequence[int], cols: Sequence[int]) -> bytes:

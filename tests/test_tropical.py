@@ -641,7 +641,7 @@ def test_interleaved_and_abandoned_sweeps_match_the_picked_sums(specs, stops, rn
     """Sweeps of several grids and sizes advanced in a random interleaving
     on fresh plans, each abandoned after a random number of minors as an
     early-exit scan stops: every minor any of them yields is the picked
-    one, although the sweeps fill the shared plans' column getters in turn
+    one, although the sweeps fill the shared plans' column picks in turn
     and the abandoned ones leave them part-filled."""
     _minor_plan.cache_clear()
     active = []
