@@ -8,16 +8,20 @@ only for their results.  The "minimum attained twice" predicates that
 define tropical rank are not robust under floating point, so no float ever
 enters these computations.
 
-Every permutation sum of a minor, of grid entries or of monomial codes,
-comes from one kernel, the minor sweep (:func:`_minor_sums`): a Laplace
-expansion along the minor's last row.  Per row set, the sums of its first
-k - 1 rows over every ordered (k - 1)-tuple of distinct columns form a
-prefix table, which row sets sharing those rows reuse; a minor's k! sums
-are one pick from that table plus one pick from its last row, added.  The
-symmetric scan decides a tied minor by one count: its ties form a single
-monomial exactly when they are as many as that monomial's permutations
-(:func:`_monomial_class_sizes`, which sums a minor's monomial codes with
-the same kernel).
+The rank scans list no minor's k! permutation sums.  They expand every
+minor along its last row over column subsets
+(:func:`_all_minors_degenerate`): per row set, level j holds, for each
+j-subset S of the columns, the least sum of the set's first j rows over S
+and the number of permutations that attain it, packed in one int (a
+tally, see :func:`_tallies`).  Level j comes from level j - 1 in j terms
+per subset, and a k x k minor's least sum and tie count in k terms.  A
+minor of the symmetric scan whose ties might form one monomial is decided
+by the cycles of one argmin permutation read back from the levels
+(:func:`_argmin_image`, :func:`_class_size`).
+
+The fan's 3 x 3 signatures need every permutation's sum, so they read the
+minor sweep (:func:`_minor_sums`), a Laplace expansion over ordered column
+tuples that lists all of them; the tests keep it as the rank scans' oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ import functools
 import itertools
 import math
 from array import array
-from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-# 9! = 362880 permutations per minor; enough for desk-scale matrices.
+# The largest matrix the rank scans take.  They list no k! sums, so this no
+# longer bounds a listing there: a row set's levels hold at most 2^9 subsets.
+# The tallies' count field and the expansion's byte-sized subset indices are
+# sized from it.  Raising it waits for a verification run of the scans on
+# matrices above 9 x 9, against the listing in the tests.
 MAX_MINOR_SIZE = 9
 
 # Outside input may spell a rational with at most this many decimal digits
@@ -49,7 +56,7 @@ class TropicalError(ValueError):
 
 
 class MinorSizeError(TropicalError):
-    """Minor exceeds the permutation-enumeration cap."""
+    """Matrix larger than the size cap :data:`MAX_MINOR_SIZE`."""
 
 
 def parse_rational(cell: object) -> Fraction:
@@ -209,7 +216,7 @@ def sym_trop_rank(m: TropMatrix) -> int:
 def _rank_scan(m: TropMatrix, symmetric: bool) -> int:
     if m.n > MAX_MINOR_SIZE:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
-    grid = _integer_grid(m)
+    grid = _tallies(_integer_grid(m))
     for r in range(1, m.n):
         if _all_minors_degenerate(grid, r + 1, symmetric):
             return r
@@ -233,36 +240,182 @@ def _grid_scale(m: TropMatrix) -> int:
     return math.lcm(*(x.denominator for row in m.rows for x in row))
 
 
-def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bool:
-    """Whether every k x k minor of the integer grid is degenerate
-    (``symmetric``: as a polynomial in the x_{ij}, i <= j); stops at the
-    first minor that is not.
+# A tally packs a least sum s and the number t of permutations attaining it
+# into the int s * 2^B + (t - 1).  B bits hold t - 1 < 9!, so tallies compare
+# as their sums do, and then by tie count.
+_COUNT_BITS = math.factorial(MAX_MINOR_SIZE).bit_length()
+_TIES = (1 << _COUNT_BITS) - 1
+_SUM = -1 << _COUNT_BITS
 
-    On a symmetric grid the permutations of one monomial pick the same
-    entries up to transposition, so they have the same sum: a minor's
-    argmin set is a union of whole monomial classes.  It is a single class,
-    and the minor not degenerate, exactly when the tie count equals the
-    class size of one argmin permutation (see
-    :func:`_monomial_class_sizes`).  The sizes are computed on a minor's
-    first tied argmin and kept for later scans (a table of all minors built
-    up front takes about 1 s at n = 8, some 20 scans of a random 8 x 8
-    matrix).
+
+def _tallies(grid: list[list[int]]) -> list[list[int]]:
+    """Each entry of an integer grid as the tally of a 1 x 1 minor: its sum,
+    attained once."""
+    return [[x << _COUNT_BITS for x in row] for row in grid]
+
+
+def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bool:
+    """Whether every k x k minor of a grid of tallies (:func:`_tallies`) is
+    degenerate (``symmetric``: as a polynomial in the x_{ij}, i <= j);
+    stops at the first row set with a minor that is not.
+
+    Row sets come in ``itertools.combinations`` order.  Per row set, level
+    j holds the tally of the minor on its first j rows and each j-subset of
+    the columns (:func:`_expand`), and the row sets that share a row prefix
+    come one after another and share its levels.  A minor's tally is then
+    k terms of the last level.  With the ``symmetric`` flag only the
+    column sets from the row set on are read: on a symmetric grid the
+    transpose minor has the same sums, inverse argmin permutations and the
+    same argmin monomials.
+
+    A minor is degenerate when its least sum is attained twice.  On a
+    symmetric grid the permutations of one monomial pick the same entries
+    up to transposition, so the argmin set is a union of whole monomial
+    classes: it is a single class, and the minor not degenerate, exactly
+    when the tie count t is the class size of one argmin permutation.  A
+    class has at most 2^(m // 3) members for m = |R & C| (one per direction
+    of each cycle of length >= 3, :func:`_class_size`), so only the minors
+    with 2 <= t <= 2^(m // 3) are looked at more closely.
     """
-    combos, _, sizes_of, _ = _minor_plan(len(grid), k)
-    for first, second, totals in _minor_sums(grid, k, symmetric):
-        best = min(totals)
-        ties = totals.count(best)
-        if ties < 2:
+    n = len(grid)
+    combos, shared, _ = _minor_plan(n, k)
+    steps, candidates = _expansion_plan(n, k)
+    levels: list[list[int]] = []
+    for first, rows in enumerate(combos):
+        if not levels:
+            levels.append(grid[rows[0]])
+        for j in range(len(levels), k - 1):
+            levels.append(_expand(levels[-1], grid[rows[j]], steps[j - 1]))
+        last = steps[-1]
+        if symmetric:
+            last = [(parents[first:], cols[first:]) for parents, cols in last]
+        tallies = _expand(levels[-1], grid[rows[-1]], last)
+        if 0 in map(and_, tallies, itertools.repeat(_TIES)):
             return False
         if symmetric:
-            sizes = sizes_of.get((first, second))
-            if sizes is None:
-                sizes = sizes_of[first, second] = _monomial_class_sizes(
-                    combos[first], combos[second]
-                )
-            if ties == sizes[totals.index(best)]:
-                return False
+            places = candidates[first]
+            if places is None:
+                places = candidates[first] = _class_candidates(combos, first)
+            for i, bound in zip(*places):
+                ties = (tallies[i] & _TIES) + 1
+                if ties <= bound and ties == _class_size(
+                    _argmin_image(grid, rows, combos[first + i], levels, tallies[i])
+                ):
+                    return False
+        del levels[shared[first] :]
     return True
+
+
+def _expand(below: list[int], row: list[int], terms: Sequence[tuple[bytes, bytes]]) -> list[int]:
+    """One level of the expansion: the tally of every subset S in ``terms``
+    order from the tallies ``below`` of the level under it and the tallies
+    of the next row.  ``terms`` holds one pair per place i of the subsets:
+    the index in ``below`` of each S less its i-th column, and that column.
+
+    The least of the |S| sums wins; on a tie of sums the counts add, and
+    (t1 - 1) + (t2 - 1) + 1 is t1 + t2 - 1.  The first two terms are read
+    in one pass."""
+    (p, c), (q, d), *rest = terms
+    level = [
+        a if a < b & _SUM else b if b < a & _SUM else a + (b & _TIES) + 1
+        for i, x, j, y in zip(p, c, q, d)
+        for a in [below[i] + row[x]]
+        for b in [below[j] + row[y]]
+    ]
+    for p, c in rest:
+        level = [
+            a if a < b & _SUM else b if b < a & _SUM else a + (b & _TIES) + 1
+            for a, i, x in zip(level, p, c)
+            for b in [below[i] + row[x]]
+        ]
+    return level
+
+
+def _argmin_image(
+    grid: list[list[int]], rows: Sequence[int], cols: Sequence[int], levels: list, tally: int
+) -> dict[int, int]:
+    """One argmin permutation of the minor (rows, cols) whose tally is
+    ``tally``, as the column it gives each row, read back from the levels of
+    the row set, from the last row up: a column whose term attains the
+    least sum."""
+    drops = _subset_drops(len(grid))
+    mask = 0
+    for c in cols:
+        mask |= 1 << c
+    least = tally & _SUM
+    image = {}
+    for j in range(len(rows) - 1, 0, -1):
+        row, below = grid[rows[j]], levels[j - 1]
+        for c, i in drops[mask]:
+            if (below[i] & _SUM) + row[c] == least:
+                break
+        image[rows[j]] = c
+        mask ^= 1 << c
+        least -= row[c]
+    image[rows[0]] = mask.bit_length() - 1
+    return image
+
+
+def _class_size(image: dict[int, int]) -> int:
+    """The number of permutations of a minor that pick the monomial of the
+    permutation ``image`` (row -> column): 2^c, c the number of its cycles
+    of length >= 3.
+
+    The pairs {r, image[r]} form a multigraph in which each index has one
+    edge as a row and one as a column, so it is a union of paths, which
+    start at rows that are no column, and of cycles of indices that are
+    both.  The permutations of the same monomial orient its edges in each
+    component; only a cycle of length >= 3 has two orientations that are
+    different permutations.
+    """
+    cycles = 0
+    for r in image:  # a cycle is counted from its least index
+        x, length = image[r], 1
+        while x in image and x > r:
+            x, length = image[x], length + 1
+        cycles += x == r and length >= 3
+    return 1 << cycles
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_drops(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per bit mask S of a subset of range(n): for each column c in S, in
+    increasing order, c and the index of S - {c} among the subsets of its
+    size in ``itertools.combinations`` order."""
+    index = [0] * (1 << n)
+    for j in range(n + 1):
+        for i, subset in enumerate(itertools.combinations(range(n), j)):
+            index[sum(1 << c for c in subset)] = i
+    return [tuple((c, index[s ^ 1 << c]) for c in range(n) if s >> c & 1) for s in range(1 << n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion_plan(n: int, k: int) -> tuple[tuple, list]:
+    """For the k x k minors of an n x n grid: per level j = 2..k, the terms
+    of :func:`_expand` over the j-subsets of range(n) in
+    ``itertools.combinations`` order (n <= 9, so every index fits a byte:
+    there are at most C(9, 4) = 126 subsets of a size); and per row set, its
+    symmetric scan's candidates, filled in by the first scan that reaches it
+    (:func:`_class_candidates`).  Nothing here depends on matrix entries."""
+    drops = _subset_drops(n)
+    steps = []
+    for j in range(2, k + 1):
+        subsets = itertools.combinations(range(n), j)
+        ways = [drops[sum(1 << c for c in subset)] for subset in subsets]
+        steps.append(
+            tuple((bytes(w[i][1] for w in ways), bytes(w[i][0] for w in ways)) for i in range(j))
+        )
+    return tuple(steps), [None] * math.comb(n, k)
+
+
+def _class_candidates(combos: tuple, first: int) -> tuple[bytes, bytes]:
+    """The column sets C >= R of the row set R = combos[first] that share
+    m >= 3 indices with it, as places counted from R, and 2^(m // 3), the
+    largest monomial class of their minors."""
+    rows = set(combos[first])
+    shares = [len(rows.intersection(cols)) for cols in combos[first:]]
+    places = [i for i, m in enumerate(shares) if m >= 3]
+    return bytes(places), bytes(1 << shares[i] // 3 for i in places)
 
 
 def _minor_sums(
@@ -271,7 +424,8 @@ def _minor_sums(
     """Per k x k minor of the integer grid, the indices of its row set and
     column set in the scan order of :func:`_minor_plan`, and its entry sum
     under each permutation of range(k), in ``itertools.permutations``
-    order.  Row sets come in order, and per row set its column sets.
+    order.  Row sets come in order, and per row set its column sets.  The
+    fan's signatures read it; the rank scans do not list sums.
 
     Every minor is expanded along its last row.  Per row set, a prefix
     table holds the sums of its first k - 1 rows over every ordered
@@ -285,12 +439,10 @@ def _minor_sums(
     The ``symmetric`` sweep visits a minor (R, C) only when C >= R.  On a
     symmetric grid the transpose minor (C, R) has the same entry sums, its
     argmin permutations are the inverses, and a permutation and its inverse
-    pick the same unordered pairs {r, c}: the same argmin monomial set, and
-    the same symmetric degeneracy.  The symmetric rank scan and the fan
-    signatures (``symbic.fan``) both read this sweep.
+    pick the same unordered pairs {r, c}: the same argmin monomial set.
     """
     n = len(grid)
-    combos, picks, _, shared = _minor_plan(n, k)
+    combos, shared, picks = _minor_plan(n, k)
     levels: list = []
     for first, rows in enumerate(combos):
         for j in range(len(levels), k - 1):
@@ -369,44 +521,19 @@ def _relabel(indices: bytes, labels: Sequence[int]) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, list, dict, tuple]:
-    """The k-subsets of range(n) in scan order; per column set, its
-    :func:`_column_picks`, filled in by the first sweep that reaches it; a
-    dict that the symmetric scan fills: the monomial class sizes of a minor
-    by its (row set, column set) indices; and per row set, how many of its
+def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, list]:
+    """The k-subsets of range(n) in scan order, the row sets and column sets
+    of both the rank scans and the minor sweep; per row set, how many of its
     first k - 1 rows the next row set shares (0 for the last), so the
-    levels of the prefix table built on those rows are kept for it.
-    Nothing here depends on matrix entries, so every scan of an n x n
-    matrix may share it."""
+    levels built on those rows are kept for it; and per column set, the
+    sweep's :func:`_column_picks`, filled in by the first sweep that
+    reaches it.  Nothing here depends on matrix entries, so every scan of
+    an n x n matrix may share it."""
     combos = tuple(itertools.combinations(range(n), k))
     shared = tuple(
         next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
     )
-    return combos, [None] * len(combos), {}, shared + (0,)
-
-
-def _monomial_class_sizes(rows: Sequence[int], cols: Sequence[int]) -> bytes:
-    """Per permutation of the minor (rows, cols), in ``itertools.permutations``
-    order, how many permutations of the minor pick its monomial (see
-    :func:`_monomial`).
-
-    A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
-    (c, r), so it is coded without sorting as a sum of 2-bit digits, one
-    place per pair: the minor sweep sums the k x k grid of codes as its one
-    k x k minor, like the entries of a minor.  No digit carries, and equal
-    codes are equal monomials.  A class holds at most 2^(k // 3)
-    permutations (in a principal minor, one per choice of direction of each
-    cycle of length >= 3; checked over every minor of a 9 x 9 grid), so 8 at
-    the cap k = 9, and a byte holds each size.
-    """
-    places: dict[tuple[int, int], int] = {}
-    block = [
-        [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
-        for r in rows
-    ]
-    [(_, _, codes)] = _minor_sums(block, len(rows), False)
-    counts = Counter(codes)
-    return bytes(map(counts.__getitem__, codes))
+    return combos, shared + (0,), [None] * len(combos)
 
 
 def hilbert_distance(x: Sequence[object], y: Sequence[object]) -> Fraction:

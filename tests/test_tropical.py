@@ -17,10 +17,13 @@ from symbic.tropical import (
     MinorSizeError,
     TropMatrix,
     TropicalError,
+    _all_minors_degenerate,
+    _class_size,
+    _integer_grid,
     _minor_plan,
     _minor_sums,
     _monomial,
-    _monomial_class_sizes,
+    _tallies,
     canonicalize_mod_lineality,
     hilbert_distance,
     parse_rational,
@@ -479,6 +482,28 @@ def test_monomial_classes_number_the_sorted_monomials(k):
             assert first_seen.setdefault(_monomial(rows, cols, p), len(first_seen)) == c
 
 
+def _monomial_class_sizes(rows, cols):
+    """Per permutation of the minor (rows, cols), in ``itertools.permutations``
+    order, how many permutations of the minor pick its monomial (see
+    :func:`_monomial`): the oracle of the class sizes the symmetric rank scan
+    reads off one argmin permutation (``_class_size``).
+
+    A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
+    (c, r), so it is coded without sorting as a sum of 2-bit digits, one
+    place per pair: the minor sweep sums the k x k grid of codes as its one
+    k x k minor, like the entries of a minor.  No digit carries, and equal
+    codes are equal monomials.
+    """
+    places = {}
+    block = [
+        [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
+        for r in rows
+    ]
+    [(_, _, codes)] = _minor_sums(block, len(rows), False)
+    counts = Counter(codes)
+    return bytes(map(counts.__getitem__, codes))
+
+
 def assert_sizes_count_the_monomials(rows, cols, perms):
     monomials = [_monomial(rows, cols, p) for p in perms]
     counts = Counter(monomials)
@@ -509,27 +534,23 @@ def random_symmetric(n, rng, high):
     return TropMatrix(entries)
 
 
-def memoized_classes(n):
-    """The monomial class sizes memoized for n x n matrices, one entry per
-    minor."""
-    return sum(len(_minor_plan(n, k)[2]) for k in range(2, n + 1))
+def assert_class_sizes_count_the_cycles(rows, cols, perms):
+    """For every permutation of the minor (rows, cols), ``_class_size`` of
+    its row -> column map equals the size of its monomial class."""
+    sizes = _monomial_class_sizes(rows, cols)
+    for p, size in zip(perms, sizes):
+        assert _class_size(dict(zip(rows, map(cols.__getitem__, p)))) == size
 
 
-def test_monomial_classes_are_computed_lazily():
-    """The symmetric scan keeps the classes of only the minors whose argmin
-    it found tied.  An eager table for 8 x 8 matrices would hold one entry
-    per minor (R, C) with C >= R: 6526 of them."""
-    _minor_plan.cache_clear()
-    m = random_symmetric(8, random.Random(0), 9)
-    rank = sym_trop_rank(m)
-    assert 0 < memoized_classes(8) < 10
-    # a second scan of the same matrix reads the memo and adds nothing
-    before = memoized_classes(8)
-    assert sym_trop_rank(m) == rank
-    assert memoized_classes(8) == before
-    # the ordinary scan never computes classes
-    trop_rank(random_symmetric(8, random.Random(1), 3))
-    assert memoized_classes(8) == before
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_class_size_is_two_to_the_long_cycles(k):
+    """The symmetric scan's class size, 2^c for c the cycles of length >= 3
+    of one permutation, is the size of its monomial class, for every
+    permutation of every k x k minor of a 7 x 7 grid."""
+    perms = list(itertools.permutations(range(k)))
+    combos = list(itertools.combinations(range(1, 8), k))
+    for rows, cols in itertools.product(combos, repeat=2):
+        assert_class_sizes_count_the_cycles(rows, cols, perms)
 
 
 def class_number_sym_rank(m):
@@ -578,6 +599,98 @@ def test_class_sizes_match_the_class_numbers(m):
 @settings(max_examples=50, deadline=None)
 def test_class_sizes_match_the_class_numbers_up_to_8(m):
     assert sym_trop_rank(m) == class_number_sym_rank(m)
+
+
+def listing_all_minors_degenerate(grid, k, symmetric):
+    """The rank scans' minor test before the subset expansion, kept as its
+    oracle: every minor's k! sums listed by ``_minor_sums``; a tied minor of
+    the symmetric scan is degenerate unless its ties are as many as the
+    monomial class of one argmin permutation (:func:`_monomial_class_sizes`)."""
+    combos = _minor_plan(len(grid), k)[0]
+    for first, second, totals in _minor_sums(grid, k, symmetric):
+        best = min(totals)
+        ties = totals.count(best)
+        if ties < 2:
+            return False
+        if symmetric:
+            sizes = _monomial_class_sizes(combos[first], combos[second])
+            if ties == sizes[totals.index(best)]:
+                return False
+    return True
+
+
+@st.composite
+def scan_grids(draw, sizes):
+    """Integer grids of a size from ``sizes`` for both rank scans: tie-heavy
+    symmetric (:func:`tie_heavy_symmetric`), asymmetric with entries in
+    [0, 3] or [-50, 50], or a tree matrix with a principal 3 x 3 block of
+    symmetric rank 3 planted at random indices: 0 on its diagonal and an
+    entry above all others off it."""
+    kind = draw(st.sampled_from(["tie heavy", "asymmetric", "planted"]))
+    if kind == "tie heavy":
+        return [[int(x) for x in row] for row in draw(tie_heavy_symmetric(sizes)).rows]
+    n = draw(st.sampled_from(sizes))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "asymmetric":
+        low, high = draw(st.sampled_from([(0, 3), (-50, 50)]))
+        return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+    grid = _integer_grid(matrix_from_tree(random_regular_tree(n, rng)))
+    block = rng.sample(range(n), min(n, 3))
+    top = max(map(max, grid)) + 1
+    for i in block:
+        for j in block:
+            grid[i][j] = 0 if i == j else top
+    return grid
+
+
+def assert_scans_match_the_listing(grid):
+    """At every minor size, both scans (the symmetric one on a symmetric
+    grid) give the listing's verdict."""
+    n = len(grid)
+    symmetric = all(grid[i][j] == grid[j][i] for i in range(n) for j in range(i))
+    tallies = _tallies(grid)
+    for k in range(2, n + 1):
+        for flag in (False, True) if symmetric else (False,):
+            assert _all_minors_degenerate(tallies, k, flag) == listing_all_minors_degenerate(
+                grid, k, flag
+            ), (k, flag)
+
+
+@given(scan_grids(range(2, 8)))
+@settings(max_examples=150, deadline=None)
+def test_rank_scans_match_the_listing(grid):
+    assert_scans_match_the_listing(grid)
+
+
+def cap_grid(n):
+    """The tie-heavy symmetric grid of the CI cap step: random.Random(4)
+    entries in [0, 3], filled row by row over i <= j."""
+    rng = random.Random(4)
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = rng.randint(0, 3)
+    return grid
+
+
+@pytest.mark.long
+@given(scan_grids([8, 9]))
+@example(cap_grid(9))
+@settings(max_examples=12, deadline=None)
+def test_rank_scans_match_the_listing_up_to_the_cap(grid):
+    assert_scans_match_the_listing(grid)
+
+
+@pytest.mark.long
+def test_class_size_is_two_to_the_long_cycles_at_k7_and_k8():
+    """The cycle count against the monomial classes for every permutation
+    of the k = 7 and 8 minors that the sweep oracles check at the cap."""
+    for k in (7, 8):
+        perms = list(itertools.permutations(range(k)))
+        combos = list(itertools.combinations(range(1, 10), k))
+        minors = [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]
+        for rows, cols in minors:
+            assert_class_sizes_count_the_cycles(rows, cols, perms)
 
 
 def picked_minor_sums(grid, k, symmetric, perms):
