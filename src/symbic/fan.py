@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, and_, getitem, lshift, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .counting import (
     SizeCapError,
@@ -29,14 +29,7 @@ from .counting import (
     cell_sort_key,
     orbit_sort_key,
 )
-from .tropical import (
-    TropMatrix,
-    TropicalError,
-    _integer_grid,
-    _minor_sums,
-    _monomial,
-    parse_rational,
-)
+from .tropical import TropMatrix, TropicalError, _integer_grid, parse_rational
 from .trees import InvalidMoveError, SymbicTree, _away_sides
 
 FAN_CAP = 6
@@ -47,9 +40,11 @@ _PRIMES = (
 )
 
 Signature = frozenset  # of (rows, cols, frozenset of monomials)
+Monomial = tuple[tuple[int, int], ...]
+Permutation = tuple[int, ...]
 
 # The permutations of a 3x3 minor, in the order in which the minor sweep
-# (tropical._minor_sums) lists their sums, and the mask bit of each.
+# (_minor_sums) lists their sums, and the mask bit of each.
 _PERMS = tuple(itertools.permutations(range(3)))
 _BITS = (1, 2, 4, 8, 16, 32)
 
@@ -141,12 +136,11 @@ def _grid_signature(grid: list[list[int]]) -> Signature:
     """The signature of a symmetric integer grid: per 3x3 minor, the
     monomials of its least permutation sums.
 
-    The symmetric minor sweep (``_minor_sums``) evaluates only the minors
-    (R, C) with C >= R; the transpose (C, R) has the same monomial set and
-    enters the signature with it."""
+    The minor sweep (:func:`_minor_sums`) evaluates only the minors (R, C)
+    with C >= R; the transpose (C, R) has the same monomial set and enters
+    the signature with it."""
     out = []
-    sweep = _minor_sums(grid, 3, True)
-    for (rows, cols, monomials), (_, _, totals) in zip(_minor_table(len(grid)), sweep):
+    for (rows, cols, monomials), totals in zip(_minor_table(len(grid)), _minor_sums(grid)):
         best = min(totals)
         argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
         out.append((rows, cols, argmin))
@@ -164,12 +158,36 @@ def _grid_masks(grid: list[list[int]], guard: int) -> Optional[bytes]:
     sum less the least one plus ``guard``.  The first minor where they do
     not gives None."""
     masks = []
-    for _, _, totals in _minor_sums(grid, 3, True):
+    for totals in _minor_sums(grid):
         best = min(totals)
         if functools.reduce(and_, [t - best + guard for t in totals]) & guard != guard:
             return None
         masks.append(sum(itertools.compress(_BITS, map(best.__eq__, totals))))
     return bytes(masks)
+
+
+def _minor_sums(grid: list[list[int]]) -> Iterator[list[int]]:
+    """Per 3x3 minor (R, C) with C >= R of a square grid, in
+    ``_minor_table`` order, its entry sum under each permutation of
+    ``_PERMS``.
+
+    Only C >= R is visited.  On a symmetric grid the transpose minor (C, R)
+    has the same entry sums, its argmin permutations are the inverses, and
+    a permutation and its inverse pick the same unordered pairs {r, c}: the
+    same argmin monomial set."""
+    combos = list(itertools.combinations(range(len(grid)), 3))
+    for first, (i, j, k) in enumerate(combos):
+        r0, r1, r2 = grid[i], grid[j], grid[k]
+        for a, b, c in combos[first:]:
+            x, y, z = r0[a], r0[b], r0[c]
+            yield [
+                x + r1[b] + r2[c],
+                x + r1[c] + r2[b],
+                y + r1[a] + r2[c],
+                y + r1[c] + r2[a],
+                z + r1[a] + r2[b],
+                z + r1[b] + r2[a],
+            ]
 
 
 def _certified_signature(form: tuple) -> Optional[bytes]:
@@ -202,11 +220,21 @@ def _certified_signature(form: tuple) -> Optional[bytes]:
     return _grid_masks(grid, guard)
 
 
+def _monomial(rows: Sequence[int], cols: Sequence[int], perm: Permutation) -> Monomial:
+    """The monomial in the variables x_{ij} (i <= j) that a permutation of
+    the minor (rows, cols) picks out: a sorted multiset of unordered pairs."""
+    return tuple(
+        sorted((r, c) if r <= c else (c, r) for r, c in zip(rows, map(cols.__getitem__, perm)))
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _minor_table(n: int) -> tuple:
-    """Per 3x3 minor (R, C) with C >= R of an n x n matrix, in the order of
-    the symmetric minor sweep, its 1-based row and column sets and the
-    monomial of every permutation, in the order of the sweep's sums.
+    """Per 3x3 minor (R, C) with C >= R of an n x n matrix, row sets in
+    ``itertools.combinations`` order and per row set its column sets from
+    R on, as :func:`_minor_sums` sweeps them: its 1-based row and column
+    sets and the monomial of every permutation of ``_PERMS``, the order of
+    the sweep's sums.
 
     None of this depends on the entries, so it is built once per size and
     shared, immutable, by every signature of that size."""

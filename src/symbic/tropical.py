@@ -18,10 +18,6 @@ per subset, and a k x k minor's least sum and tie count in k terms.  A
 minor of the symmetric scan whose ties might form one monomial is decided
 by the cycles of one argmin permutation read back from the levels
 (:func:`_argmin_image`, :func:`_class_size`).
-
-The fan's 3 x 3 signatures need every permutation's sum, so they read the
-minor sweep (:func:`_minor_sums`), a Laplace expansion over ordered column
-tuples that lists all of them; the tests keep it as the rank scans' oracle.
 """
 
 from __future__ import annotations
@@ -29,16 +25,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from fractions import Fraction
-from operator import and_, itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import and_
+from typing import Iterable, Sequence
 
 # The largest matrix the rank scans take.  They list no k! sums, so this no
 # longer bounds a listing there: a row set's levels hold at most 2^9 subsets.
 # The tallies' count field and the expansion's byte-sized subset indices are
 # sized from it.  Raising it waits for a verification run of the scans on
-# matrices above 9 x 9, against the listing in the tests.
+# matrices above 9 x 9, against the tests' listing oracle, which sums every
+# permutation of every minor (``picked_minor_sums``).
 MAX_MINOR_SIZE = 9
 
 # Outside input may spell a rational with at most this many decimal digits
@@ -46,9 +42,6 @@ MAX_MINOR_SIZE = 9
 # that a short string such as "1e1000000" cannot expand into a huge integer.
 MAX_NUMERAL_DIGITS = 1000
 _NUMERAL_LIMIT = 10**MAX_NUMERAL_DIGITS
-
-Monomial = tuple[tuple[int, int], ...]
-Permutation = tuple[int, ...]
 
 
 class TropicalError(ValueError):
@@ -192,14 +185,6 @@ def rank_one_matrix(x: Sequence[object]) -> TropMatrix:
     return TropMatrix(tuple(a + b for b in xs) for a in xs)
 
 
-def _monomial(rows: Sequence[int], cols: Sequence[int], perm: Permutation) -> Monomial:
-    """The monomial in the variables x_{ij} (i <= j) that a permutation of
-    the minor (rows, cols) picks out: a sorted multiset of unordered pairs."""
-    return tuple(
-        sorted((r, c) if r <= c else (c, r) for r, c in zip(rows, map(cols.__getitem__, perm)))
-    )
-
-
 def trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate."""
     return _rank_scan(m, symmetric=False)
@@ -278,8 +263,7 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     with 2 <= t <= 2^(m // 3) are looked at more closely.
     """
     n = len(grid)
-    combos, shared, _ = _minor_plan(n, k)
-    steps, candidates = _expansion_plan(n, k)
+    combos, shared, steps, candidates = _scan_plan(n, k)
     levels: list[list[int]] = []
     for first, rows in enumerate(combos):
         if not levels:
@@ -390,13 +374,21 @@ def _subset_drops(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _expansion_plan(n: int, k: int) -> tuple[tuple, list]:
-    """For the k x k minors of an n x n grid: per level j = 2..k, the terms
-    of :func:`_expand` over the j-subsets of range(n) in
-    ``itertools.combinations`` order (n <= 9, so every index fits a byte:
-    there are at most C(9, 4) = 126 subsets of a size); and per row set, its
-    symmetric scan's candidates, filled in by the first scan that reaches it
-    (:func:`_class_candidates`).  Nothing here depends on matrix entries."""
+def _scan_plan(n: int, k: int) -> tuple[tuple, tuple, tuple, list]:
+    """For the k x k minors of an n x n grid: the k-subsets of range(n) in
+    ``itertools.combinations`` order, the row sets and column sets of the
+    scan; per row set, how many of its first k - 1 rows the next row set
+    shares (0 for the last), so the levels built on those rows are kept for
+    it; per level j = 2..k, the terms of :func:`_expand` over the j-subsets
+    in the same order (n <= 9, so every index fits a byte: there are at
+    most C(9, 4) = 126 subsets of a size); and per row set, its symmetric
+    scan's candidates, filled in by the first scan that reaches it
+    (:func:`_class_candidates`).  Nothing here depends on matrix entries,
+    so every scan of an n x n matrix may share it."""
+    combos = tuple(itertools.combinations(range(n), k))
+    shared = tuple(
+        next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
+    )
     drops = _subset_drops(n)
     steps = []
     for j in range(2, k + 1):
@@ -405,7 +397,7 @@ def _expansion_plan(n: int, k: int) -> tuple[tuple, list]:
         steps.append(
             tuple((bytes(w[i][1] for w in ways), bytes(w[i][0] for w in ways)) for i in range(j))
         )
-    return tuple(steps), [None] * math.comb(n, k)
+    return combos, shared + (0,), tuple(steps), [None] * len(combos)
 
 
 def _class_candidates(combos: tuple, first: int) -> tuple[bytes, bytes]:
@@ -416,124 +408,6 @@ def _class_candidates(combos: tuple, first: int) -> tuple[bytes, bytes]:
     shares = [len(rows.intersection(cols)) for cols in combos[first:]]
     places = [i for i, m in enumerate(shares) if m >= 3]
     return bytes(places), bytes(1 << shares[i] // 3 for i in places)
-
-
-def _minor_sums(
-    grid: list[list[int]], k: int, symmetric: bool
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Per k x k minor of the integer grid, the indices of its row set and
-    column set in the scan order of :func:`_minor_plan`, and its entry sum
-    under each permutation of range(k), in ``itertools.permutations``
-    order.  Row sets come in order, and per row set its column sets.  The
-    fan's signatures read it; the rank scans do not list sums.
-
-    Every minor is expanded along its last row.  Per row set, a prefix
-    table holds the sums of its first k - 1 rows over every ordered
-    (k - 1)-tuple of distinct grid columns, in ``itertools.permutations``
-    order, built level by level (see :func:`_parents`); the row sets that
-    share a row prefix come one after another and share its levels.  A
-    minor's k! sums are then one pick from the prefix table, at the first
-    k - 1 columns of each permutation, plus one pick from the last row, at
-    the column each leaves over (see :func:`_column_picks`).
-
-    The ``symmetric`` sweep visits a minor (R, C) only when C >= R.  On a
-    symmetric grid the transpose minor (C, R) has the same entry sums, its
-    argmin permutations are the inverses, and a permutation and its inverse
-    pick the same unordered pairs {r, c}: the same argmin monomial set.
-    """
-    n = len(grid)
-    combos, shared, picks = _minor_plan(n, k)
-    levels: list = []
-    for first, rows in enumerate(combos):
-        for j in range(len(levels), k - 1):
-            row = grid[rows[j]]
-            if j:
-                terms = zip(_parents(levels[-1], n - j), _last_columns(n, j + 1))
-                row = [p + row[c] for p, c in terms]
-            levels.append(row)
-        prefix, last = levels[-1], grid[rows[-1]]
-        del levels[shared[first] :]
-        for second in range(first if symmetric else 0, len(combos)):
-            pick = picks[second]
-            if pick is None:
-                pick = picks[second] = _column_picks(n, combos[second])
-            yield first, second, [prefix[i] + last[c] for i, c in zip(*pick)]
-
-
-def _parents(level: Sequence[int], fan_out: int) -> Iterator[int]:
-    """Each entry of a table level over ordered tuples of distinct indices,
-    in ``itertools.permutations`` order, repeated once per extension of its
-    tuple by one more index: the extensions of a tuple are ``fan_out``
-    consecutive entries of the next level, so entry i of the next level
-    has parent i // fan_out."""
-    return itertools.chain.from_iterable(zip(*[level] * fan_out))
-
-
-@functools.lru_cache(maxsize=None)
-def _last_columns(n: int, j: int) -> bytes:
-    """The last index of every ordered j-tuple of distinct indices of
-    range(n), in ``itertools.permutations`` order."""
-    return bytes(map(itemgetter(-1), itertools.permutations(range(n), j)))
-
-
-def _column_picks(n: int, cols: Sequence[int]) -> tuple[Sequence[int], bytes]:
-    """The two index sequences by which :func:`_minor_sums` reads the sums
-    of a minor with column set ``cols`` in an n-column grid.  Per
-    permutation p of range(k), k = len(cols), in ``itertools.permutations``
-    order: the position of (cols[p[0]], ..., cols[p[k-2]]) in the prefix
-    table, and the column cols[p[k-1]] of the last row.
-
-    The positions are built level by level like the table.  A j-tuple's
-    position is its (j - 1)-prefix's times the n - j + 1 extensions of each
-    prefix, plus the rank of its last column c = cols[x] among the columns
-    the prefix leaves unused.  The used columns below c are the cols[y]
-    with y < x among p's first j - 1, so that rank is c - x plus the rank
-    of x among the unused indices of range(k): the place of p's j-prefix
-    among the k - j + 1 extensions of its (j - 1)-prefix.  When ``cols`` is
-    all of range(n), the (n - 1)-prefixes are the table's own tuples in its
-    own order, and the positions are range(n!).
-
-    The plan keeps both for the life of the process, so they take 4 bytes
-    and 1 byte per permutation: a 9 x 9 scan up to k = 8 keeps 544320 of
-    each, 2.7 MB, where tuples of int objects would take about 50 bytes
-    per permutation.
-    """
-    k = len(cols)
-    ends = _relabel(_last_columns(k, k), cols)
-    if k == n:
-        return range(len(ends)), ends
-    gaps = [c - x for x, c in enumerate(cols)]
-    positions = cols
-    for j in range(2, k):
-        fan_out = k - j + 1
-        ranks = zip(
-            _parents(positions, fan_out),
-            _relabel(_last_columns(k, j), gaps),
-            itertools.cycle(range(fan_out)),
-        )
-        positions = [p * (n - j + 1) + g + r for p, g, r in ranks]
-    return array("I", positions), ends
-
-
-def _relabel(indices: bytes, labels: Sequence[int]) -> bytes:
-    """labels[i] for each byte i of ``indices``; every label is below 256."""
-    return indices.translate(bytes(labels).ljust(256, b"\0"))
-
-
-@functools.lru_cache(maxsize=None)
-def _minor_plan(n: int, k: int) -> tuple[tuple, tuple, list]:
-    """The k-subsets of range(n) in scan order, the row sets and column sets
-    of both the rank scans and the minor sweep; per row set, how many of its
-    first k - 1 rows the next row set shares (0 for the last), so the
-    levels built on those rows are kept for it; and per column set, the
-    sweep's :func:`_column_picks`, filled in by the first sweep that
-    reaches it.  Nothing here depends on matrix entries, so every scan of
-    an n x n matrix may share it."""
-    combos = tuple(itertools.combinations(range(n), k))
-    shared = tuple(
-        next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
-    )
-    return combos, shared + (0,), [None] * len(combos)
 
 
 def hilbert_distance(x: Sequence[object], y: Sequence[object]) -> Fraction:

@@ -11,9 +11,11 @@ from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
 from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
+    _PERMS,
     RefinementCounterExample,
     _certified_signature,
     _grid_masks,
+    _minor_sums,
     _minor_table,
     _renamed_masks,
     _sampling_form,
@@ -41,6 +43,7 @@ from test_tropical import (
     argmin_monomials,
     mixed_rationals,
     monomial_of_permutation,
+    picked_minor_sums,
     small_integers,
 )
 
@@ -609,6 +612,44 @@ def test_incomparable_minimal_forms_are_refused():
     assert certified is not None and certified == _certified_signature(dominated)
     for x, y in ((1, 2), (2, 1), (7, 3)):
         assert mask_signature(3, certified) == signed_at(dominated, x, y)
+
+
+@st.composite
+def sweep_grids(draw):
+    """Symmetric integer grids with n = 3..7: entries in [0, 3], or wide
+    ints packed as ``_certified_signature`` packs a form, 1 to 10 fields of
+    coefficients in [-M, M], each field 1 + bits(6 M) wide."""
+    n = draw(st.integers(3, 7))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+
+        def cell():
+            return rng.randint(0, 3)
+
+    else:
+        bound = draw(st.integers(1, 12))
+        width = (6 * bound).bit_length() + 1
+        shifts = range(0, width * draw(st.integers(1, 10)), width)
+
+        def cell():
+            return sum(rng.randint(-bound, bound) << shift for shift in shifts)
+
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = cell()
+    return grid
+
+
+@given(sweep_grids())
+@settings(max_examples=150, deadline=None)
+def test_minor_sweep_matches_the_picked_sums(grid):
+    """The fan's sweep gives every 3x3 minor (R, C) with C >= R, in
+    ``_minor_table`` order, the sums of the listing oracle, in ``_PERMS``
+    order."""
+    want = [sums for _, _, sums in picked_minor_sums(grid, 3, True, _PERMS)]
+    assert len(want) == len(_minor_table(len(grid)))
+    assert list(_minor_sums(grid)) == want
 
 
 def renamed_signature(sig, perm):

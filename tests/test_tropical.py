@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from symbic.correspond import matrix_from_tree
 from symbic.counting import random_regular_tree
+from symbic.fan import _monomial
 from symbic.tropical import (
     MAX_MINOR_SIZE,
     MAX_NUMERAL_DIGITS,
@@ -20,9 +21,6 @@ from symbic.tropical import (
     _all_minors_degenerate,
     _class_size,
     _integer_grid,
-    _minor_plan,
-    _minor_sums,
-    _monomial,
     _tallies,
     canonicalize_mod_lineality,
     hilbert_distance,
@@ -451,6 +449,23 @@ def test_rank_scans_match_the_definition(m):
             sym_trop_rank(m)
 
 
+def picked_minor_sums(grid, k, symmetric, perms):
+    """The listing oracle of the integer grid: per k x k minor, the indices
+    of its row set and column set among the k-subsets in
+    ``itertools.combinations`` order, and its entry sum under each of
+    ``perms``.  Row sets come in order, and per row set its column sets,
+    from the row set on when ``symmetric``.  Every minor's columns are
+    picked row by row, and each permutation's terms summed."""
+    combos = list(itertools.combinations(range(len(grid)), k))
+    pickers = [itemgetter(*cols) for cols in combos]
+    for first, rows in enumerate(combos):
+        sub = [grid[r] for r in rows]
+        for second in range(first if symmetric else 0, len(combos)):
+            pick = pickers[second]
+            block = [pick(row) for row in sub]
+            yield first, second, [sum(map(getitem, block, p)) for p in perms]
+
+
 def monomial_classes(rows, cols):
     """The symmetric scan's class test before the class sizes: per
     permutation of the minor (rows, cols), in ``itertools.permutations``
@@ -490,16 +505,17 @@ def _monomial_class_sizes(rows, cols):
 
     A monomial holds an unordered pair {r, c} at most twice, as (r, c) and
     (c, r), so it is coded without sorting as a sum of 2-bit digits, one
-    place per pair: the minor sweep sums the k x k grid of codes as its one
-    k x k minor, like the entries of a minor.  No digit carries, and equal
-    codes are equal monomials.
+    place per pair: :func:`picked_minor_sums` sums the k x k grid of codes
+    as its one k x k minor, like the entries of a minor.  No digit carries,
+    and equal codes are equal monomials.
     """
+    k = len(rows)
     places = {}
     block = [
         [1 << 2 * places.setdefault((min(r, c), max(r, c)), len(places)) for c in cols]
         for r in rows
     ]
-    [(_, _, codes)] = _minor_sums(block, len(rows), False)
+    [(_, _, codes)] = picked_minor_sums(block, k, False, itertools.permutations(range(k)))
     counts = Counter(codes)
     return bytes(map(counts.__getitem__, codes))
 
@@ -566,9 +582,10 @@ def class_number_sym_rank(m):
 
     for r in range(1, m.n):
         combos = list(itertools.combinations(range(m.n), r + 1))
+        perms = list(itertools.permutations(range(r + 1)))
         if all(
             degenerate(combos[a], combos[b], totals)
-            for a, b, totals in _minor_sums(grid, r + 1, True)
+            for a, b, totals in picked_minor_sums(grid, r + 1, True, perms)
         ):
             return r
     return m.n
@@ -603,11 +620,13 @@ def test_class_sizes_match_the_class_numbers_up_to_8(m):
 
 def listing_all_minors_degenerate(grid, k, symmetric):
     """The rank scans' minor test before the subset expansion, kept as its
-    oracle: every minor's k! sums listed by ``_minor_sums``; a tied minor of
-    the symmetric scan is degenerate unless its ties are as many as the
-    monomial class of one argmin permutation (:func:`_monomial_class_sizes`)."""
-    combos = _minor_plan(len(grid), k)[0]
-    for first, second, totals in _minor_sums(grid, k, symmetric):
+    oracle: every minor's k! sums listed by :func:`picked_minor_sums`; a
+    tied minor of the symmetric scan is degenerate unless its ties are as
+    many as the monomial class of one argmin permutation
+    (:func:`_monomial_class_sizes`)."""
+    combos = list(itertools.combinations(range(len(grid)), k))
+    perms = list(itertools.permutations(range(k)))
+    for first, second, totals in picked_minor_sums(grid, k, symmetric, perms):
         best = min(totals)
         ties = totals.count(best)
         if ties < 2:
@@ -683,96 +702,17 @@ def test_rank_scans_match_the_listing_up_to_the_cap(grid):
 
 @pytest.mark.long
 def test_class_size_is_two_to_the_long_cycles_at_k7_and_k8():
-    """The cycle count against the monomial classes for every permutation
-    of the k = 7 and 8 minors that the sweep oracles check at the cap."""
+    """For every permutation of three k = 7 and 8 minors of a 9 x 9 grid, a
+    principal one and two with partly shared indices: the monomial class
+    sizes count the sorted monomials, and the cycle count gives them."""
     for k in (7, 8):
         perms = list(itertools.permutations(range(k)))
         combos = list(itertools.combinations(range(1, 10), k))
         minors = [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]
         for rows, cols in minors:
+            sizes = assert_sizes_count_the_monomials(rows, cols, perms)
+            assert max(sizes) > 1  # shared indices: some monomials repeat
             assert_class_sizes_count_the_cycles(rows, cols, perms)
-
-
-def picked_minor_sums(grid, k, symmetric, perms):
-    """``_minor_sums`` before the term getters: every minor's columns
-    picked row by row, and each permutation's terms summed."""
-    combos = list(itertools.combinations(range(len(grid)), k))
-    pickers = [itemgetter(*cols) for cols in combos]
-    for first, rows in enumerate(combos):
-        sub = [grid[r] for r in rows]
-        for second in range(first if symmetric else 0, len(combos)):
-            pick = pickers[second]
-            block = [pick(row) for row in sub]
-            yield first, second, [sum(map(getitem, block, p)) for p in perms]
-
-
-@given(
-    st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(k, 7))),
-    st.booleans(),
-    st.sampled_from([(0, 3), (-50, 50)]),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=100, deadline=None)
-def test_minor_sweep_matches_the_picked_sums(size, symmetric, bounds, rng):
-    """Each grid swept twice, on a fresh plan and on the plan the first
-    sweep left: the cell getters and the term pattern give the sums the
-    picked minors give, in ``itertools.permutations`` order."""
-    k, n = size
-    grid = [[rng.randint(*bounds) for _ in range(n)] for _ in range(n)]
-    if symmetric:
-        grid = [[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    perms = list(itertools.permutations(range(k)))
-    want = list(picked_minor_sums(grid, k, symmetric, perms))
-    _minor_plan.cache_clear()
-    for _ in range(2):
-        assert list(_minor_sums(grid, k, symmetric)) == want
-
-
-@st.composite
-def sweep_specs(draw):
-    """An integer grid, symmetric or not, and a minor size to sweep it at;
-    sizes and grid orders overlap often, so interleaved sweeps share a
-    plan."""
-    k = draw(st.integers(2, 5))
-    n = draw(st.integers(k, 6))
-    symmetric = draw(st.booleans())
-    high = draw(st.sampled_from([3, 50]))
-    rng = draw(st.randoms(use_true_random=False))
-    grid = [[rng.randint(-high, high) for _ in range(n)] for _ in range(n)]
-    if symmetric:
-        grid = [[grid[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return grid, k, symmetric
-
-
-@given(
-    st.lists(sweep_specs(), min_size=2, max_size=4),
-    st.lists(st.integers(0, 60), min_size=4, max_size=4),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=100, deadline=None)
-def test_interleaved_and_abandoned_sweeps_match_the_picked_sums(specs, stops, rng):
-    """Sweeps of several grids and sizes advanced in a random interleaving
-    on fresh plans, each abandoned after a random number of minors as an
-    early-exit scan stops: every minor any of them yields is the picked
-    one, although the sweeps fill the shared plans' column picks in turn
-    and the abandoned ones leave them part-filled."""
-    _minor_plan.cache_clear()
-    active = []
-    for (grid, k, symmetric), stop in zip(specs, stops):
-        perms = list(itertools.permutations(range(k)))
-        want = picked_minor_sums(grid, k, symmetric, perms)
-        active.append((_minor_sums(grid, k, symmetric), want, stop))
-    while active:
-        at = rng.randrange(len(active))
-        got, want, stop = active[at]
-        expected = next(want, None)
-        if expected is None:
-            assert next(got, None) is None  # the sweep ends where the oracle does
-        if expected is None or stop == 0:
-            del active[at]
-            continue
-        assert next(got) == expected
-        active[at] = got, want, stop - 1
 
 
 def test_monomial_class_sizes_count_the_sorted_monomials_at_k7():
@@ -783,26 +723,3 @@ def test_monomial_class_sizes_count_the_sorted_monomials_at_k7():
     for rows, cols in [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]:
         sizes = assert_sizes_count_the_monomials(rows, cols, perms)
         assert max(sizes) > 1
-
-
-@pytest.mark.long
-def test_sweeps_and_class_sizes_match_the_oracles_up_to_the_cap():
-    """The tier-1 oracles stop at k = 6.  On one tie-heavy 9 x 9 grid, both
-    sweeps at k = 7, 8 and 9 give the picked sums, and the monomial class
-    sizes of a few 7 x 7 and 8 x 8 minors count the sorted monomials."""
-    grid = [[int(x) for x in row] for row in random_symmetric(9, random.Random(2), 3).rows]
-    done = object()
-    for k in (7, 8, 9):
-        perms = list(itertools.permutations(range(k)))
-        for symmetric in (False, True):
-            want = picked_minor_sums(grid, k, symmetric, perms)
-            got = _minor_sums(grid, k, symmetric)
-            for pair in itertools.zip_longest(got, want, fillvalue=done):
-                assert pair[0] == pair[1]
-    for k in (7, 8):
-        perms = list(itertools.permutations(range(k)))
-        combos = list(itertools.combinations(range(1, 10), k))
-        minors = [(combos[0], combos[0]), (combos[0], combos[-1]), (combos[1], combos[-2])]
-        for rows, cols in minors:
-            sizes = assert_sizes_count_the_monomials(rows, cols, perms)
-            assert max(sizes) > 1  # shared indices: some monomials repeat
