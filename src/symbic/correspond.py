@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .tropical import (
     TropMatrix,
     TropicalError,
-    _grid_scale,
     _integer_grid,
     canonicalize_mod_lineality,
     sym_trop_rank,
@@ -167,8 +166,7 @@ def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], dict[tuple[int,
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
     n = matrix.n
-    scale = _grid_scale(matrix)
-    grid = _integer_grid(matrix)
+    grid, scale = _integer_grid(matrix)
     position: dict[int, list[int]] = {}
     for i, row_i in enumerate(grid, start=1):
         position[i] = [row[i - 1] for row in grid]

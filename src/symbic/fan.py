@@ -19,7 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, and_, getitem, lshift, mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .counting import (
     SizeCapError,
@@ -29,7 +29,7 @@ from .counting import (
     cell_sort_key,
     orbit_sort_key,
 )
-from .tropical import TropMatrix, TropicalError, _integer_grid, parse_rational
+from .tropical import _PERMS, TropMatrix, TropicalError, _integer_grid, _minor_sums, parse_rational
 from .trees import InvalidMoveError, SymbicTree, _away_sides
 
 FAN_CAP = 6
@@ -43,9 +43,8 @@ Signature = frozenset  # of (rows, cols, frozenset of monomials)
 Monomial = tuple[tuple[int, int], ...]
 Permutation = tuple[int, ...]
 
-# The permutations of a 3x3 minor, in the order in which the minor sweep
-# (_minor_sums) lists their sums, and the mask bit of each.
-_PERMS = tuple(itertools.permutations(range(3)))
+# The mask bit of each permutation of a 3x3 minor, in the order in which
+# the minor sweep (``tropical._minor_sums``) lists their sums, ``_PERMS``.
 _BITS = (1, 2, 4, 8, 16, 32)
 
 
@@ -125,11 +124,11 @@ def _sampling_form(n: int, key: frozenset) -> tuple[list, tuple]:
 def signature(matrix: TropMatrix) -> Signature:
     """Argmin monomial sets of every 3x3 minor (all row/column index pairs)
     of a symmetric matrix, computed on its integer grid by
-    :func:`_grid_signature`."""
+    :func:`_grid_signature`; the grid's ints are checked for symmetry."""
     if matrix.n < 3:
         raise TropicalError("signatures need n >= 3")
-    matrix.require_symmetric()
-    return _grid_signature(_integer_grid(matrix))
+    grid, _ = _integer_grid(matrix, symmetric=True)
+    return _grid_signature(grid)
 
 
 def _grid_signature(grid: list[list[int]]) -> Signature:
@@ -164,30 +163,6 @@ def _grid_masks(grid: list[list[int]], guard: int) -> Optional[bytes]:
             return None
         masks.append(sum(itertools.compress(_BITS, map(best.__eq__, totals))))
     return bytes(masks)
-
-
-def _minor_sums(grid: list[list[int]]) -> Iterator[list[int]]:
-    """Per 3x3 minor (R, C) with C >= R of a square grid, in
-    ``_minor_table`` order, its entry sum under each permutation of
-    ``_PERMS``.
-
-    Only C >= R is visited.  On a symmetric grid the transpose minor (C, R)
-    has the same entry sums, its argmin permutations are the inverses, and
-    a permutation and its inverse pick the same unordered pairs {r, c}: the
-    same argmin monomial set."""
-    combos = list(itertools.combinations(range(len(grid)), 3))
-    for first, (i, j, k) in enumerate(combos):
-        r0, r1, r2 = grid[i], grid[j], grid[k]
-        for a, b, c in combos[first:]:
-            x, y, z = r0[a], r0[b], r0[c]
-            yield [
-                x + r1[b] + r2[c],
-                x + r1[c] + r2[b],
-                y + r1[a] + r2[c],
-                y + r1[c] + r2[a],
-                z + r1[a] + r2[b],
-                z + r1[b] + r2[a],
-            ]
 
 
 def _certified_signature(form: tuple) -> Optional[bytes]:

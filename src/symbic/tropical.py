@@ -8,15 +8,23 @@ only for their results.  The "minimum attained twice" predicates that
 define tropical rank are not robust under floating point, so no float ever
 enters these computations.
 
-The rank scans list no minor's k! permutation sums.  They expand every
-minor along its last row over column subsets
-(:func:`_all_minors_degenerate`): per row set, level j holds, for each
-j-subset S of the columns, the least sum of the set's first j rows over S
-and the number of permutations that attain it, packed in one int (a
-tally, see :func:`_tallies`).  Level j comes from level j - 1 in j terms
-per subset, and a k x k minor's least sum and tie count in k terms.  A
-minor of the symmetric scan whose ties might form one monomial is decided
-by the cycles of one argmin permutation read back from the levels
+The symmetric scan decides its first two levels in closed form.  Its 2 x 2
+minors are all degenerate iff every principal one ties, 2 x_ij = x_ii +
+x_jj (:func:`_principal_pairs_tie`).  Its 3 x 3 minors read the six
+permutation sums of the 3 x 3 sweep (:func:`_minor_sums`), which the fan's
+signatures share: a minor is degenerate iff its least sum is attained
+twice, unless it is principal and its only tied sums are its two 3-cycles,
+which pick one monomial (:func:`_all_3x3_minors_degenerate`).
+
+From k = 4 on, and at every k in the ordinary scan, no minor's k!
+permutation sums are listed.  Every minor is expanded along its last row
+over column subsets (:func:`_all_minors_degenerate`): per row set, level j
+holds, for each j-subset S of the columns, the least sum of the set's
+first j rows over S and the number of permutations that attain it, packed
+in one int (a tally, see :func:`_tallies`).  Level j comes from level j - 1
+in j terms per subset, and a k x k minor's least sum and tie count in k
+terms.  A minor of the symmetric scan whose ties might form one monomial is
+decided by the cycles of one argmin permutation read back from the levels
 (:func:`_argmin_image`, :func:`_class_size`).
 """
 
@@ -27,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # The largest matrix the rank scans take.  They list no k! sums, so this no
 # longer bounds a listing there: a row set's levels hold at most 2^9 subsets.
@@ -187,42 +195,142 @@ def rank_one_matrix(x: Sequence[object]) -> TropMatrix:
 
 def trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate."""
-    return _rank_scan(m, symmetric=False)
+    _require_size(m)
+    grid, _ = _integer_grid(m)
+    return _rank_scan(grid, 1, symmetric=False)
 
 
 def sym_trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate as a
     polynomial in the symmetric variables x_{ij}.  Scans all minors, not
-    only principal ones."""
-    m.require_symmetric()
-    return _rank_scan(m, symmetric=True)
+    only principal ones.  An asymmetric matrix is refused before an
+    oversized one."""
+    ratios = _integer_ratios(m, symmetric=True)
+    _require_size(m)
+    grid, _ = _scaled(ratios)
+    if _principal_pairs_tie(grid):
+        return 1
+    if _all_3x3_minors_degenerate(grid):
+        return 2
+    return _rank_scan(grid, 3, symmetric=True)
 
 
-def _rank_scan(m: TropMatrix, symmetric: bool) -> int:
+def _require_size(m: TropMatrix) -> None:
     if m.n > MAX_MINOR_SIZE:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
-    grid = _tallies(_integer_grid(m))
-    for r in range(1, m.n):
-        if _all_minors_degenerate(grid, r + 1, symmetric):
+
+
+def _rank_scan(grid: list[list[int]], start: int, symmetric: bool) -> int:
+    """The rank of an integer grid whose rank is at least ``start``: the
+    least r >= start whose (r + 1) x (r + 1) minors are all degenerate, by
+    the subset expansion."""
+    tallies = _tallies(grid)
+    for r in range(start, len(grid)):
+        if _all_minors_degenerate(tallies, r + 1, symmetric):
             return r
-    return m.n
+    return len(grid)
 
 
-def _integer_grid(m: TropMatrix) -> list[list[int]]:
-    """The entries of ``m`` times the lcm L of their denominators, as ints.
+def _integer_grid(m: TropMatrix, symmetric: bool = False) -> tuple[list[list[int]], int]:
+    """The entries of ``m`` times the lcm L of their denominators, as ints,
+    and L; with ``symmetric``, an asymmetric ``m`` is refused.
 
     Every permutation sum of a minor is scaled by the same L > 0, so each
     minor keeps its argmin permutation set, and with it its argmin monomial
     set and its ordinary and symmetric degeneracy: the rank scans and the
     fan signatures may run on this grid exactly.
     """
-    scale = _grid_scale(m)
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
+    return _scaled(_integer_ratios(m, symmetric))
 
 
-def _grid_scale(m: TropMatrix) -> int:
-    """The lcm L of the denominators of the entries of ``m``."""
-    return math.lcm(*(x.denominator for row in m.rows for x in row))
+def _integer_ratios(m: TropMatrix, symmetric: bool) -> list[list[tuple[int, int]]]:
+    """Each entry of ``m`` as its integer ratio (numerator, denominator),
+    read once; with ``symmetric``, an asymmetric ``m`` is refused, on these
+    ints, before any lcm is taken."""
+    ratios = [list(map(Fraction.as_integer_ratio, row)) for row in m.rows]
+    if symmetric and list(map(list, zip(*ratios))) != ratios:
+        raise TropicalError("symmetric matrix required")
+    return ratios
+
+
+def _scaled(ratios: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """The integer grid and its scale L of :func:`_integer_grid`."""
+    scale = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (scale // q) for p, q in row] for row in ratios], scale
+
+
+def _principal_pairs_tie(grid: list[list[int]]) -> bool:
+    """Whether every 2 x 2 minor of a symmetric integer grid is degenerate,
+    symmetric rank 1; stops at the first pair i < j that fails.
+
+    That holds iff every principal 2 x 2 minor ties, 2 x_ij = x_ii + x_jj:
+    then x_ij = a_i + a_j with a_i = x_ii / 2, and every minor on rows
+    {i, j} and columns {k, l} ties too, x_ik + x_jl = x_il + x_jk.  The two
+    permutations of a 2 x 2 minor never pick one monomial, so its symmetric
+    degeneracy is its ordinary one."""
+    diagonal = [row[i] for i, row in enumerate(grid)]
+    return all(
+        2 * x == a + b
+        for i, (row, a) in enumerate(zip(grid, diagonal))
+        for x, b in zip(row[i + 1 :], diagonal[i + 1 :])
+    )
+
+
+# The permutations of a 3x3 minor, in the order in which the minor sweep
+# (_minor_sums) lists their sums.  On a principal minor, positions 3 and 4
+# are the two 3-cycles; they pick the one monomial x_ij x_jk x_ki.
+_PERMS = tuple(itertools.permutations(range(3)))
+
+
+def _minor_sums(grid: list[list[int]]) -> Iterator[list[int]]:
+    """Per 3x3 minor (R, C) with C >= R of a square grid, row sets in
+    ``itertools.combinations`` order and per row set its column sets from
+    R on, its entry sum under each permutation of ``_PERMS``.  The first
+    minor of each row set is its principal one.
+
+    Only C >= R is visited.  On a symmetric grid the transpose minor (C, R)
+    has the same entry sums, its argmin permutations are the inverses, and
+    a permutation and its inverse pick the same unordered pairs {r, c}: the
+    same argmin monomial set and the same degeneracy."""
+    combos = list(itertools.combinations(range(len(grid)), 3))
+    for first, (i, j, k) in enumerate(combos):
+        r0, r1, r2 = grid[i], grid[j], grid[k]
+        for a, b, c in combos[first:]:
+            x, y, z = r0[a], r0[b], r0[c]
+            yield [
+                x + r1[b] + r2[c],
+                x + r1[c] + r2[b],
+                y + r1[a] + r2[c],
+                y + r1[c] + r2[a],
+                z + r1[a] + r2[b],
+                z + r1[b] + r2[a],
+            ]
+
+
+@functools.lru_cache(maxsize=None)
+def _principal_minors(n: int) -> bytes:
+    """Per minor of :func:`_minor_sums` on an n x n grid, 1 if it is
+    principal (C = R), else 0."""
+    count = math.comb(n, 3)
+    return b"".join(b"\1" + bytes(count - first - 1) for first in range(count))
+
+
+def _all_3x3_minors_degenerate(grid: list[list[int]]) -> bool:
+    """Whether every 3x3 minor of a symmetric integer grid is degenerate as
+    a polynomial in the x_{ij}, read off the six sums of :func:`_minor_sums`;
+    stops at the first minor that is not.
+
+    A permutation picks the same monomial as another only when both are the
+    two 3-cycles of a principal minor; no other 3x3 minor has three indices
+    shared by its rows and columns (:func:`_class_size`).  So a minor is
+    degenerate iff its least sum is attained twice, except a principal
+    minor whose only two least sums are its 3-cycles'."""
+    for sums, principal in zip(_minor_sums(grid), _principal_minors(len(grid))):
+        least = min(sums)
+        ties = sums.count(least)
+        if ties < 2 or ties == 2 and principal and sums[3] == sums[4] == least:
+            return False
+    return True
 
 
 # A tally packs a least sum s and the number t of permutations attaining it

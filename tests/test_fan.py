@@ -11,11 +11,9 @@ from symbic.acceptance import four_pair_chain_tree
 from symbic.correspond import matrix_from_tree
 from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
-    _PERMS,
     RefinementCounterExample,
     _certified_signature,
     _grid_masks,
-    _minor_sums,
     _minor_table,
     _renamed_masks,
     _sampling_form,
@@ -27,8 +25,10 @@ from symbic.fan import (
     signature,
 )
 from symbic.tropical import (
+    _PERMS,
     TropMatrix,
     TropicalError,
+    _minor_sums,
     canonicalize_mod_lineality,
     rank_one_matrix,
     sym_trop_rank,
@@ -644,7 +644,7 @@ def sweep_grids(draw):
 @given(sweep_grids())
 @settings(max_examples=150, deadline=None)
 def test_minor_sweep_matches_the_picked_sums(grid):
-    """The fan's sweep gives every 3x3 minor (R, C) with C >= R, in
+    """The 3x3 sweep gives every 3x3 minor (R, C) with C >= R, in
     ``_minor_table`` order, the sums of the listing oracle, in ``_PERMS``
     order."""
     want = [sums for _, _, sums in picked_minor_sums(grid, 3, True, _PERMS)]

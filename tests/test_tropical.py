@@ -6,21 +6,23 @@ from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symbic.correspond import matrix_from_tree
 from symbic.counting import random_regular_tree
-from symbic.fan import _monomial
+from symbic.fan import _monomial, signature
 from symbic.tropical import (
     MAX_MINOR_SIZE,
     MAX_NUMERAL_DIGITS,
     MinorSizeError,
     TropMatrix,
     TropicalError,
+    _all_3x3_minors_degenerate,
     _all_minors_degenerate,
     _class_size,
     _integer_grid,
+    _principal_pairs_tie,
     _tallies,
     canonicalize_mod_lineality,
     hilbert_distance,
@@ -227,6 +229,25 @@ def test_minor_validation():
     big = Minor(tuple(range(1, 11)), tuple(range(1, 11)))
     with pytest.raises(MinorSizeError):
         big.check_against(TropMatrix([[0] * 12] * 12))
+
+
+def test_symmetry_is_checked_before_the_size_cap():
+    """On the integer ratios, before the cap: an oversized asymmetric matrix
+    gets the symmetry error, an oversized symmetric one the cap error; the
+    ordinary scan checks only the cap, and a signature only symmetry."""
+    symmetric = [[i + j for j in range(10)] for i in range(10)]
+    asymmetric = [row[:] for row in symmetric]
+    asymmetric[9][8] = Fraction(1, 3)
+    with pytest.raises(TropicalError, match="^symmetric matrix required$") as info:
+        sym_trop_rank(TropMatrix(asymmetric))
+    assert not isinstance(info.value, MinorSizeError)
+    for rows in (symmetric, asymmetric):
+        with pytest.raises(MinorSizeError, match=r"^matrix size 10 > cap 9$"):
+            trop_rank(TropMatrix(rows))
+    with pytest.raises(MinorSizeError, match=r"^matrix size 10 > cap 9$"):
+        sym_trop_rank(TropMatrix(symmetric))
+    with pytest.raises(TropicalError, match="^symmetric matrix required$"):
+        signature(TropMatrix([row[7:] for row in asymmetric[7:]]))
 
 
 def test_monomials_of_permutations():
@@ -653,7 +674,7 @@ def scan_grids(draw, sizes):
     if kind == "asymmetric":
         low, high = draw(st.sampled_from([(0, 3), (-50, 50)]))
         return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
-    grid = _integer_grid(matrix_from_tree(random_regular_tree(n, rng)))
+    grid, _ = _integer_grid(matrix_from_tree(random_regular_tree(n, rng)))
     block = rng.sample(range(n), min(n, 3))
     top = max(map(max, grid)) + 1
     for i in block:
@@ -662,11 +683,15 @@ def scan_grids(draw, sizes):
     return grid
 
 
+def is_symmetric_grid(grid):
+    return all(grid[i][j] == grid[j][i] for i in range(len(grid)) for j in range(i))
+
+
 def assert_scans_match_the_listing(grid):
     """At every minor size, both scans (the symmetric one on a symmetric
     grid) give the listing's verdict."""
     n = len(grid)
-    symmetric = all(grid[i][j] == grid[j][i] for i in range(n) for j in range(i))
+    symmetric = is_symmetric_grid(grid)
     tallies = _tallies(grid)
     for k in range(2, n + 1):
         for flag in (False, True) if symmetric else (False,):
@@ -679,6 +704,69 @@ def assert_scans_match_the_listing(grid):
 @settings(max_examples=150, deadline=None)
 def test_rank_scans_match_the_listing(grid):
     assert_scans_match_the_listing(grid)
+
+
+def assert_closed_forms_match(grid):
+    """On a symmetric grid, the symmetric scan's closed-form levels, k = 2
+    and k = 3, give the listing's verdict and the subset expansion's."""
+    tallies = _tallies(grid)
+    for k, closed in ((2, _principal_pairs_tie), (3, _all_3x3_minors_degenerate)):
+        verdict = closed(grid)
+        assert verdict == listing_all_minors_degenerate(grid, k, True), k
+        assert verdict == _all_minors_degenerate(tallies, k, True), k
+
+
+# A principal minor whose least sum, 0, only its two 3-cycles attain: one
+# monomial, so not degenerate (symmetric rank 3, ordinary rank 2).
+THREE_CYCLES_ONLY = [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+# The 3-cycles and the swap (0, 2, 1) attain 0: two monomials, degenerate.
+THREE_CYCLES_AND_A_SWAP = [[0, 0, 0], [0, 4, 0], [0, 0, 4]]
+# X (tropical) X^T for x = (1/4, 3/4, 5/4, -7/4): entries in (1/2)Z, and an
+# odd diagonal on the grid, so x_ii / 2 is no integer there.
+FRACTIONAL_RANK_ONE = rank_one_matrix(["1/4", "3/4", "5/4", "-7/4"]).rows
+# The same matrix with its last pair, (3, 4) and (4, 3), raised by 1/2.
+ONE_FAILING_PAIR = [
+    [x + Fraction(1, 2) * ({i, j} == {2, 3}) for j, x in enumerate(row)]
+    for i, row in enumerate(FRACTIONAL_RANK_ONE)
+]
+
+
+@pytest.mark.parametrize(
+    "rows, sym_rank, rank",
+    [
+        (THREE_CYCLES_ONLY, 3, 2),
+        (THREE_CYCLES_AND_A_SWAP, 2, 2),
+        (FRACTIONAL_RANK_ONE, 1, 1),
+        (ONE_FAILING_PAIR, 2, 2),
+    ],
+    ids=["three cycles only", "three cycles and a swap", "fractional rank one", "one failing pair"],
+)
+def test_closed_form_levels_decide_the_examples(rows, sym_rank, rank):
+    m = TropMatrix(rows)
+    assert sym_trop_rank(m) == oracle_rank(m, symmetric=True) == sym_rank
+    assert trop_rank(m) == oracle_rank(m, symmetric=False) == rank
+    assert_closed_forms_match(_integer_grid(m)[0])
+
+
+def test_rank_one_examples_are_as_described():
+    """The fractional rank-one grid has scale 2 and an odd diagonal entry;
+    the failing pair of its raised copy is its last one."""
+    grid, scale = _integer_grid(TropMatrix(FRACTIONAL_RANK_ONE))
+    assert scale == 2 and any(row[i] % 2 for i, row in enumerate(grid))
+    raised, _ = _integer_grid(TropMatrix(ONE_FAILING_PAIR))
+    assert _principal_pairs_tie([row[:3] for row in raised[:3]])
+    assert not _principal_pairs_tie(raised)
+
+
+@given(scan_grids(range(2, 8)))
+@example(THREE_CYCLES_ONLY)
+@example(THREE_CYCLES_AND_A_SWAP)
+@example(_integer_grid(TropMatrix(FRACTIONAL_RANK_ONE))[0])
+@example(_integer_grid(TropMatrix(ONE_FAILING_PAIR))[0])
+@settings(max_examples=150, deadline=None)
+def test_closed_form_levels_match_the_listing(grid):
+    assume(is_symmetric_grid(grid))
+    assert_closed_forms_match(grid)
 
 
 def cap_grid(n):
@@ -698,6 +786,8 @@ def cap_grid(n):
 @settings(max_examples=12, deadline=None)
 def test_rank_scans_match_the_listing_up_to_the_cap(grid):
     assert_scans_match_the_listing(grid)
+    if is_symmetric_grid(grid):
+        assert_closed_forms_match(grid)
 
 
 @pytest.mark.long
