@@ -165,16 +165,15 @@ def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], dict[tuple[int,
     rank = sym_trop_rank(matrix)
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
-    n = matrix.n
     grid, scale = _integer_grid(matrix)
-    position: dict[int, list[int]] = {}
+    labels, positions = [], []  # positions[t] is the position of labels[t]
     for i, row_i in enumerate(grid, start=1):
-        position[i] = [row[i - 1] for row in grid]
-        position[-i] = [min(map(sub, row_k, row_i)) for row_k in grid]
-    labels = [s * i for i in range(1, n + 1) for s in (1, -1)]
+        labels += (i, -i)
+        positions.append([row[i - 1] for row in grid])
+        positions.append([min(map(sub, row_k, row_i)) for row_k in grid])
     dist = {}
-    for x, y in itertools.combinations(labels, 2):
-        diffs = list(map(sub, position[x], position[y]))
+    for (x, px), (y, py) in itertools.combinations(zip(labels, positions), 2):
+        diffs = list(map(sub, px, py))
         dist[x, y] = max(diffs) - min(diffs)
     return labels, dist, scale
 
@@ -193,7 +192,8 @@ def _steiner_tree(
 
     The walk runs on the distances doubled, which makes each Gromov
     product gamma integral.  Edge lengths become ``Fraction``s over
-    2 * ``scale`` once, on return.
+    2 * ``scale`` once, on return: one ``Fraction`` per edge, shared by
+    both directions, with every vertex's neighbours in the walk's order.
     """
     x0 = labels[0]
     dist: dict[tuple[int, int], int] = {(x0, x0): 0}
@@ -257,7 +257,12 @@ def _steiner_tree(
             pos[z] = w
         placed.append(z)
     half = 2 * scale
-    return {u: {v: Fraction(l, half) for v, l in nb.items()} for u, nb in adj.items()}, pos
+    lengths: dict[int, dict[int, Fraction]] = {}
+    for u, nb in adj.items():  # an edge's length is made once, at its first end
+        lengths[u] = {
+            v: lengths[v][u] if v in lengths else Fraction(l, half) for v, l in nb.items()
+        }
+    return lengths, pos
 
 
 def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
@@ -303,9 +308,13 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
     depth = [d * (common // index.scale) for d in index.dist]
     unit = common // scale
     slot = {label: index.slot[v] for label, v in tree.leaf_vertex.items()}
+    last, parent = index.last, index.parent
     for (x, y), wanted in metric.items():
         i, j = slot[x], slot[y]
-        fitted = depth[i] + depth[j] - 2 * depth[index.meet(i, j)]
+        m = i  # climbs to the lowest common ancestor, as in _TreeIndex.meet
+        while not m <= j <= last[m]:
+            m = parent[m]
+        fitted = depth[i] + depth[j] - 2 * depth[m]
         if fitted != wanted * unit:
             pair = f"({format_label(x)}, {format_label(y)})"
             raise ReconstructionError(

@@ -440,8 +440,9 @@ class SymbicTree:
 
     def _index(self) -> _TreeIndex:
         """The rooted walk behind every distance, path and side query, built
-        on first use.  The involution search builds it during normalization,
-        which drops it again if it then inserts a flip midpoint."""
+        on first use.  The involution search builds it during normalization
+        and reads its subtree masks as the edge splits; normalization drops
+        it again if it then inserts a flip midpoint."""
         index = self._cache.get("index")
         if index is None:
             adj = self.adj
@@ -581,8 +582,11 @@ class SymbicTree:
         return sigma
 
     def fixed_vertices(self) -> set[int]:
-        sigma = self.involution()
-        return {v for v in self.internal_vertices() if sigma[v] == v}
+        """The fixed points of the involution, read off sigma; no leaf is
+        one, since sigma swaps i and i'.  They go into the set in ascending
+        order, so its iteration order, which the violation witnesses print,
+        depends on the vertices alone."""
+        return set(sorted(v for v, w in self.involution().items() if v == w))
 
     def validate(self) -> Optional[Violation]:
         """Check the four symbic axioms; returns the first violation found.
@@ -1003,7 +1007,9 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
     lengths and the other moves make no new length.  The validation reads
     each length's sign once, off its numerator, and looks a missing
     neighbour dict up as a shared empty one, so it allocates nothing per
-    entry.  A valid ``involution_hint`` replaces the search; an edge the
+    entry.  A valid ``involution_hint`` replaces the search, which runs on
+    the normal form before any flip midpoint exists, so the only vertex of
+    degree 2 it meets is the centre of the n = 1 star.  An edge the
     involution flips joins a vertex to its image, so it is read off
     sigma.  When zero-length edges were contracted, the hint is first
     mapped through the merges: if the set of zero edges is closed under
@@ -1139,29 +1145,45 @@ def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
 
 
 def _find_involution(tree: SymbicTree) -> Optional[dict[int, int]]:
-    """Reconstruct the color-swapping symmetry from side masks: an internal
-    vertex is determined by the label masks of its sides, and its image is
-    the vertex whose masks carry the swapped colors (bit 2k-2 <-> 2k-1).
-    The sides are read off the index arrays in one pass: below each
-    non-root position lies its subtree, above it the rest of the labels.
-    ``_check_involution`` certifies the lengths."""
-    n = tree.n
+    """Reconstruct the color-swapping symmetry from edge splits on the
+    index: the edge above a non-root position j has j's subtree mask on its
+    lower side, and its image is the edge with that mask's color swap
+    (bit 2k-2 <-> 2k-1) on one side.  On the lower side the image keeps the
+    orientation, and sigma sends j to the image's lower end; on the upper
+    side it flips it, and sigma sends j to the image's upper end.  Either
+    way the other end is the image of j's parent, which gives the root's
+    image from position 1.  One dict keyed by subtree mask finds the image.
+
+    Two edges share a subtree mask only along a run of degree-2 vertices,
+    which sit at consecutive positions: the flip midpoint of a normalized
+    tree, or the centre of the n = 1 star under a leaf root.  The dict
+    holds the bottom of each run, and the image is as far above it as j is
+    above the bottom of its own run for a kept orientation, or below the
+    top of its own run for a flipped one.  ``_check_involution`` certifies
+    the result, lengths included."""
     index = tree._index()
-    full, parent = index.mask[0], index.parent
-    around: list[list[int]] = [[] for _ in index.order]  # the side masks at each position
-    for j in range(1, len(index.order)):
-        m = index.mask[j]
-        around[parent[j]].append(m)
-        around[j].append(full ^ m)
-    leaves = tree.leaf_vertices()
-    slot = index.slot
-    by_sides = {frozenset(around[slot[v]]): v for v in tree.adj if v not in leaves}
-    sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
-    for sides, v in by_sides.items():
-        w = by_sides.get(frozenset(_swap(m, n) for m in sides))
-        if w is None:
-            return None
-        sigma[v] = w
+    order, parent, mask = index.order, index.parent, index.mask
+    full, rows, size = mask[0], _row_bits(tree.n), len(order)
+    bottom = dict(zip(mask[1:], range(1, size)))  # the lowest position of each mask
+    sigma = {}
+    for j in range(size - 1, 0, -1):  # ends at position 1, whose parent is the root
+        m = mask[j]
+        swapped = (m & rows) << 1 | m >> 1 & rows
+        k = bottom.get(swapped)
+        if k is not None:  # the image keeps the orientation
+            k -= bottom[m] - j
+            image, up = k, parent[k]
+        else:
+            k = bottom.get(full ^ swapped)
+            if k is None:
+                return None
+            top = j
+            while mask[top - 1] == m:
+                top -= 1
+            k -= j - top
+            image, up = parent[k], k
+        sigma[order[j]] = order[image]
+    sigma[order[0]] = order[up]
     return sigma if _check_involution(tree, sigma) else None
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbic import trees
+from symbic.correspond import matrix_from_tree, tree_from_matrix
 from symbic.counting import enumerate_regular, random_regular_tree
 from symbic.shelling import EdgeOrder, reduce_by_twig
 from symbic.trees import (
@@ -1241,20 +1242,98 @@ def oracle_check_involution(tree, sigma):
 
 
 def oracle_find_involution(tree):
-    rows = trees._row_bits(tree.n)
+    """The side-set search that preceded the edge-split search: an internal
+    vertex is known by the set of the label masks of its sides, read off
+    the index arrays in one pass, and its image is the vertex whose masks
+    carry the swapped colors.  Leaves are mapped by their labels."""
+    n = tree.n
+    index = tree._index()
+    full, parent = index.mask[0], index.parent
+    around = [[] for _ in index.order]  # the side masks at each position
+    for j in range(1, len(index.order)):
+        m = index.mask[j]
+        around[parent[j]].append(m)
+        around[j].append(full ^ m)
     leaves = tree.leaf_vertices()
-    by_sides = {
-        frozenset(tree._side_mask(v, w) for w in tree.adj[v]): v
-        for v in tree.adj
-        if v not in leaves
-    }
+    slot = index.slot
+    by_sides = {frozenset(around[slot[v]]): v for v in tree.adj if v not in leaves}
     sigma = {lv: tree.leaf_vertex[-label] for label, lv in tree.leaf_vertex.items()}
     for sides, v in by_sides.items():
-        w = by_sides.get(frozenset((m & rows) << 1 | m >> 1 & rows for m in sides))
+        w = by_sides.get(frozenset(trees._swap(m, n) for m in sides))
         if w is None:
             return None
         sigma[v] = w
     return sigma if oracle_check_involution(tree, sigma) else None
+
+
+def searched_at_normalization(make):
+    """Build with ``make()``, comparing the edge-split search with the
+    side-set oracle where _normalize calls it: on the normal form, before
+    any flip midpoint goes in.  Returns the search's verdict and whether
+    the index root was a leaf."""
+    search = trees._find_involution
+    seen = []
+
+    def both(tree):
+        found = search(tree)
+        assert found == oracle_find_involution(tree)
+        seen.append((found, tree._index().order[0] in tree.leaf_vertices()))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_find_involution", both)
+        make()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def check_split_search(tree, rng):
+    """The tree rebuilt from JSON as written and with a leaf listed first
+    (the index root), rebuilt from its matrix, and rebuilt from JSON with
+    two leaf labels swapped or one internal length cooked; the last two
+    need not be symbic.  Returns how many searches ran from a leaf root."""
+    data = tree.to_json_dict()
+    leaf = rng.choice(sorted(tree.leaf_vertices()))
+    leaf_first = dict(data, vertices=[leaf] + [v for v in data["vertices"] if v != leaf])
+    swapped = dict(data, leaves=dict(data["leaves"]))
+    a, b = rng.sample(sorted(swapped["leaves"]), 2)
+    swapped["leaves"][a], swapped["leaves"][b] = swapped["leaves"][b], swapped["leaves"][a]
+    variants = [data, leaf_first, swapped]
+    internal = [i for i, e in enumerate(data["edges"]) if e["len"] is not None]
+    if internal:
+        cooked = dict(data, edges=list(data["edges"]))
+        i = rng.choice(internal)
+        length = parse_rational(cooked["edges"][i]["len"]) + rng.randint(1, 3)
+        cooked["edges"][i] = dict(cooked["edges"][i], len=str(length))
+        variants.append(cooked)
+    leaf_roots = 0
+    for k, variant in enumerate(variants):
+        found, leaf_root = searched_at_normalization(lambda: SymbicTree.from_json_dict(variant))
+        assert found is not None or k >= 2
+        leaf_roots += leaf_root
+    if tree.n > 1:
+        found, _ = searched_at_normalization(lambda: tree_from_matrix(matrix_from_tree(tree)))
+        assert found is not None
+    return leaf_roots
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_split_search_matches_the_side_set_search(n, seed):
+    rng = random.Random(seed)
+    assert check_split_search(random_regular_tree(n, rng), rng) >= 1
+
+
+def test_split_search_matches_the_side_set_search_on_catalogs():
+    """Every catalog tree for n <= 4: one-vertex trunks, whose flip
+    midpoint the rebuild smooths away, and the n = 1 star among them."""
+    rng = random.Random(1)
+    one_vertex_trunks = 0
+    for n in range(1, 5):
+        for tree in enumerate_regular(n):
+            assert check_split_search(tree, rng) >= 1
+            one_vertex_trunks += len(tree.trunk()) == 1
+    assert one_vertex_trunks > 10
 
 
 def oracle_normalize(tree, involution_hint):
