@@ -151,15 +151,23 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
     The distances are those of :func:`_integer_leaf_metric`, divided by its
     scale L as ``Fraction``s.
     """
-    labels, dist, scale = _integer_leaf_metric(matrix)
-    return LeafMetric(labels, {pair: Fraction(d, scale) for pair, d in dist.items()})
+    labels, table, scale = _integer_leaf_metric(matrix)
+    size = len(labels)
+    return LeafMetric(
+        labels,
+        {
+            (labels[s], labels[t]): Fraction(table[s * size + t], scale)
+            for s, t in itertools.combinations(range(size), 2)
+        },
+    )
 
 
-def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], dict[tuple[int, int], int], int]:
+def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], list[int], int]:
     """The leaf metric of :func:`leaf_metric_from_matrix` on the matrix's
     integer grid (see :func:`symbic.tropical._integer_grid`): the labels
-    1, 1', 2, 2', ..., n, n' in that order, the distance of every label
-    pair (x, y) with x before y times L, as an int, and L, the lcm of the
+    1, 1', 2, 2', ..., n, n' in that order, the flat 2n x 2n table of
+    their distances times L, as ints, whose entry s * 2n + t is the
+    distance of the labels at positions s and t, and L, the lcm of the
     entries' denominators.  Refuses a matrix of symmetric tropical rank
     above 2."""
     rank = sym_trop_rank(matrix)
@@ -171,38 +179,44 @@ def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], dict[tuple[int,
         labels += (i, -i)
         positions.append([row[i - 1] for row in grid])
         positions.append([min(map(sub, row_k, row_i)) for row_k in grid])
-    dist = {}
-    for (x, px), (y, py) in itertools.combinations(zip(labels, positions), 2):
-        diffs = list(map(sub, px, py))
-        dist[x, y] = max(diffs) - min(diffs)
-    return labels, dist, scale
+    size = len(labels)
+    table = [0] * (size * size)
+    for s, ps in enumerate(positions):
+        row = []
+        for pt in positions[s + 1 :]:
+            diffs = sorted(map(sub, ps, pt))
+            row.append(diffs[-1] - diffs[0])
+        table[s * size + s + 1 : (s + 1) * size] = row  # row s right of the diagonal
+        table[(s + 1) * size + s :: size] = row  # column s below it
+    return labels, table, scale
 
 
-def _steiner_tree(
-    labels: Sequence[int], metric: dict[tuple[int, int], int], scale: int
-) -> tuple[dict, dict]:
+def _steiner_tree(labels: Sequence[int], table: Sequence[int], scale: int) -> tuple[dict, dict]:
     """Exact sequential insertion of labeled points into a metric tree.
 
-    ``metric`` holds the distance of every label pair (x, y), x before y
-    in ``labels``, times ``scale``, as an int; the labels are inserted in
-    order.  Returns (adjacency of internal vertices with Fraction lengths,
-    position vertex of every label).  Labels may share positions.  Every
-    walk starts at vertex 0, the position of the first label, so the tree
-    keeps parent pointers toward it.
+    ``table`` is the flat distance table of :func:`_integer_leaf_metric`:
+    entry s * len(labels) + t is the distance of labels[s] and labels[t]
+    times ``scale``, as an int; the labels are inserted in order.  Returns
+    (adjacency of internal vertices with Fraction lengths, position vertex
+    of every label).  Labels may share positions.  Every walk starts at
+    vertex 0, the position of the first label x0, so the tree keeps parent
+    pointers toward it.
 
-    The walk runs on the distances doubled, which makes each Gromov
-    product gamma integral.  Edge lengths become ``Fraction``s over
-    2 * ``scale`` once, on return: one ``Fraction`` per edge, shared by
-    both directions, with every vertex's neighbours in the walk's order.
+    The labels placed before the one at position p are those at positions
+    0..p-1, so the Gromov products of label p with each of them, seen from
+    x0, come from one pass over the first p entries of rows 0 and p; ties
+    go to the larger label int.  The walk runs on the distances doubled,
+    which makes each Gromov product gamma integral.  Edge lengths become
+    ``Fraction``s over 2 * ``scale`` on return, one per distinct length, so
+    the two directions of an edge, and mirrored edges, share one object;
+    every vertex's neighbours are in the walk's order.
     """
+    size = len(labels)
     x0 = labels[0]
-    dist: dict[tuple[int, int], int] = {(x0, x0): 0}
-    for (x, y), d in metric.items():
-        dist[x, y] = dist[y, x] = 2 * d
+    row0 = table[:size]
     adj: dict[int, dict[int, int]] = {0: {}}
     up: dict[int, int] = {}
     pos: dict[int, int] = {x0: 0}
-    placed = [x0]
     counter = 0
 
     def fresh() -> int:
@@ -214,10 +228,12 @@ def _steiner_tree(
         path = f"({format_label(x0)}, {format_label(y)})"
         return ReconstructionError(f"not a tree metric: cannot place {format_label(z)} on {path}")
 
-    for z in labels[1:]:
-        best2, ystar = max((dist[x0, z] + dist[x0, y] - dist[y, z], y) for y in placed)
-        gamma = best2 // 2
-        stub = dist[x0, z] - gamma
+    for p in range(1, size):
+        z = labels[p]
+        # gamma = d(x0, z) + d(x0, y) - d(y, z), the doubled Gromov product, at its largest y
+        best, ystar = max(zip(map(sub, row0, table[p * size : p * size + p]), labels))
+        gamma = row0[p] + best
+        stub = 2 * row0[p] - gamma
         if gamma < 0 or stub < 0:
             raise misfit(z, ystar)
         # walk from pos(x0) = 0 toward pos(ystar) for distance gamma
@@ -255,14 +271,9 @@ def _steiner_tree(
             adj[attach][w] = stub
             up[w] = attach
             pos[z] = w
-        placed.append(z)
     half = 2 * scale
-    lengths: dict[int, dict[int, Fraction]] = {}
-    for u, nb in adj.items():  # an edge's length is made once, at its first end
-        lengths[u] = {
-            v: lengths[v][u] if v in lengths else Fraction(l, half) for v, l in nb.items()
-        }
-    return lengths, pos
+    fraction = {l: Fraction(l, half) for l in {l for nb in adj.values() for l in nb.values()}}
+    return {u: {v: fraction[l] for v, l in nb.items()} for u, nb in adj.items()}, pos
 
 
 def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
@@ -274,10 +285,11 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
     honest single-pair tree.  The rebuilt tree must fit every leaf distance
     exactly: that fit certifies the leaf metric as a tree metric.
 
-    The leaf metric stays on the integer grid from the matrix through the
-    Steiner insertion to the fit, which compares integers: the tree
-    index's integer depths, brought from the tree's length scale to the
-    lcm S of L and that scale, against the metric times S / L.  The fit
+    The leaf metric stays on the integer grid, as one table indexed by
+    label position, from the matrix through the Steiner insertion to the
+    fit, which walks the label pairs in order and compares integers: the
+    tree index's integer depths, brought from the tree's length scale to
+    the lcm S of L and that scale, against the metric times S / L.  The fit
     reads the normalized tree, not the Steiner adjacency: normalization
     moves a leaf off a pendant stub and drops the stub's length, so a
     metric that places a leaf on a stub is refused only by the tree as
@@ -292,8 +304,8 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
         raise RankOneMatrixError(
             "rank-one matrix: the tree degenerates to a star"
         )
-    labels, metric, scale = _integer_leaf_metric(matrix)
-    adj, pos = _steiner_tree(labels, metric, scale)
+    labels, table, scale = _integer_leaf_metric(matrix)
+    adj, pos = _steiner_tree(labels, table, scale)
     # attach explicit leaf vertices
     leaf_vertex = {}
     nxt = max(adj) + 1
@@ -307,16 +319,17 @@ def tree_from_matrix(matrix: TropMatrix) -> SymbicTree:
     common = math.lcm(scale, index.scale)
     depth = [d * (common // index.scale) for d in index.dist]
     unit = common // scale
-    slot = {label: index.slot[v] for label, v in tree.leaf_vertex.items()}
+    slot = [index.slot[tree.leaf_vertex[label]] for label in labels]
     last, parent = index.last, index.parent
-    for (x, y), wanted in metric.items():
-        i, j = slot[x], slot[y]
+    size = len(labels)
+    for (s, i), (t, j) in itertools.combinations(enumerate(slot), 2):
         m = i  # climbs to the lowest common ancestor, as in _TreeIndex.meet
         while not m <= j <= last[m]:
             m = parent[m]
         fitted = depth[i] + depth[j] - 2 * depth[m]
+        wanted = table[s * size + t]
         if fitted != wanted * unit:
-            pair = f"({format_label(x)}, {format_label(y)})"
+            pair = f"({format_label(labels[s])}, {format_label(labels[t])})"
             raise ReconstructionError(
                 f"tree distance {Fraction(fitted, common)} at {pair}, metric {Fraction(wanted, scale)}"
             )

@@ -1126,7 +1126,11 @@ def _normalize(tree: SymbicTree, involution_hint: Optional[dict[int, int]]) -> N
 
 def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
     """Whether sigma is a length-preserving involution of the tree's graph
-    that swaps each leaf i with i'."""
+    that swaps each leaf i with i'.
+
+    Sigma is checked to be an involution on every vertex, so it is a
+    bijection of the vertices, and the adjacency is symmetric, so each
+    edge is checked once, from its smaller end."""
     adj = tree.adj
     if not set(adj) <= set(sigma):
         return False
@@ -1138,9 +1142,10 @@ def _check_involution(tree: SymbicTree, sigma: dict[int, int]) -> bool:
         if image_nbrs is None or sigma.get(sigma[u]) != u:
             return False
         for v, length in nbrs.items():
-            image = image_nbrs.get(sigma[v], _MISSING)
-            if image is not length and image != length:
-                return False
+            if u < v:
+                image = image_nbrs.get(sigma[v], _MISSING)
+                if image is not length and image != length:
+                    return False
     return True
 
 

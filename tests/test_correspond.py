@@ -306,23 +306,41 @@ def fraction_metric(labels, dist, scale):
 
 
 def integer_metric(metric):
-    """A ``LeafMetric`` as ``_steiner_tree`` reads it: its labels, each
-    distance times the lcm L of their denominators, and L."""
+    """A ``LeafMetric`` as ``_steiner_tree`` reads it: its labels, the flat
+    table of its distances times the lcm L of their denominators, indexed
+    by label position, and L."""
     scale = math.lcm(*(d.denominator for d in metric.dist.values()))
-    dist = {pair: d.numerator * (scale // d.denominator) for pair, d in metric.dist.items()}
-    return list(metric.labels), dist, scale
+    labels = list(metric.labels)
+    table = [int(metric.distance(x, y) * scale) for x in labels for y in labels]
+    return labels, table, scale
+
+
+def pair_distances(matrix):
+    """The integer leaf metric of the matrix with its distances keyed by
+    label pair (x, y), x before y: (labels, distances, scale)."""
+    labels, table, scale = correspond._integer_leaf_metric(matrix)
+    size = len(labels)
+    dist = {
+        (labels[s], labels[t]): table[s * size + t]
+        for s, t in itertools.combinations(range(size), 2)
+    }
+    return labels, dist, scale
 
 
 def cook(monkeypatch, labels, dist, scale):
-    """Hand ``tree_from_matrix`` the given integer leaf metric, whatever
-    the matrix."""
-    monkeypatch.setattr(correspond, "_integer_leaf_metric", lambda matrix: (labels, dist, scale))
+    """Hand ``tree_from_matrix`` the integer leaf metric with the given
+    distances of label pairs, whatever the matrix."""
+    size = len(labels)
+    table = [0] * (size * size)
+    for s, t in itertools.combinations(range(size), 2):
+        table[s * size + t] = table[t * size + s] = dist[labels[s], labels[t]]
+    monkeypatch.setattr(correspond, "_integer_leaf_metric", lambda matrix: (labels, table, scale))
 
 
 def test_reconstruction_error_on_cooked_metric(monkeypatch):
     # a symmetric matrix passing the rank test cannot fail the four-point
     # condition, so hand the reconstruction a cooked metric directly
-    labels, dist, scale = correspond._integer_leaf_metric(PERMUTED)
+    labels, dist, scale = pair_distances(PERMUTED)
     dist[1, -2] = 99 * scale
     assert fraction_metric(labels, dist, scale).four_point_violation() is not None
     cook(monkeypatch, labels, dist, scale)
@@ -333,7 +351,7 @@ def test_reconstruction_error_on_cooked_metric(monkeypatch):
 def test_fit_check_names_its_witness(monkeypatch):
     """A metric that Steiner insertion places but the rebuilt tree does not
     fit is refused at the first mismatching pair, with both distances."""
-    labels, dist, scale = correspond._integer_leaf_metric(PERMUTED)
+    labels, dist, scale = pair_distances(PERMUTED)
     dist[-1, -2] = 99 * scale
     cook(monkeypatch, labels, dist, scale)
     with pytest.raises(ReconstructionError, match=r"^tree distance 2 at \(1p, 2p\), metric 99$"):
@@ -347,13 +365,28 @@ def test_fit_reads_the_normalized_tree(monkeypatch):
     4' at distance 0 from 1, and the fit refuses the metric; a fit of the
     Steiner adjacency would not."""
     matrix = matrix_from_tree(random_regular_tree(4, random.Random(2)))
-    labels, dist, scale = correspond._integer_leaf_metric(matrix)
+    labels, dist, scale = pair_distances(matrix)
     for pair in dist:
         if labels[-1] in pair:
             dist[pair] += scale
     cook(monkeypatch, labels, dist, scale)
     with pytest.raises(ReconstructionError, match=r"^tree distance 0 at \(1, 4p\), metric 1$"):
         tree_from_matrix(matrix)
+
+
+def test_gromov_product_ties_go_to_the_larger_label(monkeypatch):
+    """Seen from 1, 2' has Gromov product 5/2 with both 1' and 2.  The tie
+    goes to the larger label int, 2, as the oracle's maximum over (value,
+    label) pairs has it, and the walk toward 2, of length 2, cannot go
+    5/2, so the error names 2."""
+    labels = [1, -1, 2, -2]
+    dist = {(1, -1): 2, (1, 2): 2, (-1, 2): 2, (1, -2): 4, (-1, -2): 1, (2, -2): 1}
+    message = r"^not a tree metric: cannot place 2p on \(1, 2\)$"
+    with pytest.raises(ReconstructionError, match=message):
+        fraction_steiner_tree(fraction_metric(labels, dist, 1))
+    cook(monkeypatch, labels, dist, 1)
+    with pytest.raises(ReconstructionError, match=message):
+        tree_from_matrix(matrix_from_tree(random_regular_tree(2, random.Random(0))))
 
 
 def fraction_fit_tree(n, metric):
@@ -394,7 +427,7 @@ def test_integer_fit_matches_the_fraction_fit_on_cooked_metrics(n, rng, shift, d
     pendant stub when raised), ``tree_from_matrix`` gives the tree or the
     error of the ``Fraction`` fit."""
     matrix = matrix_from_tree(random_regular_tree(n, rng)).add(rank_one_matrix(shift[:n]))
-    labels, dist, scale = correspond._integer_leaf_metric(matrix)
+    labels, dist, scale = pair_distances(matrix)
     moved = data.draw(st.sampled_from(["none", "one pair", "one label"]))
     delta = data.draw(st.integers(-2 * scale, 3 * scale))
     if moved == "one pair":

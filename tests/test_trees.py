@@ -1336,6 +1336,61 @@ def test_split_search_matches_the_side_set_search_on_catalogs():
     assert one_vertex_trunks > 10
 
 
+class Graph(NamedTuple):
+    """The parts of a tree that ``_check_involution`` reads."""
+
+    adj: dict
+    leaf_vertex: dict
+
+
+def broken_involutions(tree, rng):
+    """(case, graph, map) triples: the tree's involution, then four broken
+    ones.  One vertex's image moved; the images of two vertices swapped,
+    not both fixed, which is no involution; two same-colored leaves sent
+    to each other and their images likewise, which keeps an involution
+    but sends a leaf to the wrong color; and one edge of a mirrored pair
+    given a length 1/L longer, L the lcm of the length denominators."""
+    sigma = tree.involution()
+    vertices = sorted(tree.adj)
+    internal = [v for v in vertices if v not in tree.leaf_vertices()]
+    out = [("intact", tree, sigma)]
+    a = rng.choice(vertices)
+    out.append(("moved", tree, {**sigma, a: rng.choice([v for v in vertices if v != sigma[a]])}))
+    moving = [v for v in internal if sigma[v] != v] or [v for v in vertices if sigma[v] != v]
+    a = rng.choice(moving)
+    b = rng.choice([v for v in vertices if v not in (a, sigma[a])])
+    out.append(("not an involution", tree, {**sigma, a: sigma[b], b: sigma[a]}))
+    if tree.n > 1:
+        i, j = rng.sample(range(1, tree.n + 1), 2)
+        sign = rng.choice((1, -1))
+        x, y = tree.leaf_vertex[sign * i], tree.leaf_vertex[sign * j]
+        out.append(("wrong color", tree, {**sigma, x: y, y: x, sigma[x]: sigma[y], sigma[y]: sigma[x]}))
+    mirrored = [(u, v) for u, v, _ in tree.internal_edges() if {sigma[u], sigma[v]} != {u, v}]
+    if mirrored:
+        u, v = rng.choice(mirrored)
+        adj, leaf_vertex = tree._graph_copy()
+        adj[u][v] = adj[v][u] = adj[u][v] + Fraction(1, tree._index().scale)
+        out.append(("length", Graph(adj, leaf_vertex), sigma))
+    return out
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_involution_check_matches_the_oracle_on_broken_involutions(n, seed, rebuilt):
+    """On a catalog tree, or the tree rebuilt from its matrix (where
+    mirrored edges share one length object), the edge-once check agrees
+    with the oracle's check of every adjacency entry on the involution
+    and on each way of breaking it."""
+    rng = random.Random(seed)
+    tree = rng.choice(list(enumerate_regular(n)))
+    if rebuilt and n > 1:
+        tree = tree_from_matrix(matrix_from_tree(tree))
+    for case, graph, sigma in broken_involutions(tree, rng):
+        verdict = trees._check_involution(graph, sigma)
+        assert verdict == oracle_check_involution(graph, sigma)
+        assert verdict == (case == "intact"), case
+
+
 def oracle_normalize(tree, involution_hint):
     """_normalize as it was before the zero-length scan was gated: every
     rescan tests every edge of every vertex against 0, and both symmetry
