@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .tropical import (
@@ -164,30 +164,45 @@ def leaf_metric_from_matrix(matrix: TropMatrix) -> LeafMetric:
 
 def _integer_leaf_metric(matrix: TropMatrix) -> tuple[list[int], list[int], int]:
     """The leaf metric of :func:`leaf_metric_from_matrix` on the matrix's
-    integer grid (see :func:`symbic.tropical._integer_grid`): the labels
+    integer grid x (see :func:`symbic.tropical._integer_grid`): the labels
     1, 1', 2, 2', ..., n, n' in that order, the flat 2n x 2n table of
     their distances times L, as ints, whose entry s * 2n + t is the
     distance of the labels at positions s and t, and L, the lcm of the
     entries' denominators.  Refuses a matrix of symmetric tropical rank
-    above 2."""
+    above 2, and so an asymmetric one, before the grid is read.
+
+    On a symmetric grid the map f(v)_k = min_l (x_kl - v_l) swaps the
+    position p_i of every row leaf i (column i) with the position q_i of
+    its column leaf i' (q_i = f(p_i)), and keeps their Hilbert distances:
+    - f(q_i) = p_i: l = i gives f(q_i)_k <= x_ki, and q_i[l] <= x_lk - x_ik
+      for every l, so x_kl - q_i[l] >= x_ik = x_ki;
+    - a <= u - v <= b coordinatewise gives -b <= f(u) - f(v) <= -a, so f
+      does not expand the metric;
+    - so f, which swaps the 2n positions in pairs, keeps their distances:
+      d(i', j') = d(i, j) and d(i, j') = d(j, i').
+    So one table up[j][k] = max_l (x_jl - x_kl) gives q_j = -up[j] and
+    d(j, k) = up[j][k] + up[k][j], and only the n(n + 1)/2 distances
+    d(i, j'), i <= j, are spreads, of (x_ik + up[j][k])_k.
+    """
     rank = sym_trop_rank(matrix)
     if rank > 2:
         raise NotRankTwoError(f"symmetric tropical rank {rank} > 2")
     grid, scale = _integer_grid(matrix)
-    labels, positions = [], []  # positions[t] is the position of labels[t]
-    for i, row_i in enumerate(grid, start=1):
-        labels += (i, -i)
-        positions.append([row[i - 1] for row in grid])
-        positions.append([min(map(sub, row_k, row_i)) for row_k in grid])
-    size = len(labels)
-    table = [0] * (size * size)
-    for s, ps in enumerate(positions):
-        row = []
-        for pt in positions[s + 1 :]:
-            diffs = sorted(map(sub, ps, pt))
-            row.append(diffs[-1] - diffs[0])
-        table[s * size + s + 1 : (s + 1) * size] = row  # row s right of the diagonal
-        table[(s + 1) * size + s :: size] = row  # column s below it
+    n = len(grid)
+    up = [[max(map(sub, row_j, row_k)) for row_k in grid] for row_j in grid]
+    mixed = [[0] * n for _ in range(n)]  # mixed[i][j] = d(i, j') = d(j, i')
+    for i, row_i in enumerate(grid):
+        for j in range(i, n):
+            diffs = sorted(map(add, row_i, up[j]))
+            mixed[i][j] = mixed[j][i] = diffs[-1] - diffs[0]
+    size = 2 * n
+    labels, table = [], [0] * (size * size)
+    for i, (up_i, down_i, mixed_i) in enumerate(zip(up, zip(*up), mixed)):
+        labels += (i + 1, -i - 1)
+        rows = list(map(add, up_i, down_i))  # d(i, k)
+        s = 2 * i * size  # row i, then row i' from s + size
+        table[s : s + size : 2] = table[s + size + 1 : s + 2 * size : 2] = rows
+        table[s + 1 : s + size : 2] = table[s + size : s + 2 * size : 2] = mixed_i
     return labels, table, scale
 
 

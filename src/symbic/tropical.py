@@ -254,8 +254,9 @@ def _integer_ratios(m: TropMatrix, symmetric: bool) -> list[list[tuple[int, int]
 
 
 def _scaled(ratios: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
-    """The integer grid and its scale L of :func:`_integer_grid`."""
-    scale = math.lcm(*(q for row in ratios for _, q in row))
+    """The integer grid and its scale L of :func:`_integer_grid`, the lcm
+    taken over the distinct denominators."""
+    scale = math.lcm(*{q for row in ratios for _, q in row})
     return [[p * (scale // q) for p, q in row] for row in ratios], scale
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbic import correspond
@@ -30,6 +30,7 @@ from symbic.trees import MalformedTreeError, SymbicTree, format_label, tree_of_s
 from symbic.tropical import (
     TropicalError,
     TropMatrix,
+    _integer_grid,
     hilbert_distance,
     rank_one_matrix,
     sym_trop_rank,
@@ -184,6 +185,87 @@ def test_leaf_metric_of_worked_example():
     a = matrix_from_tree(four_pair_chain_tree(1, 2, 3))
     metric = leaf_metric_from_matrix(a)
     assert metric.distance(3, 4) == 3  # the paths split at the b-node
+
+
+def all_pairs_leaf_table(matrix):
+    """``_integer_leaf_metric`` by its definition, with no rank test and no
+    symmetry assumed: every label's position on the integer grid x, row
+    leaf i at column i and column leaf i' at min_l (x_kl - x_il), and the
+    Hilbert distance of every ordered pair of positions, as (labels, flat
+    table, scale)."""
+    grid, scale = _integer_grid(matrix)
+    labels, positions = [], []
+    for i, row_i in enumerate(grid, start=1):
+        labels += (i, -i)
+        positions.append([row[i - 1] for row in grid])
+        positions.append([min(a - b for a, b in zip(row_k, row_i)) for row_k in grid])
+    table = []
+    for ps in positions:
+        for pt in positions:
+            diffs = [a - b for a, b in zip(ps, pt)]
+            table.append(max(diffs) - min(diffs))
+    return labels, table, scale
+
+
+def label_distances(labels, table):
+    """The flat table keyed by ordered label pair."""
+    size = len(labels)
+    return {
+        (x, y): table[s * size + t] for s, x in enumerate(labels) for t, y in enumerate(labels)
+    }
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """Symmetric matrices of every rank, n = 1..7: tree matrices and tie-heavy
+    grids of small rationals, each shifted along the lineality space by a
+    vector with mixed denominators."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        rows = matrix_from_tree(random_regular_tree(n, random.Random(draw(st.integers(0, 2**32))))).rows
+    else:
+        entries = {
+            (i, j): Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 1, 2, 3))))
+            for i in range(n)
+            for j in range(i, n)
+        }
+        rows = [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    shift = draw(st.lists(st.fractions(-9, 9, max_denominator=12), min_size=n, max_size=n))
+    return TropMatrix(rows).add(rank_one_matrix(shift))
+
+
+@given(symmetric_rational_matrices())
+@example(TropMatrix([[Fraction(1, 2)]]))
+@example(TropMatrix([[0, Fraction(1, 3)], [Fraction(1, 3), Fraction(-2, 5)]]))
+@settings(max_examples=300, deadline=None)
+def test_leaf_table_matches_the_all_pairs_oracle(matrix):
+    """With the rank scan stubbed, so at every rank, the table built on the
+    color swap equals the all-pairs one, labels and scale included; and the
+    all-pairs table is itself invariant under the swap i <-> i'."""
+    labels, table, scale = all_pairs_leaf_table(matrix)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(correspond, "sym_trop_rank", lambda matrix: 2)
+        assert correspond._integer_leaf_metric(matrix) == (labels, table, scale)
+    d = label_distances(labels, table)
+    for i, j in itertools.product(range(1, matrix.n + 1), repeat=2):
+        assert d[-i, -j] == d[i, j]
+        assert d[i, -j] == d[j, -i]
+
+
+def test_asymmetric_grid_breaks_the_swap_and_is_refused(monkeypatch):
+    """The swap needs a symmetric grid: on this one it fails, so the leaf
+    metric and the rebuild refuse the grid before any metric is built."""
+    grid = TropMatrix([[1, 2, 1], [1, 2, 1], [3, 3, 2]])
+    d = label_distances(*all_pairs_leaf_table(grid)[:2])
+    assert (d[1, 2], d[-1, -2]) == (1, 0)
+
+    def built(matrix):
+        raise AssertionError("a leaf metric was built")
+
+    monkeypatch.setattr(correspond, "_integer_grid", built)
+    for rebuild in (leaf_metric_from_matrix, tree_from_matrix):
+        with pytest.raises(TropicalError, match="^symmetric matrix required$"):
+            rebuild(grid)
 
 
 def test_tree_from_matrix_reproduces_known_topology():
