@@ -8,15 +8,21 @@ only for their results.  The "minimum attained twice" predicates that
 define tropical rank are not robust under floating point, so no float ever
 enters these computations.
 
-The symmetric scan decides its first two levels in closed form.  Its 2 x 2
+The symmetric scan decides its 2 x 2 level in closed form: its 2 x 2
 minors are all degenerate iff every principal one ties, 2 x_ij = x_ii +
-x_jj (:func:`_principal_pairs_tie`).  Its 3 x 3 minors read the six
-permutation sums of the 3 x 3 sweep (:func:`_minor_sums`), which the fan's
-signatures share: a minor is degenerate iff its least sum is attained
-twice, unless it is principal and its only tied sums are its two 3-cycles,
-which pick one monomial (:func:`_all_3x3_minors_degenerate`).
+x_jj (:func:`_principal_pairs_tie`).  Both scans decide their 3 x 3 level
+on the 2 x 2 minima of row pairs (:func:`_all_3x3_minors_degenerate`).  A
+minor's six permutations fall into three pairs by the column its first row
+takes, and each pair is a 2 x 2 minor of its other two rows.  Stored
+doubled, with a tie bit, q = 2 min(s, t) + [s = t], a pair's least sum and
+its tie need one int, the tie a parity bit.  So a minor needs three sums
+instead of six: it is degenerate unless the least of the three is even and
+the other two exceed it by 2 or more.  A principal minor of the symmetric
+scan keeps its six sums, since its two 3-cycles, which pick one monomial,
+fall into different pairs.  The fan's signatures read every permutation's
+sum, from the 3 x 3 sweep :func:`_minor_sums`.
 
-From k = 4 on, and at every k in the ordinary scan, no minor's k!
+At k = 2 of the ordinary scan and from k = 4 on in both, no minor's k!
 permutation sums are listed.  Every minor is expanded along its last row
 over column subsets (:func:`_all_minors_degenerate`): per row set, level j
 holds, for each j-subset S of the columns, the least sum of the set's
@@ -197,7 +203,12 @@ def trop_rank(m: TropMatrix) -> int:
     """Smallest r such that every (r+1) x (r+1) minor is degenerate."""
     _require_size(m)
     grid, _ = _integer_grid(m)
-    return _rank_scan(grid, 1, symmetric=False)
+    tallies = _tallies(grid)
+    if _all_minors_degenerate(tallies, 2, symmetric=False):
+        return 1
+    if _all_3x3_minors_degenerate(grid, symmetric=False):
+        return 2
+    return _rank_scan(tallies, 3, symmetric=False)
 
 
 def sym_trop_rank(m: TropMatrix) -> int:
@@ -210,9 +221,9 @@ def sym_trop_rank(m: TropMatrix) -> int:
     grid, _ = _scaled(ratios)
     if _principal_pairs_tie(grid):
         return 1
-    if _all_3x3_minors_degenerate(grid):
+    if _all_3x3_minors_degenerate(grid, symmetric=True):
         return 2
-    return _rank_scan(grid, 3, symmetric=True)
+    return _rank_scan(_tallies(grid), 3, symmetric=True)
 
 
 def _require_size(m: TropMatrix) -> None:
@@ -220,15 +231,14 @@ def _require_size(m: TropMatrix) -> None:
         raise MinorSizeError(f"matrix size {m.n} > cap {MAX_MINOR_SIZE}")
 
 
-def _rank_scan(grid: list[list[int]], start: int, symmetric: bool) -> int:
-    """The rank of an integer grid whose rank is at least ``start``: the
-    least r >= start whose (r + 1) x (r + 1) minors are all degenerate, by
-    the subset expansion."""
-    tallies = _tallies(grid)
-    for r in range(start, len(grid)):
+def _rank_scan(tallies: list[list[int]], start: int, symmetric: bool) -> int:
+    """The rank of a grid of tallies (:func:`_tallies`) whose rank is at
+    least ``start``: the least r >= start whose (r + 1) x (r + 1) minors are
+    all degenerate, by the subset expansion."""
+    for r in range(start, len(tallies)):
         if _all_minors_degenerate(tallies, r + 1, symmetric):
             return r
-    return len(grid)
+    return len(tallies)
 
 
 def _integer_grid(m: TropMatrix, symmetric: bool = False) -> tuple[list[list[int]], int]:
@@ -287,7 +297,9 @@ def _minor_sums(grid: list[list[int]]) -> Iterator[list[int]]:
     """Per 3x3 minor (R, C) with C >= R of a square grid, row sets in
     ``itertools.combinations`` order and per row set its column sets from
     R on, its entry sum under each permutation of ``_PERMS``.  The first
-    minor of each row set is its principal one.
+    minor of each row set is its principal one.  Only the fan's signatures
+    read it, since they need every permutation's sum; the rank scans
+    decide their 3x3 level on pair minima (:func:`_all_3x3_minors_degenerate`).
 
     Only C >= R is visited.  On a symmetric grid the transpose minor (C, R)
     has the same entry sums, its argmin permutations are the inverses, and
@@ -309,28 +321,91 @@ def _minor_sums(grid: list[list[int]]) -> Iterator[list[int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _principal_minors(n: int) -> bytes:
-    """Per minor of :func:`_minor_sums` on an n x n grid, 1 if it is
-    principal (C = R), else 0."""
-    count = math.comb(n, 3)
-    return b"".join(b"\1" + bytes(count - first - 1) for first in range(count))
+def _pair_plan(n: int) -> tuple[tuple, tuple, tuple]:
+    """For the 3x3 minors of an n x n grid: the 3-subsets of range(n) in
+    ``itertools.combinations`` order, the row sets and column sets of
+    :func:`_all_3x3_minors_degenerate`; the 2-subsets in the same order, the
+    column pairs of its pair tables; and per column set (a, b, c), a, b, c
+    and the indices of its pairs (b, c), (a, c) and (a, b) among the
+    2-subsets.  One plan serves every row set: the symmetric scan slices
+    the column sets from the row set on."""
+    combos = tuple(itertools.combinations(range(n), 3))
+    pairs = tuple(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    columns = tuple((a, b, c, index[b, c], index[a, c], index[a, b]) for a, b, c in combos)
+    return combos, pairs, columns
 
 
-def _all_3x3_minors_degenerate(grid: list[list[int]]) -> bool:
-    """Whether every 3x3 minor of a symmetric integer grid is degenerate as
-    a polynomial in the x_{ij}, read off the six sums of :func:`_minor_sums`;
-    stops at the first minor that is not.
+def _all_3x3_minors_degenerate(grid: list[list[int]], symmetric: bool) -> bool:
+    """Whether every 3x3 minor of an integer grid is degenerate
+    (``symmetric``: as a polynomial in the x_{ij} of a symmetric grid);
+    stops at the first minor that is not, row sets in
+    ``itertools.combinations`` order and per row set its column sets.
 
-    A permutation picks the same monomial as another only when both are the
-    two 3-cycles of a principal minor; no other 3x3 minor has three indices
-    shared by its rows and columns (:func:`_class_size`).  So a minor is
-    degenerate iff its least sum is attained twice, except a principal
-    minor whose only two least sums are its 3-cycles'."""
-    for sums, principal in zip(_minor_sums(grid), _principal_minors(len(grid))):
-        least = min(sums)
-        ties = sums.count(least)
-        if ties < 2 or ties == 2 and principal and sums[3] == sums[4] == least:
-            return False
+    Each minor is expanded along its first row.  On rows (i, j, k) and
+    columns (a, b, c), the six permutations fall into three pairs by the
+    column that row i takes, and each pair is the 2x2 minor of rows j, k
+    on the other two columns.  The pair table of rows (j, k), built on
+    first use and dropped on return, holds per column pair b < c the
+    doubled least 2x2 sum plus a tie bit, q = 2 min(s, t) + [s = t] for
+    s = x_jb + x_kc and t = x_jc + x_kb.  The minor's three sums
+    u = 2 x_ia + q(b, c), v = 2 x_ib + q(a, c) and w = 2 x_ic + q(a, b)
+    are then twice each pair's least sum, plus 1 when that pair ties.  The
+    least sum is attained once, and the minor not degenerate, iff the
+    least of u, v, w is even (its pair does not tie) and the other two
+    exceed it by at least 2 (no other pair reaches it).
+
+    With the ``symmetric`` flag only the column sets C >= R are visited:
+    the transpose minor has the same sums, inverse argmin permutations and
+    the same argmin monomials.  Two permutations pick one monomial only
+    when they are the two 3-cycles of a principal minor (no other 3x3
+    minor has three indices shared by its rows and columns,
+    :func:`_class_size`).  Those fall into different pairs, so the pair
+    minima cannot tell them from two monomials: the principal minor, the
+    first of each row set, sums its six permutations in ``_PERMS`` order
+    and is degenerate iff its least sum is attained twice, unless its only
+    two least sums are its 3-cycles'.  Every other minor of either scan is
+    degenerate iff its least sum is attained twice.
+    """
+    combos, pairs, columns = _pair_plan(len(grid))
+    doubled = [[x + x for x in row] for row in grid]
+    tables: dict[tuple[int, int], list[int]] = {}
+    rest = columns
+    for first, (i, j, k) in enumerate(combos):
+        r1, r2 = grid[j], grid[k]
+        if symmetric:
+            x, y, z = grid[i][i], grid[i][j], grid[i][k]
+            sums = [
+                x + r1[j] + r2[k],
+                x + r1[k] + r2[j],
+                y + r1[i] + r2[k],
+                y + r1[k] + r2[i],
+                z + r1[i] + r2[j],
+                z + r1[j] + r2[i],
+            ]
+            least = min(sums)
+            ties = sums.count(least)
+            if ties < 2 or ties == 2 and sums[3] == sums[4] == least:
+                return False
+            rest = columns[first + 1 :]
+        q = tables.get((j, k))
+        if q is None:
+            q = tables[j, k] = [
+                s + s + (s == t) if s <= t else t + t
+                for b, c in pairs
+                for s in [r1[b] + r2[c]]
+                for t in [r1[c] + r2[b]]
+            ]
+        d = doubled[i]
+        for a, b, c, bc, ac, ab in rest:
+            u, v, w = d[a] + q[bc], d[b] + q[ac], d[c] + q[ab]
+            # u becomes the least of the three
+            if u > v:
+                u, v = v, u
+            if u > w:
+                u, w = w, u
+            if not u & 1 and v > u + 1 < w:
+                return False
     return True
 
 

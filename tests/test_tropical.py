@@ -689,31 +689,20 @@ def is_symmetric_grid(grid):
 
 def assert_scans_match_the_listing(grid):
     """At every minor size, both scans (the symmetric one on a symmetric
-    grid) give the listing's verdict."""
+    grid) give the listing's verdict; so do both flags of the 3x3 level on
+    pair minima, at n < 3 too, where it has no minor."""
     n = len(grid)
-    symmetric = is_symmetric_grid(grid)
+    flags = (False, True) if is_symmetric_grid(grid) else (False,)
     tallies = _tallies(grid)
     for k in range(2, n + 1):
-        for flag in (False, True) if symmetric else (False,):
+        for flag in flags:
             assert _all_minors_degenerate(tallies, k, flag) == listing_all_minors_degenerate(
                 grid, k, flag
             ), (k, flag)
-
-
-@given(scan_grids(range(2, 8)))
-@settings(max_examples=150, deadline=None)
-def test_rank_scans_match_the_listing(grid):
-    assert_scans_match_the_listing(grid)
-
-
-def assert_closed_forms_match(grid):
-    """On a symmetric grid, the symmetric scan's closed-form levels, k = 2
-    and k = 3, give the listing's verdict and the subset expansion's."""
-    tallies = _tallies(grid)
-    for k, closed in ((2, _principal_pairs_tie), (3, _all_3x3_minors_degenerate)):
-        verdict = closed(grid)
-        assert verdict == listing_all_minors_degenerate(grid, k, True), k
-        assert verdict == _all_minors_degenerate(tallies, k, True), k
+    for flag in flags:
+        verdict = _all_3x3_minors_degenerate(grid, symmetric=flag)
+        assert verdict == listing_all_minors_degenerate(grid, 3, flag), flag
+        assert verdict == _all_minors_degenerate(tallies, 3, flag), flag
 
 
 # A principal minor whose least sum, 0, only its two 3-cycles attain: one
@@ -721,6 +710,52 @@ def assert_closed_forms_match(grid):
 THREE_CYCLES_ONLY = [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
 # The 3-cycles and the swap (0, 2, 1) attain 0: two monomials, degenerate.
 THREE_CYCLES_AND_A_SWAP = [[0, 0, 0], [0, 4, 0], [0, 0, 4]]
+# Degenerate only through a tied pair: the least sum, 0, is attained by the
+# identity and by (0, 2, 1), the two orientations of the 2x2 minor of rows
+# 1, 2 on columns 1, 2, which are both 0 (its tie bit).
+PAIR_TIE_ONLY = [[0, 9, 9], [9, 0, 0], [9, 0, 0]]
+# Degenerate through two columns of row 0: (0, 2, 1), where it takes column
+# 0, and (1, 2, 0), where it takes column 1, attain 0, each pair untied.
+TWO_COLUMN_CHOICES = [[0, 0, 9], [9, 9, 0], [0, 0, 9]]
+# Row 0 reaches the least sum, 0, untied through column 0 and through a
+# tied pair on column 1; its three sums are 0, 1 and 22 (lo, lo + 1, ...).
+# Entries are negative too.
+A_CHOICE_AND_A_TIED_PAIR = [[0, 0, 20], [-9, 9, 0], [0, 0, 9]]
+# Every 3x3 minor with its column set from its row set on is degenerate,
+# but one below, rows (1, 2, 3) on columns (0, 1, 2), is not: the ordinary
+# level must visit every column set.
+NONDEGENERATE_ONLY_BELOW = [[0, 1, 1, 1], [0, 1, 1, 1], [1, 0, 0, 0], [0, 0, 1, 1]]
+# Symmetric, every 3x3 minor degenerate, some non-principal ones only
+# through a tied pair.
+SYMMETRIC_PAIR_TIES = [[1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0]]
+
+
+@given(scan_grids(range(2, 8)))
+@example(PAIR_TIE_ONLY)
+@example(TWO_COLUMN_CHOICES)
+@example(A_CHOICE_AND_A_TIED_PAIR)
+@example(NONDEGENERATE_ONLY_BELOW)
+@example(SYMMETRIC_PAIR_TIES)
+@example(THREE_CYCLES_ONLY)
+@example([[-3, 5, -1], [5, -2, 0], [-1, 0, -7]])
+@example([[0, 1], [1, 0]])
+@example([[0, 1], [3, -2]])
+@settings(max_examples=150, deadline=None)
+def test_rank_scans_match_the_listing(grid):
+    assert_scans_match_the_listing(grid)
+
+
+def assert_closed_forms_match(grid):
+    """On a symmetric grid, the symmetric scan's k = 2 and k = 3 levels,
+    closed form and on pair minima, give the listing's verdict and the
+    subset expansion's."""
+    tallies = _tallies(grid)
+    verdicts = {2: _principal_pairs_tie(grid), 3: _all_3x3_minors_degenerate(grid, symmetric=True)}
+    for k, verdict in verdicts.items():
+        assert verdict == listing_all_minors_degenerate(grid, k, True), k
+        assert verdict == _all_minors_degenerate(tallies, k, True), k
+
+
 # X (tropical) X^T for x = (1/4, 3/4, 5/4, -7/4): entries in (1/2)Z, and an
 # odd diagonal on the grid, so x_ii / 2 is no integer there.
 FRACTIONAL_RANK_ONE = rank_one_matrix(["1/4", "3/4", "5/4", "-7/4"]).rows
@@ -769,10 +804,13 @@ def test_closed_form_levels_match_the_listing(grid):
     assert_closed_forms_match(grid)
 
 
-def cap_grid(n):
-    """The tie-heavy symmetric grid of the CI cap step: random.Random(4)
-    entries in [0, 3], filled row by row over i <= j."""
+def cap_grid(n, symmetric=True):
+    """The tie-heavy grids of the CI cap and rank steps: random.Random(4)
+    entries in [0, 3], filled row by row over i <= j, or over every cell
+    when not ``symmetric``."""
     rng = random.Random(4)
+    if not symmetric:
+        return [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
     grid = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -780,9 +818,16 @@ def cap_grid(n):
     return grid
 
 
+def test_cap_grids_are_the_ci_steps():
+    """The CI steps check these first rows before pinning the ranks."""
+    assert cap_grid(9)[0] == cap_grid(9, symmetric=False)[0] == [1, 2, 0, 3, 3, 1, 0, 0, 0]
+    assert trop_rank(TropMatrix(cap_grid(9, symmetric=False))) == 8
+
+
 @pytest.mark.long
 @given(scan_grids([8, 9]))
 @example(cap_grid(9))
+@example(cap_grid(9, symmetric=False))
 @settings(max_examples=12, deadline=None)
 def test_rank_scans_match_the_listing_up_to_the_cap(grid):
     assert_scans_match_the_listing(grid)
