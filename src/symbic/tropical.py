@@ -32,6 +32,14 @@ in j terms per subset, and a k x k minor's least sum and tie count in k
 terms.  A minor of the symmetric scan whose ties might form one monomial is
 decided by the cycles of one argmin permutation read back from the levels
 (:func:`_argmin_image`, :func:`_class_size`).
+
+Level j of a row prefix depends on its j rows only, not on k, so the climb
+from k = 4 up (:func:`_rank_scan`) keeps one dict of row-prefix levels for
+all its minor sizes: the (k + 1) x (k + 1) scan reads the levels the k x k
+scan built, and the k x k scan's last levels become its top prefix levels
+(a symmetric last level, which covers only the column sets from its row
+set on, gets its head expanded then).  The symmetric scan's last-level
+terms are sliced once per row set, in the plan (:func:`_scan_plan`).
 """
 
 from __future__ import annotations
@@ -234,9 +242,15 @@ def _require_size(m: TropMatrix) -> None:
 def _rank_scan(tallies: list[list[int]], start: int, symmetric: bool) -> int:
     """The rank of a grid of tallies (:func:`_tallies`) whose rank is at
     least ``start``: the least r >= start whose (r + 1) x (r + 1) minors are
-    all degenerate, by the subset expansion."""
+    all degenerate, by the subset expansion.
+
+    The climb keeps one dict of row-prefix levels for all its minor sizes,
+    local to the call: each level of a row prefix is expanded once and
+    serves every k after the one that built it (see
+    :func:`_all_minors_degenerate`)."""
+    prefixes: dict[tuple[int, ...], list[int]] = {}
     for r in range(start, len(tallies)):
-        if _all_minors_degenerate(tallies, r + 1, symmetric):
+        if _all_minors_degenerate(tallies, r + 1, symmetric, prefixes):
             return r
     return len(tallies)
 
@@ -423,7 +437,9 @@ def _tallies(grid: list[list[int]]) -> list[list[int]]:
     return [[x << _COUNT_BITS for x in row] for row in grid]
 
 
-def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bool:
+def _all_minors_degenerate(
+    grid: list[list[int]], k: int, symmetric: bool, prefixes: dict | None = None
+) -> bool:
     """Whether every k x k minor of a grid of tallies (:func:`_tallies`) is
     degenerate (``symmetric``: as a polynomial in the x_{ij}, i <= j);
     stops at the first row set with a minor that is not.
@@ -433,9 +449,17 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     the columns (:func:`_expand`), and the row sets that share a row prefix
     come one after another and share its levels.  A minor's tally is then
     k terms of the last level.  With the ``symmetric`` flag only the
-    column sets from the row set on are read: on a symmetric grid the
-    transpose minor has the same sums, inverse argmin permutations and the
-    same argmin monomials.
+    column sets from the row set on are read, on terms the plan holds
+    sliced per row set: on a symmetric grid the transpose minor has the
+    same sums, inverse argmin permutations and the same argmin monomials.
+
+    ``prefixes`` maps a row prefix to its level; a climb passes one dict
+    to every k (:func:`_rank_scan`).  A level 2..k - 1 found there is not
+    expanded again, and each row set leaves its last level there, the
+    level k of its rows for the next k.  A symmetric last level holds only
+    the column sets from its row set on, its first ``first`` tallies
+    missing; the next k expands those on first use and keeps the whole
+    level.
 
     A minor is degenerate when its least sum is attained twice.  On a
     symmetric grid the permutations of one monomial pick the same entries
@@ -447,17 +471,25 @@ def _all_minors_degenerate(grid: list[list[int]], k: int, symmetric: bool) -> bo
     with 2 <= t <= 2^(m // 3) are looked at more closely.
     """
     n = len(grid)
-    combos, shared, steps, candidates = _scan_plan(n, k)
+    combos, shared, steps, tails, candidates = _scan_plan(n, k)
+    if prefixes is None:
+        prefixes = {}
     levels: list[list[int]] = []
     for first, rows in enumerate(combos):
         if not levels:
             levels.append(grid[rows[0]])
         for j in range(len(levels), k - 1):
-            levels.append(_expand(levels[-1], grid[rows[j]], steps[j - 1]))
-        last = steps[-1]
-        if symmetric:
-            last = [(parents[first:], cols[first:]) for parents, cols in last]
-        tallies = _expand(levels[-1], grid[rows[-1]], last)
+            key, terms = rows[: j + 1], steps[j - 1]
+            level = prefixes.get(key)
+            if level is None:
+                level = prefixes[key] = _expand(levels[-1], grid[rows[j]], terms)
+            elif len(level) < len(terms[0][0]):  # a symmetric last level
+                head = len(terms[0][0]) - len(level)
+                terms = [(parents[:head], cols[:head]) for parents, cols in terms]
+                level = prefixes[key] = _expand(levels[-1], grid[rows[j]], terms) + level
+            levels.append(level)
+        last = tails[first] if symmetric else tails[0]
+        tallies = prefixes[rows] = _expand(levels[-1], grid[rows[-1]], last)
         if 0 in map(and_, tallies, itertools.repeat(_TIES)):
             return False
         if symmetric:
@@ -558,17 +590,19 @@ def _subset_drops(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _scan_plan(n: int, k: int) -> tuple[tuple, tuple, tuple, list]:
+def _scan_plan(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple, list]:
     """For the k x k minors of an n x n grid: the k-subsets of range(n) in
     ``itertools.combinations`` order, the row sets and column sets of the
     scan; per row set, how many of its first k - 1 rows the next row set
     shares (0 for the last), so the levels built on those rows are kept for
-    it; per level j = 2..k, the terms of :func:`_expand` over the j-subsets
-    in the same order (n <= 9, so every index fits a byte: there are at
-    most C(9, 4) = 126 subsets of a size); and per row set, its symmetric
-    scan's candidates, filled in by the first scan that reaches it
-    (:func:`_class_candidates`).  Nothing here depends on matrix entries,
-    so every scan of an n x n matrix may share it."""
+    it; per level j = 2..k - 1, the terms of :func:`_expand` over the
+    j-subsets in the same order (n <= 9, so every index fits a byte: there
+    are at most C(9, 4) = 126 subsets of a size); per row set, the terms of
+    the last level k over the column sets from it on, sliced once here (the
+    first row set's are whole, and the ordinary scan reads those); and per
+    row set, its symmetric scan's candidates, filled in by the first scan
+    that reaches it (:func:`_class_candidates`).  Nothing here depends on
+    matrix entries, so every scan of an n x n matrix may share it."""
     combos = tuple(itertools.combinations(range(n), k))
     shared = tuple(
         next((j for j in range(k - 1) if a[j] != b[j]), k - 1) for a, b in zip(combos, combos[1:])
@@ -581,7 +615,12 @@ def _scan_plan(n: int, k: int) -> tuple[tuple, tuple, tuple, list]:
         steps.append(
             tuple((bytes(w[i][1] for w in ways), bytes(w[i][0] for w in ways)) for i in range(j))
         )
-    return combos, shared + (0,), tuple(steps), [None] * len(combos)
+    last = steps.pop()
+    tails = tuple(
+        tuple((parents[first:], cols[first:]) for parents, cols in last)
+        for first in range(len(combos))
+    )
+    return combos, shared + (0,), tuple(steps), tails, [None] * len(combos)
 
 
 def _class_candidates(combos: tuple, first: int) -> tuple[bytes, bytes]:

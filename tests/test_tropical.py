@@ -19,10 +19,12 @@ from symbic.tropical import (
     TropMatrix,
     TropicalError,
     _all_3x3_minors_degenerate,
+    _COUNT_BITS,
     _all_minors_degenerate,
     _class_size,
     _integer_grid,
     _principal_pairs_tie,
+    _rank_scan,
     _tallies,
     canonicalize_mod_lineality,
     hilbert_distance,
@@ -833,6 +835,125 @@ def test_rank_scans_match_the_listing_up_to_the_cap(grid):
     assert_scans_match_the_listing(grid)
     if is_symmetric_grid(grid):
         assert_closed_forms_match(grid)
+
+
+def planted_tree_grid(n, rng, rows, cols):
+    """The integer grid of a random n x n tree matrix with a block planted
+    on ``rows`` and ``cols``, kept symmetric: entry (rows[a], cols[b]) and
+    its mirror are 0 when a == b and above every other entry otherwise, so
+    the identity is the minor's unique argmin.  With ``cols`` = ``rows`` the
+    block is principal, with 0 on the diagonal."""
+    grid, _ = _integer_grid(matrix_from_tree(random_regular_tree(n, rng)))
+    top = max(map(max, grid)) + 1
+    for a, r in enumerate(rows):
+        for b, c in enumerate(cols):
+            grid[r][c] = grid[c][r] = 0 if a == b else top
+    return grid
+
+
+@st.composite
+def climb_grids(draw, sizes):
+    """Grids of a size from ``sizes`` whose rank scans climb past k = 4: tree
+    matrices with a principal block of size 3..min(n, 5) at random indices
+    or a block on random rows and columns off the diagonal
+    (:func:`planted_tree_grid`), tie-heavy symmetric grids and asymmetric
+    grids with entries in [0, 3] or [-50, 50]."""
+    n = draw(st.sampled_from(sizes))
+    kind = draw(st.sampled_from(["principal", "off diagonal", "tie heavy", "asymmetric"]))
+    if kind == "tie heavy":
+        return [[int(x) for x in row] for row in draw(tie_heavy_symmetric([n])).rows]
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "asymmetric":
+        low, high = draw(st.sampled_from([(0, 3), (-50, 50)]))
+        return [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+    rows = rng.sample(range(n), draw(st.integers(min_value=3, max_value=min(n, 5))))
+    cols = rows if kind == "principal" else rng.sample(range(n), len(rows))
+    return planted_tree_grid(n, rng, rows, cols)
+
+
+def listing_rank(grid, symmetric):
+    """The least r >= 3 whose (r + 1) x (r + 1) minors are all degenerate by
+    the listing oracle, or n: the rank ``_rank_scan(..., 3, ...)`` returns."""
+    n = len(grid)
+    ranks = (r for r in range(3, n) if listing_all_minors_degenerate(grid, r + 1, symmetric))
+    return next(ranks, n)
+
+
+def expanded_level(grid, rows):
+    """The tallies of the minors on ``rows`` and every column set of their
+    size, in ``itertools.combinations`` order: each minor's least sum and
+    the number of permutations that attain it, by a plain expansion row by
+    row over column bit masks, with no plan and nothing shared."""
+    n = len(grid)
+    best = {0: (0, 1)}
+    for r in rows:
+        reached = {}
+        for mask, (total, count) in best.items():
+            for c in range(n):
+                if not mask >> c & 1:
+                    value = total + grid[r][c]
+                    low, ways = reached.get(mask | 1 << c, (value, 0))
+                    if value == low:
+                        reached[mask | 1 << c] = (value, ways + count)
+                    elif value < low:
+                        reached[mask | 1 << c] = (value, count)
+        best = reached
+    level = []
+    for cols in itertools.combinations(range(n), len(rows)):
+        total, count = best[sum(1 << c for c in cols)]
+        level.append((total << _COUNT_BITS) + count - 1)
+    return level
+
+
+def assert_climb_matches_the_listing(grid):
+    """For each flag (the symmetric one on a symmetric grid): the climb from
+    k = 4 gives the listing's rank; every k-level, k = 4..n, read through
+    one shared dict of row-prefix levels gives the verdict of a fresh
+    level; and every level left in that dict, whole or, after a symmetric
+    level, the tail of the column sets from its row set on, is the level of
+    its rows by the plain expansion :func:`expanded_level`."""
+    n = len(grid)
+    flags = (False, True) if is_symmetric_grid(grid) else (False,)
+    tallies = _tallies(grid)
+    for flag in flags:
+        assert _rank_scan(tallies, 3, flag) == listing_rank(grid, flag), flag
+        prefixes = {}
+        for k in range(4, n + 1):
+            fresh = _all_minors_degenerate(tallies, k, flag)
+            assert _all_minors_degenerate(tallies, k, flag, prefixes) == fresh, (k, flag)
+        for rows, level in prefixes.items():
+            expanded = expanded_level(grid, rows)
+            assert level == expanded[len(expanded) - len(level) :], (rows, flag)
+
+
+# The n = 6 tree matrix of random.Random(1) with a principal block planted
+# on its first 3, 4, 5 and 6 indices: ranks 3, 4, 5 and 6 under both notions
+CLIMB_EXAMPLES = {
+    r: planted_tree_grid(6, random.Random(1), range(r), range(r)) for r in (3, 4, 5, 6)
+}
+
+
+def test_climb_examples_have_their_ranks():
+    for r, grid in CLIMB_EXAMPLES.items():
+        m = TropMatrix(grid)
+        assert trop_rank(m) == sym_trop_rank(m) == r
+
+
+@given(climb_grids(range(4, 8)))
+@example(CLIMB_EXAMPLES[3])
+@example(CLIMB_EXAMPLES[4])
+@example(CLIMB_EXAMPLES[5])
+@example(CLIMB_EXAMPLES[6])
+@settings(max_examples=40, deadline=None)
+def test_rank_climb_matches_the_listing(grid):
+    assert_climb_matches_the_listing(grid)
+
+
+@pytest.mark.long
+@given(climb_grids([8, 9]))
+@settings(max_examples=6, deadline=None)
+def test_rank_climb_matches_the_listing_up_to_the_cap(grid):
+    assert_climb_matches_the_listing(grid)
 
 
 @pytest.mark.long
