@@ -65,14 +65,15 @@ def matrix_from_tree(tree: SymbicTree, base: Optional[int] = None) -> TropMatrix
     """Entry (i, j): distance from O to the vertex where the paths O -> i
     and O -> j' part, the total length of the edges with i and j' on their
     side away from O (``trees._path_form``); symmetric of symmetric
-    tropical rank <= 2."""
+    tropical rank <= 2.  The matrix carries those sums over the tree's
+    length scale as its integer grid."""
     o = base_point(tree, base)
     n = tree.n
     scale = tree._index().scale
     sums = _path_form(n, [(away, length) for _, away, length in _away_sides(n, tree, o)])
-    matrix = TropMatrix([Fraction(x, scale) for x in sums[i : i + n]] for i in range(0, n * n, n))
-    assert matrix.is_symmetric(), "tree symmetry must make the matrix symmetric"
-    return matrix
+    grid = [sums[i : i + n] for i in range(0, n * n, n)]
+    assert grid == list(map(list, zip(*grid))), "tree symmetry must make the matrix symmetric"
+    return TropMatrix._from_grid(grid, scale)
 
 
 def path_matrix_from_tree(tree: SymbicTree) -> TropMatrix:

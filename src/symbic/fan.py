@@ -66,27 +66,28 @@ def sample_interior(tree: SymbicTree, lengths: Sequence[object]) -> TropMatrix:
     in the relative interior of the tree's cone.  Lengths are assigned to
     split orbits in a fixed deterministic order, are parsed exactly (floats
     and bools are refused) and must be positive and pairwise distinct.
-    Entry (i, j) is the tree's form (i, j) dotted with the lengths scaled
-    to a common denominator L, over 2L.  The form is cached on the tree,
-    which is immutable by convention; a tree without an involution or whose
-    fixed set is not a path is refused first."""
+    The lengths are read as their integer ratios, lowest terms, and entry
+    (i, j) is the tree's form (i, j) dotted with them scaled to a common
+    denominator L, over 2L; the matrix carries those ints as its integer
+    grid.  The form is cached on the tree, which is immutable by
+    convention; a tree without an involution or whose fixed set is not a
+    path is refused first."""
     cached = tree._cache.get("sampling_form")
     if cached is None:
         tree.trunk()
         cached = tree._cache["sampling_form"] = _sampling_form(tree.n, tree.canonical_key())
     orbits, form = cached
-    values = [parse_rational(v) for v in lengths]
-    if len(values) != len(orbits):
+    ratios = [parse_rational(v).as_integer_ratio() for v in lengths]
+    if len(ratios) != len(orbits):
         raise InvalidMoveError("need exactly one length per split orbit")
-    if any(v <= 0 for v in values):
+    if any(p <= 0 for p, _ in ratios):
         raise InvalidMoveError("interior sample needs strictly positive lengths")
-    if len(set(values)) != len(values):
+    if len(set(ratios)) != len(ratios):
         raise InvalidMoveError("interior sample wants pairwise distinct lengths")
-    common = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (common // v.denominator) for v in values]
-    half = 2 * common
-    return TropMatrix(
-        [Fraction(sum(map(mul, coeffs, scaled)), half) for coeffs in row] for row in form
+    common = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (common // q) for p, q in ratios]
+    return TropMatrix._from_grid(
+        [[sum(map(mul, coeffs, scaled)) for coeffs in row] for row in form], 2 * common
     )
 
 
@@ -141,7 +142,7 @@ def _grid_signature(grid: list[list[int]]) -> Signature:
     out = []
     for (rows, cols, monomials), totals in zip(_minor_table(len(grid)), _minor_sums(grid)):
         best = min(totals)
-        argmin = frozenset(m for m, total in zip(monomials, totals) if total == best)
+        argmin = frozenset(itertools.compress(monomials, map(best.__eq__, totals)))
         out.append((rows, cols, argmin))
         if cols != rows:
             out.append((cols, rows, argmin))

@@ -2,11 +2,14 @@
 
 Entries are ``fractions.Fraction``.  The two rank scans, :func:`trop_rank`
 and :func:`sym_trop_rank`, the fan signatures (``symbic.fan``) and the leaf
-metric of ``symbic.correspond`` run on the matrix scaled once to an exact
+metric of ``symbic.correspond`` run on the matrix scaled to an exact
 integer grid (see :func:`_integer_grid`), and ``Fraction``s are made again
-only for their results.  The "minimum attained twice" predicates that
-define tropical rank are not robust under floating point, so no float ever
-enters these computations.
+only for their results.  A matrix the library makes from ints
+(``TropMatrix._from_grid``: ``correspond.matrix_from_tree`` and
+``fan.sample_interior``) carries its grid; a parsed one has its entries'
+integer ratios read.  The "minimum attained twice" predicates that define
+tropical rank are not robust under floating point, so no float ever enters
+these computations.
 
 The symmetric scan decides its 2 x 2 level in closed form: its 2 x 2
 minors are all degenerate iff every principal one ties, 2 x_ij = x_ii +
@@ -121,10 +124,12 @@ class TropMatrix:
     """A square matrix with exact rational entries, read min-plus-wise.
 
     Indices are 1-based throughout, matching the leaf labels of the trees
-    this package pairs matrices with.
+    this package pairs matrices with.  A matrix the library makes from ints
+    it holds (:meth:`_from_grid`) keeps them as its integer grid; a matrix
+    parsed from entries, or made by :meth:`add` or :meth:`sub`, keeps none.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_grid")
 
     def __init__(self, rows: Iterable[Sequence[object]]):
         if isinstance(rows, (str, bytes)) or not isinstance(rows, Iterable):
@@ -134,6 +139,27 @@ class TropMatrix:
             raise TropicalError("matrix must be square and nonempty")
         self.n = len(grid)
         self.rows = grid
+        self._grid = None
+
+    @classmethod
+    def _from_grid(cls, grid: Sequence[Sequence[int]], scale: int) -> "TropMatrix":
+        """The square matrix with entries grid[i][j] / scale, scale > 0,
+        made from ints the library holds, which it keeps as its integer grid
+        (:func:`_integer_grid`): the grid and the scale divided by their
+        gcd, so that the scale is the lcm of the entries' denominators.
+        Each distinct int becomes one ``Fraction``, shared by its entries."""
+        values = set(itertools.chain.from_iterable(grid))
+        common = math.gcd(scale, *values)
+        if common != 1:
+            scale //= common
+            grid = [[x // common for x in row] for row in grid]
+            values = {x // common for x in values}
+        fraction = {x: Fraction(x, scale) for x in values}
+        matrix = cls.__new__(cls)
+        matrix.n = len(grid)
+        matrix.rows = tuple(tuple(map(fraction.__getitem__, row)) for row in grid)
+        matrix._grid = tuple(map(tuple, grid)), scale
+        return matrix
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i - 1][j - 1]
@@ -224,9 +250,13 @@ def sym_trop_rank(m: TropMatrix) -> int:
     polynomial in the symmetric variables x_{ij}.  Scans all minors, not
     only principal ones.  An asymmetric matrix is refused before an
     oversized one."""
-    ratios = _integer_ratios(m, symmetric=True)
-    _require_size(m)
-    grid, _ = _scaled(ratios)
+    if m._grid is None:
+        ratios = _integer_ratios(m, symmetric=True)
+        _require_size(m)
+        grid, _ = _scaled(ratios)
+    else:
+        grid = _symmetric_rows(m._grid[0])
+        _require_size(m)
     if _principal_pairs_tie(grid):
         return 1
     if _all_3x3_minors_degenerate(grid, symmetric=True):
@@ -256,15 +286,29 @@ def _rank_scan(tallies: list[list[int]], start: int, symmetric: bool) -> int:
 
 
 def _integer_grid(m: TropMatrix, symmetric: bool = False) -> tuple[list[list[int]], int]:
-    """The entries of ``m`` times the lcm L of their denominators, as ints,
-    and L; with ``symmetric``, an asymmetric ``m`` is refused.
+    """The entries of ``m`` times the lcm L of their denominators, as ints
+    in new lists, and L; with ``symmetric``, an asymmetric ``m`` is refused.
+    A matrix that carries its grid (``TropMatrix._from_grid``) hands it
+    over; any other has its entries' integer ratios read.
 
     Every permutation sum of a minor is scaled by the same L > 0, so each
     minor keeps its argmin permutation set, and with it its argmin monomial
     set and its ordinary and symmetric degeneracy: the rank scans and the
     fan signatures may run on this grid exactly.
     """
-    return _scaled(_integer_ratios(m, symmetric))
+    if m._grid is None:
+        return _scaled(_integer_ratios(m, symmetric))
+    rows, scale = m._grid
+    if symmetric:
+        _symmetric_rows(rows)
+    return list(map(list, rows)), scale
+
+
+def _symmetric_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """A carried grid, refused unless it is its own transpose."""
+    if tuple(zip(*rows)) != rows:
+        raise TropicalError("symmetric matrix required")
+    return rows
 
 
 def _integer_ratios(m: TropMatrix, symmetric: bool) -> list[list[tuple[int, int]]]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import symbic.counting
 import symbic.fan
 from symbic.acceptance import four_pair_chain_tree
-from symbic.correspond import matrix_from_tree
+from symbic.correspond import matrix_from_tree, tree_from_matrix
 from symbic.counting import cell_sort_key, enumerate_regular, orbit_sort_key, random_regular_tree
 from symbic.fan import (
     RefinementCounterExample,
@@ -28,13 +29,15 @@ from symbic.tropical import (
     _PERMS,
     TropMatrix,
     TropicalError,
+    _integer_grid,
     _minor_sums,
     canonicalize_mod_lineality,
     rank_one_matrix,
     sym_trop_rank,
+    trop_rank,
 )
 from symbic.trees import InvalidMoveError, MalformedTreeError, SymbicTree, _orbit_masks, _swap
-from test_correspond import divergences
+from test_correspond import divergences, outcome, reconstruction_outcome
 from test_counting import contracted_faces
 from test_trees import with_orbit_lengths
 from test_tropical import (
@@ -124,6 +127,56 @@ def test_sample_interior_matches_the_tree_rebuild_on_the_catalogs():
         for tree in enumerate_regular(n):
             assert_samples_match(tree, a, b)
             assert_samples_match(tree, mixed, a)
+
+
+@st.composite
+def carried_grid_matrices(draw):
+    """Matrices that carry their integer grid, as the library makes them:
+    tree matrices, n <= 7, at the sampler's mixed-denominator lengths or
+    at drawn orbit lengths, all times one factor (so that the grid and its
+    scale may share a divisor); and interior samples of n <= 5 trees at
+    distinct positive lengths, prime reciprocals included."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        tree = random_regular_tree(draw(st.integers(1, 7)), rng)
+        if draw(st.booleans()):
+            orbits = sorted(tree.split_orbits(), key=orbit_sort_key)
+            factor = draw(st.sampled_from((1, 2, 6, Fraction(1, 4))))
+            lengths = draw(st.lists(POSITIVE_LENGTHS, min_size=len(orbits), max_size=len(orbits)))
+            tree = with_orbit_lengths(tree, {o: factor * x for o, x in zip(orbits, lengths)})
+        return matrix_from_tree(tree)
+    n = draw(st.integers(1, 5))
+    tree = random_regular_tree(n, rng)
+    size = len(tree.split_orbits())
+    distinct = st.lists(POSITIVE_LENGTHS, min_size=size, max_size=size, unique=True)
+    return sample_interior(tree, draw(st.sampled_from(generic_length_tuples(2, size)) | distinct))
+
+
+@given(carried_grid_matrices())
+@settings(max_examples=150, deadline=None)
+def test_carried_grids_match_their_parsed_twins(matrix):
+    """A matrix that carries its integer grid reads as its twin parsed from
+    its ``Fraction`` rows, which reads the entries' ratios: the same grid
+    and scale, under both flags, and the same ranks, signature and rebuilt
+    tree, or the same error.  Each carried int over the scale is its entry,
+    one ``Fraction`` object per distinct int, and the grid handed out is a
+    copy."""
+    twin = TropMatrix(matrix.rows)
+    assert matrix._grid is not None and twin._grid is None
+    for symmetric in (False, True):
+        assert outcome(_integer_grid, matrix, symmetric) == outcome(_integer_grid, twin, symmetric)
+    grid, scale = matrix._grid
+    pairs = list(zip(itertools.chain(*grid), itertools.chain(*matrix.rows)))
+    assert all(Fraction(g, scale) == x for g, x in pairs)
+    assert len({g for g, _ in pairs}) == len({id(x) for _, x in pairs})
+    for compute in (sym_trop_rank, trop_rank, signature):
+        assert outcome(compute, matrix) == outcome(compute, twin)
+    assert reconstruction_outcome(tree_from_matrix, matrix) == reconstruction_outcome(
+        tree_from_matrix, twin
+    )
+    handed, _ = _integer_grid(matrix)
+    handed[0][0] += 1
+    assert _integer_grid(matrix) == _integer_grid(twin)
 
 
 def test_sample_interior_raises_what_the_tree_rebuild_raises():

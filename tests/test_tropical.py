@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symbic.correspond import matrix_from_tree
+from symbic.correspond import matrix_from_tree, tree_from_matrix
 from symbic.counting import random_regular_tree
 from symbic.fan import _monomial, signature
 from symbic.tropical import (
@@ -250,6 +250,26 @@ def test_symmetry_is_checked_before_the_size_cap():
         sym_trop_rank(TropMatrix(symmetric))
     with pytest.raises(TropicalError, match="^symmetric matrix required$"):
         signature(TropMatrix([row[7:] for row in asymmetric[7:]]))
+
+
+def test_carried_symmetry_is_checked_before_the_size_cap():
+    """As above on matrices that carry their integer grid, whose ints are
+    read for symmetry: the rank scan, the signature and the rebuild refuse
+    an asymmetric one, oversized or not, before any cap."""
+    symmetric = [[i + j for j in range(10)] for i in range(10)]
+    asymmetric = [row[:] for row in symmetric]
+    asymmetric[9][8] += 1
+    for grid in (asymmetric, [row[7:] for row in asymmetric[7:]]):
+        for refuse in (sym_trop_rank, signature, tree_from_matrix):
+            with pytest.raises(TropicalError, match="^symmetric matrix required$") as info:
+                refuse(TropMatrix._from_grid(grid, 3))
+            assert not isinstance(info.value, MinorSizeError)
+    for grid in (symmetric, asymmetric):
+        with pytest.raises(MinorSizeError, match=r"^matrix size 10 > cap 9$"):
+            trop_rank(TropMatrix._from_grid(grid, 3))
+    for refuse in (sym_trop_rank, tree_from_matrix):
+        with pytest.raises(MinorSizeError, match=r"^matrix size 10 > cap 9$"):
+            refuse(TropMatrix._from_grid(symmetric, 3))
 
 
 def test_monomials_of_permutations():
